@@ -9,7 +9,9 @@ voxels weight each contributing pixel more.
 
 Because the fan is shared by all axial slices, the crossing structure is a
 2D pattern replicated along z, and pixel (j, i) only touches voxels of
-slice j.
+slice j. That pattern is the nonzero pattern of the fan's trilinear system
+matrix: |B(x)| is its per-voxel entry count, and rho is its pattern applied
+transposed to the candidates, divided by the counts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _interp
 from .errors import DimsError
 from .ray_geometry import RayFan
 
@@ -41,23 +42,6 @@ class BackProjectionMap:
             raise ValueError("rho must be 0 wherever counts == 0")
 
 
-def _axial_footprints(fan: RayFan):
-    """Per-ray sorted unique voxel indices into the flat (ny * nx) slice."""
-    plan = _interp.build_plan(fan)
-    order = np.argsort(plan.sray, kind="stable")
-    sidx = plan.sidx[order]
-    sray = plan.sray[order]
-    splits = np.searchsorted(sray, np.arange(1, fan.n_rays))
-    return [np.unique(part) for part in np.split(sidx, splits)]
-
-
-def _axial_counts(fan: RayFan) -> np.ndarray:
-    nx, ny = fan.bounds
-    feet = _axial_footprints(fan)
-    flat = np.concatenate(feet) if feet else np.empty(0, dtype=np.int64)
-    return np.bincount(flat, minlength=ny * nx).reshape(ny, nx).astype(np.int64)
-
-
 def crossing_counts(fan: RayFan, dims) -> np.ndarray:
     """|B(x)| on an (nz, ny, nx) grid. Identical across axial slices."""
     nz, ny, nx = (int(d) for d in dims)
@@ -65,7 +49,7 @@ def crossing_counts(fan: RayFan, dims) -> np.ndarray:
         raise DimsError(
             f"fan was built for axial grid {fan.bounds}, dims give ({nx}, {ny})"
         )
-    counts2d = _axial_counts(fan)
+    counts2d = fan.operator().counts
     return np.broadcast_to(counts2d, (nz, ny, nx)).copy()
 
 
@@ -87,23 +71,9 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
             f"got {candidates.shape}"
         )
 
-    feet = _axial_footprints(fan)
-    flat_idx = np.concatenate(feet) if feet else np.empty(0, dtype=np.int64)
-    entry_ray = np.concatenate(
-        [np.full(len(f), i, dtype=np.int64) for i, f in enumerate(feet)]
-    ) if feet else np.empty(0, dtype=np.int64)
-
-    counts2d = np.bincount(flat_idx, minlength=ny * nx).reshape(ny, nx)
-    covered = counts2d > 0
-
-    rho = np.zeros((nz, ny, nx), dtype=np.float64)
-    for j in range(nz):
-        sums = np.bincount(
-            flat_idx, weights=candidates[j, entry_ray], minlength=ny * nx
-        ).reshape(ny, nx)
-        rho[j, covered] = sums[covered] / counts2d[covered]
-
-    counts = np.broadcast_to(counts2d.astype(np.int64), (nz, ny, nx)).copy()
+    op = fan.operator()
+    rho = op.ray_mean(candidates)
+    counts = np.broadcast_to(op.counts, (nz, ny, nx)).copy()
     return BackProjectionMap(counts=counts, rho=rho)
 
 

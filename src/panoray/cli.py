@@ -1,10 +1,12 @@
 """Command-line entry point wiring phantoms, rendering, back-projection,
 reconstruction, metrics and export together.
 
-All heavy subcommands accept --threads; outputs are bit-identical for any
-thread count because every parallel unit owns a disjoint output row and
-reductions run in a fixed order. --deterministic asserts that contract on
-the command line (there is no non-deterministic fast path to disable).
+Every subcommand still accepts --threads for compatibility, but it has no
+effect: rendering, back-projection and reconstruction run one
+single-threaded code path through the fan's system matrix, so outputs are
+bit-identical whatever thread count is given. --deterministic is accepted
+for the same reason and changes nothing (there is no non-deterministic
+path to disable).
 """
 
 from __future__ import annotations
@@ -216,11 +218,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument(
         "--threads", type=int, default=max(1, os.cpu_count() or 1),
-        help="worker threads for render/backproject/reconstruct",
+        help="accepted for compatibility; has no effect (one deterministic code path)",
     )
     common.add_argument(
         "--deterministic", action="store_true",
-        help="assert bit-identical outputs regardless of thread count",
+        help="accepted for compatibility; has no effect (outputs are always deterministic)",
     )
 
     p = argparse.ArgumentParser(prog="panoray", description=__doc__)

@@ -49,7 +49,9 @@ def volume_mse(a, b) -> float:
 
 
 def psnr(a, b, peak: float = 1.0, mask=None) -> float:
-    """10*log10(peak^2 / MSE) in dB, capped at 99.0 (identical inputs)."""
+    """10*log10(peak^2 / MSE) in dB, capped at 99.0 (identical inputs).
+
+    Raises ValueError when the MSE is not finite (NaN or infinite inputs)."""
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     if mask is not None:
@@ -60,6 +62,8 @@ def psnr(a, b, peak: float = 1.0, mask=None) -> float:
         mse = float(np.mean((a[mask] - b[mask]) ** 2))
     else:
         mse = float(np.mean((a - b) ** 2))
+    if not math.isfinite(mse):
+        raise ValueError(f"psnr needs finite inputs, got MSE {mse}")
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimsError, FormatError
+from .fan_operator import FanOperator
 
 _RAYFAN_MAGIC = "RAYFAN1"
 
@@ -131,10 +132,21 @@ class RayFan:
     sample_xy: np.ndarray = field(repr=False)   # (n_rays, max_k, 2)
     sample_valid: np.ndarray = field(repr=False)  # (n_rays, max_k) bool
     sample_counts: np.ndarray = field(repr=False)  # (n_rays,) int
+    # system matrices by interpolation mode, built on first use
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_rays(self) -> int:
         return len(self.rays)
+
+    def operator(self, interpolation: str = "trilinear") -> FanOperator:
+        """The fan's system matrix for one interpolation mode (cached)."""
+        op = self._operators.get(interpolation)
+        if op is None:
+            op = FanOperator(self.sample_xy, self.sample_valid, self.sample_counts,
+                             self.bounds, interpolation)
+            self._operators[interpolation] = op
+        return op
 
 
 @dataclass(frozen=True)
@@ -309,7 +321,8 @@ def build_fan(config: GeometryConfig | None = None, bounds=(256, 256)) -> RayFan
         if k:
             xy[i, :k] = r.samples
             valid[i, :k] = True
-    # fans are shared across threads; freeze the packed arrays
+    # fans are shared by every caller and cache operators built from these
+    # arrays; freeze them
     for arr in (xy, valid, counts):
         arr.flags.writeable = False
 

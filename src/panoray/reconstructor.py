@@ -10,9 +10,10 @@ comparing maximum intensity projections against supplied target MIPs:
 The gradient of the data term is the exact adjoint of the renderer: a pixel
 with transmittance T and residual r contributes 2 * r * T * beta * delta to
 every density sample on its ray, scattered through the transposed bilinear
-weights. The MIP term splits each projected pixel's residual equally across
-the voxels lying within mip_tie_tol of that column's maximum (a subgradient
-of the max; identical to plain argmax routing when the maximum is isolated).
+weights (the transpose of the fan's system matrix, see fan_operator). The
+MIP term splits each projected pixel's residual equally across the voxels
+lying within mip_tie_tol of that column's maximum (a subgradient of the
+max; identical to plain argmax routing when the maximum is isolated).
 Routing to the argmax alone jams the descent once shaving flattens column
 maxima into plateaus, so the band backs the practical convergence here.
 Iterates stay inside the [0, 1] box and the step is halved until the loss
@@ -24,13 +25,13 @@ budget; step_size caps the very first step.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _interp, backproject, metrics
+from . import backproject, metrics
 from .errors import DimsError
+from .fan_operator import FanOperator
 from .ray_geometry import RayFan
 from .renderer import SimPXImage, _MIP_AXES
 from .volume import DensityVolume, _as_f32_grid
@@ -111,31 +112,13 @@ def _check_mips(target_mips, dims) -> dict:
     return out
 
 
-def _map_slices(fn, h: int, threads: int) -> None:
-    """Run fn(j) for every slice index; results land in caller arrays by j,
-    so the outcome is identical for any thread count."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fn, range(h)))
-    else:
-        for j in range(h):
-            fn(j)
-
-
-def _forward(est: np.ndarray, fan: RayFan, plan, beta: float, threads: int = 1) -> np.ndarray:
+def _opacity(est: np.ndarray, op: FanOperator, beta: float, delta: float) -> np.ndarray:
     """Opacity image of the current estimate, all slices of est."""
-    h = est.shape[0]
-    sums = np.empty((h, fan.n_rays), dtype=np.float64)
-
-    def one(j):
-        sums[j] = _interp.slice_line_sums(est[j].ravel(), plan)
-
-    _map_slices(one, h, threads)
-    return -np.expm1(-beta * fan.delta * sums)
+    return -np.expm1(-beta * delta * op.forward(est))
 
 
-def _loss_terms(est, y, mips, fan, plan, beta, lambda1, threads: int = 1):
-    pred = _forward(est, fan, plan, beta, threads)
+def _loss_terms(est, y, mips, fan, beta, lambda1):
+    pred = _opacity(est, fan.operator(), beta, fan.delta)
     mse_img = float(np.sum((pred - y) ** 2))
     mse_mip = 0.0
     for axis, tgt in mips.items():
@@ -156,27 +139,18 @@ def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
     if fan.bounds != (nx, ny):
         raise DimsError(f"fan bounds {fan.bounds} do not match volume ({nx}, {ny})")
     mips = _check_mips(target_mips, est_data.shape)
-    plan = _interp.build_plan(fan)
-    total, mse_img, mse_mip, _ = _loss_terms(
-        est_data, y, mips, fan, plan, cfg.beta, cfg.lambda1
-    )
+    total, mse_img, mse_mip, _ = _loss_terms(est_data, y, mips, fan, cfg.beta, cfg.lambda1)
     return total, (mse_img, mse_mip)
 
 
-def _gradient(est, y, mips, fan, plan, beta, lambda1, pred=None, threads: int = 1,
-              tie_tol: float = 1e-3):
+def _gradient(est, y, mips, fan, beta, lambda1, pred=None, tie_tol: float = 1e-3):
+    op = fan.operator()
     if pred is None:
-        pred = _forward(est, fan, plan, beta, threads)
-    h = est.shape[0]
-    grad = np.empty_like(est)
+        pred = _opacity(est, op, beta, fan.delta)
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
-
-    def one(j):
-        grad[j] = _interp.scatter_slice(coeff[j], plan)
-
-    _map_slices(one, h, threads)
+    grad = op.adjoint(coeff)
 
     for axis, tgt in mips.items():
         ax = _MIP_AXES[axis]
@@ -201,10 +175,7 @@ def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.
     if fan.bounds != (nx, ny):
         raise DimsError(f"fan bounds {fan.bounds} do not match volume ({nx}, {ny})")
     mips = _check_mips(target_mips, est_data.shape)
-    plan = _interp.build_plan(fan)
-    return _gradient(
-        est_data, y, mips, fan, plan, cfg.beta, cfg.lambda1, tie_tol=cfg.mip_tie_tol
-    )
+    return _gradient(est_data, y, mips, fan, cfg.beta, cfg.lambda1, tie_tol=cfg.mip_tie_tol)
 
 
 def _rho_init(y, fan, dims, beta) -> np.ndarray:
@@ -224,6 +195,8 @@ def reconstruct(
 
     Returns the recovered volume (dims: target height x fan grid) and a
     report with one loss row per accepted iterate, monotone by construction.
+    threads is still accepted for compatibility but has no effect: there is
+    one code path, so results are deterministic.
     """
     y = _target_array(target_img)
     if y.ndim != 2 or y.shape[1] != fan.n_rays:
@@ -235,7 +208,6 @@ def reconstruct(
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
     mips = _check_mips(target_mips, dims)
-    plan = _interp.build_plan(fan)
     lo, hi = cfg.clamp
 
     if cfg.init == "zeros":
@@ -244,9 +216,7 @@ def reconstruct(
         x = np.clip(_rho_init(y, fan, dims, cfg.beta), lo, hi)
 
     report = ReconReport()
-    total, mse_img, mse_mip, pred = _loss_terms(
-        x, y, mips, fan, plan, cfg.beta, cfg.lambda1, threads
-    )
+    total, mse_img, mse_mip, pred = _loss_terms(x, y, mips, fan, cfg.beta, cfg.lambda1)
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss at initialization: {total}")
     report.loss_history.append((0, total, mse_img, mse_mip, 0.0))
@@ -257,8 +227,7 @@ def reconstruct(
         if total == 0.0:
             break
         grad = _gradient(
-            x, y, mips, fan, plan, cfg.beta, cfg.lambda1, pred=pred,
-            threads=threads, tie_tol=cfg.mip_tie_tol,
+            x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, tie_tol=cfg.mip_tie_tol,
         )
         if prev_x is None:
             step = cfg.step_size
@@ -276,7 +245,7 @@ def reconstruct(
         for _ in range(cfg.max_halvings + 1):
             trial = np.clip(x - step * grad, lo, hi)
             t_total, t_img, t_mip, t_pred = _loss_terms(
-                trial, y, mips, fan, plan, cfg.beta, cfg.lambda1, threads
+                trial, y, mips, fan, cfg.beta, cfg.lambda1
             )
             if not np.isfinite(t_total):
                 raise RuntimeError(f"non-finite loss during line search: {t_total}")

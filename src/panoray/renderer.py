@@ -3,18 +3,18 @@
 A pixel (j, i) of a SimPX image is the opacity 1 - T of ray i marched
 across axial slice j, with transmittance T = exp(-sum(beta * sigma * delta))
 over the ray's retained sample points. The fan is shared by all slices
-(the beam geometry is purely axial; vertically the projection is parallel).
+(the beam geometry is purely axial; vertically the projection is parallel),
+so the line sums of all slices come from the fan's one system matrix
+(see fan_operator).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _interp
 from .errors import DimsError, FormatError
 from .ray_geometry import RayFan
 from .volume import DensityVolume
@@ -26,6 +26,13 @@ _F32_BELOW_ONE = np.nextafter(np.float32(1.0), np.float32(0.0))
 
 @dataclass(frozen=True)
 class RenderConfig:
+    """Rendering parameters.
+
+    threads is still accepted (and must be >= 1) for compatibility but has
+    no effect: every render runs the same single code path, so outputs are
+    deterministic.
+    """
+
     beta: float = 0.02
     n_samples: int = 200
     delta: float = 1.0
@@ -84,31 +91,6 @@ def transmittance(densities, delta: float, beta: float) -> float:
     return math.exp(-beta * delta * total)
 
 
-def line_sums(
-    vol_data: np.ndarray,
-    fan: RayFan,
-    height: int,
-    plan: _interp.SamplePlan | None = None,
-    interpolation: str = "trilinear",
-    threads: int = 1,
-) -> np.ndarray:
-    """Raw per-pixel density line integrals sum(sigma) of shape (height, n_rays)."""
-    if plan is None:
-        plan = _interp.build_plan(fan)
-    out = np.empty((height, fan.n_rays), dtype=np.float64)
-
-    def one(j):
-        out[j] = _interp.slice_line_sums(vol_data[j].ravel(), plan, interpolation)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(height)))
-    else:
-        for j in range(height):
-            one(j)
-    return out
-
-
 def render_simpx(vol: DensityVolume, fan: RayFan, cfg: RenderConfig) -> SimPXImage:
     """Render the opacity image of a volume through the fan."""
     nz, ny, nx = vol.dims
@@ -125,10 +107,7 @@ def render_simpx(vol: DensityVolume, fan: RayFan, cfg: RenderConfig) -> SimPXIma
             f"fan sampling (n={fan.n_samples}, delta={fan.delta}) does not match "
             f"config (n={cfg.n_samples}, delta={cfg.delta})"
         )
-    sums = line_sums(
-        vol.data, fan, cfg.height,
-        interpolation=cfg.interpolation, threads=cfg.threads,
-    )
+    sums = fan.operator(cfg.interpolation).forward(vol.data[:cfg.height])
     pixels = -np.expm1(-cfg.beta * fan.delta * sums)  # 1 - T without cancellation
     # extreme attenuation rounds 1 - T up to 1.0 in double precision; the
     # image contract is [0, 1), so saturate just below

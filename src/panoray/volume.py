@@ -36,10 +36,11 @@ class DensityVolume:
             raise DimsError(f"volume data must be 3D, got shape {data.shape}")
         if min(data.shape) < 1:
             raise DimsError(f"volume dims must all be >= 1, got {data.shape}")
-        if data.size and (data.min() < 0.0 or data.max() > 1.0):
+        lo, hi = data.min(), data.max()
+        # written so that NaN (which fails every comparison) is rejected too
+        if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError(
-                f"density values must lie in [0, 1], got range "
-                f"[{data.min():g}, {data.max():g}]"
+                f"density values must lie in [0, 1], got range [{lo:g}, {hi:g}]"
             )
         data.flags.writeable = False
         object.__setattr__(self, "data", data)

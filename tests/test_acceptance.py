@@ -7,13 +7,16 @@ shipped configuration.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panoray
 from panoray.backproject import aggregate_rho, crossing_counts, image_candidates
 from panoray.metrics import dice, psnr, volume_mse
 from panoray.ray_geometry import (
@@ -234,11 +237,15 @@ def test_end_to_end_reconstruction():
 
 
 def _cli(*argv, cwd):
+    # the child runs in cwd, so import panoray from an absolute path
+    src = str(Path(panoray.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "panoray.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     return proc

@@ -65,6 +65,15 @@ class TestPsnr:
         with pytest.raises(DimsError):
             psnr(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
+    def test_nan_rejected(self):
+        # a NaN MSE must not score as the 99 dB cap
+        a = np.zeros((2, 2, 2))
+        b = np.full((2, 2, 2), np.nan)
+        with pytest.raises(ValueError):
+            psnr(a, b)
+        with pytest.raises(ValueError):
+            psnr(b, a, mask=np.ones((2, 2, 2), dtype=bool))
+
 
 class TestDice:
     def test_identity(self):

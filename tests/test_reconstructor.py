@@ -105,10 +105,7 @@ class TestGradient:
         rng = np.random.default_rng(12)
         est = rng.uniform(0.2, 0.8, (8, 8, 8))
         cfg = ReconConfig(beta=0.3)
-        from panoray.reconstructor import _forward
-        from panoray import _interp
-
-        pred = _forward(est, fan8, _interp.build_plan(fan8), 0.3)
+        pred = -np.expm1(-0.3 * fan8.delta * fan8.operator().forward(est))
         target1 = 0.75 * pred   # residual pred/4
         target2 = 0.5 * pred    # residual pred/2, both targets stay in range
         g1 = gradient(est, target1, None, fan8, cfg)

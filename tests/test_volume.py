@@ -77,6 +77,14 @@ class TestDensityVolume:
         with pytest.raises(DimsError):
             DensityVolume(np.zeros((4, 4)))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DensityVolume(np.full((2, 2, 2), np.nan))
+        partial = np.full((2, 2, 2), 0.5)
+        partial[1, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            DensityVolume(partial)
+
     def test_immutable(self):
         vol = make_phantom("uniform:0.5", (4, 4, 4))
         with pytest.raises(ValueError):
@@ -222,6 +230,12 @@ class TestSerialization:
         path = tmp_path / "bad.pvol"
         path.write_bytes(b"XVOL9 2 2 2\n" + b"\0" * 32)
         with pytest.raises(FormatError, match="header"):
+            load_volume(path)
+
+    def test_nan_payload(self, tmp_path):
+        path = tmp_path / "nan.pvol"
+        path.write_bytes(b"PVOL1 1 1 2\n" + np.full(2, np.nan, dtype="<f4").tobytes())
+        with pytest.raises(ValueError):
             load_volume(path)
 
     def test_missing_newline(self, tmp_path):
