@@ -35,7 +35,8 @@ def _parse_pair(text, name):
 
 
 def load_geometry(path) -> dict:
-    """Parse a key=value geometry file; unknown keys are rejected."""
+    """Parse a key=value geometry file; unknown keys, and theta_<i> keys
+    whose i is not a segment index, are rejected."""
     raw = {}
     with open(path, "r", encoding="ascii") as fh:
         for ln, line in enumerate(fh, 1):
@@ -46,7 +47,15 @@ def load_geometry(path) -> dict:
                 raise FormatError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _GEOMETRY_KEYS and not key.startswith("theta_"):
+            if key.startswith("theta_"):
+                index = key[len("theta_"):]
+                if not (index.isascii() and index.isdigit()
+                        and int(index) < ray_geometry.N_SEGMENTS):
+                    raise FormatError(
+                        f"{path}:{ln}: geometry key {key!r} names no segment; "
+                        f"use theta_0 .. theta_{ray_geometry.N_SEGMENTS - 1}"
+                    )
+            elif key not in _GEOMETRY_KEYS:
                 raise FormatError(f"{path}:{ln}: unknown geometry key {key!r}")
             raw[key] = val
     return raw
@@ -215,7 +224,10 @@ def _cmd_export(args):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
+    common.add_argument(
+        "--seed", type=int, default=0,
+        help="RNG seed; only phantom reads it, every other subcommand ignores it",
+    )
     common.add_argument(
         "--threads", type=int, default=max(1, os.cpu_count() or 1),
         help="accepted for compatibility; has no effect (one deterministic code path)",

@@ -171,21 +171,32 @@ class FanOperator:
             out[z0:z1] += m[:, None] * self.sample_counts
         return out
 
-    def _transpose(self, r: np.ndarray, pattern: bool) -> np.ndarray:
+    def _transpose(self, r: np.ndarray, pattern: bool, out=None) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
-        out = np.empty((len(r), self.n_voxels), dtype=np.float64)
+        nx, ny = self.bounds
+        if out is None:
+            out = np.empty((len(r), ny, nx), dtype=np.float64)
+        elif (out.shape != (len(r), ny, nx) or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape "
+                f"{(len(r), ny, nx)}, got {out.dtype} {out.shape}"
+            )
+        flat = out.reshape(len(r), self.n_voxels)
         for z0, z1 in self._blocks(len(r)):
             rt = np.ascontiguousarray(r[z0:z1].T)
             vt = _apply(self._cols, rt, self.n_voxels, pattern)
             # tiled: one whole-block strided copy runs several times slower
             for v0 in range(0, self.n_voxels, _TILE):
-                out[z0:z1, v0:v0 + _TILE] = vt[v0:v0 + _TILE].T
-        nx, ny = self.bounds
-        return out.reshape(len(r), ny, nx)
+                flat[z0:z1, v0:v0 + _TILE] = vt[v0:v0 + _TILE].T
+        return out
 
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
-        """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx)."""
-        return self._transpose(r, pattern=False)
+    def adjoint(self, r: np.ndarray, *, out=None) -> np.ndarray:
+        """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx).
+
+        out, if given, is a C-contiguous float64 (nz, ny, nx) array that
+        receives the result and is returned."""
+        return self._transpose(r, pattern=False, out=out)
 
     def ray_mean(self, c: np.ndarray) -> np.ndarray:
         """Mean of c_j over the rays crossing each voxel, 0 where none does:

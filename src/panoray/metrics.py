@@ -41,11 +41,23 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
         raise DimsError(f"volume dims differ: {a.shape} vs {b.shape}")
 
 
+def _mse(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.mean((a - b) ** 2))
+
+
 def volume_mse(a, b) -> float:
     """Mean squared voxel difference."""
     a, b = _data(a), _data(b)
     _check_dims(a, b)
-    return float(np.mean((a - b) ** 2))
+    return _mse(a, b)
+
+
+def _psnr_db(mse: float, peak: float) -> float:
+    if not math.isfinite(mse):
+        raise ValueError(f"psnr needs finite inputs, got MSE {mse}")
+    if mse == 0.0:
+        return PSNR_CAP_DB
+    return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
 
 
 def psnr(a, b, peak: float = 1.0, mask=None) -> float:
@@ -59,14 +71,8 @@ def psnr(a, b, peak: float = 1.0, mask=None) -> float:
         _check_dims(a, mask)
         if not mask.any():
             raise ValueError("psnr mask selects no voxels")
-        mse = float(np.mean((a[mask] - b[mask]) ** 2))
-    else:
-        mse = float(np.mean((a - b) ** 2))
-    if not math.isfinite(mse):
-        raise ValueError(f"psnr needs finite inputs, got MSE {mse}")
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
+        return _psnr_db(_mse(a[mask], b[mask]), peak)
+    return _psnr_db(_mse(a, b), peak)
 
 
 def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
@@ -81,12 +87,19 @@ def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
     return 200.0 * int((fa & fb).sum()) / (na + nb)
 
 
-def _window_mean(x: np.ndarray, w: int) -> np.ndarray:
-    """Valid-mode w x w moving average via an integral image."""
-    c = np.cumsum(np.cumsum(x, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    s = c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
-    return s / (w * w)
+def _window_sums(x: np.ndarray, w: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Valid-mode w x w moving sums of the 2D x into out, through the
+    (ny - w + 1, nx) buffer rows: w - 1 shifted adds down the columns, then
+    w - 1 along the rows, all on contiguous rows."""
+    n = rows.shape[0]
+    np.add(x[0:n], x[1:n + 1], out=rows)
+    for k in range(2, w):
+        rows += x[k:k + n]
+    m = out.shape[1]
+    np.add(rows[:, 0:m], rows[:, 1:m + 1], out=out)
+    for k in range(2, w):
+        out += rows[:, k:k + m]
+    return out
 
 
 def ssim(a, b, peak: float = 1.0) -> float:
@@ -98,32 +111,63 @@ def ssim(a, b, peak: float = 1.0) -> float:
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     w = _SSIM_WINDOW
-    if a.shape[1] < w or a.shape[2] < w:
+    nz, ny, nx = a.shape
+    if ny < w or nx < w:
         raise DimsError(
             f"axial slices {a.shape[1:]} are smaller than the {w}x{w} SSIM window"
         )
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
+    # one slice at a time through buffers allocated once, so a slice's
+    # working set stays in cache; the five window means are kept apart so
+    # that ssim(v, v) is exactly 100
+    rows = np.empty((ny - w + 1, nx))
+    prod = np.empty((ny, nx))
+    means = np.empty((5, ny - w + 1, nx - w + 1))
+    mx, my, vx, vy, cov = means
+    num = np.empty_like(mx)
+    den = np.empty_like(mx)
     slice_means = []
-    for j in range(a.shape[0]):
+    for j in range(nz):
         x, y = a[j], b[j]
-        mx = _window_mean(x, w)
-        my = _window_mean(y, w)
-        vx = _window_mean(x * x, w) - mx * mx
-        vy = _window_mean(y * y, w) - my * my
-        cov = _window_mean(x * y, w) - mx * my
-        num = (2.0 * mx * my + c1) * (2.0 * cov + c2)
-        den = (mx * mx + my * my + c1) * (vx + vy + c2)
-        slice_means.append(np.mean(num / den))
+        _window_sums(x, w, rows, mx)
+        _window_sums(y, w, rows, my)
+        _window_sums(np.multiply(x, x, out=prod), w, rows, vx)
+        _window_sums(np.multiply(y, y, out=prod), w, rows, vy)
+        _window_sums(np.multiply(x, y, out=prod), w, rows, cov)
+        means /= w * w
+        # num = (2 mx my + c1) * (2 cov + c2), with cov = E[xy] - mx my
+        np.multiply(mx, my, out=num)
+        cov -= num
+        num *= 2.0
+        num += c1
+        cov *= 2.0
+        cov += c2
+        num *= cov
+        # den = (mx^2 + my^2 + c1) * (vx + vy + c2), with vx = E[x^2] - mx^2
+        np.multiply(mx, mx, out=den)
+        vx -= den
+        my2 = np.multiply(my, my, out=cov)
+        vy -= my2
+        den += my2
+        den += c1
+        vx += vy
+        vx += c2
+        den *= vx
+        num /= den
+        slice_means.append(np.mean(num))
     return 100.0 * float(np.mean(slice_means))
 
 
 def evaluate(a, b, threshold: float = DICE_THRESHOLD, peak: float = 1.0) -> MetricsReport:
+    a, b = _data(a), _data(b)
+    _check_dims(a, b)
+    mse = _mse(a, b)  # shared by psnr and mse, the same value each computes
     return MetricsReport(
-        psnr=psnr(a, b, peak=peak),
+        psnr=_psnr_db(mse, peak),
         ssim=ssim(a, b, peak=peak),
         dice=dice(a, b, threshold=threshold),
-        mse=volume_mse(a, b),
+        mse=mse,
         threshold=threshold,
     )
 

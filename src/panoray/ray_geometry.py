@@ -37,13 +37,13 @@ _RAYFAN_MAGIC = "RAYFAN1"
 _THETA_SMALL = 0.5
 _THETA_LARGE = 1.5
 _THETA_DEFAULT = 0.6
-_N_SEGMENTS = 20
+N_SEGMENTS = 20
 
 
 def angle_for_center(i: int) -> float:
     """Rotation step theta_i in degrees for segment i (0..19)."""
-    if not 0 <= i < _N_SEGMENTS:
-        raise IndexError(f"segment index must be in [0, {_N_SEGMENTS - 1}], got {i}")
+    if not 0 <= i < N_SEGMENTS:
+        raise IndexError(f"segment index must be in [0, {N_SEGMENTS - 1}], got {i}")
     if i in (0, 1, 18, 19):
         return _THETA_SMALL
     if i == 10:
@@ -166,10 +166,16 @@ class GeometryConfig:
             raise ValueError("width and n_samples must be >= 1")
         if self.delta <= 0 or self.angle_scale <= 0:
             raise ValueError("delta and angle_scale must be > 0")
+        bad = [k for k in self.theta_overrides if k not in range(N_SEGMENTS)]
+        if bad:
+            raise ValueError(
+                f"theta_overrides keys must be segment indices 0..{N_SEGMENTS - 1}, "
+                f"got {bad}"
+            )
 
     def schedule(self) -> tuple:
         thetas = []
-        for i in range(_N_SEGMENTS):
+        for i in range(N_SEGMENTS):
             t = self.theta_overrides.get(i, angle_for_center(i))
             thetas.append(float(t) * self.angle_scale)
         return tuple(thetas)

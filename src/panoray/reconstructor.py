@@ -25,6 +25,7 @@ budget; step_size caps the very first step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,11 @@ class ReconConfig:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not 0 < self.backtrack_factor < 1:
             raise ValueError("backtrack_factor must be in (0, 1)")
+        if self.max_halvings < 0:
+            raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
+        lo, hi = self.clamp
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"clamp must be finite with lo < hi, got {self.clamp}")
         if self.init not in ("rho", "zeros"):
             raise ValueError(f"init must be 'rho' or 'zeros', got {self.init!r}")
         if self.beta <= 0:
@@ -143,14 +149,15 @@ def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
     return total, (mse_img, mse_mip)
 
 
-def _gradient(est, y, mips, fan, beta, lambda1, pred=None, tie_tol: float = 1e-3):
+def _gradient(est, y, mips, fan, beta, lambda1, pred=None, tie_tol: float = 1e-3,
+              out=None):
     op = fan.operator()
     if pred is None:
         pred = _opacity(est, op, beta, fan.delta)
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
-    grad = op.adjoint(coeff)
+    grad = op.adjoint(coeff, out=out)
 
     for axis, tgt in mips.items():
         ax = _MIP_AXES[axis]
@@ -178,9 +185,11 @@ def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.
     return _gradient(est_data, y, mips, fan, cfg.beta, cfg.lambda1, tie_tol=cfg.mip_tie_tol)
 
 
-def _rho_init(y, fan, dims, beta) -> np.ndarray:
+def _rho_init(y, fan, beta) -> np.ndarray:
+    # the back-projection rho without aggregate_rho's counts volume and map
+    # checks, which the solver would discard
     cands = backproject.image_candidates(y, fan, beta)
-    return backproject.aggregate_rho(fan, cands, dims).rho
+    return fan.operator().ray_mean(cands)
 
 
 def reconstruct(
@@ -213,7 +222,8 @@ def reconstruct(
     if cfg.init == "zeros":
         x = np.zeros(dims, dtype=np.float64)
     else:
-        x = np.clip(_rho_init(y, fan, dims, cfg.beta), lo, hi)
+        x = _rho_init(y, fan, cfg.beta)
+        np.clip(x, lo, hi, out=x)
 
     report = ReconReport()
     total, mse_img, mse_mip, pred = _loss_terms(x, y, mips, fan, cfg.beta, cfg.lambda1)
@@ -221,21 +231,30 @@ def reconstruct(
         raise RuntimeError(f"non-finite loss at initialization: {total}")
     report.loss_history.append((0, total, mse_img, mse_mip, 0.0))
 
+    # Workspace: at this scale every volume is tens of MB, past the
+    # allocator's mmap threshold, so a fresh temporary costs page faults and
+    # an munmap each time. Whole-volume arithmetic writes into these buffers
+    # instead, and accepted iterates rotate buffers by reference. x is always
+    # solver-owned (zeros, rho or a former trial), never the caller's data.
+    trial = np.empty_like(x)
+    scratch = np.empty_like(x)
     step = cfg.step_size
-    prev_x = prev_grad = None
+    prev_x = prev_grad = spare_grad = None
     for it in range(1, cfg.max_iters + 1):
         if total == 0.0:
             break
         grad = _gradient(
             x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, tie_tol=cfg.mip_tie_tol,
+            out=spare_grad,
         )
         if prev_x is None:
             step = cfg.step_size
         else:
             # spectral step guess from the last accepted move, safeguarded;
-            # the backtracking below keeps the iteration monotone regardless
-            dx = (x - prev_x).ravel()
-            dg = (grad - prev_grad).ravel()
+            # the backtracking below keeps the iteration monotone regardless.
+            # trial is free until the line search, so it holds dg.
+            dx = np.subtract(x, prev_x, out=scratch).ravel()
+            dg = np.subtract(grad, prev_grad, out=trial).ravel()
             curv = float(dx @ dg)
             if curv > 1e-30:
                 step = min(1e6, max(1e-12, float(dx @ dx) / curv))
@@ -243,7 +262,10 @@ def reconstruct(
                 step = min(1e6, 2.0 * step)
         accepted = False
         for _ in range(cfg.max_halvings + 1):
-            trial = np.clip(x - step * grad, lo, hi)
+            # trial = clip(x - step * grad, lo, hi)
+            np.multiply(grad, step, out=trial)
+            np.subtract(x, trial, out=trial)
+            np.clip(trial, lo, hi, out=trial)
             t_total, t_img, t_mip, t_pred = _loss_terms(
                 trial, y, mips, fan, cfg.beta, cfg.lambda1
             )
@@ -256,14 +278,18 @@ def reconstruct(
         if not accepted:
             break
         rel_drop = (total - t_total) / total
-        prev_x, prev_grad = x, grad
-        x, total, mse_img, mse_mip, pred = trial, t_total, t_img, t_mip, t_pred
+        # prev_x (the iterate before last) is no longer needed, so its buffer
+        # takes the next trial; prev_grad's buffer takes the next gradient
+        free_x = prev_x if prev_x is not None else np.empty_like(x)
+        prev_x, x, trial = x, trial, free_x
+        spare_grad, prev_grad = prev_grad, grad
+        total, mse_img, mse_mip, pred = t_total, t_img, t_mip, t_pred
         report.loss_history.append((it, total, mse_img, mse_mip, step))
         report.iterations_run = it
         if rel_drop < cfg.tol:
             break
 
-    result = DensityVolume(_as_f32_grid(np.clip(x, 0.0, 1.0)))
+    result = DensityVolume(_as_f32_grid(np.clip(x, 0.0, 1.0, out=x)))
     if ground_truth is not None:
         report.final_metrics = metrics.evaluate(result, ground_truth)
     return result, report

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from panoray import cli
+from panoray.errors import FormatError
 from panoray.renderer import load_image
 from panoray.volume import load_raw_volume, load_volume
 
@@ -215,6 +216,24 @@ class TestGeometryExtras:
         geom.write_text("no equals sign here\n")
         assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
         assert "error: malformed format:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["theta_20", "theta_25", "theta_x", "theta_-1", "theta_"])
+    def test_theta_key_outside_segments(self, tmp_path, capsys, key):
+        # only segments 0..19 exist; other theta keys used to be ignored or
+        # fail later with a bare int() error
+        geom = tmp_path / "g.txt"
+        geom.write_text(f"grid=32,32\nwidth=64\n{key}=0.1\n")
+        with pytest.raises(FormatError, match=key):
+            cli.load_geometry(geom)
+        assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
+        assert "error: malformed format:" in capsys.readouterr().err
+
+    def test_theta_keys_at_segment_bounds(self, tmp_path):
+        geom = tmp_path / "g.txt"
+        geom.write_text("theta_0=0.4\ntheta_19=0.4\n")
+        raw = cli.load_geometry(geom)
+        cfg = cli.build_geometry(raw, (32, 32))
+        assert cfg.theta_overrides == {0: 0.4, 19: 0.4}
 
     def test_reconstruct_width_mismatch(self, tmp_path, capsys):
         # image rendered for one fan width, reconstructed with another

@@ -153,6 +153,27 @@ class TestSsim:
         with pytest.raises(DimsError):
             ssim(np.zeros((2, 5, 5)), np.zeros((2, 5, 5)))
 
+    @pytest.mark.parametrize("shape", [(3, 7, 7), (2, 7, 12), (2, 11, 8), (2, 16, 16)])
+    def test_bruteforce_oracle(self, shape):
+        # every 7x7 window's statistics summed on its own, slice by slice
+        rng = np.random.default_rng(sum(shape))
+        a, b = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape)
+        c1, c2 = 0.01 ** 2, 0.03 ** 2
+        slice_means = []
+        for x, y in zip(a, b):
+            vals = []
+            for i in range(x.shape[0] - 6):
+                for j in range(x.shape[1] - 6):
+                    wx, wy = x[i:i + 7, j:j + 7], y[i:i + 7, j:j + 7]
+                    mx, my = wx.mean(), wy.mean()
+                    vx = (wx * wx).mean() - mx * mx
+                    vy = (wy * wy).mean() - my * my
+                    cov = (wx * wy).mean() - mx * my
+                    vals.append((2 * mx * my + c1) * (2 * cov + c2)
+                                / ((mx * mx + my * my + c1) * (vx + vy + c2)))
+            slice_means.append(np.mean(vals))
+        assert ssim(a, b) == pytest.approx(100.0 * np.mean(slice_means), rel=1e-12)
+
     def test_degrades_with_noise(self):
         a = make_phantom("jaw-arch", (2, 32, 32), seed=3).data
         noise = np.clip(a + rand_volume((2, 32, 32), 12) * 0.2, 0, 1)
@@ -188,6 +209,14 @@ class TestReport:
         line = report.format_line()
         assert line.startswith("psnr=20 ")
         assert "dice=66.7" in line and "threshold=0.2" in line
+
+    def test_evaluate_matches_metric_functions(self):
+        a, b = rand_volume((3, 9, 9), 15), rand_volume((3, 9, 9), 16)
+        report = evaluate(a, b, threshold=0.4)
+        assert report.psnr == psnr(a, b)
+        assert report.mse == volume_mse(a, b)
+        assert report.ssim == ssim(a, b)
+        assert report.dice == dice(a, b, threshold=0.4)
 
     def test_evaluate_and_save(self, tmp_path):
         a = make_phantom("sphere-set", (8, 8, 8), seed=2)

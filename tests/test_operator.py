@@ -165,3 +165,18 @@ def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
     assert np.allclose(op.forward(x), want_fwd, rtol=1e-12, atol=0.0)
     assert np.array_equal(x, x_before)  # the input is never written
     assert np.allclose(op.adjoint(r), want_adj, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+def test_adjoint_out_buffer(fan, interpolation):
+    nx, ny = fan.bounds
+    r = np.random.default_rng(7).uniform(-1.0, 1.0, (3, fan.n_rays))
+    op = fan.operator(interpolation)
+    buf = np.full((3, ny, nx), np.nan)
+    got = op.adjoint(r, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, op.adjoint(r))
+    for bad in (np.empty((3, ny, nx + 1)), np.empty((3, ny, nx), dtype=np.float32),
+                np.empty((3, nx, ny * 2))[:, :, ::2]):
+        with pytest.raises(ValueError):
+            op.adjoint(r, out=bad)

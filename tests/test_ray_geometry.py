@@ -223,6 +223,15 @@ class TestScheduleOverrides:
         assert tweaked.segment_ray_counts[10] > 1.5 * base.segment_ray_counts[10]
         assert tweaked.segment_ray_counts[0] == base.segment_ray_counts[0]
 
+    @pytest.mark.parametrize("key", [20, 25, -1, "10"])
+    def test_override_key_outside_segments_rejected(self, key):
+        with pytest.raises(ValueError):
+            GeometryConfig(theta_overrides={key: 0.5})
+
+    def test_override_keys_at_segment_bounds(self):
+        cfg = GeometryConfig(theta_overrides={0: 0.25, 19: 0.75})
+        assert cfg.schedule()[0] == 0.25 and cfg.schedule()[19] == 0.75
+
     def test_angle_scale_densifies(self):
         base = build_fan(GeometryConfig(width=512), bounds=(256, 256))
         dense = build_fan(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from panoray.backproject import crossing_counts
+from panoray.backproject import aggregate_rho, crossing_counts, image_candidates
 from panoray.errors import DimsError
 from panoray.ray_geometry import GeometryConfig, build_fan
 from panoray.reconstructor import (
@@ -26,6 +26,58 @@ def fan8():
 @pytest.fixture(scope="module")
 def fan32():
     return build_fan(GeometryConfig(width=128), bounds=(32, 32))
+
+
+def allocating_reconstruct(y, fan, cfg, mips):
+    """The solver loop as it was written before it reused buffers: fresh
+    arrays for every trial and step difference, built on the public loss and
+    gradient. Returns the quantized volume, the loss history and the count
+    of each line-search event."""
+    nx, ny = fan.bounds
+    dims = (y.shape[0], ny, nx)
+    lo, hi = cfg.clamp
+    if cfg.init == "zeros":
+        x = np.zeros(dims)
+    else:
+        cands = image_candidates(y, fan, cfg.beta)
+        x = np.clip(aggregate_rho(fan, cands, dims).rho, lo, hi)
+    total, (mse_img, mse_mip) = loss(x, y, mips, fan, cfg)
+    history = [(0, total, mse_img, mse_mip, 0.0)]
+    events = {"backtrack": 0, "doubling": 0, "exhausted": 0}
+    step = cfg.step_size
+    prev_x = prev_grad = None
+    for it in range(1, cfg.max_iters + 1):
+        if total == 0.0:
+            break
+        grad = gradient(x, y, mips, fan, cfg)
+        if prev_x is None:
+            step = cfg.step_size
+        else:
+            dx = (x - prev_x).ravel()
+            dg = (grad - prev_grad).ravel()
+            curv = float(dx @ dg)
+            if curv > 1e-30:
+                step = min(1e6, max(1e-12, float(dx @ dx) / curv))
+            else:
+                step = min(1e6, 2.0 * step)
+                events["doubling"] += 1
+        for _ in range(cfg.max_halvings + 1):
+            trial = np.clip(x - step * grad, lo, hi)
+            t_total, (t_img, t_mip) = loss(trial, y, mips, fan, cfg)
+            if t_total < total:
+                break
+            step *= cfg.backtrack_factor
+            events["backtrack"] += 1
+        else:
+            events["exhausted"] += 1
+            break
+        rel_drop = (total - t_total) / total
+        prev_x, prev_grad = x, grad
+        x, total = trial, t_total
+        history.append((it, total, t_img, t_mip, step))
+        if rel_drop < cfg.tol:
+            break
+    return np.clip(x, 0.0, 1.0).astype(np.float32).astype(np.float64), history, events
 
 
 def render_for(fan, vol, beta):
@@ -133,6 +185,57 @@ class TestGradient:
                     - gradient(est, zero_img, None, fan, cfg))
         assert mip_part[1, 2, 3] == pytest.approx(10.0 * 0.8)
         assert mip_part[3, 2, 3] == pytest.approx(10.0 * 0.8)
+
+
+class TestReconConfig:
+    @pytest.mark.parametrize("clamp", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan),
+                                       (np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
+    def test_rejects_bad_clamp(self, clamp):
+        with pytest.raises(ValueError):
+            ReconConfig(clamp=clamp)
+
+    def test_rejects_negative_halvings(self):
+        # max_halvings=-1 used to skip the line search and stop silently
+        with pytest.raises(ValueError):
+            ReconConfig(max_halvings=-1)
+
+    def test_accepts_edges(self):
+        assert ReconConfig(max_halvings=0, clamp=(0.0, 0.2)).max_halvings == 0
+
+
+class TestWorkspace:
+    # each case exercises the loop's branches: (phantom seed, config kwargs,
+    # line-search events the reference loop must see)
+    CASES = {
+        "backtrack-and-doubling": (2, dict(beta=2.0, lambda1=1000.0, step_size=0.01),
+                                   ("backtrack", "doubling")),
+        "exhausted": (0, dict(beta=0.3, lambda1=10.0, step_size=0.01, max_halvings=0),
+                      ("exhausted",)),
+        "clamped-exhausted": (0, dict(beta=0.3, lambda1=10.0, clamp=(0.0, 0.2),
+                                      max_halvings=0), ("exhausted",)),
+        "zeros-init": (1, dict(beta=0.3, lambda1=10.0, init="zeros"), ("backtrack",)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_allocating_loop(self, fan8, case):
+        seed, kwargs, want_events = self.CASES[case]
+        truth = make_phantom("sphere-set", (8, 8, 8), seed=seed)
+        cfg = ReconConfig(max_iters=25, **kwargs)
+        y = render_for(fan8, truth, cfg.beta).pixels
+        mips = {ax: mip(truth, ax) for ax in MIP_AXES}
+        y_before = y.copy()
+        mips_before = {ax: m.copy() for ax, m in mips.items()}
+
+        want_vol, want_history, events = allocating_reconstruct(y, fan8, cfg, mips)
+        for name in want_events:
+            assert events[name] > 0, (case, events)
+        assert len(want_history) > 4  # buffers rotate more than once
+        vol, report = reconstruct(y, fan8, cfg, target_mips=mips)
+        assert np.array_equal(vol.data, want_vol)
+        assert report.loss_history == want_history
+        assert np.array_equal(y, y_before)
+        for ax in MIP_AXES:
+            assert np.array_equal(mips[ax], mips_before[ax])
 
 
 class TestReconstruct:
