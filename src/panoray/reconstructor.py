@@ -231,7 +231,7 @@ def reconstruct(
         raise RuntimeError(f"non-finite loss at initialization: {total}")
     report.loss_history.append((0, total, mse_img, mse_mip, 0.0))
 
-    # Workspace: at this scale every volume is tens of MB, past the
+    # Workspace: a float64 volume at 128 x 256 x 256 is 64 MB, past the
     # allocator's mmap threshold, so a fresh temporary costs page faults and
     # an munmap each time. Whole-volume arithmetic writes into these buffers
     # instead, and accepted iterates rotate buffers by reference. x is always
