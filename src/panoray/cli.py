@@ -15,8 +15,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import backproject, metrics, ray_geometry, reconstructor, renderer, volume
 from .errors import DimsError, FormatError
 
@@ -102,15 +100,21 @@ def build_geometry(raw: dict, grid: tuple[int, int]):
     )
 
 
-def _geometry_setup(args, overrides=None):
-    """Load the geometry file (if any), apply CLI overrides, build the fan."""
+def _geometry_setup(args, overrides=None, grid=None):
+    """Load the geometry file (if any), apply CLI overrides, build the fan
+    for `grid` (nx, ny), else for the file's grid= or 256x256; a file grid=
+    that differs from `grid` raises DimsError."""
     raw = load_geometry(args.geometry) if getattr(args, "geometry", None) else {}
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
-    grid = (256, 256)
     if "grid" in raw:
         gx, gy = _parse_pair(raw["grid"], "grid")
+        if grid is not None and (int(gx), int(gy)) != grid:
+            raise DimsError(
+                f"geometry grid ({int(gx)}, {int(gy)}) does not match volume {grid}"
+            )
         grid = (int(gx), int(gy))
+    grid = grid or (256, 256)
     cfg = build_geometry(raw, grid)
     fan = ray_geometry.build_fan(cfg, bounds=grid)
     beta = float(raw.get("beta", 0.02))
@@ -128,17 +132,9 @@ def _cmd_render(args):
     vol = volume.load_volume(args.vol)
     nz, ny, nx = vol.dims
     overrides = {"width": args.width, "n_samples": args.samples, "delta": args.delta}
-    raw = load_geometry(args.geometry) if args.geometry else {}
-    raw.update({k: str(v) for k, v in overrides.items() if v is not None})
-    if "grid" in raw:
-        gx, gy = _parse_pair(raw["grid"], "grid")
-        if (int(gx), int(gy)) != (nx, ny):
-            raise DimsError(
-                f"geometry grid ({int(gx)}, {int(gy)}) does not match volume ({nx}, {ny})"
-            )
-    cfg = build_geometry(raw, (nx, ny))
-    fan = ray_geometry.build_fan(cfg, bounds=(nx, ny))
-    beta = args.beta if args.beta is not None else float(raw.get("beta", 0.02))
+    fan, cfg, _, beta = _geometry_setup(args, overrides, grid=(nx, ny))
+    if args.beta is not None:
+        beta = args.beta
     height = args.height if args.height is not None else min(nz, 128)
     rcfg = renderer.RenderConfig(
         beta=beta, n_samples=cfg.n_samples, delta=cfg.delta,
@@ -164,7 +160,7 @@ def _cmd_backproject(args):
     dims = (h, grid[1], grid[0])
     cands = backproject.image_candidates(img.pixels, fan, beta)
     bmap = backproject.aggregate_rho(fan, cands, dims)
-    volume.save_raw_volume(bmap.counts.astype(np.float64), args.out_counts)
+    volume.save_raw_volume(bmap.counts, args.out_counts)
     volume.save_raw_volume(bmap.rho, args.out_rho)
     return 0
 

@@ -116,9 +116,12 @@ class Ray:
 
 @dataclass(frozen=True)
 class RayFan:
-    """Ordered ray collection plus packed sample arrays for vectorized use."""
+    """The fan as read-only arrays, one row per ray: origin, direction and
+    retained samples, zero-padded past each ray's in-bounds count. `rays`
+    derives per-ray `Ray` views from them."""
 
-    rays: tuple
+    origins: np.ndarray = field(repr=False)       # (n_rays, 2)
+    directions: np.ndarray = field(repr=False)    # (n_rays, 2) unit vectors
     centers: np.ndarray
     angle_schedule: tuple
     bounds: tuple[int, int]       # (nx, ny) axial extents in voxel units
@@ -128,16 +131,28 @@ class RayFan:
     adjusted: str | None          # None, "trim" or "pad"
     segment_turns: tuple          # swept degrees per segment (raw construction)
     segment_ray_counts: tuple     # rays emitted per segment (raw construction)
-    # packed per-ray samples, zero-padded past each ray's in-bounds count
     sample_xy: np.ndarray = field(repr=False)   # (n_rays, max_k, 2)
     sample_valid: np.ndarray = field(repr=False)  # (n_rays, max_k) bool
     sample_counts: np.ndarray = field(repr=False)  # (n_rays,) int
     # system matrices by interpolation mode, built on first use
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # fans are shared by every caller and cache operators built from
+        # these arrays; freeze them
+        for arr in (self.origins, self.directions, self.sample_xy,
+                    self.sample_valid, self.sample_counts):
+            arr.flags.writeable = False
+
     @property
     def n_rays(self) -> int:
-        return len(self.rays)
+        return len(self.origins)
+
+    @property
+    def rays(self) -> tuple:
+        """Per-ray views of the arrays: origin, direction and retained samples."""
+        return tuple(Ray(o, d, self.delta, xy[:k]) for o, d, xy, k in zip(
+            self.origins, self.directions, self.sample_xy, self.sample_counts))
 
     def operator(self, interpolation: str = "trilinear") -> FanOperator:
         """The fan's system matrix for one interpolation mode (cached)."""
@@ -198,12 +213,13 @@ def extract_rays(
     width: int = 256,
     bounds: tuple[int, int] = (256, 256),
     delta: float = 1.0,
-) -> "RayFan":
-    """Emit the rotating fan over all center segments, then fit it to `width`.
+    n_samples: int = 200,
+) -> RayFan:
+    """Emit the rotating fan over all center segments as (center index,
+    angle) pairs, fit it to `width`, and return it sampled (see RayFan).
 
-    Returns a RayFan whose rays have origins and directions but no samples
-    yet (see sample_points / build_fan). Origins sit one grid diagonal behind
-    the segment center against the ray direction.
+    Origins sit one grid diagonal behind the segment center against the ray
+    direction.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 2 or centers.shape[1] != 2:
@@ -220,18 +236,11 @@ def extract_rays(
         chord = centers[-1] - centers[0]
         initial_angle = math.degrees(math.atan2(chord[1], chord[0])) + 90.0
 
-    reach = math.hypot(bounds[0], bounds[1])
-
-    def mk_ray(center, angle_deg):
-        d = _unit(angle_deg)
-        return Ray(origin=center - reach * d, direction=d, delta=delta)
-
-    rays = [mk_ray(centers[0], initial_angle)]
+    rays = [(0, initial_angle)]
     current = float(initial_angle)
     seg_turns, seg_counts = [], []
     for i in range(n_seg):
-        ci, cj = centers[i], centers[i + 1]
-        seg = cj - ci
+        seg = centers[i + 1] - centers[i]
         if math.hypot(seg[0], seg[1]) < 1e-12:
             raise ValueError(f"degenerate segment: centers {i} and {i + 1} coincide")
         target = current + _wrap180(math.degrees(math.atan2(seg[1], seg[0])) - current)
@@ -240,16 +249,14 @@ def extract_rays(
         if theta <= 0:
             raise ValueError(f"rotation step for segment {i} must be > 0, got {theta}")
         sign = 1.0 if turn >= 0 else -1.0
-        emitted = 0
         k = 1
         # rotate until the next step would pass the connecting direction
         while k * theta < abs(turn) - 1e-9:
-            rays.append(mk_ray(ci, current + sign * k * theta))
+            rays.append((i, current + sign * k * theta))
             k += 1
-            emitted += 1
-        rays.append(mk_ray(ci, target))  # the connecting ray through c_i and c_{i+1}
+        rays.append((i, target))  # the connecting ray through c_i and c_{i+1}
         seg_turns.append(abs(turn))
-        seg_counts.append(emitted + 1)
+        seg_counts.append(k)  # k - 1 rotation steps plus the connecting ray
         current = target
 
     raw_count = len(rays)
@@ -265,27 +272,35 @@ def extract_rays(
         left = deficit // 2
         rays = [rays[0]] * left + rays + [rays[-1]] * (deficit - left)
 
-    empty = np.zeros((len(rays), 0, 2))
+    directions = np.array([_unit(angle) for _, angle in rays])
+    origins = centers[[c for c, _ in rays]] - math.hypot(bounds[0], bounds[1]) * directions
+    xy, valid, counts = _sample(origins, directions, n_samples, delta, bounds)
     return RayFan(
-        rays=tuple(rays),
+        origins=origins,
+        directions=directions,
         centers=centers,
         angle_schedule=tuple(float(t) for t in angle_schedule[:n_seg]),
         bounds=(int(bounds[0]), int(bounds[1])),
-        n_samples=0,
+        n_samples=n_samples,
         delta=delta,
         raw_count=raw_count,
         adjusted=adjusted,
         segment_turns=tuple(seg_turns),
         segment_ray_counts=tuple(seg_counts),
-        sample_xy=empty,
-        sample_valid=np.zeros((len(rays), 0), dtype=bool),
-        sample_counts=np.zeros(len(rays), dtype=np.int64),
+        sample_xy=xy,
+        sample_valid=valid,
+        sample_counts=counts,
     )
 
 
-def sample_points(ray: Ray, n_samples: int, delta: float, bounds) -> Ray:
-    """Walk the ray from its origin at spacing delta and keep the first
-    n_samples points that fall inside [0, nx] x [0, ny]."""
+def _sample(origins, directions, n_samples: int, delta: float, bounds):
+    """Walk every ray from its origin at spacing delta and keep the first
+    n_samples points that fall inside [0, nx] x [0, ny].
+
+    Returns the packed (xy, valid, counts) arrays, zero-padded past each
+    ray's count. Each computed coordinate is monotone in the step and the box
+    is convex, so a ray's in-bounds steps form one run from its first one.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if delta <= 0:
@@ -294,58 +309,43 @@ def sample_points(ray: Ray, n_samples: int, delta: float, bounds) -> Ray:
     reach = math.hypot(nx, ny)
     n_steps = int(math.ceil(2.0 * reach / delta)) + 2
     ts = delta * np.arange(n_steps, dtype=np.float64)
-    pts = ray.origin[None, :] + ts[:, None] * ray.direction[None, :]
-    ok = (pts[:, 0] >= 0) & (pts[:, 0] <= nx) & (pts[:, 1] >= 0) & (pts[:, 1] <= ny)
-    kept = pts[ok][:n_samples]
-    return Ray(origin=ray.origin, direction=ray.direction, delta=delta, samples=kept)
+    x = origins[:, 0, None] + ts * directions[:, 0, None]
+    y = origins[:, 1, None] + ts * directions[:, 1, None]
+    ok = (x >= 0) & (x <= nx) & (y >= 0) & (y <= ny)
+    counts = np.minimum(ok.sum(axis=1), n_samples)
+    max_k = int(counts.max()) if len(counts) else 0
+    k = np.arange(max_k)
+    steps = np.minimum(ok.argmax(axis=1)[:, None] + k, n_steps - 1)
+    valid = k < counts[:, None]
+    xy = np.stack([np.take_along_axis(c, steps, axis=1) for c in (x, y)], axis=-1)
+    xy[~valid] = 0.0
+    return xy, valid, counts
+
+
+def sample_points(ray: Ray, n_samples: int, delta: float, bounds) -> Ray:
+    """Walk the ray from its origin at spacing delta and keep the first
+    n_samples points that fall inside [0, nx] x [0, ny]."""
+    xy, _, counts = _sample(ray.origin[None, :], ray.direction[None, :],
+                            n_samples, delta, bounds)
+    return Ray(origin=ray.origin, direction=ray.direction, delta=delta,
+               samples=xy[0, :counts[0]])
 
 
 def build_fan(config: GeometryConfig | None = None, bounds=(256, 256)) -> RayFan:
-    """Construct, sample and pack the full fan for an (nx, ny) axial grid."""
+    """Construct and sample the full fan for an (nx, ny) axial grid."""
     cfg = config if config is not None else GeometryConfig()
     nx, ny = int(bounds[0]), int(bounds[1])
     if nx < 1 or ny < 1:
         raise DimsError(f"axial bounds must be positive, got {bounds}")
     curve = cfg.curve if cfg.curve is not None else default_curve_for_grid(nx, ny)
-    centers = make_centers(curve)
-    fan = extract_rays(
-        centers,
+    return extract_rays(
+        make_centers(curve),
         cfg.schedule(),
         initial_angle=cfg.initial_angle,
         width=cfg.width,
         bounds=(nx, ny),
         delta=cfg.delta,
-    )
-    rays = [sample_points(r, cfg.n_samples, cfg.delta, (nx, ny)) for r in fan.rays]
-
-    counts = np.array([r.in_bounds_count for r in rays], dtype=np.int64)
-    max_k = int(counts.max()) if len(rays) else 0
-    xy = np.zeros((len(rays), max_k, 2), dtype=np.float64)
-    valid = np.zeros((len(rays), max_k), dtype=bool)
-    for i, r in enumerate(rays):
-        k = r.in_bounds_count
-        if k:
-            xy[i, :k] = r.samples
-            valid[i, :k] = True
-    # fans are shared by every caller and cache operators built from these
-    # arrays; freeze them
-    for arr in (xy, valid, counts):
-        arr.flags.writeable = False
-
-    return RayFan(
-        rays=tuple(rays),
-        centers=centers,
-        angle_schedule=fan.angle_schedule,
-        bounds=(nx, ny),
         n_samples=cfg.n_samples,
-        delta=cfg.delta,
-        raw_count=fan.raw_count,
-        adjusted=fan.adjusted,
-        segment_turns=fan.segment_turns,
-        segment_ray_counts=fan.segment_ray_counts,
-        sample_xy=xy,
-        sample_valid=valid,
-        sample_counts=counts,
     )
 
 
@@ -356,11 +356,10 @@ def build_fan(config: GeometryConfig | None = None, bounds=(256, 256)) -> RayFan
 def save_rayfan(fan: RayFan, path) -> None:
     """Plain-text fan dump: header + one 'i ox oy dx dy n' line per ray."""
     lines = [f"{_RAYFAN_MAGIC} {fan.n_rays} {fan.n_samples} {fan.delta:.9g}"]
-    for i, r in enumerate(fan.rays):
-        lines.append(
-            f"{i} {r.origin[0]:.9g} {r.origin[1]:.9g} "
-            f"{r.direction[0]:.17g} {r.direction[1]:.17g} {r.in_bounds_count}"
-        )
+    for i, ((ox, oy), (dx, dy), k) in enumerate(
+        zip(fan.origins, fan.directions, fan.sample_counts)
+    ):
+        lines.append(f"{i} {ox:.9g} {oy:.9g} {dx:.17g} {dy:.17g} {k}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

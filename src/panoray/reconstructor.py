@@ -166,7 +166,7 @@ def _gradient(est, y, mips, fan, beta, lambda1, pred=None, tie_tol: float = 1e-3
         # share each projected residual across the band of (near-)maximizers
         tie = est >= np.expand_dims(proj - tie_tol, ax)
         share = np.expand_dims(r / tie.sum(axis=ax), ax)
-        grad += np.where(tie, share, 0.0)
+        np.add(grad, share, out=grad, where=tie)
     return grad
 
 

@@ -284,7 +284,7 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
 
 def save_raw_volume(data: np.ndarray, path) -> None:
     """PVOL1 writer for raw fields (counts, gradients) without the [0,1] check."""
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
     if data.ndim != 3:
         raise DimsError(f"expected 3D field, got shape {data.shape}")
     nz, ny, nx = data.shape

@@ -29,7 +29,9 @@ def fan_from_rays(rays, bounds, n_samples=200, delta=1.0):
             xy[i, :k] = r.samples
             valid[i, :k] = True
     return RayFan(
-        rays=tuple(rays), centers=np.zeros((0, 2)), angle_schedule=(),
+        origins=np.array([r.origin for r in rays]).reshape(-1, 2),
+        directions=np.array([r.direction for r in rays]).reshape(-1, 2),
+        centers=np.zeros((0, 2)), angle_schedule=(),
         bounds=bounds, n_samples=n_samples, delta=delta,
         raw_count=len(rays), adjusted=None,
         segment_turns=(), segment_ray_counts=(),

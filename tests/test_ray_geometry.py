@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from panoray.ray_geometry import (
     CenterCurve,
@@ -212,6 +215,14 @@ class TestRaymapExport:
         n_rays, n_samples, delta = load_rayfan_header(path)
         assert (n_rays, n_samples, delta) == (64, 200, 1.0)
 
+    def test_golden_bytes(self, tmp_path):
+        # pins every byte of the dump: origins, directions and in-bounds
+        # counts of this fan must not move a bit
+        path = tmp_path / "fan.txt"
+        save_rayfan(build_fan(GeometryConfig(width=64), bounds=(32, 32)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "5bb11dbfbc0722949ac61b849f793655ee3e891d7aa3203c21cd9df870cfe6c3"
+
 
 class TestScheduleOverrides:
     def test_theta_override_changes_fan(self):
@@ -256,3 +267,112 @@ class TestScheduleOverrides:
         assert fan.adjusted is None
         d = fan.rays[0].direction
         assert math.degrees(math.atan2(d[1], d[0])) == pytest.approx(45.0)
+
+
+def brute_force_samples(origin, direction, n_samples, delta, bounds):
+    """Walk every step of one ray and keep the first n_samples in-bounds
+    points, assuming nothing about where they lie along the walk."""
+    nx, ny = bounds
+    n_steps = int(math.ceil(2.0 * math.hypot(nx, ny) / delta)) + 2
+    kept = []
+    for j in range(n_steps):
+        t = delta * j
+        x = float(origin[0]) + t * float(direction[0])
+        y = float(origin[1]) + t * float(direction[1])
+        if 0 <= x <= nx and 0 <= y <= ny and len(kept) < n_samples:
+            kept.append((x, y))
+    return np.array(kept, dtype=np.float64).reshape(-1, 2)
+
+
+# grid-edge and integral coordinates with axis-aligned angles or directions
+# put samples exactly on the grid's edges, where the in-bounds test is
+# decided by equality
+def coords(nx, ny):
+    return (st.sampled_from([0.0, float(nx), float(ny)])
+            | st.integers(-40, 80).map(float) | st.floats(-40.0, 80.0))
+
+
+angles = st.sampled_from([0.0, 90.0, 180.0, -90.0]) | st.floats(-360.0, 360.0)
+deltas = st.sampled_from([1.0, 0.5]) | st.floats(0.25, 3.0)
+grid_sides = st.integers(1, 32)
+
+
+@st.composite
+def fans(draw):
+    nx, ny = draw(grid_sides), draw(grid_sides)
+    point = st.tuples(coords(nx, ny), coords(nx, ny))
+    centers = draw(st.lists(point, min_size=2, max_size=4))
+    for a, b in zip(centers, centers[1:]):
+        assume(math.hypot(b[0] - a[0], b[1] - a[1]) > 1e-6)
+    n_seg = len(centers) - 1
+    schedule = draw(st.lists(st.sampled_from([90.0, 45.0]) | st.floats(5.0, 120.0),
+                             min_size=n_seg, max_size=n_seg))
+    return extract_rays(
+        centers, schedule,
+        initial_angle=draw(angles),
+        width=draw(st.integers(n_seg, 24)),
+        bounds=(nx, ny),
+        delta=draw(deltas),
+        n_samples=draw(st.integers(1, 300)),
+    )
+
+
+@st.composite
+def rays_on_grids(draw):
+    nx, ny = draw(grid_sides), draw(grid_sides)
+    origin = np.array(draw(st.tuples(coords(nx, ny), coords(nx, ny))))
+    direction = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+                     | angles.map(lambda a: (math.cos(math.radians(a)),
+                                             math.sin(math.radians(a)))))
+    return Ray(origin, np.array(direction)), (nx, ny)
+
+
+class TestSamplerProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(fans())
+    def test_packed_samples_match_per_ray_walk(self, fan):
+        # the initial ray plus each segment's rotation steps and connecting ray
+        assert 1 + sum(fan.segment_ray_counts) == fan.raw_count
+        xy, valid, counts = fan.sample_xy, fan.sample_valid, fan.sample_counts
+        assert xy.shape[:2] == valid.shape == (fan.n_rays, counts.max())
+        for i in range(fan.n_rays):
+            ref = brute_force_samples(fan.origins[i], fan.directions[i],
+                                      fan.n_samples, fan.delta, fan.bounds)
+            k = len(ref)
+            assert counts[i] == k
+            assert xy[i, :k].tobytes() == ref.tobytes()
+            assert not xy[i, k:].any()
+            assert valid[i].tolist() == [j < k for j in range(valid.shape[1])]
+            one = sample_points(Ray(fan.origins[i], fan.directions[i]),
+                                fan.n_samples, fan.delta, fan.bounds)
+            assert one.samples.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rays_on_grids(), st.integers(1, 300), deltas)
+    def test_sample_points_match_per_ray_walk(self, ray_grid, n_samples, delta):
+        ray, bounds = ray_grid
+        ref = brute_force_samples(ray.origin, ray.direction, n_samples, delta, bounds)
+        out = sample_points(ray, n_samples, delta, bounds)
+        assert out.in_bounds_count == len(ref)
+        assert out.samples.tobytes() == ref.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(fans())
+    def test_ray_views_match_arrays(self, fan):
+        rays = fan.rays
+        assert len(rays) == fan.n_rays
+        for i, ray in enumerate(rays):
+            assert np.array_equal(ray.origin, fan.origins[i])
+            assert np.array_equal(ray.direction, fan.directions[i])
+            assert ray.delta == fan.delta
+            assert ray.in_bounds_count == fan.sample_counts[i]
+            assert np.array_equal(ray.samples, fan.sample_xy[i, :fan.sample_counts[i]])
+
+    @settings(max_examples=10, deadline=None)
+    @given(fans())
+    def test_arrays_read_only(self, fan):
+        for arr in (fan.origins, fan.directions, fan.sample_xy,
+                    fan.sample_valid, fan.sample_counts):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
