@@ -73,7 +73,8 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
 
     op = fan.operator()
     rho = op.ray_mean(candidates)
-    counts = np.broadcast_to(op.counts, (nz, ny, nx)).copy()
+    # a read-only view: the pattern is the same in every slice
+    counts = np.broadcast_to(op.counts, (nz, ny, nx))
     return BackProjectionMap(counts=counts, rho=rho)
 
 
@@ -104,8 +105,9 @@ def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.n
             f"image width {px.shape[-1] if px.ndim == 2 else '?'} does not match "
             f"fan ray count {fan.n_rays}"
         )
-    if px.min() < 0.0 or px.max() >= 1.0:
-        raise ValueError("pixels must lie in [0, 1)")
+    # written so that NaN (which fails every comparison) is rejected too
+    if not (px.min() >= 0.0 and px.max() < 1.0):
+        raise ValueError("pixels must be finite and lie in [0, 1)")
     n = fan.sample_counts.astype(np.float64)
     denom = beta * np.maximum(n, 1.0) * fan.delta
     sigma = -np.log1p(-px) / denom[None, :]

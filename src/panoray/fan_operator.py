@@ -14,7 +14,9 @@ the half-voxel band inside the boundary read the edge voxels and clamped
 corners that coincide coalesce. Each sample's weights sum to 1, so in exact
 arithmetic A @ 1 = n, the per-ray retained sample count. Slices are
 applied as A(x - m) + n * m with m the slice minimum, which keeps constant
-slices exact: x - m is exactly zero there.
+slices exact: x - m is exactly zero there. A block of slices whose minima
+are all 0 (zero backgrounds, clipped iterates) skips the shift: x - 0 = x
+and n * 0 = 0, so both passes would leave every value unchanged.
 
 Storage is numpy only. Rows of each direction (ray-major for A,
 voxel-major for A^T) are grouped into buckets by power-of-two length and
@@ -151,7 +153,9 @@ class FanOperator:
     def counts(self) -> np.ndarray:
         """Entries per voxel, shape (ny, nx); for the trilinear A, |B(x)|."""
         nx, ny = self.bounds
-        return np.bincount(self.voxel, minlength=self.n_voxels).reshape(ny, nx)
+        counts = np.bincount(self.voxel, minlength=self.n_voxels).reshape(ny, nx)
+        counts.flags.writeable = False  # shared: aggregate_rho returns views of it
+        return counts
 
     def _blocks(self, nz: int):
         for z0 in range(0, nz, self.block):
@@ -160,15 +164,21 @@ class FanOperator:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays)."""
         flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
-        out = np.empty((len(flat), self.n_rays), dtype=np.float64)
-        for z0, z1 in self._blocks(len(flat)):
+        nz = len(flat)
+        out = np.empty((nz, self.n_rays), dtype=np.float64)
+        # one voxel-major workspace per call, filled by copy, so the shift
+        # never writes the caller's data
+        work = np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64)
+        for z0, z1 in self._blocks(nz):
+            xt = work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0)
+            np.copyto(xt, flat[z0:z1].T)
             m = flat[z0:z1].min(axis=1)
-            # a voxel-major copy: a one-slice transpose is contiguous already,
-            # so ascontiguousarray would hand back a view of the caller's data
-            xt = flat[z0:z1].T.copy()
-            xt -= m
+            shift = m.any()  # -0.0 counts as 0
+            if shift:
+                xt -= m
             out[z0:z1] = _apply(self._rows, xt, self.n_rays).T
-            out[z0:z1] += m[:, None] * self.sample_counts
+            if shift:
+                out[z0:z1] += m[:, None] * self.sample_counts
         return out
 
     def _transpose(self, r: np.ndarray, pattern: bool, out=None) -> np.ndarray:

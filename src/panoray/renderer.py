@@ -174,6 +174,8 @@ def save_pgm16(pixels: np.ndarray, path) -> None:
     px = np.asarray(pixels, dtype=np.float64)
     if px.ndim != 2:
         raise DimsError(f"PGM export needs a 2D image, got shape {px.shape}")
+    if not np.all(np.isfinite(px)):
+        raise ValueError("PGM export needs finite pixels")
     h, w = px.shape
     scaled = np.round(np.clip(px, 0.0, 1.0) * 65535.0).astype(">u2")
     with open(path, "wb") as fh:

@@ -139,6 +139,15 @@ class TestAggregateRho:
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.counts, crossing_counts(fan, (2, 32, 32)))
 
+    def test_counts_are_a_read_only_view(self):
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        counts = aggregate_rho(fan, np.full((3, 64), 0.5), (3, 32, 32)).counts
+        assert counts.shape == (3, 32, 32) and counts.dtype == np.int64
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0, 0, 0] = 7
+        assert np.array_equal(counts, crossing_counts(fan, (3, 32, 32)))
+
     def test_shape_mismatch(self):
         fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
         with pytest.raises(DimsError):
@@ -193,3 +202,11 @@ class TestRoundTrip:
         fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
         with pytest.raises(DimsError):
             image_candidates(np.zeros((4, 32)), fan, 0.02)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0, -0.1])
+    def test_candidates_reject_bad_pixels(self, bad):
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        px = np.full((4, 64), 0.3)
+        px[2, 5] = bad
+        with pytest.raises(ValueError):
+            image_candidates(px, fan, 0.02)

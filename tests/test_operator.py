@@ -1,13 +1,16 @@
 """The fan's system matrix against per-sample loop references."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from panoray import fan_operator
 from panoray.backproject import aggregate_rho, crossing_counts
-from panoray.ray_geometry import GeometryConfig, build_fan
+from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
 from panoray.renderer import RenderConfig, render_simpx
 from panoray.volume import make_phantom
 
@@ -180,3 +183,85 @@ def test_adjoint_out_buffer(fan, interpolation):
                 np.empty((3, nx, ny * 2))[:, :, ::2]):
         with pytest.raises(ValueError):
             op.adjoint(r, out=bad)
+
+
+# random fans from extract_rays: small grids, axis-aligned and random angles,
+# integral and random centers inside and outside the grid
+@st.composite
+def fans(draw):
+    nx, ny = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    coord = st.integers(-8, 24).map(float) | st.floats(-8.0, 24.0)
+    centers = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=3))
+    for a, b in zip(centers, centers[1:]):
+        assume(math.hypot(b[0] - a[0], b[1] - a[1]) > 1e-6)
+    n_seg = len(centers) - 1
+    return extract_rays(
+        centers,
+        draw(st.lists(st.floats(5.0, 120.0), min_size=n_seg, max_size=n_seg)),
+        initial_angle=draw(st.sampled_from([0.0, 90.0, -90.0])
+                           | st.floats(-360.0, 360.0)),
+        width=draw(st.integers(n_seg, 16)),
+        bounds=(nx, ny),
+        delta=draw(st.sampled_from([1.0, 0.5]) | st.floats(0.25, 3.0)),
+        n_samples=draw(st.integers(1, 60)),
+    )
+
+
+modes = st.sampled_from(["trilinear", "nearest"])
+
+
+class TestOperatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), modes, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, fan, interpolation, nz, seed):
+        nx, ny = fan.bounds
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (nz, ny, nx))
+        r = rng.uniform(0.0, 1.0, (nz, fan.n_rays))
+        op = fan.operator(interpolation)
+        lhs = float(np.sum(op.forward(x) * r))
+        rhs = float(np.sum(x * op.adjoint(r)))
+        assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), modes,
+           st.lists(st.sampled_from(["zero", "positive", "constant"]), max_size=4),
+           st.sampled_from([0.0, -0.0]), st.integers(0, 2**32 - 1))
+    def test_forward_with_zero_and_positive_slice_minima(
+            self, fan, interpolation, extra, zero, seed):
+        # two slices per block: the first block mixes a zero minimum with a
+        # constant positive slice (shifted, so exact), the second holds two
+        # zero minima (shift skipped); drawn slices fill blocks of any kind
+        nx, ny = fan.bounds
+        rng = np.random.default_rng(seed)
+        kinds = ["zero", "constant", "zero", "zero"] + extra
+        x = rng.uniform(0.0, 1.0, (len(kinds), ny, nx))
+        for j, kind in enumerate(kinds):
+            if kind == "positive":
+                x[j] = 0.05 + 0.95 * x[j]
+            elif kind == "constant":
+                x[j] = x[j, 0, 0] + 0.05
+            else:
+                x[j].flat[rng.integers(nx * ny)] = zero
+        x.flags.writeable = False  # the input is never written
+        x_before = x.copy()
+        with mock.patch.object(fan_operator, "_BLOCK_BYTES", 2 * 8 * nx * ny):
+            op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
+                                          fan.sample_counts, fan.bounds,
+                                          interpolation)
+        assert op.block == 2
+        got = op.forward(x)
+        n = fan.sample_counts.astype(np.float64)
+        for j, kind in enumerate(kinds):
+            if kind == "constant":
+                assert np.array_equal(got[j], x[j, 0, 0] * n)
+            want = ref_line_sums(x[j], fan, interpolation)
+            assert np.allclose(got[j], want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(x, x_before)
+        # one-slice blocks on a strided view give the same sums
+        with mock.patch.object(fan_operator, "_BLOCK_BYTES", 8):
+            op1 = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
+                                           fan.sample_counts, fan.bounds,
+                                           interpolation)
+        assert np.allclose(op1.forward(x[::-1])[::-1], got, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(x, x_before)

@@ -235,6 +235,14 @@ class TestImageIO:
         assert vals[1, 0] == 65535
         assert vals[1, 1] == 16384
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pgm16_rejects_non_finite(self, tmp_path, bad):
+        px = np.array([[0.0, 0.5], [bad, 0.25]])
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError):
+            save_pgm16(px, path)
+        assert not path.exists()
+
 
 class TestSaturation:
     def test_extreme_attenuation_clamps_below_one(self):
