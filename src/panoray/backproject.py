@@ -22,12 +22,20 @@ import numpy as np
 
 from .errors import DimsError
 from .ray_geometry import RayFan
+from .renderer import as_pixels
 
 
 @dataclass(frozen=True)
 class BackProjectionMap:
     counts: np.ndarray  # (nz, ny, nx) int64, |B(x)| per voxel
     rho: np.ndarray     # (nz, ny, nx) float64, 0 where counts == 0
+
+    @classmethod
+    def _unchecked(cls, counts, rho) -> BackProjectionMap:
+        """A map whose invariants hold by construction: skips __post_init__."""
+        bmap = object.__new__(cls)
+        bmap.__dict__.update(counts=counts, rho=rho)
+        return bmap
 
     def __post_init__(self):
         if self.counts.shape != self.rho.shape:
@@ -45,37 +53,35 @@ class BackProjectionMap:
 def crossing_counts(fan: RayFan, dims) -> np.ndarray:
     """|B(x)| on an (nz, ny, nx) grid. Identical across axial slices."""
     nz, ny, nx = (int(d) for d in dims)
-    if (nx, ny) != fan.bounds:
-        raise DimsError(
-            f"fan was built for axial grid {fan.bounds}, dims give ({nx}, {ny})"
-        )
-    counts2d = fan.operator().counts
-    return np.broadcast_to(counts2d, (nz, ny, nx)).copy()
+    fan.check_grid(nx, ny)
+    return np.broadcast_to(fan.operator().counts, (nz, ny, nx)).copy()
 
 
 def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMap:
     """Mean of per-pixel candidate densities over each voxel's crossing set.
 
     candidates has one value per image pixel, shape (nz, n_rays): row j holds
-    the candidates of slice j's pixels.
+    the candidates of slice j's pixels, each in [0, 1] as image_candidates
+    returns them.
     """
     nz, ny, nx = (int(d) for d in dims)
-    if (nx, ny) != fan.bounds:
-        raise DimsError(
-            f"fan was built for axial grid {fan.bounds}, dims give ({nx}, {ny})"
-        )
+    fan.check_grid(nx, ny)
     candidates = np.asarray(candidates, dtype=np.float64)
-    if candidates.shape != (nz, fan.n_rays):
+    if candidates.shape != (nz, fan.n_rays) or nz < 1:
         raise DimsError(
-            f"need one candidate per pixel, shape ({nz}, {fan.n_rays}), "
+            f"need one candidate per pixel of nz >= 1 slices, shape ({nz}, {fan.n_rays}), "
             f"got {candidates.shape}"
         )
+    # written so that NaN (which fails every comparison) is rejected too
+    if candidates.size and not (candidates.min() >= 0.0 and candidates.max() <= 1.0):
+        raise ValueError("candidates must be finite and lie in [0, 1]")
 
     op = fan.operator()
-    rho = op.ray_mean(candidates)
-    # a read-only view: the pattern is the same in every slice
-    counts = np.broadcast_to(op.counts, (nz, ny, nx))
-    return BackProjectionMap(counts=counts, rho=rho)
+    # means of [0, 1] values over the pattern, 0 where no ray crosses: the
+    # map's invariants hold by construction. counts is a read-only view,
+    # since the pattern is the same in every slice
+    return BackProjectionMap._unchecked(np.broadcast_to(op.counts, (nz, ny, nx)),
+                                        op.ray_mean(candidates))
 
 
 def invert_pixel_to_candidate(
@@ -94,20 +100,13 @@ def invert_pixel_to_candidate(
 
 
 def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.ndarray:
-    """Vectorized invert_pixel_to_candidate over a whole image.
+    """Vectorized invert_pixel_to_candidate over a whole image: a SimPXImage,
+    or an (h, n_rays) array checked by the same rule (see renderer.as_pixels).
 
     Pixels of rays that never enter the grid get candidate 0 (they also have
     no footprint, so the value is never aggregated).
     """
-    px = np.asarray(image_pixels, dtype=np.float64)
-    if px.ndim != 2 or px.shape[1] != fan.n_rays:
-        raise DimsError(
-            f"image width {px.shape[-1] if px.ndim == 2 else '?'} does not match "
-            f"fan ray count {fan.n_rays}"
-        )
-    # written so that NaN (which fails every comparison) is rejected too
-    if not (px.min() >= 0.0 and px.max() < 1.0):
-        raise ValueError("pixels must be finite and lie in [0, 1)")
+    px = as_pixels(image_pixels, fan.n_rays)
     n = fan.sample_counts.astype(np.float64)
     denom = beta * np.maximum(n, 1.0) * fan.delta
     sigma = -np.log1p(-px) / denom[None, :]

@@ -32,6 +32,14 @@ def _parse_pair(text, name):
     return float(parts[0]), float(parts[1])
 
 
+def _parse_grid(text) -> tuple[int, int]:
+    try:
+        nx, ny = (int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise FormatError(f"grid expects two comma-separated integers, got {text!r}") from exc
+    return nx, ny
+
+
 def load_geometry(path) -> dict:
     """Parse a key=value geometry file; unknown keys, and theta_<i> keys
     whose i is not a segment index, are rejected."""
@@ -108,12 +116,10 @@ def _geometry_setup(args, overrides=None, grid=None):
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
     if "grid" in raw:
-        gx, gy = _parse_pair(raw["grid"], "grid")
-        if grid is not None and (int(gx), int(gy)) != grid:
-            raise DimsError(
-                f"geometry grid ({int(gx)}, {int(gy)}) does not match volume {grid}"
-            )
-        grid = (int(gx), int(gy))
+        file_grid = _parse_grid(raw["grid"])
+        if grid is not None and file_grid != grid:
+            raise DimsError(f"geometry grid {file_grid} does not match volume {grid}")
+        grid = file_grid
     grid = grid or (256, 256)
     cfg = build_geometry(raw, grid)
     fan = ray_geometry.build_fan(cfg, bounds=grid)
@@ -154,11 +160,8 @@ def _cmd_raymap(args):
 def _cmd_backproject(args):
     img = renderer.load_image(args.img)
     fan, _, grid, beta = _geometry_setup(args)
-    h, w = img.dims
-    if w != fan.n_rays:
-        raise DimsError(f"image width {w} does not match fan ray count {fan.n_rays}")
-    dims = (h, grid[1], grid[0])
-    cands = backproject.image_candidates(img.pixels, fan, beta)
+    dims = (img.dims[0], grid[1], grid[0])
+    cands = backproject.image_candidates(img, fan, beta)
     bmap = backproject.aggregate_rho(fan, cands, dims)
     volume.save_raw_volume(bmap.counts, args.out_counts)
     volume.save_raw_volume(bmap.rho, args.out_rho)
@@ -168,9 +171,7 @@ def _cmd_backproject(args):
 def _cmd_reconstruct(args):
     img = renderer.load_image(args.img)
     fan, _, grid, beta = _geometry_setup(args)
-    h, w = img.dims
-    if w != fan.n_rays:
-        raise DimsError(f"image width {w} does not match fan ray count {fan.n_rays}")
+    h = img.dims[0]
     truth = volume.load_volume(args.truth) if args.truth else None
     if truth is not None and truth.dims != (h, grid[1], grid[0]):
         raise DimsError(

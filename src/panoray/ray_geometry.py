@@ -154,6 +154,11 @@ class RayFan:
         return tuple(Ray(o, d, self.delta, xy[:k]) for o, d, xy, k in zip(
             self.origins, self.directions, self.sample_xy, self.sample_counts))
 
+    def check_grid(self, nx: int, ny: int) -> None:
+        """Raise DimsError unless the fan was built for an (nx, ny) axial grid."""
+        if self.bounds != (nx, ny):
+            raise DimsError(f"fan was built for axial grid {self.bounds}, got ({nx}, {ny})")
+
     def operator(self, interpolation: str = "trilinear") -> FanOperator:
         """The fan's system matrix for one interpolation mode (cached)."""
         op = self._operators.get(interpolation)
@@ -366,8 +371,13 @@ def save_rayfan(fan: RayFan, path) -> None:
 
 def load_rayfan_header(path) -> tuple[int, int, float]:
     """Parse just the RAYFAN1 header (ray count, sample count, delta)."""
-    with open(path, "r", encoding="ascii") as fh:
-        parts = fh.readline().split()
-    if len(parts) != 4 or parts[0] != _RAYFAN_MAGIC:
-        raise FormatError(f"{path}: bad rayfan header")
-    return int(parts[1]), int(parts[2]), float(parts[3])
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    try:
+        magic, n_rays, n_samples, delta = line.decode("ascii").split()
+        header = int(n_rays), int(n_samples), float(delta)
+    except ValueError as exc:  # non-ASCII bytes, a wrong field count, bad numbers
+        raise FormatError(f"{path}: bad rayfan header ({exc})") from exc
+    if magic != _RAYFAN_MAGIC:
+        raise FormatError(f"{path}: bad rayfan header magic {magic!r}")
+    return header

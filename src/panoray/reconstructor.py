@@ -34,7 +34,7 @@ from . import backproject, metrics
 from .errors import DimsError
 from .fan_operator import FanOperator
 from .ray_geometry import RayFan
-from .renderer import SimPXImage, _MIP_AXES
+from .renderer import _MIP_AXES, as_pixels
 from .volume import DensityVolume, _as_f32_grid
 
 MIP_AXES = ("axial", "coronal", "sagittal")
@@ -94,12 +94,6 @@ def save_report(report: ReconReport, path) -> None:
         fh.write("\n".join(report.format_lines()) + "\n")
 
 
-def _target_array(target_img) -> np.ndarray:
-    if isinstance(target_img, SimPXImage):
-        return target_img.pixels
-    return np.asarray(target_img, dtype=np.float64)
-
-
 def _check_mips(target_mips, dims) -> dict:
     if target_mips is None:
         return {}
@@ -133,18 +127,19 @@ def _loss_terms(est, y, mips, fan, beta, lambda1):
     return mse_img + lambda1 * mse_mip, mse_img, mse_mip, pred
 
 
+def _prepare(est, target_img, target_mips, fan):
+    """The estimate's data, the target's pixels and the MIP targets, checked
+    against each other and the fan."""
+    est_data = est.data if isinstance(est, DensityVolume) else np.asarray(est, np.float64)
+    nz, ny, nx = est_data.shape
+    fan.check_grid(nx, ny)
+    y = as_pixels(target_img, fan.n_rays, nz)
+    return est_data, y, _check_mips(target_mips, est_data.shape)
+
+
 def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
     """Total objective and its (mse_img, mse_mip) components."""
-    est_data = est.data if isinstance(est, DensityVolume) else np.asarray(est, np.float64)
-    y = _target_array(target_img)
-    nz, ny, nx = est_data.shape
-    if y.shape != (nz, fan.n_rays):
-        raise DimsError(
-            f"target image shape {y.shape} does not match ({nz}, {fan.n_rays})"
-        )
-    if fan.bounds != (nx, ny):
-        raise DimsError(f"fan bounds {fan.bounds} do not match volume ({nx}, {ny})")
-    mips = _check_mips(target_mips, est_data.shape)
+    est_data, y, mips = _prepare(est, target_img, target_mips, fan)
     total, mse_img, mse_mip, _ = _loss_terms(est_data, y, mips, fan, cfg.beta, cfg.lambda1)
     return total, (mse_img, mse_mip)
 
@@ -172,24 +167,8 @@ def _gradient(est, y, mips, fan, beta, lambda1, pred=None, tie_tol: float = 1e-3
 
 def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.ndarray:
     """d(total)/d(sigma) at every voxel."""
-    est_data = est.data if isinstance(est, DensityVolume) else np.asarray(est, np.float64)
-    y = _target_array(target_img)
-    nz, ny, nx = est_data.shape
-    if y.shape != (nz, fan.n_rays):
-        raise DimsError(
-            f"target image shape {y.shape} does not match ({nz}, {fan.n_rays})"
-        )
-    if fan.bounds != (nx, ny):
-        raise DimsError(f"fan bounds {fan.bounds} do not match volume ({nx}, {ny})")
-    mips = _check_mips(target_mips, est_data.shape)
+    est_data, y, mips = _prepare(est, target_img, target_mips, fan)
     return _gradient(est_data, y, mips, fan, cfg.beta, cfg.lambda1, tie_tol=cfg.mip_tie_tol)
-
-
-def _rho_init(y, fan, beta) -> np.ndarray:
-    # the back-projection rho without aggregate_rho's counts volume and map
-    # checks, which the solver would discard
-    cands = backproject.image_candidates(y, fan, beta)
-    return fan.operator().ray_mean(cands)
 
 
 def reconstruct(
@@ -207,13 +186,7 @@ def reconstruct(
     threads is still accepted for compatibility but has no effect: there is
     one code path, so results are deterministic.
     """
-    y = _target_array(target_img)
-    if y.ndim != 2 or y.shape[1] != fan.n_rays:
-        raise DimsError(
-            f"target image shape {y.shape} does not match fan ray count {fan.n_rays}"
-        )
-    if not np.all(np.isfinite(y)) or y.min() < 0.0 or y.max() >= 1.0:
-        raise ValueError("target pixels must be finite and lie in [0, 1)")
+    y = as_pixels(target_img, fan.n_rays)
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
     mips = _check_mips(target_mips, dims)
@@ -222,7 +195,8 @@ def reconstruct(
     if cfg.init == "zeros":
         x = np.zeros(dims, dtype=np.float64)
     else:
-        x = _rho_init(y, fan, cfg.beta)
+        cands = backproject.image_candidates(y, fan, cfg.beta)
+        x = backproject.aggregate_rho(fan, cands, dims).rho
         np.clip(x, lo, hi, out=x)
 
     report = ReconReport()

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimsError, FormatError
+from .errors import DimsError
+from .fan_operator import INTERPOLATIONS
 from .ray_geometry import RayFan
-from .volume import DensityVolume
+from .volume import DensityVolume, _read_f32_file
 
 _PIMG_MAGIC = "PIMG1"
 # largest float32 strictly below 1, used to keep stored opacities in [0, 1)
@@ -50,7 +51,7 @@ class RenderConfig:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
-        if self.interpolation not in ("trilinear", "nearest"):
+        if self.interpolation not in INTERPOLATIONS:
             raise ValueError(f"unknown interpolation mode: {self.interpolation!r}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
@@ -64,21 +65,34 @@ class SimPXImage:
 
     def __post_init__(self):
         px = np.ascontiguousarray(np.asarray(self.pixels, dtype=np.float64))
-        if px.ndim != 2 or min(px.shape) < 1:
-            raise DimsError(f"image must be 2D and non-empty, got shape {px.shape}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("image contains non-finite pixels")
-        if px.min() < 0.0 or px.max() >= 1.0:
-            raise ValueError(
-                f"opacity pixels must lie in [0, 1), got range "
-                f"[{px.min():g}, {px.max():g}]"
-            )
+        as_pixels(px)
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.pixels.shape  # (height, width)
+
+
+def as_pixels(image, width: int | None = None, height: int | None = None) -> np.ndarray:
+    """A SimPXImage's pixels as they are, or a raw array checked by the image
+    rule (2D, non-empty, finite, in [0, 1)) without freezing or writing it.
+    A given width and height must match."""
+    checked = isinstance(image, SimPXImage)
+    px = image.pixels if checked else np.asarray(image, dtype=np.float64)
+    if (px.ndim != 2 or min(px.shape) < 1 or width not in (None, px.shape[1])
+            or height not in (None, px.shape[0])):
+        raise DimsError(
+            f"image must be 2D, non-empty and of shape ({height or 'h'}, {width or 'w'}), "
+            f"got {px.shape}"
+        )
+    if not checked:
+        lo, hi = px.min(), px.max()
+        # written so that NaN (which fails every comparison) is rejected too
+        if not (lo >= 0.0 and hi < 1.0):
+            raise ValueError(f"opacity pixels must be finite and lie in [0, 1), "
+                             f"got range [{lo:g}, {hi:g}]")
+    return px
 
 
 def transmittance(densities, delta: float, beta: float) -> float:
@@ -98,10 +112,7 @@ def render_simpx(vol: DensityVolume, fan: RayFan, cfg: RenderConfig) -> SimPXIma
         raise DimsError(f"fan has {fan.n_rays} rays but config width is {cfg.width}")
     if nz < cfg.height:
         raise DimsError(f"volume has {nz} slices, image height {cfg.height} needs more")
-    if fan.bounds != (nx, ny):
-        raise DimsError(
-            f"fan was built for axial grid {fan.bounds}, volume is ({nx}, {ny})"
-        )
+    fan.check_grid(nx, ny)
     if fan.n_samples != cfg.n_samples or fan.delta != cfg.delta:
         raise DimsError(
             f"fan sampling (n={fan.n_samples}, delta={fan.delta}) does not match "
@@ -145,28 +156,8 @@ def save_image(img: SimPXImage, path) -> None:
 
 
 def load_image(path) -> SimPXImage:
-    with open(path, "rb") as fh:
-        line = fh.readline(256)
-        if not line.endswith(b"\n"):
-            raise FormatError(f"{path}: missing or overlong header line")
-        parts = line[:-1].decode("ascii", errors="replace").split(" ")
-        if len(parts) != 3 or parts[0] != _PIMG_MAGIC:
-            raise FormatError(f"{path}: bad header, expected '{_PIMG_MAGIC} h w'")
-        try:
-            h, w = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"{path}: non-integer image dims") from exc
-        if h < 1 or w < 1:
-            raise DimsError(f"{path}: invalid image dims ({h}, {w})")
-        expected = h * w * 4
-        payload = fh.read(expected + 1)
-        if len(payload) != expected:
-            raise FormatError(
-                f"{path}: payload holds {min(len(payload), expected)}+ bytes, "
-                f"expected exactly {expected} for dims ({h}, {w})"
-            )
-    data = np.frombuffer(payload[:expected], dtype="<f4").astype(np.float64)
-    return SimPXImage(data.reshape(h, w))
+    """Read a PIMG1 file (pixels must lie in [0, 1))."""
+    return SimPXImage(_read_f32_file(path, _PIMG_MAGIC, 2))
 
 
 def save_pgm16(pixels: np.ndarray, path) -> None:

@@ -9,6 +9,7 @@ box [0, nz] x [0, ny] x [0, nx].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,27 +309,36 @@ def _read_header_line(fh, path) -> str:
         raise FormatError(f"{path}: header is not ASCII") from exc
 
 
-def load_raw_volume(path) -> np.ndarray:
-    """Read a PVOL1 file without the [0, 1] density restriction."""
+def _read_f32_file(path, magic: str, n_dims: int) -> np.ndarray:
+    """Read '<magic> d1 .. dn\\n' + row-major little-endian float32 values as
+    a float64 array; the payload must hold exactly d1 * .. * dn values.
+    PVOL1 volumes and PIMG1 images share this layout."""
     with open(path, "rb") as fh:
         header = _read_header_line(fh, path)
         parts = header.split(" ")
-        if len(parts) != 4 or parts[0] != _PVOL_MAGIC:
-            raise FormatError(f"{path}: bad header {header!r}, expected '{_PVOL_MAGIC} nz ny nx'")
+        if len(parts) != n_dims + 1 or parts[0] != magic:
+            raise FormatError(
+                f"{path}: bad header {header!r}, expected '{magic}' and {n_dims} dims"
+            )
         try:
-            nz, ny, nx = (int(p) for p in parts[1:])
+            dims = tuple(int(p) for p in parts[1:])
         except ValueError as exc:
             raise FormatError(f"{path}: non-integer dims in header {header!r}") from exc
-        if min(nz, ny, nx) < 1:
-            raise DimsError(f"{path}: invalid dims ({nz}, {ny}, {nx}), all must be >= 1")
-        expected = nz * ny * nx * 4
+        if min(dims) < 1:
+            raise DimsError(f"{path}: invalid dims {dims}, all must be >= 1")
+        expected = 4 * math.prod(dims)
         payload = fh.read(expected + 1)
         if len(payload) != expected:
             raise FormatError(
                 f"{path}: payload holds {min(len(payload), expected)}+ bytes, "
-                f"expected exactly {expected} for dims ({nz}, {ny}, {nx})"
+                f"expected exactly {expected} for dims {dims}"
             )
-        return np.frombuffer(payload[:expected], dtype="<f4").astype(np.float64).reshape(nz, ny, nx)
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+
+
+def load_raw_volume(path) -> np.ndarray:
+    """Read a PVOL1 file without the [0, 1] density restriction."""
+    return _read_f32_file(path, _PVOL_MAGIC, 3)
 
 
 def load_volume(path) -> DensityVolume:

@@ -12,7 +12,7 @@ from panoray.backproject import (
 )
 from panoray.errors import DimsError
 from panoray.ray_geometry import GeometryConfig, Ray, RayFan, build_fan, sample_points
-from panoray.renderer import RenderConfig, render_simpx
+from panoray.renderer import RenderConfig, SimPXImage, render_simpx
 from panoray.volume import make_phantom
 
 
@@ -153,6 +153,32 @@ class TestAggregateRho:
         with pytest.raises(DimsError):
             aggregate_rho(fan, np.zeros((2, 63)), (2, 32, 32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_rejects_bad_candidates(self, bad):
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        cands = np.full((3, 64), 0.5)
+        cands[1, 7] = bad
+        with pytest.raises(ValueError, match="candidates"):
+            aggregate_rho(fan, cands, (3, 32, 32))
+
+    def test_accepts_closed_candidate_range(self):
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        cands = np.zeros((2, 64))
+        cands[1] = 1.0
+        bmap = aggregate_rho(fan, cands, (2, 32, 32))
+        covered = bmap.counts[1] > 0
+        assert np.all(bmap.rho[0] == 0.0)
+        assert np.all(bmap.rho[1][covered] == 1.0) and np.all(bmap.rho[1][~covered] == 0.0)
+
+    def test_fan_without_rays(self):
+        bmap = aggregate_rho(fan_from_rays([], (8, 8)), np.zeros((2, 0)), (2, 8, 8))
+        assert np.all(bmap.rho == 0.0) and np.all(bmap.counts == 0)
+
+    def test_rejects_zero_slices(self):
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        with pytest.raises(DimsError):
+            aggregate_rho(fan, np.zeros((0, 64)), (0, 32, 32))
+
     def test_map_invariants(self):
         with pytest.raises(ValueError):
             BackProjectionMap(
@@ -210,3 +236,21 @@ class TestRoundTrip:
         px[2, 5] = bad
         with pytest.raises(ValueError):
             image_candidates(px, fan, 0.02)
+
+    def test_candidates_reject_empty_image(self):
+        # numpy's zero-size reduction error used to escape here
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        with pytest.raises(DimsError):
+            image_candidates(np.zeros((0, 64)), fan, 0.02)
+
+    def test_candidates_shape_checked_before_values(self):
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        with pytest.raises(DimsError):
+            image_candidates(np.full((4, 32), np.nan), fan, 0.02)
+
+    def test_candidates_of_image_and_raw_pixels_agree(self):
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        px = np.random.default_rng(2).uniform(0.0, 0.9, (4, 64))
+        want = image_candidates(px, fan, 0.02)
+        assert px.flags.writeable  # the caller's array is not frozen
+        assert np.array_equal(image_candidates(SimPXImage(px), fan, 0.02), want)

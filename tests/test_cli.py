@@ -235,6 +235,41 @@ class TestGeometryExtras:
         cfg = cli.build_geometry(raw, (32, 32))
         assert cfg.theta_overrides == {0: 0.4, 19: 0.4}
 
+    @pytest.mark.parametrize("grid", ["inf,64", "64.7,64", "64", "64,64,64", "a,b", "64,"])
+    def test_grid_must_be_two_integers(self, tmp_path, capsys, grid):
+        # inf used to escape as an OverflowError, 64.7 was truncated to 64
+        geom = tmp_path / "g.txt"
+        geom.write_text(f"grid={grid}\nwidth=64\n")
+        out = tmp_path / "fan.txt"
+        assert run("raymap", "--geometry", geom, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: malformed format:")
+        assert not out.exists()
+
+    def test_non_positive_grid_keeps_its_errors(self, tmp_path, capsys):
+        # well-formed integers: rejected where they were before, as an
+        # invalid arch placement or as a mismatch with the volume's grid
+        geom = tmp_path / "g.txt"
+        geom.write_text("grid=0,64\nwidth=64\n")
+        assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err.startswith("error: invalid value:")
+        vol = tmp_path / "v.pvol"
+        run("phantom", "--kind", "uniform:0", "--dims", "2,64,64", "--out", vol)
+        assert run("render", "--vol", vol, "--geometry", geom, "--out", tmp_path / "i") == 1
+        assert capsys.readouterr().err.startswith("error: inconsistent dims:")
+
+    def test_backproject_width_mismatch(self, tmp_path, capsys):
+        g1 = tmp_path / "g1.txt"
+        g1.write_text("grid=16,16\nwidth=48\n")
+        g2 = tmp_path / "g2.txt"
+        g2.write_text("grid=16,16\nwidth=32\n")
+        vol, img = tmp_path / "v.pvol", tmp_path / "v.pimg"
+        run("phantom", "--kind", "uniform:0.4", "--dims", "4,16,16", "--out", vol)
+        run("render", "--vol", vol, "--geometry", g1, "--height", 4, "--out", img)
+        assert run("backproject", "--img", img, "--geometry", g2,
+                   "--out-counts", tmp_path / "c.pvol", "--out-rho", tmp_path / "r.pvol") == 1
+        assert capsys.readouterr().err.startswith("error: inconsistent dims:")
+        assert not (tmp_path / "c.pvol").exists()
+
     def test_reconstruct_width_mismatch(self, tmp_path, capsys):
         # image rendered for one fan width, reconstructed with another
         g1 = tmp_path / "g1.txt"

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from panoray import fan_operator
-from panoray.backproject import aggregate_rho, crossing_counts
+from panoray.backproject import BackProjectionMap, aggregate_rho, crossing_counts
 from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
 from panoray.renderer import RenderConfig, render_simpx
 from panoray.volume import make_phantom
@@ -265,3 +266,17 @@ class TestOperatorProperties:
                                            interpolation)
         assert np.allclose(op1.forward(x[::-1])[::-1], got, rtol=1e-12, atol=1e-12)
         assert np.array_equal(x, x_before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), st.integers(1, 4), st.data())
+    def test_aggregate_rho_map_passes_the_checks(self, fan, nz, data):
+        # aggregate_rho skips the map's checks; for candidates in [0, 1]
+        # (endpoints included) the checking constructor must accept its map
+        nx, ny = fan.bounds
+        cands = data.draw(hnp.arrays(np.float64, (nz, fan.n_rays),
+                                     elements=st.floats(0.0, 1.0)))
+        m = aggregate_rho(fan, cands, (nz, ny, nx))
+        checked = BackProjectionMap(counts=np.array(m.counts), rho=m.rho)
+        assert checked.counts.shape == checked.rho.shape == (nz, ny, nx)
+        assert np.array_equal(checked.counts, crossing_counts(fan, (nz, ny, nx)))
+        assert m.rho.min() >= 0.0 and m.rho.max() <= 1.0

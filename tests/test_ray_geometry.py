@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from panoray.errors import FormatError
 from panoray.ray_geometry import (
     CenterCurve,
     GeometryConfig,
@@ -214,6 +215,21 @@ class TestRaymapExport:
         assert first[0] == "0" and len(first) == 6
         n_rays, n_samples, delta = load_rayfan_header(path)
         assert (n_rays, n_samples, delta) == (64, 200, 1.0)
+
+    @pytest.mark.parametrize("header", [
+        b"RAYFAN1 x 200 1\n",       # non-integer ray count
+        b"RAYFAN1 64 2.5 1\n",      # non-integer sample count
+        b"RAYFAN1 64 200 one\n",    # non-float delta
+        "RAYFAN1 64 200 1\u00e9\n".encode(),  # non-ASCII
+        b"RAYFAN1 64 200\n",        # missing field
+        b"RAYFAN2 64 200 1\n",      # wrong magic
+        b"",
+    ])
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "fan.txt"
+        path.write_bytes(header + b"0 1 2 0.5 0.5 3\n")
+        with pytest.raises(FormatError, match="rayfan header"):
+            load_rayfan_header(path)
 
     def test_golden_bytes(self, tmp_path):
         # pins every byte of the dump: origins, directions and in-bounds

@@ -11,7 +11,7 @@ from panoray.reconstructor import (
     reconstruct,
     save_report,
 )
-from panoray.renderer import RenderConfig, mip, render_simpx
+from panoray.renderer import RenderConfig, SimPXImage, mip, render_simpx
 from panoray.volume import make_phantom
 
 MIP_AXES = ("axial", "coronal", "sagittal")
@@ -122,6 +122,34 @@ class TestLoss:
             loss(vol, np.zeros((8, 63)), None, fan8, ReconConfig())
         with pytest.raises(DimsError):
             loss(vol, np.zeros((8, 64)), {"axial": np.zeros((4, 4))}, fan8, ReconConfig())
+
+
+    @pytest.mark.parametrize("fn", [loss, gradient])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, -0.1])
+    def test_rejects_bad_raw_target(self, fan8, fn, bad):
+        vol = make_phantom("uniform:0", (8, 8, 8))
+        y = np.full((8, 64), 0.2)
+        y[3, 5] = bad
+        y_before = y.copy()
+        with pytest.raises(ValueError, match="opacity"):
+            fn(vol, y, None, fan8, ReconConfig())
+        assert y.flags.writeable and np.array_equal(y, y_before, equal_nan=True)
+
+    @pytest.mark.parametrize("fn", [loss, gradient])
+    def test_rejects_empty_target(self, fan8, fn):
+        with pytest.raises(DimsError):
+            fn(np.zeros((0, 8, 8)), np.zeros((0, 64)), None, fan8, ReconConfig())
+
+    def test_image_and_raw_target_agree(self, fan8):
+        truth = make_phantom("sphere-set", (8, 8, 8), seed=4)
+        est = make_phantom("uniform:0.2", (8, 8, 8))
+        img = render_for(fan8, truth, beta=0.3)
+        raw = img.pixels.copy()
+        cfg = ReconConfig(beta=0.3)
+        assert loss(est, img, None, fan8, cfg) == loss(est, raw, None, fan8, cfg)
+        assert np.array_equal(gradient(est, img, None, fan8, cfg),
+                              gradient(est, raw, None, fan8, cfg))
+        assert raw.flags.writeable  # the caller's array is not frozen
 
 
 class TestGradient:
@@ -297,6 +325,11 @@ class TestReconstruct:
             reconstruct(np.full((4, fan32.n_rays), np.nan), fan32, cfg)
         with pytest.raises(DimsError):
             reconstruct(np.zeros((4, 10)), fan32, cfg)
+
+    def test_rejects_empty_target(self, fan32):
+        # numpy's zero-size reduction error used to escape here
+        with pytest.raises(DimsError):
+            reconstruct(np.zeros((0, fan32.n_rays)), fan32, ReconConfig())
 
     def test_report_file(self, fan32, tmp_path):
         truth = make_phantom("sphere-set", (4, 32, 32), seed=9)

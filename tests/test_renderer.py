@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from panoray.errors import DimsError, FormatError
+from panoray.fan_operator import INTERPOLATIONS
 from panoray.ray_geometry import GeometryConfig, build_fan
 from panoray.renderer import (
     RenderConfig,
     SimPXImage,
+    as_pixels,
     load_image,
     mip,
     render_simpx,
@@ -222,6 +224,19 @@ class TestImageIO:
         with pytest.raises(ValueError):
             SimPXImage(np.full((2, 2), -0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        px = np.full((2, 2), 0.5)
+        px[1, 0] = bad
+        with pytest.raises(ValueError):
+            SimPXImage(px)
+
+    def test_non_ascii_header(self, tmp_path):
+        path = tmp_path / "bad.pimg"
+        path.write_bytes("PIMG1 2 2\u00e9\n".encode() + b"\0" * 16)
+        with pytest.raises(FormatError, match="ASCII"):
+            load_image(path)
+
     def test_pgm16(self, tmp_path):
         px = np.array([[0.0, 0.5], [1.0, 0.25]])
         path = tmp_path / "img.pgm"
@@ -279,3 +294,43 @@ class TestConfigMismatches:
         dens = sample_trilinear(vol, pts, mode="nearest")
         expected = 1.0 - transmittance(dens, cfg.delta, cfg.beta)
         assert img.pixels[0, 10] == pytest.approx(expected, abs=1e-12)
+
+
+class TestAsPixels:
+    def test_image_pixels_as_they_are(self):
+        img = SimPXImage(np.full((3, 4), 0.25))
+        assert as_pixels(img, 4) is img.pixels
+        assert as_pixels(img, 4, 3) is img.pixels
+
+    def test_raw_array_checked_not_frozen(self):
+        px = np.full((3, 4), 0.25)
+        assert as_pixels(px, 4, 3) is px
+        assert px.flags.writeable
+        for bad in (np.nan, np.inf, -np.inf, 1.0, -0.1):
+            px_bad = px.copy()
+            px_bad[2, 1] = bad
+            with pytest.raises(ValueError, match="opacity"):
+                as_pixels(px_bad, 4)
+            assert px_bad.flags.writeable
+
+    @pytest.mark.parametrize("shape, width, height", [
+        ((3, 4), 5, None), ((3, 4), 4, 2), ((0, 4), 4, None), ((12,), 12, None),
+        ((3, 4, 1), 4, 3),
+    ])
+    def test_shape_rejected_before_values(self, shape, width, height):
+        # a NaN in a wrongly shaped array is reported as the shape error
+        with pytest.raises(DimsError):
+            as_pixels(np.full(shape, np.nan), width, height)
+        if len(shape) == 2 and min(shape) > 0:
+            with pytest.raises(DimsError):
+                as_pixels(SimPXImage(np.zeros(shape)), width, height)
+
+
+class TestRenderConfigModes:
+    def test_every_operator_mode_accepted(self):
+        for mode in INTERPOLATIONS:
+            assert RenderConfig(interpolation=mode).interpolation == mode
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="interpolation"):
+            RenderConfig(interpolation="cubic")
