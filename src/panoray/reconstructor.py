@@ -81,6 +81,10 @@ class ReconReport:
     loss_history: list = field(default_factory=list)
     iterations_run: int = 0
     final_metrics: metrics.MetricsReport | None = None
+    # which exit ended the loop: "zero_loss" (the iterate fits exactly),
+    # "line_search" (no step of the halving sequence lowered the loss),
+    # "tol" (relative decrease below cfg.tol) or "max_iters"
+    stop_reason: str | None = None
 
     def format_lines(self) -> list[str]:
         return [
@@ -118,13 +122,16 @@ def _opacity(est: np.ndarray, op: FanOperator, beta: float, delta: float) -> np.
 
 
 def _loss_terms(est, y, mips, fan, beta, lambda1):
+    """total, mse_img, mse_mip, and the predicted image and MIP projections
+    of est, which _gradient can reuse at the same est."""
     pred = _opacity(est, fan.operator(), beta, fan.delta)
     mse_img = float(np.sum((pred - y) ** 2))
     mse_mip = 0.0
+    projs = {}
     for axis, tgt in mips.items():
-        proj = est.max(axis=_MIP_AXES[axis])
+        projs[axis] = proj = est.max(axis=_MIP_AXES[axis])
         mse_mip += float(np.sum((proj - tgt) ** 2))
-    return mse_img + lambda1 * mse_mip, mse_img, mse_mip, pred
+    return mse_img + lambda1 * mse_mip, mse_img, mse_mip, pred, projs
 
 
 def _prepare(est, target_img, target_mips, fan):
@@ -140,12 +147,14 @@ def _prepare(est, target_img, target_mips, fan):
 def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
     """Total objective and its (mse_img, mse_mip) components."""
     est_data, y, mips = _prepare(est, target_img, target_mips, fan)
-    total, mse_img, mse_mip, _ = _loss_terms(est_data, y, mips, fan, cfg.beta, cfg.lambda1)
+    total, mse_img, mse_mip, _, _ = _loss_terms(est_data, y, mips, fan, cfg.beta, cfg.lambda1)
     return total, (mse_img, mse_mip)
 
 
-def _gradient(est, y, mips, fan, beta, lambda1, pred=None, tie_tol: float = 1e-3,
-              out=None):
+def _gradient(est, y, mips, fan, beta, lambda1, pred=None, projs=None,
+              tie_tol: float = 1e-3, out=None):
+    """Gradient at est; pred and projs, if given, are _loss_terms' image and
+    MIP projections of this same est."""
     op = fan.operator()
     if pred is None:
         pred = _opacity(est, op, beta, fan.delta)
@@ -156,7 +165,7 @@ def _gradient(est, y, mips, fan, beta, lambda1, pred=None, tie_tol: float = 1e-3
 
     for axis, tgt in mips.items():
         ax = _MIP_AXES[axis]
-        proj = est.max(axis=ax)
+        proj = est.max(axis=ax) if projs is None else projs[axis]
         r = 2.0 * lambda1 * (proj - tgt)
         # share each projected residual across the band of (near-)maximizers
         tie = est >= np.expand_dims(proj - tie_tol, ax)
@@ -200,38 +209,46 @@ def reconstruct(
         np.clip(x, lo, hi, out=x)
 
     report = ReconReport()
-    total, mse_img, mse_mip, pred = _loss_terms(x, y, mips, fan, cfg.beta, cfg.lambda1)
+    total, mse_img, mse_mip, pred, projs = _loss_terms(
+        x, y, mips, fan, cfg.beta, cfg.lambda1
+    )
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss at initialization: {total}")
     report.loss_history.append((0, total, mse_img, mse_mip, 0.0))
 
-    # Workspace: a float64 volume at 128 x 256 x 256 is 64 MB, past the
-    # allocator's mmap threshold, so a fresh temporary costs page faults and
-    # an munmap each time. Whole-volume arithmetic writes into these buffers
-    # instead, and accepted iterates rotate buffers by reference. x is always
-    # solver-owned (zeros, rho or a former trial), never the caller's data.
+    # Workspace: four (nz, ny, nx) float64 volumes, 64 MB each at
+    # 128 x 256 x 256: the iterate x, trial, and two gradient buffers. The
+    # spectral step needs only s = x_new - x_old and the gradient change
+    # g_new - g_old (s_k and y_k in Nocedal & Wright, section 6.1), so the
+    # previous iterate and gradient are not kept beside them:
+    # - at acceptance the old iterate's buffer receives s and trades places
+    #   with trial, so trial holds s until the next spectral step has used
+    #   it and then takes that iteration's line-search trials;
+    # - the new gradient goes to the free gradient buffer and the gradient
+    #   change is written over the older one, which then receives the
+    #   gradient after that.
+    # Whole-volume arithmetic writes into these buffers, because a fresh
+    # 64 MB temporary costs page faults and an munmap each time; x is
+    # always solver-owned (zeros, rho or a former trial), never the
+    # caller's data.
     trial = np.empty_like(x)
-    scratch = np.empty_like(x)
+    s = None  # flat view of the buffer holding s, once an iterate is accepted
+    grad = older = None
     step = cfg.step_size
-    prev_x = prev_grad = spare_grad = None
     for it in range(1, cfg.max_iters + 1):
         if total == 0.0:
+            report.stop_reason = "zero_loss"
             break
-        grad = _gradient(
-            x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, tie_tol=cfg.mip_tie_tol,
-            out=spare_grad,
+        older, grad = grad, _gradient(
+            x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, projs=projs,
+            tie_tol=cfg.mip_tie_tol, out=older,
         )
-        if prev_x is None:
-            step = cfg.step_size
-        else:
+        if s is not None:
             # spectral step guess from the last accepted move, safeguarded;
-            # the backtracking below keeps the iteration monotone regardless.
-            # trial is free until the line search, so it holds dg.
-            dx = np.subtract(x, prev_x, out=scratch).ravel()
-            dg = np.subtract(grad, prev_grad, out=trial).ravel()
-            curv = float(dx @ dg)
+            # the backtracking below keeps the iteration monotone regardless
+            curv = float(s @ np.subtract(grad, older, out=older).ravel())
             if curv > 1e-30:
-                step = min(1e6, max(1e-12, float(dx @ dx) / curv))
+                step = min(1e6, max(1e-12, float(s @ s) / curv))
             else:
                 step = min(1e6, 2.0 * step)
         accepted = False
@@ -240,7 +257,7 @@ def reconstruct(
             np.multiply(grad, step, out=trial)
             np.subtract(x, trial, out=trial)
             np.clip(trial, lo, hi, out=trial)
-            t_total, t_img, t_mip, t_pred = _loss_terms(
+            t_total, t_img, t_mip, t_pred, t_projs = _loss_terms(
                 trial, y, mips, fan, cfg.beta, cfg.lambda1
             )
             if not np.isfinite(t_total):
@@ -250,18 +267,21 @@ def reconstruct(
                 break
             step *= cfg.backtrack_factor
         if not accepted:
+            report.stop_reason = "line_search"
             break
         rel_drop = (total - t_total) / total
-        # prev_x (the iterate before last) is no longer needed, so its buffer
-        # takes the next trial; prev_grad's buffer takes the next gradient
-        free_x = prev_x if prev_x is not None else np.empty_like(x)
-        prev_x, x, trial = x, trial, free_x
-        spare_grad, prev_grad = prev_grad, grad
-        total, mse_img, mse_mip, pred = t_total, t_img, t_mip, t_pred
+        np.subtract(trial, x, out=x)
+        x, trial = trial, x
+        s = trial.ravel()
+        total, mse_img, mse_mip, pred, projs = t_total, t_img, t_mip, t_pred, t_projs
         report.loss_history.append((it, total, mse_img, mse_mip, step))
         report.iterations_run = it
         if rel_drop < cfg.tol:
+            report.stop_reason = "tol"
             break
+    else:
+        report.stop_reason = "max_iters"
+    del trial, s, grad, older
 
     result = DensityVolume(_as_f32_grid(np.clip(x, 0.0, 1.0, out=x)))
     if ground_truth is not None:

@@ -10,6 +10,8 @@ box [0, nz] x [0, ny] x [0, nx].
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import DimsError, FormatError
 
 _PVOL_MAGIC = "PVOL1"
+_READ_CHUNK = 1 << 20  # bytes per read from a file of unknown size
 
 
 def _as_f32_grid(data: np.ndarray) -> np.ndarray:
@@ -309,6 +312,35 @@ def _read_header_line(fh, path) -> str:
         raise FormatError(f"{path}: header is not ASCII") from exc
 
 
+def _read_payload(fh, path, dims):
+    """The payload of 4 * prod(dims) bytes that follows the header, or
+    FormatError if the file holds any other number of bytes.
+
+    Dims may claim more bytes than can be allocated, so the claim is never
+    requested in one read before it is known to be there: a regular file's
+    size is checked first, and other files (pipes report size 0) are read in
+    bounded chunks, so memory grows only with the bytes that arrive."""
+    expected = 4 * math.prod(dims)
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        held = info.st_size - fh.tell()
+        payload = fh.read(expected + 1) if held == expected else b""
+    else:
+        payload = bytearray()
+        while len(payload) <= expected:
+            chunk = fh.read(min(_READ_CHUNK, expected + 1 - len(payload)))
+            if not chunk:
+                break
+            payload += chunk
+        held = len(payload)
+    if len(payload) != expected:
+        raise FormatError(
+            f"{path}: payload holds {min(held, expected)}+ bytes, "
+            f"expected exactly {expected} for dims {dims}"
+        )
+    return payload
+
+
 def _read_f32_file(path, magic: str, n_dims: int) -> np.ndarray:
     """Read '<magic> d1 .. dn\\n' + row-major little-endian float32 values as
     a float64 array; the payload must hold exactly d1 * .. * dn values.
@@ -326,13 +358,7 @@ def _read_f32_file(path, magic: str, n_dims: int) -> np.ndarray:
             raise FormatError(f"{path}: non-integer dims in header {header!r}") from exc
         if min(dims) < 1:
             raise DimsError(f"{path}: invalid dims {dims}, all must be >= 1")
-        expected = 4 * math.prod(dims)
-        payload = fh.read(expected + 1)
-        if len(payload) != expected:
-            raise FormatError(
-                f"{path}: payload holds {min(len(payload), expected)}+ bytes, "
-                f"expected exactly {expected} for dims {dims}"
-            )
+        payload = _read_payload(fh, path, dims)
     return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
 
 

@@ -2,7 +2,9 @@
 round-trip exactly, and truncated payloads, overlong payloads and bad
 headers raise FormatError or DimsError, never anything else."""
 
+import os
 import string
+import threading
 
 import numpy as np
 import pytest
@@ -138,3 +140,56 @@ class TestBadFiles:
         for load in loaders:
             with pytest.raises((FormatError, DimsError)):
                 load(path)
+
+
+# dims that claim more payload bytes than can be allocated, then 4 bytes
+HUGE_CLAIMS = [
+    pytest.param(b"PVOL1 100000 100000 100000\n", load_volume, id="load_volume"),
+    pytest.param(b"PVOL1 100000 100000 100000\n", load_raw_volume, id="load_raw_volume"),
+    pytest.param(b"PIMG1 10000000 100000000\n", load_image, id="load_image"),
+]
+
+
+def _feed_fifo(path, blob):
+    """Make path a FIFO and start a thread that writes blob into it."""
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+class TestPayloadClaims:
+    @pytest.mark.parametrize("header,load", HUGE_CLAIMS)
+    def test_huge_claim_is_a_format_error(self, tmp_path, header, load):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(header + b"\0" * 4)
+        with pytest.raises(FormatError, match="payload"):
+            load(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("header,load", HUGE_CLAIMS)
+    def test_huge_claim_through_a_fifo(self, tmp_path, header, load):
+        writer = _feed_fifo(tmp_path / "huge.fifo", header + b"\0" * 4)
+        with pytest.raises(FormatError, match="payload"):
+            load(tmp_path / "huge.fifo")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_volume_through_a_fifo(self, tmp_path):
+        # a pipe reports size 0; this payload spans several bounded reads
+        data = np.random.default_rng(5).uniform(0.0, 1.0, (4, 300, 300)).astype("<f4")
+        save_raw_volume(data, tmp_path / "vol.pvol")
+        writer = _feed_fifo(tmp_path / "vol.fifo", (tmp_path / "vol.pvol").read_bytes())
+        back = load_volume(tmp_path / "vol.fifo")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(back.data, data)

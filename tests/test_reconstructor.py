@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panoray.backproject import aggregate_rho, crossing_counts, image_candidates
 from panoray.errors import DimsError
@@ -264,6 +268,91 @@ class TestWorkspace:
         assert np.array_equal(y, y_before)
         for ax in MIP_AXES:
             assert np.array_equal(mips[ax], mips_before[ax])
+
+
+class TestWorkspaceProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        nz=st.integers(2, 6),
+        beta=st.floats(0.05, 2.0),
+        lambda1=st.sampled_from([0.0]) | st.floats(0.0, 1000.0),
+        step_size=st.floats(1e-3, 10.0),
+        max_halvings=st.integers(0, 3),
+        clamp=st.sampled_from([(0.0, 1.0), (0.0, 0.2), (0.1, 0.7)]),
+        init=st.sampled_from(["rho", "zeros"]),
+        with_mips=st.booleans(),
+        max_iters=st.integers(1, 25),
+    )
+    def test_matches_allocating_loop(self, fan8, seed, nz, beta, lambda1, step_size,
+                                     max_halvings, clamp, init, with_mips, max_iters):
+        truth = make_phantom("sphere-set", (nz, 8, 8), seed=seed)
+        cfg = ReconConfig(beta=beta, lambda1=lambda1, step_size=step_size,
+                          max_halvings=max_halvings, clamp=clamp, init=init,
+                          max_iters=max_iters)
+        y = render_for(fan8, truth, beta).pixels
+        mips = {ax: mip(truth, ax) for ax in MIP_AXES} if with_mips else None
+        want_vol, want_history, _ = allocating_reconstruct(y, fan8, cfg, mips or {})
+        vol, report = reconstruct(y, fan8, cfg, target_mips=mips)
+        assert np.array_equal(vol.data, want_vol)
+        assert report.loss_history == want_history
+        assert report.iterations_run == len(want_history) - 1
+
+
+class TestStopReason:
+    # one case per exit of the loop: (target, config kwargs)
+    CASES = {
+        "zero_loss": ("zeros", dict(init="zeros")),
+        "line_search": ("spheres", dict(max_halvings=0, step_size=100.0)),
+        # a target outside the model's range: the loss levels off above 0
+        "tol": ("random", dict(init="zeros", lambda1=0.0, max_iters=500)),
+        "max_iters": ("spheres", dict(tol=0.0, max_iters=5)),
+    }
+
+    @pytest.mark.parametrize("reason", sorted(CASES))
+    def test_each_exit(self, fan8, reason):
+        kind, kwargs = self.CASES[reason]
+        cfg = ReconConfig(beta=0.3, **kwargs)
+        if kind == "zeros":
+            y = np.zeros((4, fan8.n_rays))
+        elif kind == "random":
+            y = np.random.default_rng(1).uniform(0.0, 0.5, (2, fan8.n_rays))
+        else:
+            y = render_for(fan8, make_phantom("sphere-set", (4, 8, 8), seed=0), cfg.beta)
+        _, report = reconstruct(y, fan8, cfg)
+        assert report.stop_reason == reason
+        totals = [row[1] for row in report.loss_history]
+        n = report.iterations_run
+        assert len(report.format_lines()) == len(totals) == n + 1
+        if reason == "zero_loss":
+            assert n == 0 and totals == [0.0]
+        elif reason == "line_search":
+            assert n == 0  # the first step overshoots and may not be halved
+        elif reason == "tol":
+            assert n < cfg.max_iters
+            assert (totals[-2] - totals[-1]) / totals[-2] < cfg.tol
+        else:
+            assert n == cfg.max_iters
+
+
+class TestMemory:
+    def test_peak_below_six_volumes(self):
+        # the solver's workspace is four volumes; the operator's block
+        # buffers and the final quantized copy stay within two more
+        dims = (64, 128, 128)
+        fan = build_fan(GeometryConfig(width=128), bounds=(128, 128))
+        truth = make_phantom("jaw-arch", dims, seed=1)
+        img = render_for(fan, truth, beta=0.02)
+        fan.operator()._cols  # built once per fan, outside the solver
+        cfg = ReconConfig(beta=0.02, max_iters=5)
+        tracemalloc.start()
+        try:
+            _, report = reconstruct(img, fan, cfg, ground_truth=truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations_run == 5
+        assert peak < 6 * truth.data.nbytes
 
 
 class TestReconstruct:
