@@ -81,9 +81,10 @@ class ReconReport:
     loss_history: list = field(default_factory=list)
     iterations_run: int = 0
     final_metrics: metrics.MetricsReport | None = None
-    # which exit ended the loop: "zero_loss" (the iterate fits exactly),
-    # "line_search" (no step of the halving sequence lowered the loss),
-    # "tol" (relative decrease below cfg.tol) or "max_iters"
+    # why the loop ended: "zero_loss" (the loss reached exactly 0, also if
+    # the last iteration's step reached it), "line_search" (no step of the
+    # halving sequence lowered the loss), "tol" (relative decrease below
+    # cfg.tol) or "max_iters"
     stop_reason: str | None = None
 
     def format_lines(self) -> list[str]:
@@ -151,13 +152,11 @@ def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
     return total, (mse_img, mse_mip)
 
 
-def _gradient(est, y, mips, fan, beta, lambda1, pred=None, projs=None,
+def _gradient(est, y, mips, fan, beta, lambda1, pred, projs,
               tie_tol: float = 1e-3, out=None):
-    """Gradient at est; pred and projs, if given, are _loss_terms' image and
-    MIP projections of this same est."""
+    """Gradient at est; pred and projs are the predicted image and the MIP
+    projections of this same est, as _loss_terms returns them."""
     op = fan.operator()
-    if pred is None:
-        pred = _opacity(est, op, beta, fan.delta)
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
@@ -165,7 +164,7 @@ def _gradient(est, y, mips, fan, beta, lambda1, pred=None, projs=None,
 
     for axis, tgt in mips.items():
         ax = _MIP_AXES[axis]
-        proj = est.max(axis=ax) if projs is None else projs[axis]
+        proj = projs[axis]
         r = 2.0 * lambda1 * (proj - tgt)
         # share each projected residual across the band of (near-)maximizers
         tie = est >= np.expand_dims(proj - tie_tol, ax)
@@ -177,7 +176,10 @@ def _gradient(est, y, mips, fan, beta, lambda1, pred=None, projs=None,
 def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.ndarray:
     """d(total)/d(sigma) at every voxel."""
     est_data, y, mips = _prepare(est, target_img, target_mips, fan)
-    return _gradient(est_data, y, mips, fan, cfg.beta, cfg.lambda1, tie_tol=cfg.mip_tie_tol)
+    pred = _opacity(est_data, fan.operator(), cfg.beta, fan.delta)
+    projs = {axis: est_data.max(axis=_MIP_AXES[axis]) for axis in mips}
+    return _gradient(est_data, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs,
+                     tie_tol=cfg.mip_tie_tol)
 
 
 def reconstruct(
@@ -280,7 +282,8 @@ def reconstruct(
             report.stop_reason = "tol"
             break
     else:
-        report.stop_reason = "max_iters"
+        # the last accepted step may itself have reached an exact fit
+        report.stop_reason = "zero_loss" if total == 0.0 else "max_iters"
     del trial, s, grad, older
 
     result = DensityVolume(_as_f32_grid(np.clip(x, 0.0, 1.0, out=x)))

@@ -10,8 +10,6 @@ box [0, nz] x [0, ny] x [0, nx].
 from __future__ import annotations
 
 import math
-import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,7 @@ import numpy as np
 from .errors import DimsError, FormatError
 
 _PVOL_MAGIC = "PVOL1"
-_READ_CHUNK = 1 << 20  # bytes per read from a file of unknown size
+_READ_CHUNK = 1 << 20  # bytes per payload read
 
 
 def _as_f32_grid(data: np.ndarray) -> np.ndarray:
@@ -316,26 +314,18 @@ def _read_payload(fh, path, dims):
     """The payload of 4 * prod(dims) bytes that follows the header, or
     FormatError if the file holds any other number of bytes.
 
-    Dims may claim more bytes than can be allocated, so the claim is never
-    requested in one read before it is known to be there: a regular file's
-    size is checked first, and other files (pipes report size 0) are read in
-    bounded chunks, so memory grows only with the bytes that arrive."""
+    Dims may claim more bytes than can be allocated, so the payload is read
+    in bounded chunks and memory grows only with the bytes that arrive."""
     expected = 4 * math.prod(dims)
-    info = os.fstat(fh.fileno())
-    if stat.S_ISREG(info.st_mode):
-        held = info.st_size - fh.tell()
-        payload = fh.read(expected + 1) if held == expected else b""
-    else:
-        payload = bytearray()
-        while len(payload) <= expected:
-            chunk = fh.read(min(_READ_CHUNK, expected + 1 - len(payload)))
-            if not chunk:
-                break
-            payload += chunk
-        held = len(payload)
+    payload = bytearray()
+    while len(payload) <= expected:
+        chunk = fh.read(min(_READ_CHUNK, expected + 1 - len(payload)))
+        if not chunk:
+            break
+        payload += chunk
     if len(payload) != expected:
         raise FormatError(
-            f"{path}: payload holds {min(held, expected)}+ bytes, "
+            f"{path}: payload holds {min(len(payload), expected)}+ bytes, "
             f"expected exactly {expected} for dims {dims}"
         )
     return payload

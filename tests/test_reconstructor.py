@@ -334,6 +334,20 @@ class TestStopReason:
         else:
             assert n == cfg.max_iters
 
+    @pytest.mark.parametrize("max_iters", [1, 2])
+    def test_zero_loss_reached_by_a_step(self, fan8, max_iters):
+        # the target is the opacity of 0.5 on every covered voxel, so the
+        # first step from zeros, clipped at 0.5, fits it exactly; with
+        # max_iters=1 the loop ends right after that step, not at its check
+        fit = 0.5 * (crossing_counts(fan8, (3, 8, 8)) > 0)
+        y = -np.expm1(-0.3 * fan8.delta * fan8.operator().forward(fit))
+        cfg = ReconConfig(beta=0.3, init="zeros", clamp=(0.0, 0.5),
+                          step_size=1e6, max_iters=max_iters)
+        _, report = reconstruct(y, fan8, cfg)
+        assert report.iterations_run == 1
+        assert report.loss_history[-1][1] == 0.0
+        assert report.stop_reason == "zero_loss"
+
 
 class TestMemory:
     def test_peak_below_six_volumes(self):
