@@ -16,6 +16,7 @@ transposed to the candidates, divided by the counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,9 @@ def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.n
     Pixels of rays that never enter the grid get candidate 0 (they also have
     no footprint, so the value is never aggregated).
     """
+    # written so that NaN (which fails every comparison) is rejected too
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     px = as_pixels(image_pixels, fan.n_rays)
     n = fan.sample_counts.astype(np.float64)
     denom = beta * np.maximum(n, 1.0) * fan.delta

@@ -18,11 +18,14 @@ import sys
 from . import backproject, metrics, ray_geometry, reconstructor, renderer, volume
 from .errors import DimsError, FormatError
 
-_GEOMETRY_KEYS = {
-    "coefficient", "span", "x_range", "step", "offset", "scale",
-    "initial_angle", "width", "n_samples", "delta", "angle_scale",
-    "grid", "beta",
-}
+# geometry-file keys and their parsers by the config that owns their defaults;
+# "auto" leaves scale, offset or initial_angle to that owner
+_CURVE_KEYS = {"scale": float, "coefficient": float, "span": float, "x_range": tuple,
+               "step": float, "offset": tuple}
+_FAN_KEYS = {"initial_angle": float, "width": int, "n_samples": int, "delta": float,
+             "angle_scale": float}
+_AUTO_KEYS = {"scale", "offset", "initial_angle"}
+_GEOMETRY_KEYS = {*_CURVE_KEYS, *_FAN_KEYS, "grid", "beta"}
 
 
 def _parse_pair(text, name):
@@ -67,51 +70,29 @@ def load_geometry(path) -> dict:
     return raw
 
 
+def _given(raw: dict, table: dict) -> dict:
+    """The keys of `table` that `raw` sets, other than to "auto", parsed."""
+    return {
+        key: _parse_pair(raw[key], key) if kind is tuple else kind(raw[key])
+        for key, kind in table.items()
+        if key in raw and not (key in _AUTO_KEYS and raw[key] == "auto")
+    }
+
+
 def build_geometry(raw: dict, grid: tuple[int, int]):
-    """Turn a raw geometry dict into a GeometryConfig for an (nx, ny) grid."""
-    nx, ny = grid
-    base = ray_geometry.default_curve_for_grid(nx, ny)
-    scale = base.scale
-    if raw.get("scale", "auto") != "auto":
-        scale = float(raw["scale"])
-    coefficient = float(raw.get("coefficient", base.coefficient))
-    span = float(raw.get("span", base.span))
-    x_range = base.x_range
-    if "x_range" in raw:
-        x_range = _parse_pair(raw["x_range"], "x_range")
-    step = float(raw.get("step", base.step))
-    if raw.get("offset", "auto") != "auto":
-        offset = _parse_pair(raw["offset"], "offset")
-    else:
-        probe = ray_geometry.CenterCurve(
-            coefficient=coefficient, x_range=x_range, step=step, span=span,
-            offset=(0.0, 0.0), scale=1.0,
-        )
-        offset = (nx / 2.0, 0.6 * ny - scale * probe.height(0.0))
-    curve = ray_geometry.CenterCurve(
-        coefficient=coefficient, x_range=x_range, step=step, span=span,
-        offset=offset, scale=scale,
-    )
-    initial = raw.get("initial_angle", "auto")
-    overrides = {}
-    for key, val in raw.items():
-        if key.startswith("theta_"):
-            overrides[int(key[len("theta_"):])] = float(val)
-    return ray_geometry.GeometryConfig(
-        curve=curve,
-        initial_angle=None if initial == "auto" else float(initial),
-        width=int(raw.get("width", 256)),
-        n_samples=int(raw.get("n_samples", 200)),
-        delta=float(raw.get("delta", 1.0)),
-        angle_scale=float(raw.get("angle_scale", 1.0)),
-        theta_overrides=overrides,
-    )
+    """Turn a raw geometry dict into a GeometryConfig for an (nx, ny) grid;
+    keys it does not set keep CenterCurve's and GeometryConfig's defaults."""
+    curve = ray_geometry.default_curve_for_grid(*grid, **_given(raw, _CURVE_KEYS))
+    overrides = {int(key[len("theta_"):]): float(val)
+                 for key, val in raw.items() if key.startswith("theta_")}
+    return ray_geometry.GeometryConfig(curve=curve, theta_overrides=overrides,
+                                       **_given(raw, _FAN_KEYS))
 
 
 def _geometry_setup(args, overrides=None, grid=None):
-    """Load the geometry file (if any), apply CLI overrides, build the fan
-    for `grid` (nx, ny), else for the file's grid= or 256x256; a file grid=
-    that differs from `grid` raises DimsError."""
+    """Load the geometry file (if any), apply CLI overrides, and return the
+    fan for `grid` (nx, ny), else for the file's grid= or 256x256, with the
+    beta to use; a file grid= that differs from `grid` raises DimsError."""
     raw = load_geometry(args.geometry) if getattr(args, "geometry", None) else {}
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
@@ -121,10 +102,8 @@ def _geometry_setup(args, overrides=None, grid=None):
             raise DimsError(f"geometry grid {file_grid} does not match volume {grid}")
         grid = file_grid
     grid = grid or (256, 256)
-    cfg = build_geometry(raw, grid)
-    fan = ray_geometry.build_fan(cfg, bounds=grid)
-    beta = float(raw.get("beta", 0.02))
-    return fan, cfg, grid, beta
+    fan = ray_geometry.build_fan(build_geometry(raw, grid), bounds=grid)
+    return fan, float(raw.get("beta", 0.02))
 
 
 def _cmd_phantom(args):
@@ -137,32 +116,29 @@ def _cmd_phantom(args):
 def _cmd_render(args):
     vol = volume.load_volume(args.vol)
     nz, ny, nx = vol.dims
-    overrides = {"width": args.width, "n_samples": args.samples, "delta": args.delta}
-    fan, cfg, _, beta = _geometry_setup(args, overrides, grid=(nx, ny))
-    if args.beta is not None:
-        beta = args.beta
+    overrides = {"width": args.width, "n_samples": args.samples, "delta": args.delta,
+                 "beta": args.beta}
+    fan, beta = _geometry_setup(args, overrides, grid=(nx, ny))
     height = args.height if args.height is not None else min(nz, 128)
-    rcfg = renderer.RenderConfig(
-        beta=beta, n_samples=cfg.n_samples, delta=cfg.delta,
-        width=cfg.width, height=height, threads=args.threads,
-    )
+    rcfg = renderer.RenderConfig(beta=beta, width=fan.n_rays, height=height,
+                                 threads=args.threads)
     img = renderer.render_simpx(vol, fan, rcfg)
     renderer.save_image(img, args.out)
     return 0
 
 
 def _cmd_raymap(args):
-    fan, _, _, _ = _geometry_setup(args)
+    fan, _ = _geometry_setup(args)
     ray_geometry.save_rayfan(fan, args.out)
     return 0
 
 
 def _cmd_backproject(args):
     img = renderer.load_image(args.img)
-    fan, _, grid, beta = _geometry_setup(args)
-    dims = (img.dims[0], grid[1], grid[0])
+    fan, beta = _geometry_setup(args)
+    nx, ny = fan.bounds
     cands = backproject.image_candidates(img, fan, beta)
-    bmap = backproject.aggregate_rho(fan, cands, dims)
+    bmap = backproject.aggregate_rho(fan, cands, (img.dims[0], ny, nx))
     volume.save_raw_volume(bmap.counts, args.out_counts)
     volume.save_raw_volume(bmap.rho, args.out_rho)
     return 0
@@ -170,19 +146,18 @@ def _cmd_backproject(args):
 
 def _cmd_reconstruct(args):
     img = renderer.load_image(args.img)
-    fan, _, grid, beta = _geometry_setup(args)
-    h = img.dims[0]
+    fan, beta = _geometry_setup(args)
+    nx, ny = fan.bounds
+    dims = (img.dims[0], ny, nx)
     truth = volume.load_volume(args.truth) if args.truth else None
-    if truth is not None and truth.dims != (h, grid[1], grid[0]):
+    if truth is not None and truth.dims != dims:
         raise DimsError(
             f"truth volume dims {truth.dims} do not match the reconstruction "
-            f"dims ({h}, {grid[1]}, {grid[0]}); set grid=<nx>,<ny> in the "
-            f"geometry file"
+            f"dims {dims}; set grid=<nx>,<ny> in the geometry file"
         )
-    cfg = reconstructor.ReconConfig(
-        lambda1=args.lambda1, max_iters=args.iters, step_size=args.step,
-        init=args.init, beta=beta,
-    )
+    flags = {"lambda1": args.lambda1, "max_iters": args.iters, "step_size": args.step,
+             "init": args.init}
+    cfg = reconstructor.ReconConfig(beta=beta, **{k: v for k, v in flags.items() if v is not None})
     result, report = reconstructor.reconstruct(
         img, fan, cfg, ground_truth=truth, threads=args.threads
     )
@@ -271,10 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="recover a volume from a SimPX image")
     sp.add_argument("--img", required=True)
     sp.add_argument("--geometry", default=None)
-    sp.add_argument("--iters", type=int, default=200)
-    sp.add_argument("--step", type=float, default=1.0)
-    sp.add_argument("--lambda1", type=float, default=10.0)
-    sp.add_argument("--init", choices=("rho", "zeros"), default="rho")
+    # solver flags left unset keep ReconConfig's defaults
+    sp.add_argument("--iters", type=int, default=None)
+    sp.add_argument("--step", type=float, default=None)
+    sp.add_argument("--lambda1", type=float, default=None)
+    sp.add_argument("--init", choices=("rho", "zeros"), default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", default=None)
     sp.add_argument("--truth", default=None, help="ground-truth volume for metrics")

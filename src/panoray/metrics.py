@@ -52,6 +52,14 @@ def volume_mse(a, b) -> float:
     return _mse(a, b)
 
 
+def _check_scales(peak: float = 1.0, threshold: float = 0.0) -> None:
+    # written so that NaN (which fails every comparison) is rejected too
+    if not 0.0 < peak < math.inf:
+        raise ValueError(f"peak must be finite and > 0, got {peak}")
+    if not abs(threshold) < math.inf:
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def _psnr_db(mse: float, peak: float) -> float:
     if not math.isfinite(mse):
         raise ValueError(f"psnr needs finite inputs, got MSE {mse}")
@@ -63,7 +71,9 @@ def _psnr_db(mse: float, peak: float) -> float:
 def psnr(a, b, peak: float = 1.0, mask=None) -> float:
     """10*log10(peak^2 / MSE) in dB, capped at 99.0 (identical inputs).
 
-    Raises ValueError when the MSE is not finite (NaN or infinite inputs)."""
+    Raises ValueError when the MSE is not finite (NaN or infinite inputs) or
+    peak is not finite and > 0."""
+    _check_scales(peak=peak)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     if mask is not None:
@@ -77,6 +87,7 @@ def psnr(a, b, peak: float = 1.0, mask=None) -> float:
 
 def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
     """Overlap of the binarized volumes in percent; two empty sets agree (100)."""
+    _check_scales(threshold=threshold)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     fa = a > threshold
@@ -108,6 +119,7 @@ def ssim(a, b, peak: float = 1.0) -> float:
     Uniform 7x7 window in valid mode, stabilizers k1=0.01 / k2=0.03 on the
     given dynamic range.
     """
+    _check_scales(peak=peak)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     w = _SSIM_WINDOW
@@ -160,6 +172,7 @@ def ssim(a, b, peak: float = 1.0) -> float:
 
 
 def evaluate(a, b, threshold: float = DICE_THRESHOLD, peak: float = 1.0) -> MetricsReport:
+    _check_scales(peak, threshold)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     mse = _mse(a, b)  # shared by psnr and mse, the same value each computes

@@ -63,12 +63,16 @@ class CenterCurve:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"curve step must be > 0, got {self.step}")
-        if self.x_range[1] <= self.x_range[0]:
-            raise ValueError(f"empty x_range {self.x_range}")
-        if self.scale <= 0:
-            raise ValueError(f"curve scale must be > 0, got {self.scale}")
+        # written so that NaN (which fails every comparison) is rejected too
+        for name in ("coefficient", "span", "offset"):
+            if not all(abs(v) < math.inf for v in np.ravel(getattr(self, name))):
+                raise ValueError(f"curve {name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"curve step must be finite and > 0, got {self.step}")
+        if not -math.inf < self.x_range[0] < self.x_range[1] < math.inf:
+            raise ValueError(f"x_range must be finite and non-empty, got {self.x_range}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"curve scale must be finite and > 0, got {self.scale}")
         n = (self.x_range[1] - self.x_range[0]) / self.step
         if abs(n - round(n)) > 1e-9:
             raise ValueError(
@@ -86,11 +90,15 @@ class CenterCurve:
         return self.coefficient * (x - self.span) ** 2
 
 
-def default_curve_for_grid(nx: int, ny: int) -> CenterCurve:
-    """Default arch placement: horizontally centered, vertex at 60% of y."""
-    scale = min(nx, ny) / 256.0
-    vertex = CenterCurve().height(0.0)  # 100 for the default coefficients
-    return CenterCurve(offset=(nx / 2.0, 0.6 * ny - scale * vertex), scale=scale)
+def default_curve_for_grid(nx: int, ny: int, **fields) -> CenterCurve:
+    """The CenterCurve of the given fields placed on an (nx, ny) grid: scale
+    min(nx, ny)/256, centered horizontally, arch vertex at 60% of y. A given
+    scale or offset is kept; other fields not given keep their defaults."""
+    fields.setdefault("scale", min(nx, ny) / 256.0)
+    if "offset" not in fields:
+        vertex = CenterCurve(**fields).height(0.0)  # 100 for the default coefficients
+        fields["offset"] = (nx / 2.0, 0.6 * ny - fields["scale"] * vertex)
+    return CenterCurve(**fields)
 
 
 def make_centers(curve: CenterCurve) -> np.ndarray:
@@ -184,14 +192,19 @@ class GeometryConfig:
     def __post_init__(self):
         if self.width < 1 or self.n_samples < 1:
             raise ValueError("width and n_samples must be >= 1")
-        if self.delta <= 0 or self.angle_scale <= 0:
-            raise ValueError("delta and angle_scale must be > 0")
+        # written so that NaN (which fails every comparison) is rejected too
+        if not (0 < self.delta < math.inf and 0 < self.angle_scale < math.inf):
+            raise ValueError("delta and angle_scale must be finite and > 0")
+        if not (self.initial_angle is None or abs(self.initial_angle) < math.inf):
+            raise ValueError(f"initial_angle must be finite, got {self.initial_angle}")
         bad = [k for k in self.theta_overrides if k not in range(N_SEGMENTS)]
         if bad:
             raise ValueError(
                 f"theta_overrides keys must be segment indices 0..{N_SEGMENTS - 1}, "
                 f"got {bad}"
             )
+        if not all(0 < t < math.inf for t in self.theta_overrides.values()):
+            raise ValueError(f"theta_overrides must be finite and > 0, got {self.theta_overrides}")
 
     def schedule(self) -> tuple:
         thetas = []

@@ -37,8 +37,6 @@ from .ray_geometry import RayFan
 from .renderer import _MIP_AXES, as_pixels
 from .volume import DensityVolume, _as_f32_grid
 
-MIP_AXES = ("axial", "coronal", "sagittal")
-
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -54,12 +52,13 @@ class ReconConfig:
     mip_tie_tol: float = 1e-3    # width of the shared-maximum band
 
     def __post_init__(self):
-        if self.lambda1 < 0:
-            raise ValueError(f"lambda1 must be >= 0, got {self.lambda1}")
+        # written so that NaN (which fails every comparison) is rejected too
+        if not 0 <= self.lambda1 < math.inf:
+            raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if not 0 < self.backtrack_factor < 1:
             raise ValueError("backtrack_factor must be in (0, 1)")
         if self.max_halvings < 0:
@@ -69,10 +68,12 @@ class ReconConfig:
             raise ValueError(f"clamp must be finite with lo < hi, got {self.clamp}")
         if self.init not in ("rho", "zeros"):
             raise ValueError(f"init must be 'rho' or 'zeros', got {self.init!r}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.mip_tie_tol < 0:
-            raise ValueError(f"mip_tie_tol must be >= 0, got {self.mip_tie_tol}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0 <= self.mip_tie_tol < math.inf:
+            raise ValueError(f"mip_tie_tol must be finite and >= 0, got {self.mip_tie_tol}")
+        if math.isnan(self.tol):
+            raise ValueError("tol must not be NaN")
 
 
 @dataclass

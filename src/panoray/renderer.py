@@ -27,7 +27,9 @@ _F32_BELOW_ONE = np.nextafter(np.float32(1.0), np.float32(0.0))
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Rendering parameters.
+    """Rendering parameters. How a pixel samples the volume (sample count and
+    spacing) belongs to the fan it is rendered through; width must equal the
+    fan's ray count.
 
     threads is still accepted (and must be >= 1) for compatibility but has
     no effect: every render runs the same single code path, so outputs are
@@ -35,20 +37,15 @@ class RenderConfig:
     """
 
     beta: float = 0.02
-    n_samples: int = 200
-    delta: float = 1.0
     width: int = 256
     height: int = 128
     interpolation: str = "trilinear"
     threads: int = 1
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        # written so that NaN (which fails every comparison) is rejected too
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
         if self.interpolation not in INTERPOLATIONS:
@@ -113,11 +110,6 @@ def render_simpx(vol: DensityVolume, fan: RayFan, cfg: RenderConfig) -> SimPXIma
     if nz < cfg.height:
         raise DimsError(f"volume has {nz} slices, image height {cfg.height} needs more")
     fan.check_grid(nx, ny)
-    if fan.n_samples != cfg.n_samples or fan.delta != cfg.delta:
-        raise DimsError(
-            f"fan sampling (n={fan.n_samples}, delta={fan.delta}) does not match "
-            f"config (n={cfg.n_samples}, delta={cfg.delta})"
-        )
     sums = fan.operator(cfg.interpolation).forward(vol.data[:cfg.height])
     pixels = -np.expm1(-cfg.beta * fan.delta * sums)  # 1 - T without cancellation
     # extreme attenuation rounds 1 - T up to 1.0 in double precision; the

@@ -237,6 +237,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             image_candidates(px, fan, 0.02)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 0.0, -1.0])
+    def test_candidates_reject_bad_beta(self, beta):
+        # a negative or infinite beta used to clip every candidate to 0, so
+        # backproject wrote an all-zero rho and exited 0
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        with pytest.raises(ValueError, match="beta"):
+            image_candidates(np.full((4, 64), 0.3), fan, beta)
+
     def test_candidates_reject_empty_image(self):
         # numpy's zero-size reduction error used to escape here
         fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))

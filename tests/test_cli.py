@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ class TestRaymap:
         assert lines[0] == "RAYFAN1 256 200 1"
         assert len(lines) == 257
 
+    def test_golden_every_key(self, tmp_path):
+        # a file that sets every geometry key, each one changing the fan;
+        # the hash pins the whole parse-and-build path
+        geom = tmp_path / "g.txt"
+        geom.write_text(
+            "grid=40,48\nwidth=96\nn_samples=40\ndelta=0.8\nangle_scale=0.9\nbeta=0.15\n"
+            "coefficient=0.011\nspan=95\nx_range=-45,45\nstep=4.5\noffset=20,12\n"
+            "scale=0.15\ninitial_angle=95\ntheta_10=0.9\n"
+        )
+        out = tmp_path / "fan.txt"
+        assert run("raymap", "--geometry", geom, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "dfb8fa2087cbaeebbac275a4c08058860e293e9d49667e8fabe4c212295d9676"
+        )
+
 
 class TestBackproject:
     def test_uniform_round_trip(self, tmp_path):
@@ -130,6 +147,16 @@ class TestMetrics:
         assert "psnr=99" in out
         assert "dice=100" in out
         assert "threshold=0.2" in out
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_rejected(self, tmp_path, capsys, threshold):
+        # a NaN threshold used to binarize both volumes empty: dice=100
+        vol = tmp_path / "v.pvol"
+        run("phantom", "--kind", "sphere-set", "--dims", "8,8,8", "--out", vol)
+        assert run("metrics", "--a", vol, "--b", vol, "--threshold", threshold) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid value:")
+        assert captured.out == ""
 
     def test_custom_threshold(self, tmp_path, capsys):
         a, b = tmp_path / "a.pvol", tmp_path / "b.pvol"
@@ -227,6 +254,21 @@ class TestGeometryExtras:
             cli.load_geometry(geom)
         assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
         assert "error: malformed format:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "coefficient=nan", "span=nan", "scale=nan", "offset=nan,0", "initial_angle=nan",
+        "angle_scale=nan", "theta_3=nan", "delta=nan", "step=nan", "x_range=nan,40",
+        "scale=inf", "delta=inf", "theta_3=inf",
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, line):
+        # these used to write NaN rays, silently drop rotation steps, or fail
+        # with a bare float-to-int conversion error
+        geom = tmp_path / "g.txt"
+        geom.write_text(f"grid=32,32\nwidth=64\n{line}\n")
+        out = tmp_path / "fan.txt"
+        assert run("raymap", "--geometry", geom, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: invalid value:")
+        assert not out.exists()
 
     def test_theta_keys_at_segment_bounds(self, tmp_path):
         geom = tmp_path / "g.txt"

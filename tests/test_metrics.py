@@ -74,6 +74,14 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(b, a, mask=np.ones((2, 2, 2), dtype=bool))
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_peak_rejected(self, peak):
+        # min(99.0, nan) kept the cap, so a NaN peak used to score 99 dB
+        a, b = rand_volume((2, 8, 8), 1), rand_volume((2, 8, 8), 2)
+        for fn in (psnr, ssim, evaluate):
+            with pytest.raises(ValueError, match="peak"):
+                fn(a, b, peak=peak)
+
 
 class TestDice:
     def test_identity(self):
@@ -95,6 +103,14 @@ class TestDice:
         b[0, :2, :4] = 1.0
         b[1, :2, :4] = 1.0
         assert dice(a, b) == pytest.approx(200.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # every comparison with NaN is false, so both sets came out empty: 100
+        a, b = rand_volume((2, 8, 8), 3), rand_volume((2, 8, 8), 4)
+        for fn in (dice, evaluate):
+            with pytest.raises(ValueError, match="threshold"):
+                fn(a, b, threshold=threshold)
 
     def test_empty_empty(self):
         z = np.zeros((4, 4, 4))

@@ -138,7 +138,7 @@ def test_nearest_render_uniform_exact():
     cfg = RenderConfig(height=4, interpolation="nearest")
     px = render_simpx(vol, fan, cfg).pixels[:, fan.sample_counts == 200]
     assert np.unique(px).size == 1
-    assert px[0, 0] == pytest.approx(-math.expm1(-cfg.beta * 0.5 * 200 * cfg.delta), abs=1e-15)
+    assert px[0, 0] == pytest.approx(-math.expm1(-cfg.beta * 0.5 * 200 * fan.delta), abs=1e-15)
 
 
 def test_operator_cached_per_mode(fan):

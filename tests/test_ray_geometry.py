@@ -61,11 +61,35 @@ class TestCenters:
         assert curve.scale == pytest.approx(0.25)
         assert pts[10] == pytest.approx((32.0, 0.6 * 64))
 
+    def test_placement_of_given_fields(self):
+        # one placement rule for any curve: centered in x, vertex at 60% of y
+        curve = default_curve_for_grid(64, 48, coefficient=0.02, span=80.0)
+        pts = make_centers(curve)
+        assert curve.scale == pytest.approx(48 / 256)
+        assert pts[10] == pytest.approx((32.0, 0.6 * 48))
+        scaled = default_curve_for_grid(64, 64, scale=0.5)
+        assert make_centers(scaled)[10] == pytest.approx((32.0, 0.6 * 64))
+
+    def test_given_offset_is_kept(self):
+        curve = default_curve_for_grid(64, 64, offset=(1.0, 2.0))
+        assert curve.offset == (1.0, 2.0)
+        assert curve.scale == 0.25
+
     def test_bad_step(self):
         with pytest.raises(ValueError):
             CenterCurve(step=0.0)
         with pytest.raises(ValueError):
             CenterCurve(step=7.0)  # does not divide the range
+
+    @pytest.mark.parametrize("field, value", [
+        ("coefficient", math.nan), ("span", math.inf), ("step", math.nan),
+        ("scale", math.nan), ("scale", math.inf), ("x_range", (math.nan, 40.0)),
+        ("x_range", (-50.0, math.inf)), ("offset", (math.nan, 0.0)), ("offset", (0.0, -math.inf)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        # NaN used to slip past every check and place NaN centers
+        with pytest.raises(ValueError, match=field):
+            CenterCurve(**{field: value})
 
 
 class TestAngleSchedule:
@@ -254,6 +278,20 @@ class TestScheduleOverrides:
     def test_override_key_outside_segments_rejected(self, key):
         with pytest.raises(ValueError):
             GeometryConfig(theta_overrides={key: 0.5})
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -0.5])
+    def test_override_value_must_be_finite_and_positive(self, theta):
+        # a NaN step used to emit no rotation rays for its segment
+        with pytest.raises(ValueError, match="theta_overrides"):
+            GeometryConfig(theta_overrides={3: theta})
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta", math.nan), ("delta", math.inf), ("angle_scale", math.nan),
+        ("angle_scale", math.inf), ("initial_angle", math.nan), ("initial_angle", -math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GeometryConfig(**{field: value})
 
     def test_override_keys_at_segment_bounds(self):
         cfg = GeometryConfig(theta_overrides={0: 0.25, 19: 0.75})

@@ -234,6 +234,19 @@ class TestReconConfig:
     def test_accepts_edges(self):
         assert ReconConfig(max_halvings=0, clamp=(0.0, 0.2)).max_halvings == 0
 
+    @pytest.mark.parametrize("name", ["lambda1", "step_size", "beta", "mip_tie_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, name, value):
+        # each of these used to be accepted and failed later, if at all
+        with pytest.raises(ValueError, match=name):
+            ReconConfig(**{name: value})
+
+    def test_tol_rejects_only_nan(self):
+        with pytest.raises(ValueError, match="tol"):
+            ReconConfig(tol=np.nan)
+        for tol in (np.inf, -np.inf, -1.0, 0.0):
+            assert ReconConfig(tol=tol).tol == tol
+
 
 class TestWorkspace:
     # each case exercises the loop's branches: (phantom seed, config kwargs,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestRenderSimPX:
         vol = make_phantom("uniform:0.5", (128, 256, 256))
         img = render_simpx(vol, fan256, cfg)
         full = fan256.sample_counts == 200
-        expected = 1.0 - math.exp(-cfg.beta * 0.5 * 200 * cfg.delta)
+        expected = 1.0 - math.exp(-cfg.beta * 0.5 * 200 * fan256.delta)
         px = img.pixels[:, full]
         assert np.abs(px - expected).max() < 1e-9
         # all full-length rays agree exactly
@@ -125,7 +126,7 @@ class TestRenderSimPX:
                     ]
                 )
                 dens = sample_trilinear(vol, pts)
-                expected = 1.0 - transmittance(dens, cfg.delta, cfg.beta)
+                expected = 1.0 - transmittance(dens, fan32.delta, cfg.beta)
                 assert img.pixels[j, i] == pytest.approx(expected, abs=1e-12)
 
     def test_nearest_mode(self, fan32):
@@ -269,13 +270,6 @@ class TestSaturation:
 
 
 class TestConfigMismatches:
-    def test_fan_sampling_must_match_config(self, fan32):
-        vol = make_phantom("uniform:0.2", (4, 32, 32))
-        with pytest.raises(DimsError, match="sampling"):
-            render_simpx(vol, fan32, RenderConfig(width=64, height=4, n_samples=100))
-        with pytest.raises(DimsError, match="sampling"):
-            render_simpx(vol, fan32, RenderConfig(width=64, height=4, delta=0.5))
-
     def test_nearest_matches_volume_sampler(self, fan32):
         # the image path and the volume-level nearest sampler agree
         from panoray.volume import sample_trilinear
@@ -292,7 +286,7 @@ class TestConfigMismatches:
             ]
         )
         dens = sample_trilinear(vol, pts, mode="nearest")
-        expected = 1.0 - transmittance(dens, cfg.delta, cfg.beta)
+        expected = 1.0 - transmittance(dens, fan32.delta, cfg.beta)
         assert img.pixels[0, 10] == pytest.approx(expected, abs=1e-12)
 
 
@@ -334,3 +328,13 @@ class TestRenderConfigModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="interpolation"):
             RenderConfig(interpolation="cubic")
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            RenderConfig(beta=beta)
+
+    def test_sampling_belongs_to_the_fan(self):
+        # sample count and spacing are read from the fan, not copied here
+        names = [f.name for f in dataclasses.fields(RenderConfig)]
+        assert names == ["beta", "width", "height", "interpolation", "threads"]
