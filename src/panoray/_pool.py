@@ -1,0 +1,61 @@
+"""Independent blocks of work on a few threads.
+
+The operators and SSIM split their work into blocks (slice blocks, single
+slices) that read shared inputs, write disjoint outputs and carry no state
+from one block to the next. So a block's result does not depend on which
+worker runs it or when, and the output is bit-identical at any thread
+count. numpy releases the interpreter lock inside its gathers, matmuls and
+ufunc loops, which is where the blocks spend their time.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from numbers import Integral
+
+
+def check_threads(threads) -> None:
+    """ValueError unless threads is an integer >= 1."""
+    if isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
+def worker_count(threads, n_blocks: int) -> int:
+    """Workers for n_blocks blocks: min(threads, os.cpu_count(), n_blocks), at least 1."""
+    check_threads(threads)
+    return max(1, min(int(threads), os.cpu_count() or 1, n_blocks))
+
+
+def run_blocks(task, items, threads, scratch=lambda: None) -> list:
+    """[task(item, buffers) for item in items] on worker_count(threads,
+    len(items)) threads; one worker runs serially and starts no pool.
+
+    Each worker calls scratch() once for buffers of its own and passes them
+    to every task it runs. Workers take the next item as they free up; the
+    results are in item order whichever worker ran each."""
+    n = worker_count(threads, len(items))
+    if n == 1:
+        buffers = scratch()
+        return [task(item, buffers) for item in items]
+    results = [None] * len(items)
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        buffers = scratch()
+        while True:
+            with lock:
+                k = next(pending, None)
+            if k is None:
+                return
+            results[k] = task(items[k], buffers)
+
+    # imported here: it adds about 10 ms to the package's import time,
+    # which callers that never start a pool need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n) as pool:
+        for future in [pool.submit(work) for _ in range(n)]:
+            future.result()
+    return results

@@ -58,12 +58,13 @@ def crossing_counts(fan: RayFan, dims) -> np.ndarray:
     return np.broadcast_to(fan.operator().counts, (nz, ny, nx)).copy()
 
 
-def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMap:
+def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims, *,
+                  threads: int = 1) -> BackProjectionMap:
     """Mean of per-pixel candidate densities over each voxel's crossing set.
 
     candidates has one value per image pixel, shape (nz, n_rays): row j holds
     the candidates of slice j's pixels, each in [0, 1] as image_candidates
-    returns them.
+    returns them. threads as for FanOperator.ray_mean.
     """
     nz, ny, nx = (int(d) for d in dims)
     fan.check_grid(nx, ny)
@@ -82,7 +83,7 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
     # map's invariants hold by construction. counts is a read-only view,
     # since the pattern is the same in every slice
     return BackProjectionMap._unchecked(np.broadcast_to(op.counts, (nz, ny, nx)),
-                                        op.ray_mean(candidates))
+                                        op.ray_mean(candidates, threads=threads))
 
 
 def invert_pixel_to_candidate(

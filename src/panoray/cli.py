@@ -1,12 +1,13 @@
 """Command-line entry point wiring phantoms, rendering, back-projection,
 reconstruction, metrics and export together.
 
-Every subcommand still accepts --threads for compatibility, but it has no
-effect: rendering, back-projection and reconstruction run one
-single-threaded code path through the fan's system matrix, so outputs are
-bit-identical whatever thread count is given. --deterministic is accepted
-for the same reason and changes nothing (there is no non-deterministic
-path to disable).
+--threads N (default: the CPU count) caps the worker threads of render,
+backproject, reconstruct and metrics: the fan's system matrix projects
+blocks of slices on them, and SSIM scores slices on them. Every block is
+computed the same way whichever worker runs it, so outputs are
+bit-identical at any thread count. That is also why --deterministic is
+accepted but changes nothing: there is no non-deterministic path to
+disable.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import sys
 
 from . import backproject, metrics, ray_geometry, reconstructor, renderer, volume
+from ._pool import check_threads
 from .errors import DimsError, FormatError
 
 # geometry-file keys and their parsers by the config that owns their defaults;
@@ -101,9 +103,9 @@ def _geometry_setup(args, overrides=None, grid=None):
         if grid is not None and file_grid != grid:
             raise DimsError(f"geometry grid {file_grid} does not match volume {grid}")
         grid = file_grid
-    grid = grid or (256, 256)
+    grid = grid or ray_geometry.DEFAULT_GRID
     fan = ray_geometry.build_fan(build_geometry(raw, grid), bounds=grid)
-    return fan, float(raw.get("beta", 0.02))
+    return fan, float(raw.get("beta", renderer.RenderConfig.beta))
 
 
 def _cmd_phantom(args):
@@ -138,7 +140,7 @@ def _cmd_backproject(args):
     fan, beta = _geometry_setup(args)
     nx, ny = fan.bounds
     cands = backproject.image_candidates(img, fan, beta)
-    bmap = backproject.aggregate_rho(fan, cands, (img.dims[0], ny, nx))
+    bmap = backproject.aggregate_rho(fan, cands, (img.dims[0], ny, nx), threads=args.threads)
     volume.save_raw_volume(bmap.counts, args.out_counts)
     volume.save_raw_volume(bmap.rho, args.out_rho)
     return 0
@@ -149,30 +151,30 @@ def _cmd_reconstruct(args):
     fan, beta = _geometry_setup(args)
     nx, ny = fan.bounds
     dims = (img.dims[0], ny, nx)
-    truth = volume.load_volume(args.truth) if args.truth else None
-    if truth is not None and truth.dims != dims:
+    # checked before solving, but held as float32 through the solve, half
+    # the size of the float64 volume that metrics reads afterwards
+    truth = volume.load_volume_f32(args.truth) if args.truth else None
+    if truth is not None and truth.shape != dims:
         raise DimsError(
-            f"truth volume dims {truth.dims} do not match the reconstruction "
+            f"truth volume dims {truth.shape} do not match the reconstruction "
             f"dims {dims}; set grid=<nx>,<ny> in the geometry file"
         )
     flags = {"lambda1": args.lambda1, "max_iters": args.iters, "step_size": args.step,
              "init": args.init}
     cfg = reconstructor.ReconConfig(beta=beta, **{k: v for k, v in flags.items() if v is not None})
-    result, report = reconstructor.reconstruct(
-        img, fan, cfg, ground_truth=truth, threads=args.threads
-    )
+    result, report = reconstructor.reconstruct(img, fan, cfg, threads=args.threads)
     volume.save_volume(result, args.out)
     if args.report:
         reconstructor.save_report(report, args.report)
-    if report.final_metrics is not None:
-        print(report.final_metrics.format_line())
+    if truth is not None:
+        print(metrics.evaluate(result, truth, threads=args.threads).format_line())
     return 0
 
 
 def _cmd_metrics(args):
     a = volume.load_volume(args.a)
     b = volume.load_volume(args.b)
-    report = metrics.evaluate(a, b, threshold=args.threshold)
+    report = metrics.evaluate(a, b, threshold=args.threshold, threads=args.threads)
     print(report.format_line())
     return 0
 
@@ -202,11 +204,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads", type=int, default=max(1, os.cpu_count() or 1),
-        help="accepted for compatibility; has no effect (one deterministic code path)",
+        help="most worker threads for projections and SSIM (default: the CPU count); "
+             "outputs are identical at any count",
     )
     common.add_argument(
         "--deterministic", action="store_true",
-        help="accepted for compatibility; has no effect (outputs are always deterministic)",
+        help="accepted for compatibility; has no effect (outputs are identical at any "
+             "thread count)",
     )
 
     p = argparse.ArgumentParser(prog="panoray", description=__doc__)
@@ -275,6 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        check_threads(args.threads)
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)

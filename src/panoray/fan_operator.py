@@ -24,6 +24,11 @@ zero-padded to the longest row of their bucket. A voxel-major block of
 slices (a fixed byte budget of them) is applied one chunk of bucket rows
 at a time: `take` gathers the rows' inputs into a bounded temporary and a
 batched `matmul` contracts them with the weights.
+
+Blocks write disjoint output rows, so forward, adjoint and ray_mean run
+them on up to `threads` workers (see _pool). The block size does not depend
+on the thread count, so every sum is taken in the same order and the
+outputs are bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._pool import run_blocks
 
 INTERPOLATIONS = ("trilinear", "nearest")
 # bytes of a voxel-major block of slices and of one gathered chunk
@@ -157,19 +164,20 @@ class FanOperator:
         counts.flags.writeable = False  # shared: aggregate_rho returns views of it
         return counts
 
-    def _blocks(self, nz: int):
-        for z0 in range(0, nz, self.block):
-            yield z0, min(nz, z0 + self.block)
+    def _blocks(self, nz: int) -> list:
+        return [(z0, min(nz, z0 + self.block)) for z0 in range(0, nz, self.block)]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays)."""
+    def forward(self, x: np.ndarray, *, threads: int = 1) -> np.ndarray:
+        """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays).
+
+        Blocks of slices run on up to `threads` workers (see _pool); the
+        result is the same at any thread count."""
         flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
         nz = len(flat)
         out = np.empty((nz, self.n_rays), dtype=np.float64)
-        # one voxel-major workspace per call, filled by copy, so the shift
-        # never writes the caller's data
-        work = np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64)
-        for z0, z1 in self._blocks(nz):
+
+        def block(zs, work):
+            z0, z1 = zs
             xt = work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0)
             np.copyto(xt, flat[z0:z1].T)
             m = flat[z0:z1].min(axis=1)
@@ -179,9 +187,14 @@ class FanOperator:
             out[z0:z1] = _apply(self._rows, xt, self.n_rays).T
             if shift:
                 out[z0:z1] += m[:, None] * self.sample_counts
+
+        # one voxel-major workspace per worker, filled by copy, so the shift
+        # never writes the caller's data
+        run_blocks(block, self._blocks(nz), threads,
+                   lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
         return out
 
-    def _transpose(self, r: np.ndarray, pattern: bool, out=None) -> np.ndarray:
+    def _transpose(self, r: np.ndarray, pattern: bool, out, threads: int) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         nx, ny = self.bounds
         if out is None:
@@ -193,24 +206,30 @@ class FanOperator:
                 f"{(len(r), ny, nx)}, got {out.dtype} {out.shape}"
             )
         flat = out.reshape(len(r), self.n_voxels)
-        for z0, z1 in self._blocks(len(r)):
+        cols = self._cols  # built here, not once per worker
+
+        def block(zs, _):
+            z0, z1 = zs
             rt = np.ascontiguousarray(r[z0:z1].T)
-            vt = _apply(self._cols, rt, self.n_voxels, pattern)
+            vt = _apply(cols, rt, self.n_voxels, pattern)
             # tiled: one whole-block strided copy runs several times slower
             for v0 in range(0, self.n_voxels, _TILE):
                 flat[z0:z1, v0:v0 + _TILE] = vt[v0:v0 + _TILE].T
+
+        run_blocks(block, self._blocks(len(r)), threads)
         return out
 
-    def adjoint(self, r: np.ndarray, *, out=None) -> np.ndarray:
+    def adjoint(self, r: np.ndarray, *, out=None, threads: int = 1) -> np.ndarray:
         """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx).
 
         out, if given, is a C-contiguous float64 (nz, ny, nx) array that
-        receives the result and is returned."""
-        return self._transpose(r, pattern=False, out=out)
+        receives the result and is returned. Blocks of rows run on up to
+        `threads` workers; the result is the same at any thread count."""
+        return self._transpose(r, False, out, threads)
 
-    def ray_mean(self, c: np.ndarray) -> np.ndarray:
+    def ray_mean(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Mean of c_j over the rays crossing each voxel, 0 where none does:
-        (nz, n_rays) -> (nz, ny, nx)."""
-        sums = self._transpose(c, pattern=True)
+        (nz, n_rays) -> (nz, ny, nx). threads as for adjoint."""
+        sums = self._transpose(c, True, None, threads)
         # uncovered voxels hold exact zeros, which stay 0 / 1
         return np.divide(sums, np.maximum(self.counts, 1), out=sums)

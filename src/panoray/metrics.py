@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import check_threads, run_blocks
 from .errors import DimsError
 from .volume import DensityVolume
 
@@ -113,11 +114,12 @@ def _window_sums(x: np.ndarray, w: int, rows: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def ssim(a, b, peak: float = 1.0) -> float:
+def ssim(a, b, peak: float = 1.0, *, threads: int = 1) -> float:
     """Mean structural similarity over axial slices, in percent.
 
     Uniform 7x7 window in valid mode, stabilizers k1=0.01 / k2=0.03 on the
-    given dynamic range.
+    given dynamic range. Slices run on up to `threads` workers (see _pool);
+    the value is the same at any thread count.
     """
     _check_scales(peak=peak)
     a, b = _data(a), _data(b)
@@ -130,17 +132,18 @@ def ssim(a, b, peak: float = 1.0) -> float:
         )
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
-    # one slice at a time through buffers allocated once, so a slice's
-    # working set stays in cache; the five window means are kept apart so
-    # that ssim(v, v) is exactly 100
-    rows = np.empty((ny - w + 1, nx))
-    prod = np.empty((ny, nx))
-    means = np.empty((5, ny - w + 1, nx - w + 1))
-    mx, my, vx, vy, cov = means
-    num = np.empty_like(mx)
-    den = np.empty_like(mx)
-    slice_means = []
-    for j in range(nz):
+
+    # one slice at a time through buffers allocated once per worker, so a
+    # slice's working set stays in cache; the five window means are kept
+    # apart so that ssim(v, v) is exactly 100
+    def buffers():
+        means = np.empty((5, ny - w + 1, nx - w + 1))
+        return (np.empty((ny - w + 1, nx)), np.empty((ny, nx)), means,
+                np.empty_like(means[0]), np.empty_like(means[0]))
+
+    def slice_mean(j, bufs):
+        rows, prod, means, num, den = bufs
+        mx, my, vx, vy, cov = means
         x, y = a[j], b[j]
         _window_sums(x, w, rows, mx)
         _window_sums(y, w, rows, my)
@@ -167,18 +170,22 @@ def ssim(a, b, peak: float = 1.0) -> float:
         vx += c2
         den *= vx
         num /= den
-        slice_means.append(np.mean(num))
-    return 100.0 * float(np.mean(slice_means))
+        return np.mean(num)
+
+    return 100.0 * float(np.mean(run_blocks(slice_mean, range(nz), threads, buffers)))
 
 
-def evaluate(a, b, threshold: float = DICE_THRESHOLD, peak: float = 1.0) -> MetricsReport:
+def evaluate(a, b, threshold: float = DICE_THRESHOLD, peak: float = 1.0, *,
+             threads: int = 1) -> MetricsReport:
+    """PSNR, SSIM, Dice and MSE of a against b; threads as for ssim."""
     _check_scales(peak, threshold)
+    check_threads(threads)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     mse = _mse(a, b)  # shared by psnr and mse, the same value each computes
     return MetricsReport(
         psnr=_psnr_db(mse, peak),
-        ssim=ssim(a, b, peak=peak),
+        ssim=ssim(a, b, peak=peak, threads=threads),
         dice=dice(a, b, threshold=threshold),
         mse=mse,
         threshold=threshold,

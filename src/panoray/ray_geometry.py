@@ -38,6 +38,8 @@ _THETA_SMALL = 0.5
 _THETA_LARGE = 1.5
 _THETA_DEFAULT = 0.6
 N_SEGMENTS = 20
+# (nx, ny) axial grid of a fan built without one
+DEFAULT_GRID = (256, 256)
 
 
 def angle_for_center(i: int) -> float:
@@ -228,10 +230,10 @@ def extract_rays(
     centers,
     angle_schedule,
     initial_angle: float | None = None,
-    width: int = 256,
-    bounds: tuple[int, int] = (256, 256),
-    delta: float = 1.0,
-    n_samples: int = 200,
+    width: int = GeometryConfig.width,
+    bounds: tuple[int, int] = DEFAULT_GRID,
+    delta: float = GeometryConfig.delta,
+    n_samples: int = GeometryConfig.n_samples,
 ) -> RayFan:
     """Emit the rotating fan over all center segments as (center index,
     angle) pairs, fit it to `width`, and return it sampled (see RayFan).
@@ -349,7 +351,7 @@ def sample_points(ray: Ray, n_samples: int, delta: float, bounds) -> Ray:
                samples=xy[0, :counts[0]])
 
 
-def build_fan(config: GeometryConfig | None = None, bounds=(256, 256)) -> RayFan:
+def build_fan(config: GeometryConfig | None = None, bounds=DEFAULT_GRID) -> RayFan:
     """Construct and sample the full fan for an (nx, ny) axial grid."""
     cfg = config if config is not None else GeometryConfig()
     nx, ny = int(bounds[0]), int(bounds[1])

@@ -31,10 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backproject, metrics
+from ._pool import check_threads
 from .errors import DimsError
 from .fan_operator import FanOperator
 from .ray_geometry import RayFan
-from .renderer import _MIP_AXES, as_pixels
+from .renderer import _MIP_AXES, RenderConfig, as_pixels
 from .volume import DensityVolume, _as_f32_grid
 
 
@@ -47,7 +48,7 @@ class ReconConfig:
     max_halvings: int = 30
     init: str = "rho"            # "rho" (back-projection) or "zeros"
     tol: float = 1e-7            # relative loss decrease to keep iterating
-    beta: float = 0.02
+    beta: float = RenderConfig.beta
     clamp: tuple[float, float] = (0.0, 1.0)
     mip_tie_tol: float = 1e-3    # width of the shared-maximum band
 
@@ -118,15 +119,16 @@ def _check_mips(target_mips, dims) -> dict:
     return out
 
 
-def _opacity(est: np.ndarray, op: FanOperator, beta: float, delta: float) -> np.ndarray:
+def _opacity(est: np.ndarray, op: FanOperator, beta: float, delta: float,
+             threads: int = 1) -> np.ndarray:
     """Opacity image of the current estimate, all slices of est."""
-    return -np.expm1(-beta * delta * op.forward(est))
+    return -np.expm1(-beta * delta * op.forward(est, threads=threads))
 
 
-def _loss_terms(est, y, mips, fan, beta, lambda1):
+def _loss_terms(est, y, mips, fan, beta, lambda1, threads=1):
     """total, mse_img, mse_mip, and the predicted image and MIP projections
     of est, which _gradient can reuse at the same est."""
-    pred = _opacity(est, fan.operator(), beta, fan.delta)
+    pred = _opacity(est, fan.operator(), beta, fan.delta, threads)
     mse_img = float(np.sum((pred - y) ** 2))
     mse_mip = 0.0
     projs = {}
@@ -154,14 +156,14 @@ def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
 
 
 def _gradient(est, y, mips, fan, beta, lambda1, pred, projs,
-              tie_tol: float = 1e-3, out=None):
+              tie_tol: float = 1e-3, out=None, threads: int = 1):
     """Gradient at est; pred and projs are the predicted image and the MIP
     projections of this same est, as _loss_terms returns them."""
     op = fan.operator()
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
-    grad = op.adjoint(coeff, out=out)
+    grad = op.adjoint(coeff, out=out, threads=threads)
 
     for axis, tgt in mips.items():
         ax = _MIP_AXES[axis]
@@ -195,9 +197,12 @@ def reconstruct(
 
     Returns the recovered volume (dims: target height x fan grid) and a
     report with one loss row per accepted iterate, monotone by construction.
-    threads is still accepted for compatibility but has no effect: there is
-    one code path, so results are deterministic.
+    threads, an integer >= 1, caps the workers that run the forward and
+    adjoint projections, the back-projection and the final SSIM (see
+    fan_operator and metrics.ssim); the result is the same at any thread
+    count. The solver's whole-volume arithmetic runs on the calling thread.
     """
+    check_threads(threads)
     y = as_pixels(target_img, fan.n_rays)
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
@@ -208,12 +213,12 @@ def reconstruct(
         x = np.zeros(dims, dtype=np.float64)
     else:
         cands = backproject.image_candidates(y, fan, cfg.beta)
-        x = backproject.aggregate_rho(fan, cands, dims).rho
+        x = backproject.aggregate_rho(fan, cands, dims, threads=threads).rho
         np.clip(x, lo, hi, out=x)
 
     report = ReconReport()
     total, mse_img, mse_mip, pred, projs = _loss_terms(
-        x, y, mips, fan, cfg.beta, cfg.lambda1
+        x, y, mips, fan, cfg.beta, cfg.lambda1, threads
     )
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss at initialization: {total}")
@@ -244,7 +249,7 @@ def reconstruct(
             break
         older, grad = grad, _gradient(
             x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, projs=projs,
-            tie_tol=cfg.mip_tie_tol, out=older,
+            tie_tol=cfg.mip_tie_tol, out=older, threads=threads,
         )
         if s is not None:
             # spectral step guess from the last accepted move, safeguarded;
@@ -261,7 +266,7 @@ def reconstruct(
             np.subtract(x, trial, out=trial)
             np.clip(trial, lo, hi, out=trial)
             t_total, t_img, t_mip, t_pred, t_projs = _loss_terms(
-                trial, y, mips, fan, cfg.beta, cfg.lambda1
+                trial, y, mips, fan, cfg.beta, cfg.lambda1, threads
             )
             if not np.isfinite(t_total):
                 raise RuntimeError(f"non-finite loss during line search: {t_total}")
@@ -289,5 +294,5 @@ def reconstruct(
 
     result = DensityVolume(_as_f32_grid(np.clip(x, 0.0, 1.0, out=x)))
     if ground_truth is not None:
-        report.final_metrics = metrics.evaluate(result, ground_truth)
+        report.final_metrics = metrics.evaluate(result, ground_truth, threads=threads)
     return result, report

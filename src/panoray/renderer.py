@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import check_threads
 from .errors import DimsError
 from .fan_operator import INTERPOLATIONS
 from .ray_geometry import RayFan
@@ -31,9 +32,8 @@ class RenderConfig:
     spacing) belongs to the fan it is rendered through; width must equal the
     fan's ray count.
 
-    threads is still accepted (and must be >= 1) for compatibility but has
-    no effect: every render runs the same single code path, so outputs are
-    deterministic.
+    threads, an integer >= 1, caps the workers that project blocks of
+    slices (see fan_operator); the image is the same at any thread count.
     """
 
     beta: float = 0.02
@@ -50,8 +50,7 @@ class RenderConfig:
             raise ValueError("width and height must be >= 1")
         if self.interpolation not in INTERPOLATIONS:
             raise ValueError(f"unknown interpolation mode: {self.interpolation!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        check_threads(self.threads)
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def render_simpx(vol: DensityVolume, fan: RayFan, cfg: RenderConfig) -> SimPXIma
     if nz < cfg.height:
         raise DimsError(f"volume has {nz} slices, image height {cfg.height} needs more")
     fan.check_grid(nx, ny)
-    sums = fan.operator(cfg.interpolation).forward(vol.data[:cfg.height])
+    sums = fan.operator(cfg.interpolation).forward(vol.data[:cfg.height], threads=cfg.threads)
     pixels = -np.expm1(-cfg.beta * fan.delta * sums)  # 1 - T without cancellation
     # extreme attenuation rounds 1 - T up to 1.0 in double precision; the
     # image contract is [0, 1), so saturate just below

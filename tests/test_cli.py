@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from panoray import cli
+from panoray import cli, fan_operator
 from panoray.errors import FormatError
 from panoray.renderer import load_image
 from panoray.volume import load_raw_volume, load_volume
@@ -138,6 +138,36 @@ class TestReconstruct:
         assert "psnr=" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("truth, error", [
+        ("missing", "missing file"),
+        ("malformed", "malformed format"),
+        ("out of range", "invalid value"),
+        ("wrong dims", "inconsistent dims"),
+    ])
+    def test_bad_truth_fails_before_solving(self, tmp_path, capsys, monkeypatch,
+                                            truth, error):
+        geom = tmp_path / "g.txt"
+        geom.write_text("grid=16,16\nwidth=48\n")
+        vol, img, bad = tmp_path / "v.pvol", tmp_path / "v.pimg", tmp_path / "t.pvol"
+        run("phantom", "--kind", "uniform:0.4", "--dims", "4,16,16", "--out", vol)
+        run("render", "--vol", vol, "--geometry", geom, "--height", 4, "--out", img)
+        if truth == "malformed":
+            bad.write_bytes(b"PVOL1 4 16 16\n" + b"\x00" * 8)
+        elif truth == "out of range":
+            bad.write_bytes(b"PVOL1 4 16 16\n"
+                            + np.full((4, 16, 16), 1.5, dtype="<f4").tobytes())
+        elif truth == "wrong dims":
+            run("phantom", "--kind", "uniform:0.4", "--dims", "4,16,17", "--out", bad)
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the truth volume must be checked before solving")
+
+        monkeypatch.setattr(cli.reconstructor, "reconstruct", solve)
+        assert run("reconstruct", "--img", img, "--geometry", geom, "--truth", bad,
+                   "--out", tmp_path / "r.pvol") == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
 class TestMetrics:
     def test_identity(self, tmp_path, capsys):
         vol = tmp_path / "v.pvol"
@@ -198,6 +228,57 @@ class TestExport:
     def test_requires_exactly_one_input(self, tmp_path, capsys):
         assert run("export", "--format", "pgm", "--out", tmp_path / "x") == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["phantom", "render", "raymap", "backproject",
+                                         "reconstruct", "metrics", "export"])
+    def test_below_one_rejected(self, tmp_path, capsys, command, threads):
+        vol, img, out = tmp_path / "v.pvol", tmp_path / "v.pimg", tmp_path / "out"
+        run("phantom", "--kind", "uniform:0.4", "--dims", "4,32,32", "--out", vol)
+        assert run("render", "--vol", vol, "--out", img) == 0
+        args = {
+            "phantom": ["--kind", "uniform:0", "--dims", "4,4,4", "--out", out],
+            "render": ["--vol", vol, "--out", out],
+            "raymap": ["--out", out],
+            "export": ["--img", img, "--format", "pgm", "--out", out],
+            "backproject": ["--img", img, "--out-counts", out, "--out-rho", out],
+            "reconstruct": ["--img", img, "--out", out],
+            "metrics": ["--a", vol, "--b", vol],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *args, "--threads", threads) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid value: threads must be")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_multi_block_pipeline_identical(self, tmp_path, capsys):
+        # 40 slices of the default 256x256 grid make three operator blocks,
+        # and SSIM scores 40 slices, so two workers really split the work
+        nz = 40
+        assert fan_operator._BLOCK_BYTES // (8 * 256 * 256) < nz / 2
+        outputs = {}
+        for threads in (1, 2):
+            d = tmp_path / f"t{threads}"
+            d.mkdir()
+            vol, img, cnt, rho, rec, rep = (d / n for n in (
+                "v.pvol", "v.pimg", "c.pvol", "r.pvol", "rec.pvol", "rep.txt"))
+            for step in (
+                ("phantom", "--kind", "jaw-arch", "--dims", f"{nz},256,256", "--seed", 2,
+                 "--out", vol),
+                ("render", "--vol", vol, "--out", img),
+                ("backproject", "--img", img, "--out-counts", cnt, "--out-rho", rho),
+                ("reconstruct", "--img", img, "--iters", 2, "--out", rec, "--report", rep,
+                 "--truth", vol),
+                ("metrics", "--a", rec, "--b", vol),
+            ):
+                assert run(*step, "--threads", threads) == 0
+            printed = capsys.readouterr().out
+            assert printed.count("psnr=") == 2
+            outputs[threads] = (printed, *(p.read_bytes() for p in (vol, img, cnt, rho, rec, rep)))
+        assert outputs[1] == outputs[2]
 
 
 class TestDiagnostics:

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from panoray import _pool
 from panoray.errors import DimsError
 from panoray.metrics import (
     MetricsReport,
@@ -194,6 +198,22 @@ class TestSsim:
         a = make_phantom("jaw-arch", (2, 32, 32), seed=3).data
         noise = np.clip(a + rand_volume((2, 32, 32), 12) * 0.2, 0, 1)
         assert ssim(a, noise) < 100.0
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(7, 20), st.integers(7, 20),
+           st.integers(0, 2**32 - 1))
+    def test_bit_identical_at_any_thread_count(self, nz, ny, nx, seed):
+        # every slice is one block; three CPUs are reported so that
+        # threads=3 gets three workers
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0, 1, (nz, ny, nx)), rng.uniform(0, 1, (nz, ny, nx))
+        a.flags.writeable = b.flags.writeable = False  # the inputs are never written
+        want_ssim, want_report = ssim(a, b), evaluate(a, b)
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 2, 3):
+                assert ssim(a, b, threads=threads) == want_ssim
+                assert evaluate(a, b, threads=threads) == want_report
 
 
 class TestVolumeMse:

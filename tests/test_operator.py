@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from panoray import fan_operator
+from panoray import _pool, fan_operator
 from panoray.backproject import BackProjectionMap, aggregate_rho, crossing_counts
 from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
 from panoray.renderer import RenderConfig, render_simpx
@@ -266,6 +266,34 @@ class TestOperatorProperties:
                                            interpolation)
         assert np.allclose(op1.forward(x[::-1])[::-1], got, rtol=1e-12, atol=1e-12)
         assert np.array_equal(x, x_before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), modes, st.integers(1, 6), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_bit_identical_at_any_thread_count(self, fan, interpolation, nz, per_block,
+                                               seed):
+        # one or two slices per block, so up to six blocks for the workers to
+        # split; three CPUs are reported so that threads=3 gets three workers
+        nx, ny = fan.bounds
+        rng = np.random.default_rng(seed)
+        # slices with zero and with positive minima: shifted and unshifted blocks
+        x = rng.uniform(0.0, 1.0, (nz, ny, nx)) + 0.25 * rng.integers(0, 2, (nz, 1, 1))
+        r = rng.uniform(-1.0, 1.0, (nz, fan.n_rays))
+        c = rng.uniform(0.0, 1.0, (nz, fan.n_rays))
+        for a in (x, r, c):
+            a.flags.writeable = False  # the inputs are never written
+        with mock.patch.object(fan_operator, "_BLOCK_BYTES", per_block * 8 * nx * ny):
+            op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
+                                          fan.sample_counts, fan.bounds, interpolation)
+        assert op.block == per_block
+        want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 2, 3):
+                assert np.array_equal(op.forward(x, threads=threads), want_fwd)
+                assert np.array_equal(op.adjoint(r, threads=threads), want_adj)
+                buf = np.full((nz, ny, nx), np.nan)
+                assert op.adjoint(r, out=buf, threads=threads) is buf
+                assert np.array_equal(buf, want_adj)
+                assert np.array_equal(op.ray_mean(c, threads=threads), want_mean)
 
     @settings(max_examples=60, deadline=None)
     @given(fans(), st.integers(1, 4), st.data())

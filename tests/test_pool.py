@@ -1,0 +1,121 @@
+"""The worker pool: its thread rule, its cap, and block order under contention."""
+
+import os
+import sys
+import threading
+import time
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from panoray import _pool
+from panoray.backproject import aggregate_rho
+from panoray.metrics import evaluate, ssim
+from panoray.ray_geometry import GeometryConfig, build_fan
+from panoray.reconstructor import ReconConfig, reconstruct
+from panoray.renderer import RenderConfig
+
+BAD_THREADS = [0, -1, 1.5, 2.0, True, "2", None]
+
+
+class TestWorkerCount:
+    def test_capped_by_cpus_and_blocks(self):
+        # computed only: no thread is started for a huge request
+        cpus = os.cpu_count() or 1
+        assert _pool.worker_count(10**6, 10**9) == cpus
+        assert _pool.worker_count(10**6, 1) == 1
+        assert _pool.worker_count(10**6, 0) == 1
+        assert _pool.worker_count(1, 10**9) == 1
+        with mock.patch.object(_pool.os, "cpu_count", return_value=None):
+            assert _pool.worker_count(10**6, 10**9) == 1
+        with mock.patch.object(_pool.os, "cpu_count", return_value=64):
+            assert _pool.worker_count(10**6, 10**9) == 64
+            assert _pool.worker_count(3, 10**9) == 3
+            assert _pool.worker_count(10**6, 5) == 5
+
+    def test_numpy_integers_accepted(self):
+        assert _pool.worker_count(np.int64(1), 4) == 1
+
+    @pytest.mark.parametrize("threads", BAD_THREADS)
+    def test_rejects_non_integers_and_values_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            _pool.worker_count(threads, 4)
+
+
+class TestRunBlocks:
+    def test_serial_starts_no_thread(self):
+        seen = []
+        got = _pool.run_blocks(lambda item, buf: seen.append(threading.current_thread())
+                               or item * 2, range(5), 1)
+        assert got == [0, 2, 4, 6, 8]
+        assert set(seen) == {threading.current_thread()}
+
+    def test_worker_error_is_raised(self):
+        def task(item, _):
+            if item == 3:
+                raise RuntimeError("block 3")
+            return item
+
+        with mock.patch.object(_pool.os, "cpu_count", return_value=4):
+            with pytest.raises(RuntimeError, match="block 3"):
+                _pool.run_blocks(task, range(8), 4)
+
+    def test_more_workers_than_cores(self):
+        # eight workers on any machine, switching threads every microsecond:
+        # every item runs once, results come back in item order, and no
+        # worker's buffer is written by another worker between two reads
+        n_items, n_workers = 400, 8
+        runs = [0] * n_items
+        lock = threading.Lock()
+
+        def task(item, buf):
+            buf[0] = item
+            time.sleep(0)  # let other workers run before reading back
+            owner = buf[0]
+            with lock:
+                runs[item] += 1
+            return owner
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(_pool.os, "cpu_count", return_value=n_workers):
+                got = _pool.run_blocks(task, range(n_items), n_workers,
+                                       lambda: np.empty(1, dtype=np.int64))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == list(range(n_items))
+        assert runs == [1] * n_items
+
+
+def _entry_points():
+    """One call per public entry point that takes threads."""
+    fan = build_fan(GeometryConfig(width=32), bounds=(8, 8))
+    op = fan.operator()
+    vol = np.full((2, 8, 8), 0.25)
+    coeffs = np.full((2, fan.n_rays), 0.25)
+    img = np.full((2, fan.n_rays), 0.1)
+    return {
+        "forward": lambda t: op.forward(vol, threads=t),
+        "adjoint": lambda t: op.adjoint(coeffs, threads=t),
+        "ray_mean": lambda t: op.ray_mean(coeffs, threads=t),
+        "ssim": lambda t: ssim(vol, vol, threads=t),
+        "evaluate": lambda t: evaluate(vol, vol, threads=t),
+        "aggregate_rho": lambda t: aggregate_rho(fan, coeffs, vol.shape, threads=t),
+        "reconstruct": lambda t: reconstruct(img, fan, ReconConfig(max_iters=1), threads=t),
+        "RenderConfig": lambda t: RenderConfig(threads=t),
+    }
+
+
+ENTRY_POINTS = _entry_points()
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_checks_threads(name):
+    call = ENTRY_POINTS[name]
+    call(1)
+    call(np.int64(3))
+    for threads in BAD_THREADS:
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            call(threads)
