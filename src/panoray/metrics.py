@@ -43,7 +43,9 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean((a - b) ** 2))
+    d = a - b
+    np.square(d, out=d)  # the values (a - b) ** 2 gives, without a second temporary
+    return float(np.mean(d))
 
 
 def volume_mse(a, b) -> float:
@@ -93,10 +95,15 @@ def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
     _check_dims(a, b)
     fa = a > threshold
     fb = b > threshold
-    na, nb = int(fa.sum()), int(fb.sum())
+    return _dice_percent(int(fa.sum()), int(fb.sum()), int((fa & fb).sum()))
+
+
+def _dice_percent(na: int, nb: int, both: int) -> float:
+    """Dice in percent from the voxel counts above the threshold in a, in b
+    and in both."""
     if na == 0 and nb == 0:
         return 100.0
-    return 200.0 * int((fa & fb).sum()) / (na + nb)
+    return 200.0 * both / (na + nb)
 
 
 def _window_sums(x: np.ndarray, w: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -124,6 +131,15 @@ def ssim(a, b, peak: float = 1.0, *, threads: int = 1) -> float:
     _check_scales(peak=peak)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
+    means, _ = _slice_walk(a, b, peak, None, threads)
+    return 100.0 * float(np.mean(means))
+
+
+def _slice_walk(a, b, peak, threshold, threads):
+    """One pass over the axial slice pairs on up to `threads` workers: the
+    per-slice SSIM means in slice order and, for a threshold that is not
+    None, Dice's voxel counts (above it in a, in b, in both) summed over
+    the slices; the counts are integers, so they equal whole-volume counts."""
     w = _SSIM_WINDOW
     nz, ny, nx = a.shape
     if ny < w or nx < w:
@@ -139,10 +155,11 @@ def ssim(a, b, peak: float = 1.0, *, threads: int = 1) -> float:
     def buffers():
         means = np.empty((5, ny - w + 1, nx - w + 1))
         return (np.empty((ny - w + 1, nx)), np.empty((ny, nx)), means,
-                np.empty_like(means[0]), np.empty_like(means[0]))
+                np.empty_like(means[0]), np.empty_like(means[0]),
+                np.empty((ny, nx), dtype=bool), np.empty((ny, nx), dtype=bool))
 
-    def slice_mean(j, bufs):
-        rows, prod, means, num, den = bufs
+    def slice_pair(j, bufs):
+        rows, prod, means, num, den, above_a, above_b = bufs
         mx, my, vx, vy, cov = means
         x, y = a[j], b[j]
         _window_sums(x, w, rows, mx)
@@ -170,23 +187,38 @@ def ssim(a, b, peak: float = 1.0, *, threads: int = 1) -> float:
         vx += c2
         den *= vx
         num /= den
-        return np.mean(num)
+        if threshold is None:
+            return np.mean(num), None
+        np.greater(x, threshold, out=above_a)
+        np.greater(y, threshold, out=above_b)
+        counts = (np.count_nonzero(above_a), np.count_nonzero(above_b),
+                  np.count_nonzero(np.logical_and(above_a, above_b, out=above_a)))
+        return np.mean(num), counts
 
-    return 100.0 * float(np.mean(run_blocks(slice_mean, range(nz), threads, buffers)))
+    results = run_blocks(slice_pair, range(nz), threads, buffers)
+    means = [mean for mean, _ in results]
+    if threshold is None:
+        return means, None
+    return means, [sum(c) for c in zip(*(counts for _, counts in results))]
 
 
 def evaluate(a, b, threshold: float = DICE_THRESHOLD, peak: float = 1.0, *,
              threads: int = 1) -> MetricsReport:
-    """PSNR, SSIM, Dice and MSE of a against b; threads as for ssim."""
+    """PSNR, SSIM, Dice and MSE of a against b; threads as for ssim.
+
+    The values are those psnr, ssim, dice and volume_mse give; SSIM and the
+    Dice counts come from one walk over the slice pairs."""
     _check_scales(peak, threshold)
     check_threads(threads)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     mse = _mse(a, b)  # shared by psnr and mse, the same value each computes
+    psnr_db = _psnr_db(mse, peak)  # non-finite inputs fail before the slice walk
+    means, counts = _slice_walk(a, b, peak, threshold, threads)
     return MetricsReport(
-        psnr=_psnr_db(mse, peak),
-        ssim=ssim(a, b, peak=peak, threads=threads),
-        dice=dice(a, b, threshold=threshold),
+        psnr=psnr_db,
+        ssim=100.0 * float(np.mean(means)),
+        dice=_dice_percent(*counts),
         mse=mse,
         threshold=threshold,
     )

@@ -19,7 +19,7 @@ from ._pool import check_threads
 from .errors import DimsError
 from .fan_operator import INTERPOLATIONS
 from .ray_geometry import RayFan
-from .volume import DensityVolume, _read_f32_file
+from .volume import DensityVolume, _read_f32_file, _write_f32_file
 
 _PIMG_MAGIC = "PIMG1"
 # largest float32 strictly below 1, used to keep stored opacities in [0, 1)
@@ -136,19 +136,16 @@ def mip(vol: DensityVolume, axis: str) -> np.ndarray:
 
 def save_image(img: SimPXImage, path) -> None:
     """Write 'PIMG1 h w\\n' + row-major little-endian float32 pixels."""
-    h, w = img.dims
     payload = img.pixels.astype("<f4")
     # float32 rounding may bump a value just below 1 up to 1.0; keep the
     # stored file inside the documented [0, 1) range
-    payload = np.minimum(payload, _F32_BELOW_ONE)
-    with open(path, "wb") as fh:
-        fh.write(f"{_PIMG_MAGIC} {h} {w}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(payload).tobytes())
+    np.minimum(payload, _F32_BELOW_ONE, out=payload)
+    _write_f32_file(path, _PIMG_MAGIC, payload)
 
 
 def load_image(path) -> SimPXImage:
     """Read a PIMG1 file (pixels must lie in [0, 1))."""
-    return SimPXImage(_read_f32_file(path, _PIMG_MAGIC, 2))
+    return SimPXImage(_read_f32_file(path, _PIMG_MAGIC, 2, np.float64))
 
 
 def save_pgm16(pixels: np.ndarray, path) -> None:
@@ -159,7 +156,7 @@ def save_pgm16(pixels: np.ndarray, path) -> None:
     if not np.all(np.isfinite(px)):
         raise ValueError("PGM export needs finite pixels")
     h, w = px.shape
-    scaled = np.round(np.clip(px, 0.0, 1.0) * 65535.0).astype(">u2")
+    scaled = np.round(np.clip(px, 0.0, 1.0) * 65535.0).astype(">u2", order="C")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(scaled).tobytes())
+        fh.write(scaled)

@@ -5,11 +5,16 @@ voxel grid, stored z-major. Continuous coordinates are in voxel units with
 voxel (i, j, k) spanning the unit cube [i, i+1) x [j, j+1) x [k, k+1), so
 voxel centers sit at half-integer coordinates and the volume occupies the
 box [0, nz] x [0, ny] x [0, nx].
+
+PVOL1 files (and the PIMG1 images that share their layout) are streamed:
+values go to and from the file through one reused float32 buffer of about
+_READ_CHUNK bytes, never through a whole-volume temporary.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +22,30 @@ import numpy as np
 from .errors import DimsError, FormatError
 
 _PVOL_MAGIC = "PVOL1"
-_READ_CHUNK = 1 << 20  # bytes per payload read
+_READ_CHUNK = 1 << 20  # bytes per payload read, and per float32 slab
+
+
+def _f32_slabs(data: np.ndarray):
+    """Pairs (slab of data along its first axis, the slab's values cast to
+    little-endian float32) of about _READ_CHUNK bytes of float32 each. The
+    slabs are views, whatever data's memory layout (a broadcast view too),
+    and the float32 values live in one buffer that the next pair reuses."""
+    rows = max(1, min(len(data), _READ_CHUNK // max(1, 4 * math.prod(data.shape[1:]))))
+    buf = np.empty((rows, *data.shape[1:]), dtype="<f4")
+    for start in range(0, len(data), rows):
+        part = data[start:start + rows]
+        f32 = buf[:len(part)]
+        np.copyto(f32, part, casting="unsafe")  # the same cast as astype("<f4")
+        yield part, f32
 
 
 def _as_f32_grid(data: np.ndarray) -> np.ndarray:
-    # Quantize to float32-representable values so PVOL1 round trips are exact,
-    # but keep float64 in memory for downstream arithmetic.
-    return np.ascontiguousarray(data.astype(np.float32).astype(np.float64))
+    """Quantize the caller's float64 array in place to float32-representable
+    values, slab by slab, and return it. PVOL1 round trips are then exact,
+    while downstream arithmetic keeps float64."""
+    for part, f32 in _f32_slabs(data):
+        part[...] = f32
+    return data
 
 
 def _check_densities(data: np.ndarray) -> None:
@@ -220,7 +242,7 @@ def _jaw_arch(dims, seed):
         ) ** 2
         disk = dist2 <= tooth_r**2
         data[z0:z1, disk] = 1.0
-    return np.clip(data, 0.0, 1.0)
+    return np.clip(data, 0.0, 1.0, out=data)
 
 
 def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
@@ -288,15 +310,22 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
 # PVOL1 serialization
 # ----------------------------------------------------------------------
 
+def _write_f32_file(path, magic: str, data: np.ndarray) -> None:
+    """Write '<magic> d1 .. dn\\n' + data's values as row-major little-endian
+    float32, through one reused slab buffer. PVOL1 volumes and PIMG1 images
+    share this layout (read back by _read_f32_file)."""
+    with open(path, "wb") as fh:
+        fh.write(f"{magic} {' '.join(map(str, data.shape))}\n".encode("ascii"))
+        for _, f32 in _f32_slabs(data):
+            fh.write(f32)
+
+
 def save_raw_volume(data: np.ndarray, path) -> None:
     """PVOL1 writer for raw fields (counts, gradients) without the [0,1] check."""
     data = np.asarray(data)
     if data.ndim != 3:
         raise DimsError(f"expected 3D field, got shape {data.shape}")
-    nz, ny, nx = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"{_PVOL_MAGIC} {nz} {ny} {nx}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+    _write_f32_file(path, _PVOL_MAGIC, data)
 
 
 def save_volume(vol: DensityVolume, path) -> None:
@@ -314,32 +343,55 @@ def _read_header_line(fh, path) -> str:
         raise FormatError(f"{path}: header is not ASCII") from exc
 
 
-def _read_payload(fh, path, dims):
-    """The payload of 4 * prod(dims) bytes that follows the header, or
-    FormatError if the file holds any other number of bytes.
+def _read_payload(fh, path, dims, dtype, size_hint: int) -> np.ndarray:
+    """The 4 * prod(dims) payload bytes that follow the header, as a flat
+    array of dtype, or FormatError if the file holds any other number of
+    bytes.
 
-    Dims may claim more bytes than can be allocated, so the payload is read
-    in bounded chunks and memory grows only with the bytes that arrive."""
-    expected = 4 * math.prod(dims)
-    payload = bytearray()
-    while len(payload) <= expected:
-        chunk = fh.read(min(_READ_CHUNK, expected + 1 - len(payload)))
-        if not chunk:
+    Reads go through one reused float32 chunk and each chunk's values are
+    widened into place. A read may end inside a value (pipes return what
+    has arrived); its bytes are carried to the next read. The output starts
+    at size_hint bytes (the rest of a regular file, 0 for a pipe) and at
+    least one chunk, so a right-sized file is read into one allocation.
+    Dims may claim more bytes than can be allocated, so it grows only with
+    the bytes that arrive, and reading stops one byte past the claim."""
+    n = math.prod(dims)
+    expected = 4 * n
+    out = np.empty(min(n, max(_READ_CHUNK, size_hint) // 4), dtype=dtype)
+    chunk = np.empty(min(n + 1, _READ_CHUNK // 4), dtype="<f4")
+    raw = memoryview(chunk).cast("B")
+    done = held = 0  # values in out; bytes of a partial value at raw[:held]
+    while (room := min(len(raw), expected + 1 - 4 * done) - held) > 0:
+        got = fh.readinto(raw[held:held + room])
+        if not got:
             break
-        payload += chunk
-    if len(payload) != expected:
+        held += got
+        m = held // 4
+        if done + m > out.size:
+            grown = np.empty(min(n, max(2 * out.size, done + m)), dtype=dtype)
+            grown[:done] = out[:done]
+            out = grown
+        out[done:done + m] = chunk[:m]
+        done += m
+        held -= 4 * m
+        raw[:held] = raw[4 * m:4 * m + held]
+    total = 4 * done + held
+    if total != expected:
+        holds = total if total < expected else f"more than {expected}"
         raise FormatError(
-            f"{path}: payload holds {min(len(payload), expected)}+ bytes, "
+            f"{path}: payload holds {holds} bytes, "
             f"expected exactly {expected} for dims {dims}"
         )
-    return payload
+    return out
 
 
-def _read_f32_file(path, magic: str, n_dims: int) -> np.ndarray:
-    """Read '<magic> d1 .. dn\\n' + row-major little-endian float32 values as
-    a float32 array; the payload must hold exactly d1 * .. * dn values.
-    PVOL1 volumes and PIMG1 images share this layout."""
-    with open(path, "rb") as fh:
+def _read_f32_file(path, magic: str, n_dims: int, dtype) -> np.ndarray:
+    """Read '<magic> d1 .. dn\\n' + row-major little-endian float32 values
+    into an array of dtype (float32 or float64, which holds them exactly);
+    the payload must hold exactly d1 * .. * dn values. PVOL1 volumes and
+    PIMG1 images share this layout."""
+    # unbuffered: the payload goes straight from each read into the chunk
+    with open(path, "rb", buffering=0) as fh:
         header = _read_header_line(fh, path)
         parts = header.split(" ")
         if len(parts) != n_dims + 1 or parts[0] != magic:
@@ -352,20 +404,21 @@ def _read_f32_file(path, magic: str, n_dims: int) -> np.ndarray:
             raise FormatError(f"{path}: non-integer dims in header {header!r}") from exc
         if min(dims) < 1:
             raise DimsError(f"{path}: invalid dims {dims}, all must be >= 1")
-        payload = _read_payload(fh, path, dims)
-    return np.frombuffer(payload, dtype="<f4").reshape(dims)
+        # the ASCII header line took len(header) + 1 bytes
+        size_hint = os.fstat(fh.fileno()).st_size - len(header) - 1
+        return _read_payload(fh, path, dims, dtype, size_hint).reshape(dims)
 
 
 def load_raw_volume(path) -> np.ndarray:
     """Read a PVOL1 file without the [0, 1] density restriction."""
-    return _read_f32_file(path, _PVOL_MAGIC, 3).astype(np.float64)
+    return _read_f32_file(path, _PVOL_MAGIC, 3, np.float64)
 
 
 def load_volume_f32(path) -> np.ndarray:
     """A PVOL1 density volume's float32 values, checked as load_volume checks
     them. Widening them to float64 gives load_volume(path).data exactly; until
     then they take half the memory."""
-    data = _read_f32_file(path, _PVOL_MAGIC, 3)
+    data = _read_f32_file(path, _PVOL_MAGIC, 3, np.float32)
     _check_densities(data)
     return data
 

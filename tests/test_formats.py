@@ -5,6 +5,8 @@ headers raise FormatError or DimsError, never anything else."""
 import os
 import string
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from panoray import volume
 from panoray.errors import DimsError, FormatError
 from panoray.renderer import SimPXImage, load_image, save_image
 from panoray.volume import (
     DensityVolume,
     load_raw_volume,
     load_volume,
+    load_volume_f32,
     save_raw_volume,
     save_volume,
 )
@@ -150,14 +154,20 @@ HUGE_CLAIMS = [
 ]
 
 
-def _feed_fifo(path, blob):
-    """Make path a FIFO and start a thread that writes blob into it."""
+def _feed_fifo(path, blob, piece=None):
+    """Make path a FIFO and start a thread that writes blob into it, in one
+    write or in pieces of `piece` bytes, each flushed and followed by a 1 ms
+    pause, so that a reader waiting on the pipe gets each piece alone."""
     os.mkfifo(path)
 
     def write():
         try:
             with open(path, "wb") as fh:
-                fh.write(blob)
+                for start in range(0, len(blob), piece or len(blob)):
+                    fh.write(blob[start:start + (piece or len(blob))])
+                    fh.flush()
+                    if piece:
+                        time.sleep(1e-3)
         except BrokenPipeError:  # the reader stopped early
             pass
 
@@ -193,3 +203,104 @@ class TestPayloadClaims:
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert np.array_equal(back.data, data)
+
+
+# every reader of each format, load_volume_f32 included
+ALL_LOADERS = {"PVOL1": FORMATS["PVOL1"][2] + (load_volume_f32,), "PIMG1": FORMATS["PIMG1"][2]}
+
+
+def _values(loaded):
+    return loaded.data if isinstance(loaded, DensityVolume) else loaded
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak bytes that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """Payloads stream through one float32 chunk of _READ_CHUNK bytes."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("load", ALL_LOADERS["PVOL1"])
+    def test_fifo_in_three_byte_pieces(self, tmp_path, monkeypatch, load):
+        # with 16-byte chunks the 120-byte payload spans eight of them, and
+        # a read of what has arrived through the pipe ends inside a value
+        monkeypatch.setattr(volume, "_READ_CHUNK", 16)
+        data = np.random.default_rng(7).uniform(0.0, 1.0, (2, 3, 5)).astype("<f4")
+        save_raw_volume(data, tmp_path / "vol.pvol")
+        writer = _feed_fifo(tmp_path / "vol.fifo", (tmp_path / "vol.pvol").read_bytes(), piece=3)
+        back = load(tmp_path / "vol.fifo")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(_values(back), data)
+
+    @pytest.mark.parametrize("delta", [-3, -2, -1, 1, 2, 3])
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_payload_a_few_bytes_off(self, tmp_path, monkeypatch, fmt, delta):
+        # the payload spans several 64-byte reads; the message gives the
+        # exact count of a short payload and the claim a long one exceeds
+        monkeypatch.setattr(volume, "_READ_CHUNK", 64)
+        magic, n, _ = FORMATS[fmt]
+        header, payload = _valid_blob(magic, (4, 5, 7)[:n], np.random.default_rng(8))
+        blob = header + payload + b"\0" * delta if delta > 0 else header + payload[:delta]
+        (tmp_path / "bad.bin").write_bytes(blob)
+        expected = len(payload)
+        holds = f"more than {expected}" if delta > 0 else str(expected + delta)
+        for load in ALL_LOADERS[fmt]:
+            with pytest.raises(FormatError, match=f"payload holds {holds} bytes, "
+                                                  f"expected exactly {expected} for"):
+                load(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("load", [load_volume, load_volume_f32])
+    def test_multi_chunk_file_in_one_allocation(self, tmp_path, load):
+        # 1.44 MB of payload, two reads of the 1 MB chunk; the output is
+        # sized from the file, so the peak is it and one chunk, no regrowth
+        data = np.random.default_rng(9).uniform(0.0, 1.0, (4, 300, 300)).astype("<f4")
+        save_raw_volume(data, tmp_path / "vol.pvol")
+        back, peak = _traced_peak(lambda: load(tmp_path / "vol.pvol"))
+        values = _values(back)
+        assert np.array_equal(values, data)
+        assert values.dtype == (np.float32 if load is load_volume_f32 else np.float64)
+        assert peak < values.nbytes + volume._READ_CHUNK + (1 << 16)
+
+    @pytest.mark.parametrize("through", ["file", "fifo"])
+    @pytest.mark.parametrize("header,load", HUGE_CLAIMS + [
+        pytest.param(b"PVOL1 100000 100000 100000\n", load_volume_f32, id="load_volume_f32")])
+    def test_huge_claim_stays_within_a_few_chunks(self, tmp_path, through, header, load):
+        if through == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("needs FIFOs")
+        path = tmp_path / "huge.bin"
+        writer = None
+        if through == "fifo":
+            writer = _feed_fifo(path, header + b"\0" * 4)
+        else:
+            path.write_bytes(header + b"\0" * 4)
+
+        def read():
+            with pytest.raises(FormatError, match="payload"):
+                load(path)
+
+        _, peak = _traced_peak(read)
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert peak < 4 * volume._READ_CHUNK
+
+    @pytest.mark.parametrize("field", [
+        # non-contiguous float64, and crossing counts' broadcast int64 view
+        np.random.default_rng(10).uniform(-2.0, 2.0, (300, 300, 8)).transpose(2, 1, 0),
+        np.broadcast_to(np.arange(90000).reshape(300, 300), (8, 300, 300)),
+    ], ids=["transposed", "broadcast"])
+    def test_writer_streams_through_one_slab(self, tmp_path, field):
+        # 2.9 MB as float32: the bytes are those of one whole-array cast,
+        # and the peak stays near one 1 MB slab, with no copy of the field
+        _, peak = _traced_peak(lambda: save_raw_volume(field, tmp_path / "f.pvol"))
+        assert (tmp_path / "f.pvol").read_bytes() == (
+            b"PVOL1 8 300 300\n" + np.ascontiguousarray(field, dtype="<f4").tobytes())
+        assert peak < 2 * volume._READ_CHUNK

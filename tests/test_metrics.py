@@ -120,6 +120,17 @@ class TestDice:
         z = np.zeros((4, 4, 4))
         assert dice(z, z) == 100.0
 
+    @pytest.mark.parametrize("threshold,want", [(0.2, None), (0.7, None), (2.0, 100.0)])
+    def test_evaluate_counts_per_slice_exactly(self, threshold, want):
+        # evaluate counts Dice's voxels inside the SSIM slice tasks; integer
+        # counts summed over slices give dice's value bit for bit, and at
+        # threshold 2.0 both sets are empty
+        a, b = rand_volume((5, 12, 11), 17), rand_volume((5, 12, 11), 18)
+        want = dice(a, b, threshold=threshold) if want is None else want
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 2, 3):
+                assert evaluate(a, b, threshold=threshold, threads=threads).dice == want
+
     def test_threshold_aware(self):
         a = np.full((4, 4, 4), 0.19)
         b = np.full((4, 4, 4), 0.21)
@@ -237,6 +248,11 @@ class TestVolumeMse:
                     for x in range(4):
                         total += (a[z, y, x] - b[z, y, x]) ** 2
             assert volume_mse(a, b) == pytest.approx(total / 64.0, abs=1e-12)
+
+    def test_same_as_whole_array_expression(self):
+        # squared in place, then the same whole-array mean: bit-identical
+        a, b = rand_volume((6, 40, 33), 19), rand_volume((6, 40, 33), 20)
+        assert volume_mse(a, b) == float(np.mean((a - b) ** 2))
 
 
 class TestReport:

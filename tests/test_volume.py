@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from panoray import volume
 from panoray.errors import DimsError, FormatError
 from panoray.volume import (
     AttenuationModel,
@@ -66,6 +69,39 @@ class TestPhantoms:
     def test_value_out_of_range(self):
         with pytest.raises(ValueError):
             make_phantom("uniform:1.5", (4, 4, 4))
+
+
+def _old_f32_grid(data):
+    """The whole-array quantization _as_f32_grid replaced: the reference."""
+    return np.ascontiguousarray(data.astype(np.float32).astype(np.float64))
+
+
+class TestQuantize:
+    # one 1 MB slab holds four 256 x 256 or two 300 x 301 float32 planes
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 7), (7, 300, 301), (9, 256, 256)])
+    def test_in_place_and_bit_equal_to_a_float32_round_trip(self, shape):
+        data = np.random.default_rng(11).uniform(-2.0, 2.0, shape)
+        # signed zero, a subnormal and values float32 rounds to 0 or keeps
+        edge = [-0.0, 5e-324, 1e-40, 3.0e38, 0.1, 1.0 / 3.0]
+        data.flat[:min(data.size, len(edge))] = edge[:data.size]
+        want = _old_f32_grid(data)
+        tracemalloc.start()
+        try:
+            got = volume._as_f32_grid(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is data
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert peak < 2 * volume._READ_CHUNK
+
+    @pytest.mark.parametrize("kind", [
+        "uniform:0.3", "single-voxel:2,5,7,0.7", "sphere-set", "jaw-arch"])
+    def test_phantoms_unchanged(self, kind, monkeypatch):
+        got = make_phantom(kind, (9, 20, 22), seed=4).data
+        monkeypatch.setattr(volume, "_as_f32_grid", _old_f32_grid)
+        want = make_phantom(kind, (9, 20, 22), seed=4).data
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestDensityVolume:
