@@ -21,14 +21,31 @@ and n * 0 = 0, so both passes would leave every value unchanged.
 Storage is numpy only. Rows of each direction (ray-major for A,
 voxel-major for A^T) are grouped into buckets by power-of-two length and
 zero-padded to the longest row of their bucket. A voxel-major block of
-slices (a fixed byte budget of them) is applied one chunk of bucket rows
-at a time: `take` gathers the rows' inputs into a bounded temporary and a
-batched `matmul` contracts them with the weights.
+slices is applied one chunk of bucket rows at a time: `take` gathers the
+rows' inputs into a bounded temporary and a batched `matmul` contracts them
+with the weights. BLAS computes the columns of each (L, nb) product in
+groups of four and rounds a leftover or lone column differently, so a block
+is padded with zero columns to a multiple of four: each slice then gets the
+same bits whatever block it falls in.
 
-Blocks write disjoint output rows, so forward, adjoint and ray_mean run
-them on up to `threads` workers (see _pool). The block size does not depend
-on the thread count, so every sum is taken in the same order and the
-outputs are bit-identical at any thread count.
+Blocks come in two layouts:
+- Public blocks. forward, adjoint and ray_mean take and return slice-major
+  (nz, ny, nx) volumes, so each block is copied in transposed (forward) or
+  copied back in tiles (adjoint). Their blocks hold _BLOCK_BYTES, one
+  workspace per worker: renders and back-projections pay these copies once
+  per call, and a small block keeps their peak memory low.
+- State blocks. A solver that applies A and A^T many times keeps its
+  volumes in state layout: one flat float64 buffer in which slices z0..z1
+  of each block are stored voxel-major as (ny * nx, z1 - z0). The *_state
+  methods gather straight from such a buffer and write straight into one,
+  with no copy in or out; to_state and from_state convert once at each
+  end. State blocks hold _STATE_BYTES, since no copy bounds them and wider
+  blocks make the gathers and matmuls cheaper.
+
+Blocks write disjoint output rows, so every apply runs them on up to
+`threads` workers (see _pool). The block sizes do not depend on the thread
+count, and padded blocks give every slice the same bits, so the outputs are
+bit-identical at any thread count and in either layout.
 """
 
 from __future__ import annotations
@@ -41,10 +58,16 @@ import numpy as np
 from ._pool import run_blocks
 
 INTERPOLATIONS = ("trilinear", "nearest")
-# bytes of a voxel-major block of slices and of one gathered chunk
+# bytes of a public block of slices, of a state block and of one gathered chunk
 _BLOCK_BYTES = 8 << 20
+_STATE_BYTES = 32 << 20
 _CHUNK_BYTES = 1 << 20
-# voxels per tile when a voxel-major result is copied back to slices
+# matmul column counts are padded to a multiple of this (see the module doc)
+_LANES = 4
+# slices per piece when slices are copied into a voxel-major block, and
+# voxels per tile when a voxel-major block is copied back to slices: a
+# whole-block strided copy of a wide block runs several times slower
+_PIECE = 16
 _TILE = 512
 
 
@@ -53,10 +76,12 @@ class _Bucket:
     rows: np.ndarray  # (r,) output rows
     idx: np.ndarray   # (r, L) input rows, 0 on padding
     w: np.ndarray     # (r, L) weights, 0 on padding
+    ones: np.ndarray | None = None  # (r, L) pattern weights: 1, 0 on padding
 
 
-def _buckets(out_ids, in_ids, weights, n_out) -> tuple:
-    """Group entries (sorted by out_ids) into padded power-of-two buckets."""
+def _buckets(out_ids, in_ids, weights, n_out, pattern: bool = False) -> tuple:
+    """Group entries (sorted by out_ids) into padded power-of-two buckets;
+    pattern=True also stores each bucket's pattern weights."""
     lengths = np.bincount(out_ids, minlength=n_out)
     starts = np.cumsum(lengths) - lengths
     keys = np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
@@ -71,25 +96,60 @@ def _buckets(out_ids, in_ids, weights, n_out) -> tuple:
             rows=rows,
             idx=np.where(pad, 0, in_ids[pos]),
             w=np.where(pad, 0.0, weights[pos]),
+            ones=np.where(pad, 0.0, 1.0) if pattern else None,
         ))
     return tuple(out)
 
 
-def _apply(buckets, src: np.ndarray, n_out: int, pattern: bool = False) -> np.ndarray:
+def _apply(buckets, src: np.ndarray, n_out: int, pattern: bool = False,
+           out=None) -> np.ndarray:
     """out[r] = sum over a row's entries of w * src[idx]; src is (n_in, nb).
 
-    pattern=True weights every entry 1 (padding stays 0)."""
-    nb = src.shape[1]
-    out = np.zeros((n_out, nb), dtype=np.float64)
+    out, if given, is an (n_out, nb) array that is overwritten and returned.
+    pattern=True weights every entry 1 (the buckets' pattern weights). src
+    is padded with zero columns to a multiple of _LANES first, so each
+    column's sums do not depend on nb (see the module doc)."""
+    n_in, nb = src.shape
+    if nb % _LANES:
+        padded = np.zeros((n_in, nb + _LANES - nb % _LANES))
+        padded[:, :nb] = src
+        src = padded
+    if out is None:
+        out = np.zeros((n_out, nb), dtype=np.float64)
+    else:
+        out.fill(0.0)
+    width = src.shape[1]
     for b in buckets:
-        step = max(1, _CHUNK_BYTES // (b.idx.shape[1] * nb * 8))
+        weights = b.ones if pattern else b.w
+        step = max(1, _CHUNK_BYTES // (b.idx.shape[1] * width * 8))
         for s in range(0, len(b.rows), step):
-            w = b.w[s:s + step]
-            if pattern:
-                w = (w != 0.0).astype(np.float64)
-            g = np.take(src, b.idx[s:s + step], axis=0)  # (r, L, nb)
-            out[b.rows[s:s + step]] = np.matmul(w[:, None, :], g)[:, 0]
+            g = np.take(src, b.idx[s:s + step], axis=0)  # (r, L, width)
+            out[b.rows[s:s + step]] = np.matmul(weights[s:s + step, None, :], g)[:, 0, :nb]
     return out
+
+
+def _minima(xt: np.ndarray) -> np.ndarray:
+    """Per-column minima of the voxel-major block xt (n_voxels, nb). The
+    wide reshape reduces whole rows of 64 * nb values at a time, several
+    times faster than xt.min(axis=0); minima are exact in any order."""
+    n, nb = xt.shape
+    if n % 64:
+        return xt.min(axis=0)
+    return xt.reshape(-1, 64 * nb).min(axis=0).reshape(64, nb).min(axis=0)
+
+
+def _copy_in(rows: np.ndarray, vt: np.ndarray) -> None:
+    """vt (n_voxels, nb) = rows.T for the slice-major rows, in pieces of
+    _PIECE slices."""
+    for j in range(0, vt.shape[1], _PIECE):
+        np.copyto(vt[:, j:j + _PIECE], rows[j:j + _PIECE].T)
+
+
+def _copy_back(vt: np.ndarray, rows: np.ndarray) -> None:
+    """rows (nb, n_voxels) = vt.T for the voxel-major block vt, in tiles of
+    _TILE voxels."""
+    for v0 in range(0, vt.shape[0], _TILE):
+        rows[:, v0:v0 + _TILE] = vt[v0:v0 + _TILE].T
 
 
 def _entries(sample_xy, sample_valid, bounds, interpolation):
@@ -120,7 +180,8 @@ class FanOperator:
 
     forward maps (nz, ny, nx) volumes to (nz, n_rays) line sums, adjoint
     maps (nz, n_rays) coefficients back to (nz, ny, nx), and ray_mean
-    averages per-pixel values over each voxel's crossing rays.
+    averages per-pixel values over each voxel's crossing rays. The *_state
+    methods do the same on volumes in state layout (see the module doc).
     """
 
     def __init__(self, sample_xy, sample_valid, sample_counts, bounds,
@@ -147,14 +208,14 @@ class FanOperator:
         self.voxel = keys % self.n_voxels
         self.weight = weight[keep]
         self._rows = _buckets(self.ray, self.voxel, self.weight, self.n_rays)
-        # slices per voxel-major block
+        # slices per public block
         self.block = max(1, _BLOCK_BYTES // (8 * self.n_voxels))
 
     @cached_property
     def _cols(self) -> tuple:
         order = np.argsort(self.voxel, kind="stable")
         return _buckets(self.voxel[order], self.ray[order], self.weight[order],
-                        self.n_voxels)
+                        self.n_voxels, pattern=True)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -166,6 +227,18 @@ class FanOperator:
 
     def _blocks(self, nz: int) -> list:
         return [(z0, min(nz, z0 + self.block)) for z0 in range(0, nz, self.block)]
+
+    def _project(self, xt: np.ndarray, out: np.ndarray, in_place: bool) -> None:
+        """out (nb, n_rays) = the line sums of each column of the voxel-major
+        block xt (n_voxels, nb), shifted by the column minima (see the module
+        doc) in xt itself if in_place, else in a temporary."""
+        m = _minima(xt)
+        shift = m.any()  # -0.0 counts as 0
+        if shift:
+            xt = np.subtract(xt, m, out=xt if in_place else None)
+        out[...] = _apply(self._rows, xt, self.n_rays).T
+        if shift:
+            out += m[:, None] * self.sample_counts
 
     def forward(self, x: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays).
@@ -179,14 +252,8 @@ class FanOperator:
         def block(zs, work):
             z0, z1 = zs
             xt = work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0)
-            np.copyto(xt, flat[z0:z1].T)
-            m = flat[z0:z1].min(axis=1)
-            shift = m.any()  # -0.0 counts as 0
-            if shift:
-                xt -= m
-            out[z0:z1] = _apply(self._rows, xt, self.n_rays).T
-            if shift:
-                out[z0:z1] += m[:, None] * self.sample_counts
+            _copy_in(flat[z0:z1], xt)
+            self._project(xt, out[z0:z1], in_place=True)
 
         # one voxel-major workspace per worker, filled by copy, so the shift
         # never writes the caller's data
@@ -210,11 +277,8 @@ class FanOperator:
 
         def block(zs, _):
             z0, z1 = zs
-            rt = np.ascontiguousarray(r[z0:z1].T)
-            vt = _apply(cols, rt, self.n_voxels, pattern)
-            # tiled: one whole-block strided copy runs several times slower
-            for v0 in range(0, self.n_voxels, _TILE):
-                flat[z0:z1, v0:v0 + _TILE] = vt[v0:v0 + _TILE].T
+            vt = _apply(cols, np.ascontiguousarray(r[z0:z1].T), self.n_voxels, pattern)
+            _copy_back(vt, flat[z0:z1])
 
         run_blocks(block, self._blocks(len(r)), threads)
         return out
@@ -233,3 +297,76 @@ class FanOperator:
         sums = self._transpose(c, True, None, threads)
         # uncovered voxels hold exact zeros, which stay 0 / 1
         return np.divide(sums, np.maximum(self.counts, 1), out=sums)
+
+    # state layout (see the module doc)
+
+    def state_blocks(self, nz: int) -> list:
+        """The (z0, z1) slice ranges of the state blocks of nz slices."""
+        step = max(1, _STATE_BYTES // (8 * self.n_voxels))
+        return [(z0, min(nz, z0 + step)) for z0 in range(0, nz, step)]
+
+    def state_views(self, state: np.ndarray) -> list:
+        """((z0, z1), view) for each state block of the flat buffer state:
+        view is its (n_voxels, z1 - z0) voxel-major block."""
+        n = self.n_voxels
+        return [((z0, z1), state[z0 * n:z1 * n].reshape(n, z1 - z0))
+                for z0, z1 in self.state_blocks(len(state) // n)]
+
+    def to_state(self, x: np.ndarray) -> np.ndarray:
+        """The (nz, ny, nx) volume x in state layout: a new flat float64
+        buffer."""
+        flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
+        out = np.empty(flat.size, dtype=np.float64)
+        for (z0, z1), view in self.state_views(out):
+            _copy_in(flat[z0:z1], view)
+        return out
+
+    def from_state(self, state: np.ndarray, out=None) -> np.ndarray:
+        """The volume held in state layout as (nz, ny, nx) float64, written
+        into out if given (C-contiguous; it must not overlap state)."""
+        nx, ny = self.bounds
+        if out is None:
+            out = np.empty((len(state) // self.n_voxels, ny, nx), dtype=np.float64)
+        flat = out.reshape(len(out), self.n_voxels)
+        for (z0, z1), view in self.state_views(state):
+            _copy_back(view, flat[z0:z1])
+        return out
+
+    def forward_state(self, state: np.ndarray, *, threads: int = 1) -> np.ndarray:
+        """forward of the volume held in state layout; state is never
+        written. threads as for forward."""
+        blocks = self.state_views(state)
+        out = np.empty((len(state) // self.n_voxels, self.n_rays), dtype=np.float64)
+
+        def block(item, _):
+            (z0, z1), view = item
+            self._project(view, out[z0:z1], in_place=False)
+
+        run_blocks(block, blocks, threads)
+        return out
+
+    def _transpose_state(self, r: np.ndarray, pattern: bool, out, threads: int) -> np.ndarray:
+        if out is None:
+            out = np.empty(len(r) * self.n_voxels, dtype=np.float64)
+        cols = self._cols  # built here, not once per worker
+
+        def block(item, _):
+            (z0, z1), view = item
+            _apply(cols, np.ascontiguousarray(r[z0:z1].T), self.n_voxels, pattern, out=view)
+
+        run_blocks(block, self.state_views(out), threads)
+        return out
+
+    def adjoint_state(self, r: np.ndarray, out=None, *, threads: int = 1) -> np.ndarray:
+        """adjoint of the (nz, n_rays) rows r into a state-layout buffer, out
+        if given. threads as for adjoint."""
+        return self._transpose_state(r, False, out, threads)
+
+    def ray_mean_state(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
+        """ray_mean of the (nz, n_rays) rows c as a new state-layout buffer.
+        threads as for adjoint."""
+        sums = self._transpose_state(c, True, None, threads)
+        per_voxel = np.maximum(self.counts, 1).reshape(self.n_voxels, 1)
+        for _, view in self.state_views(sums):
+            np.divide(view, per_voxel, out=view)
+        return sums

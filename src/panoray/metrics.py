@@ -33,8 +33,15 @@ class MetricsReport:
         )
 
 
-def _data(v) -> np.ndarray:
-    return v.data if isinstance(v, DensityVolume) else np.asarray(v, dtype=np.float64)
+def _data(v, keep_f32: bool = False) -> np.ndarray:
+    """The values of a DensityVolume or array-like as float64; keep_f32=True
+    passes a float32 array through unwidened, for callers that widen it on
+    use (every float32 value is exact in float64)."""
+    if isinstance(v, DensityVolume):
+        return v.data
+    if keep_f32 and isinstance(v, np.ndarray) and v.dtype == np.float32:
+        return v
+    return np.asarray(v, dtype=np.float64)
 
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
@@ -43,7 +50,14 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
+    # a - b in float64 for float32 operands too (each float32 value is exact
+    # in float64); a float32 b is widened into the difference buffer first,
+    # which needs no cast buffer
+    if b.dtype == np.float64:
+        d = np.subtract(a, b, dtype=np.float64)
+    else:
+        d = b.astype(np.float64)
+        np.subtract(a, d, out=d)
     np.square(d, out=d)  # the values (a - b) ** 2 gives, without a second temporary
     return float(np.mean(d))
 
@@ -151,17 +165,28 @@ def _slice_walk(a, b, peak, threshold, threads):
 
     # one slice at a time through buffers allocated once per worker, so a
     # slice's working set stays in cache; the five window means are kept
-    # apart so that ssim(v, v) is exactly 100
+    # apart so that ssim(v, v) is exactly 100. A float32 slice is widened
+    # into a buffer of its own first: a ufunc over two float32 slices
+    # computes in float32, even into a float64 output
     def buffers():
         means = np.empty((5, ny - w + 1, nx - w + 1))
+        wide_a, wide_b = (None if v.dtype == np.float64 else np.empty((ny, nx))
+                          for v in (a, b))
         return (np.empty((ny - w + 1, nx)), np.empty((ny, nx)), means,
                 np.empty_like(means[0]), np.empty_like(means[0]),
-                np.empty((ny, nx), dtype=bool), np.empty((ny, nx), dtype=bool))
+                np.empty((ny, nx), dtype=bool), np.empty((ny, nx), dtype=bool),
+                wide_a, wide_b)
 
     def slice_pair(j, bufs):
-        rows, prod, means, num, den, above_a, above_b = bufs
+        rows, prod, means, num, den, above_a, above_b, wide_a, wide_b = bufs
         mx, my, vx, vy, cov = means
         x, y = a[j], b[j]
+        if wide_a is not None:
+            np.copyto(wide_a, x)
+            x = wide_a
+        if wide_b is not None:
+            np.copyto(wide_b, y)
+            y = wide_b
         _window_sums(x, w, rows, mx)
         _window_sums(y, w, rows, my)
         _window_sums(np.multiply(x, x, out=prod), w, rows, vx)
@@ -207,10 +232,11 @@ def evaluate(a, b, threshold: float = DICE_THRESHOLD, peak: float = 1.0, *,
     """PSNR, SSIM, Dice and MSE of a against b; threads as for ssim.
 
     The values are those psnr, ssim, dice and volume_mse give; SSIM and the
-    Dice counts come from one walk over the slice pairs."""
+    Dice counts come from one walk over the slice pairs. A float32 array is
+    read as its float64 values without a widened copy of the whole volume."""
     _check_scales(peak, threshold)
     check_threads(threads)
-    a, b = _data(a), _data(b)
+    a, b = _data(a, keep_f32=True), _data(b, keep_f32=True)
     _check_dims(a, b)
     mse = _mse(a, b)  # shared by psnr and mse, the same value each computes
     psnr_db = _psnr_db(mse, peak)  # non-finite inputs fail before the slice walk

@@ -92,10 +92,20 @@ class CenterCurve:
         return self.coefficient * (x - self.span) ** 2
 
 
+def check_bounds(bounds) -> tuple[int, int]:
+    """The axial grid (nx, ny) as integers; DimsError unless both are >= 1."""
+    nx, ny = int(bounds[0]), int(bounds[1])
+    if nx < 1 or ny < 1:
+        raise DimsError(f"axial bounds must be positive, got {bounds}")
+    return nx, ny
+
+
 def default_curve_for_grid(nx: int, ny: int, **fields) -> CenterCurve:
     """The CenterCurve of the given fields placed on an (nx, ny) grid: scale
     min(nx, ny)/256, centered horizontally, arch vertex at 60% of y. A given
-    scale or offset is kept; other fields not given keep their defaults."""
+    scale or offset is kept; other fields not given keep their defaults.
+    The grid is checked first (check_bounds)."""
+    nx, ny = check_bounds((nx, ny))
     fields.setdefault("scale", min(nx, ny) / 256.0)
     if "offset" not in fields:
         vertex = CenterCurve(**fields).height(0.0)  # 100 for the default coefficients
@@ -354,9 +364,7 @@ def sample_points(ray: Ray, n_samples: int, delta: float, bounds) -> Ray:
 def build_fan(config: GeometryConfig | None = None, bounds=DEFAULT_GRID) -> RayFan:
     """Construct and sample the full fan for an (nx, ny) axial grid."""
     cfg = config if config is not None else GeometryConfig()
-    nx, ny = int(bounds[0]), int(bounds[1])
-    if nx < 1 or ny < 1:
-        raise DimsError(f"axial bounds must be positive, got {bounds}")
+    nx, ny = check_bounds(bounds)
     curve = cfg.curve if cfg.curve is not None else default_curve_for_grid(nx, ny)
     return extract_rays(
         make_centers(curve),

@@ -119,70 +119,140 @@ def _check_mips(target_mips, dims) -> dict:
     return out
 
 
-def _opacity(est: np.ndarray, op: FanOperator, beta: float, delta: float,
-             threads: int = 1) -> np.ndarray:
-    """Opacity image of the current estimate, all slices of est."""
-    return -np.expm1(-beta * delta * op.forward(est, threads=threads))
+# elements per BLAS dot in _block_dot: OpenBLAS runs a longer dot on its
+# own thread pool, whose wake-up cost several ms per dot on a 2-vCPU host,
+# and rounds it by that pool's size
+_DOT_CHUNK = 8192
+# where each MIP axis lies in a state block viewed as (ny, nx, nb)
+_BLOCK_AXES = {"axial": 2, "coronal": 0, "sagittal": 1}
 
 
-def _loss_terms(est, y, mips, fan, beta, lambda1, threads=1):
+def _block_part(axis: str, arr: np.ndarray, z0: int, z1: int) -> np.ndarray:
+    """The part of a projection-shaped array that state block z0..z1 meets,
+    in the block's axis order: axial (ny, nx) whole, coronal (nx, nb) and
+    sagittal (ny, nb) as slices z0..z1, transposed."""
+    return arr if axis == "axial" else arr[z0:z1].T
+
+
+def _blocks3(op: FanOperator, state: np.ndarray) -> list:
+    """((z0, z1), block) for each state block, viewed as (ny, nx, nb)."""
+    nx, ny = op.bounds
+    return [(zs, view.reshape(ny, nx, zs[1] - zs[0])) for zs, view in op.state_views(state)]
+
+
+def _projections(op: FanOperator, state: np.ndarray, axes) -> dict:
+    """Maximum intensity projections of the state-layout volume, C-contiguous
+    in slice-major shape: axial (ny, nx), coronal (nz, nx), sagittal (nz, ny).
+    Maxima are exact, so they equal those of the slice-major volume."""
+    nx, ny = op.bounds
+    blocks = _blocks3(op, state)
+    nz = blocks[-1][0][1]
+    projs = {}
+    for axis in axes:
+        k = _BLOCK_AXES[axis]
+        if axis == "axial":
+            proj = blocks[0][1].max(axis=k)
+            for _, b in blocks[1:]:
+                np.maximum(proj, b.max(axis=k), out=proj)
+        else:
+            proj = np.empty((nz, nx if axis == "coronal" else ny))
+            for (z0, z1), b in blocks:
+                _block_part(axis, proj, z0, z1)[...] = b.max(axis=k)
+        projs[axis] = proj
+    return projs
+
+
+def _mip_term(op, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
+    """grad += the MIP term of one axis, on state-layout volumes: each
+    projected residual r is shared equally across the voxels within tie_tol
+    of their column's maximum proj. Returns the tie counts, shaped like
+    proj. band is a bool state-layout workspace that holds the tie band;
+    the counts are integers, so summing them over blocks is exact."""
+    k = _BLOCK_AXES[axis]
+    counts = np.zeros(proj.shape, dtype=np.int64)
+    blocks = list(zip(_blocks3(op, state), _blocks3(op, band), _blocks3(op, grad)))
+    for ((z0, z1), b), (_, t), _ in blocks:
+        np.greater_equal(b, np.expand_dims(_block_part(axis, proj, z0, z1) - tie_tol, k),
+                         out=t)
+        _block_part(axis, counts, z0, z1)[...] += t.sum(axis=k)
+    for ((z0, z1), _), (_, t), (_, g) in blocks:
+        share = _block_part(axis, r, z0, z1) / _block_part(axis, counts, z0, z1)
+        np.add(g, np.expand_dims(share, k), out=g, where=t)
+    return counts
+
+
+def _block_dot(op: FanOperator, a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two state-layout buffers: partial dots per state block,
+    summed in block order. A block's partial dot sums the dots of its
+    consecutive _DOT_CHUNK-element chunks, and of the rest last."""
+    total = 0.0
+    for (z0, z1), _ in op.state_views(a):
+        x, y = a[z0 * op.n_voxels:z1 * op.n_voxels], b[z0 * op.n_voxels:z1 * op.n_voxels]
+        n = len(x) - len(x) % _DOT_CHUNK
+        # one BLAS dot per chunk, in one batched call
+        parts = np.matmul(x[:n].reshape(-1, 1, _DOT_CHUNK), y[:n].reshape(-1, _DOT_CHUNK, 1))
+        total += float(np.sum(parts)) + float(x[n:] @ y[n:])
+    return total
+
+
+def _loss_terms(state, y, mips, fan, beta, lambda1, threads=1):
     """total, mse_img, mse_mip, and the predicted image and MIP projections
-    of est, which _gradient can reuse at the same est."""
-    pred = _opacity(est, fan.operator(), beta, fan.delta, threads)
+    of the state-layout estimate, which _gradient can reuse at the same
+    estimate."""
+    op = fan.operator()
+    pred = -np.expm1(-beta * fan.delta * op.forward_state(state, threads=threads))
     mse_img = float(np.sum((pred - y) ** 2))
     mse_mip = 0.0
-    projs = {}
+    projs = _projections(op, state, mips)
     for axis, tgt in mips.items():
-        projs[axis] = proj = est.max(axis=_MIP_AXES[axis])
-        mse_mip += float(np.sum((proj - tgt) ** 2))
+        mse_mip += float(np.sum((projs[axis] - tgt) ** 2))
     return mse_img + lambda1 * mse_mip, mse_img, mse_mip, pred, projs
 
 
 def _prepare(est, target_img, target_mips, fan):
-    """The estimate's data, the target's pixels and the MIP targets, checked
-    against each other and the fan."""
+    """The estimate in state layout, the target's pixels and the MIP
+    targets, checked against each other and the fan."""
     est_data = est.data if isinstance(est, DensityVolume) else np.asarray(est, np.float64)
     nz, ny, nx = est_data.shape
     fan.check_grid(nx, ny)
     y = as_pixels(target_img, fan.n_rays, nz)
-    return est_data, y, _check_mips(target_mips, est_data.shape)
+    mips = _check_mips(target_mips, est_data.shape)
+    return fan.operator().to_state(est_data), y, mips
 
 
 def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
     """Total objective and its (mse_img, mse_mip) components."""
-    est_data, y, mips = _prepare(est, target_img, target_mips, fan)
-    total, mse_img, mse_mip, _, _ = _loss_terms(est_data, y, mips, fan, cfg.beta, cfg.lambda1)
+    state, y, mips = _prepare(est, target_img, target_mips, fan)
+    total, mse_img, mse_mip, _, _ = _loss_terms(state, y, mips, fan, cfg.beta, cfg.lambda1)
     return total, (mse_img, mse_mip)
 
 
-def _gradient(est, y, mips, fan, beta, lambda1, pred, projs,
-              tie_tol: float = 1e-3, out=None, threads: int = 1):
-    """Gradient at est; pred and projs are the predicted image and the MIP
-    projections of this same est, as _loss_terms returns them."""
+def _gradient(state, y, mips, fan, beta, lambda1, pred, projs,
+              tie_tol: float = 1e-3, out=None, threads: int = 1, band=None):
+    """Gradient at the state-layout estimate, in state layout (into out if
+    given); pred and projs are the predicted image and the MIP projections
+    of this same estimate, as _loss_terms returns them. band is a bool
+    state-layout workspace for the MIP term, allocated here if None."""
     op = fan.operator()
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
-    grad = op.adjoint(coeff, out=out, threads=threads)
-
+    grad = op.adjoint_state(coeff, out, threads=threads)
+    if mips and band is None:
+        band = np.empty(len(state), dtype=bool)
     for axis, tgt in mips.items():
-        ax = _MIP_AXES[axis]
-        proj = projs[axis]
-        r = 2.0 * lambda1 * (proj - tgt)
-        # share each projected residual across the band of (near-)maximizers
-        tie = est >= np.expand_dims(proj - tie_tol, ax)
-        share = np.expand_dims(r / tie.sum(axis=ax), ax)
-        np.add(grad, share, out=grad, where=tie)
+        r = 2.0 * lambda1 * (projs[axis] - tgt)
+        _mip_term(op, state, grad, axis, projs[axis], r, tie_tol, band)
     return grad
 
 
 def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.ndarray:
     """d(total)/d(sigma) at every voxel."""
-    est_data, y, mips = _prepare(est, target_img, target_mips, fan)
-    pred = _opacity(est_data, fan.operator(), cfg.beta, fan.delta)
-    projs = {axis: est_data.max(axis=_MIP_AXES[axis]) for axis in mips}
-    return _gradient(est_data, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs,
+    state, y, mips = _prepare(est, target_img, target_mips, fan)
+    _, _, _, pred, projs = _loss_terms(state, y, mips, fan, cfg.beta, cfg.lambda1)
+    grad = _gradient(state, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs,
                      tie_tol=cfg.mip_tie_tol)
+    return fan.operator().from_state(grad)
 
 
 def reconstruct(
@@ -201,6 +271,10 @@ def reconstruct(
     adjoint projections, the back-projection and the final SSIM (see
     fan_operator and metrics.ssim); the result is the same at any thread
     count. The solver's whole-volume arithmetic runs on the calling thread.
+    The solver holds its volumes in the operator's state layout, block by
+    block as the projections read and write them, and turns the result
+    slice-major once, at the end; the step's two dots are summed per state
+    block (_block_dot).
     """
     check_threads(threads)
     y = as_pixels(target_img, fan.n_rays)
@@ -208,13 +282,35 @@ def reconstruct(
     dims = (y.shape[0], ny, nx)
     mips = _check_mips(target_mips, dims)
     lo, hi = cfg.clamp
+    op = fan.operator()
 
+    # Workspace: four volumes in the operator's state layout (see
+    # fan_operator), 64 MB each at 128 x 256 x 256: the iterate x, trial,
+    # and two gradient buffers. Held that way, every forward gathers
+    # straight from x or trial and every adjoint writes straight into a
+    # gradient buffer, with no layout copy; all other arithmetic is
+    # elementwise, in any layout. The spectral step needs only
+    # s = x_new - x_old and the gradient change g_new - g_old (s_k and y_k
+    # in Nocedal & Wright, section 6.1), so the previous iterate and
+    # gradient are not kept beside them:
+    # - at acceptance the old iterate's buffer receives s and trades places
+    #   with trial, so trial holds s until the next spectral step has used
+    #   it and then takes that iteration's line-search trials;
+    # - the new gradient goes to the free gradient buffer and the gradient
+    #   change is written over the older one, which then receives the
+    #   gradient after that.
+    # Whole-volume arithmetic writes into these buffers, because a fresh
+    # 64 MB temporary costs page faults and an munmap each time. With MIP
+    # targets a bool volume holds each axis's tie band in turn.
     if cfg.init == "zeros":
-        x = np.zeros(dims, dtype=np.float64)
+        x = np.zeros(dims[0] * op.n_voxels, dtype=np.float64)
     else:
+        # the back-projection rho (backproject.aggregate_rho), written in
+        # state layout
         cands = backproject.image_candidates(y, fan, cfg.beta)
-        x = backproject.aggregate_rho(fan, cands, dims, threads=threads).rho
+        x = op.ray_mean_state(cands, threads=threads)
         np.clip(x, lo, hi, out=x)
+    band = np.empty(len(x), dtype=bool) if mips else None
 
     report = ReconReport()
     total, mse_img, mse_mip, pred, projs = _loss_terms(
@@ -224,23 +320,8 @@ def reconstruct(
         raise RuntimeError(f"non-finite loss at initialization: {total}")
     report.loss_history.append((0, total, mse_img, mse_mip, 0.0))
 
-    # Workspace: four (nz, ny, nx) float64 volumes, 64 MB each at
-    # 128 x 256 x 256: the iterate x, trial, and two gradient buffers. The
-    # spectral step needs only s = x_new - x_old and the gradient change
-    # g_new - g_old (s_k and y_k in Nocedal & Wright, section 6.1), so the
-    # previous iterate and gradient are not kept beside them:
-    # - at acceptance the old iterate's buffer receives s and trades places
-    #   with trial, so trial holds s until the next spectral step has used
-    #   it and then takes that iteration's line-search trials;
-    # - the new gradient goes to the free gradient buffer and the gradient
-    #   change is written over the older one, which then receives the
-    #   gradient after that.
-    # Whole-volume arithmetic writes into these buffers, because a fresh
-    # 64 MB temporary costs page faults and an munmap each time; x is
-    # always solver-owned (zeros, rho or a former trial), never the
-    # caller's data.
     trial = np.empty_like(x)
-    s = None  # flat view of the buffer holding s, once an iterate is accepted
+    s = None  # the buffer holding s, once an iterate is accepted
     grad = older = None
     step = cfg.step_size
     for it in range(1, cfg.max_iters + 1):
@@ -249,14 +330,14 @@ def reconstruct(
             break
         older, grad = grad, _gradient(
             x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, projs=projs,
-            tie_tol=cfg.mip_tie_tol, out=older, threads=threads,
+            tie_tol=cfg.mip_tie_tol, out=older, threads=threads, band=band,
         )
         if s is not None:
             # spectral step guess from the last accepted move, safeguarded;
             # the backtracking below keeps the iteration monotone regardless
-            curv = float(s @ np.subtract(grad, older, out=older).ravel())
+            curv = _block_dot(op, s, np.subtract(grad, older, out=older))
             if curv > 1e-30:
-                step = min(1e6, max(1e-12, float(s @ s) / curv))
+                step = min(1e6, max(1e-12, _block_dot(op, s, s) / curv))
             else:
                 step = min(1e6, 2.0 * step)
         accepted = False
@@ -280,7 +361,7 @@ def reconstruct(
         rel_drop = (total - t_total) / total
         np.subtract(trial, x, out=x)
         x, trial = trial, x
-        s = trial.ravel()
+        s = trial
         total, mse_img, mse_mip, pred, projs = t_total, t_img, t_mip, t_pred, t_projs
         report.loss_history.append((it, total, mse_img, mse_mip, step))
         report.iterations_run = it
@@ -290,9 +371,12 @@ def reconstruct(
     else:
         # the last accepted step may itself have reached an exact fit
         report.stop_reason = "zero_loss" if total == 0.0 else "max_iters"
-    del trial, s, grad, older
+    del s, grad, older, band
 
-    result = DensityVolume(_as_f32_grid(np.clip(x, 0.0, 1.0, out=x)))
+    # back to slice-major once, into the free trial buffer
+    data = op.from_state(x, out=trial.reshape(dims))
+    del x, trial
+    result = DensityVolume(_as_f32_grid(np.clip(data, 0.0, 1.0, out=data)))
     if ground_truth is not None:
         report.final_metrics = metrics.evaluate(result, ground_truth, threads=threads)
     return result, report

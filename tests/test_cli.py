@@ -368,13 +368,14 @@ class TestGeometryExtras:
         assert capsys.readouterr().err.startswith("error: malformed format:")
         assert not out.exists()
 
-    def test_non_positive_grid_keeps_its_errors(self, tmp_path, capsys):
-        # well-formed integers: rejected where they were before, as an
-        # invalid arch placement or as a mismatch with the volume's grid
+    def test_non_positive_grid_is_a_dims_error(self, tmp_path, capsys):
+        # well-formed integers: the grid is checked before the default arch
+        # is placed on it, or rejected as a mismatch with the volume's grid
         geom = tmp_path / "g.txt"
         geom.write_text("grid=0,64\nwidth=64\n")
         assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
-        assert capsys.readouterr().err.startswith("error: invalid value:")
+        assert capsys.readouterr().err.startswith(
+            "error: inconsistent dims: axial bounds must be positive")
         vol = tmp_path / "v.pvol"
         run("phantom", "--kind", "uniform:0", "--dims", "2,64,64", "--out", vol)
         assert run("render", "--vol", vol, "--geometry", geom, "--out", tmp_path / "i") == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -269,6 +270,39 @@ class TestReport:
         assert report.mse == volume_mse(a, b)
         assert report.ssim == ssim(a, b)
         assert report.dice == dice(a, b, threshold=0.4)
+
+    def test_evaluate_reads_float32_exactly(self):
+        # float32 volumes on either side, values at the float32 threshold
+        # included: SSIM's window sums and products and Dice's comparisons
+        # in float32 would each move the result
+        a = rand_volume((5, 12, 12), 17)
+        b32, c32 = (rand_volume((5, 12, 12), seed).astype(np.float32) for seed in (18, 19))
+        b32[2, 3:6, 3:6] = np.float32(0.2)
+        b64, c64 = b32.astype(np.float64), c32.astype(np.float64)
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 2, 3):
+                assert evaluate(a, b32, threads=threads) == evaluate(a, b64, threads=threads)
+                assert evaluate(b32, a, threads=threads) == evaluate(b64, a, threads=threads)
+                assert evaluate(b32, c32, threads=threads) == evaluate(b64, c64,
+                                                                      threads=threads)
+
+    def test_evaluate_widens_no_float32_volume(self):
+        # the peak is the MSE's float64 difference volume either way; a
+        # float32 slice is widened into a per-worker buffer, not the volume
+        a = rand_volume((64, 32, 32), 20)
+        b32 = rand_volume((64, 32, 32), 21).astype(np.float32)
+        b64 = b32.astype(np.float64)
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 2, 3):
+                peaks = []
+                for b in (b64, b32):
+                    tracemalloc.start()
+                    try:
+                        evaluate(a, b, threads=threads)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                assert peaks[1] <= peaks[0], (threads, peaks)
 
     def test_evaluate_and_save(self, tmp_path):
         a = make_phantom("sphere-set", (8, 8, 8), seed=2)

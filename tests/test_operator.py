@@ -1,5 +1,6 @@
 """The fan's system matrix against per-sample loop references."""
 
+import functools
 import math
 from unittest import mock
 
@@ -308,3 +309,60 @@ class TestOperatorProperties:
         assert checked.counts.shape == checked.rho.shape == (nz, ny, nx)
         assert np.array_equal(checked.counts, crossing_counts(fan, (nz, ny, nx)))
         assert m.rho.min() >= 0.0 and m.rho.max() <= 1.0
+
+
+def test_pattern_weights_mark_the_entries(fan):
+    # built once with A^T's buckets: 1 on each entry, 0 on padding, so each
+    # voxel's row of pattern weights sums to its entry count
+    op = fan.operator()
+    counts = op.counts.ravel()
+    for b in op._cols:
+        assert np.array_equal(b.ones, (b.w != 0.0).astype(np.float64))
+        assert np.array_equal(b.ones.sum(axis=1), counts[b.rows])
+
+
+@functools.cache
+def square_fan(n):
+    return build_fan(GeometryConfig(width=64), bounds=(n, n))
+
+
+@st.composite
+def split_volumes(draw):
+    """(nz, per_block): 2 to 9 slices and a state-block width that splits
+    them into 2 to 4 blocks, the last one ragged or not."""
+    nz = draw(st.integers(2, 9))
+    return nz, draw(st.integers(-(-nz // 4), nz - 1))
+
+
+class TestStateLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([8, 16]), modes, split_volumes(), st.integers(0, 2**32 - 1))
+    def test_state_cores_equal_the_public_ones(self, n, interpolation, split, seed):
+        nz, per_block = split
+        op = square_fan(n).operator(interpolation)
+        rng = np.random.default_rng(seed)
+        # slices with zero and with positive minima: shifted and unshifted blocks
+        x = rng.uniform(0.0, 1.0, (nz, n, n)) + 0.25 * rng.integers(0, 2, (nz, 1, 1))
+        r = rng.uniform(-1.0, 1.0, (nz, op.n_rays))
+        c = rng.uniform(0.0, 1.0, (nz, op.n_rays))
+        want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
+        with mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 8 * n * n):
+            blocks = op.state_blocks(nz)
+            assert 2 <= len(blocks) <= 4 and blocks[-1][1] == nz
+            state = op.to_state(x)
+            # slices z0..z1 of a block are stored voxel-major, block after block
+            views = op.state_views(state)
+            assert [zs for zs, _ in views] == blocks
+            assert np.array_equal(np.concatenate([v.ravel() for _, v in views]), state)
+            for (z0, z1), view in views:
+                assert np.array_equal(view, x[z0:z1].reshape(z1 - z0, n * n).T)
+            assert np.array_equal(op.from_state(state), x)
+            state.flags.writeable = False  # the forward never writes its input
+            with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+                for threads in (1, 2, 3):
+                    assert np.array_equal(op.forward_state(state, threads=threads), want_fwd)
+                    buf = np.full(state.shape, np.nan)
+                    assert op.adjoint_state(r, buf, threads=threads) is buf
+                    assert np.array_equal(op.from_state(buf), want_adj)
+                    mean = op.ray_mean_state(c, threads=threads)
+                    assert np.array_equal(op.from_state(mean), want_mean)

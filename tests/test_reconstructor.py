@@ -1,22 +1,28 @@
+import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panoray import _pool, fan_operator
 from panoray.backproject import aggregate_rho, crossing_counts, image_candidates
 from panoray.errors import DimsError
 from panoray.ray_geometry import GeometryConfig, build_fan
 from panoray.reconstructor import (
     ReconConfig,
+    _block_dot,
+    _mip_term,
+    _projections,
     gradient,
     loss,
     reconstruct,
     save_report,
 )
-from panoray.renderer import RenderConfig, SimPXImage, mip, render_simpx
-from panoray.volume import make_phantom
+from panoray.renderer import _MIP_AXES, RenderConfig, SimPXImage, mip, render_simpx
+from panoray.volume import DensityVolume, make_phantom
 
 MIP_AXES = ("axial", "coronal", "sagittal")
 
@@ -57,11 +63,13 @@ def allocating_reconstruct(y, fan, cfg, mips):
         if prev_x is None:
             step = cfg.step_size
         else:
-            dx = (x - prev_x).ravel()
-            dg = (grad - prev_grad).ravel()
-            curv = float(dx @ dg)
+            # the solver's dots: partial dots per state block, in block order
+            op = fan.operator()
+            dx = op.to_state(x - prev_x)
+            dg = op.to_state(grad - prev_grad)
+            curv = _block_dot(op, dx, dg)
             if curv > 1e-30:
-                step = min(1e6, max(1e-12, float(dx @ dx) / curv))
+                step = min(1e6, max(1e-12, _block_dot(op, dx, dx) / curv))
             else:
                 step = min(1e6, 2.0 * step)
                 events["doubling"] += 1
@@ -461,3 +469,122 @@ class TestReconstruct:
         assert float(last[1]) < float(first[1])
         assert report.final_metrics is not None
         assert report.final_metrics.psnr > 0
+
+
+@functools.cache
+def square_fan(n):
+    return build_fan(GeometryConfig(width=64), bounds=(n, n))
+
+
+@st.composite
+def split_volumes(draw):
+    """(nz, per_block): 2 to 9 slices and a state-block width that splits
+    them into 2 to 4 blocks, the last one ragged or not."""
+    nz = draw(st.integers(2, 9))
+    return nz, draw(st.integers(-(-nz // 4), nz - 1))
+
+
+def state_budget(per_block, n):
+    return mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 8 * n * n)
+
+
+def brute_mip_term(est, grad, ax, r, tie_tol):
+    """The MIP term of one axis column by column: grad (slice-major) gets
+    r / count on each of a column's count voxels within tie_tol of its
+    maximum. Returns the counts."""
+    cols = np.moveaxis(est, ax, -1)
+    out = np.moveaxis(grad, ax, -1)  # a view: writes land in grad
+    counts = np.zeros(cols.shape[:-1], dtype=np.int64)
+    for idx in np.ndindex(counts.shape):
+        col = cols[idx]
+        tied = [k for k in range(len(col)) if col[k] >= col.max() - tie_tol]
+        counts[idx] = len(tied)
+        for k in tied:
+            out[idx + (k,)] += r[idx] / len(tied)
+    return counts
+
+
+class TestStateLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([8, 16]), split_volumes(), st.sampled_from([0.0, 1e-3, 0.1]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_mip_term_matches_brute_force(self, n, split, tie_tol, coarse, seed):
+        # coarse volumes hold few distinct values, so columns have exact ties
+        nz, per_block = split
+        op = square_fan(n).operator()
+        rng = np.random.default_rng(seed)
+        est = (rng.integers(0, 4, (nz, n, n)) / 4.0 if coarse
+               else rng.uniform(0.0, 1.0, (nz, n, n)))
+        want = rng.uniform(-1.0, 1.0, (nz, n, n))
+        with state_budget(per_block, n):
+            assert len(op.state_blocks(nz)) >= 2
+            state, grad = op.to_state(est), op.to_state(want)
+            band = np.empty(len(state), dtype=bool)
+            projs = _projections(op, state, MIP_AXES)
+            for axis in MIP_AXES:
+                ax = _MIP_AXES[axis]
+                proj = projs[axis]
+                assert proj.flags.c_contiguous
+                assert np.array_equal(proj, est.max(axis=ax))
+                r = 20.0 * (proj - rng.uniform(0.0, 1.0, proj.shape))
+                counts = _mip_term(op, state, grad, axis, proj, r, tie_tol, band)
+                assert np.array_equal(counts, brute_mip_term(est, want, ax, r, tie_tol))
+                assert np.array_equal(op.from_state(grad), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([8, 16]), split_volumes(), st.sampled_from(["rho", "zeros"]),
+           st.booleans(), st.sampled_from([(0.0, 1.0), (0.05, 1.0)]),
+           st.integers(0, 2**16))
+    def test_reconstruct_bit_identical_at_any_thread_count(self, n, split, init, with_mips,
+                                                           clamp, seed):
+        # a positive lower clamp gives blocks with nonzero slice minima
+        nz, per_block = split
+        fan = square_fan(n)
+        truth = DensityVolume(np.random.default_rng(seed).uniform(0.0, 0.6, (nz, n, n)))
+        cfg = ReconConfig(beta=0.3, lambda1=10.0, init=init, clamp=clamp, max_iters=8)
+        y = render_for(fan, truth, cfg.beta).pixels
+        mips = {ax: mip(truth, ax) for ax in MIP_AXES} if with_mips else None
+        with state_budget(per_block, n), mock.patch.object(_pool.os, "cpu_count",
+                                                           return_value=3):
+            assert len(fan.operator().state_blocks(nz)) >= 2
+            runs = [reconstruct(y, fan, cfg, target_mips=mips, threads=threads)
+                    for threads in (1, 2, 3)]
+        (want_vol, want_report), *others = runs
+        assert want_report.iterations_run > 0
+        for vol, report in others:
+            assert vol.data.tobytes() == want_vol.data.tobytes()
+            assert report.loss_history == want_report.loss_history
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([8, 16]), split_volumes(), st.floats(0.05, 1.0),
+           st.sampled_from([0.0, 10.0]), st.integers(0, 2**32 - 1))
+    def test_gradient_matches_central_differences(self, n, split, beta, lambda1, seed):
+        # tie_tol=0 routes each MIP residual to its column's maximum; picks
+        # keep every column's maximizer unchanged under a +-h step, where
+        # the objective is smooth
+        nz, per_block = split
+        fan = square_fan(n)
+        rng = np.random.default_rng(seed)
+        est = rng.uniform(0.1, 0.9, (nz, n, n))
+        target = rng.uniform(0.0, 0.5, (nz, fan.n_rays))
+        mips = ({axis: rng.uniform(0.0, 1.0, est.max(axis=_MIP_AXES[axis]).shape)
+                 for axis in MIP_AXES} if lambda1 else None)
+        cfg = ReconConfig(beta=beta, lambda1=lambda1, mip_tie_tol=0.0)
+        h = 1e-4
+        with state_budget(per_block, n):
+            assert len(fan.operator().state_blocks(nz)) >= 2
+            g = gradient(est, target, mips, fan, cfg)
+            stable = np.abs(g) > 1e-3 * np.abs(g).max()
+            for ax in _MIP_AXES.values() if mips else ():
+                top = np.sort(est, axis=ax)
+                first, second = np.take(top, [-1], axis=ax), np.take(top, [-2], axis=ax)
+                stable &= np.where(est == first, first - second, first - est) > 2 * h
+            picks = np.argwhere(stable)
+            picks = picks[rng.choice(len(picks), min(6, len(picks)), replace=False)]
+            for z, yy, xx in picks:
+                ep, em = est.copy(), est.copy()
+                ep[z, yy, xx] += h
+                em[z, yy, xx] -= h
+                fd = (loss(ep, target, mips, fan, cfg)[0]
+                      - loss(em, target, mips, fan, cfg)[0]) / (2 * h)
+                assert g[z, yy, xx] == pytest.approx(fd, rel=1e-4)
