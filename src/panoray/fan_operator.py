@@ -20,20 +20,23 @@ and n * 0 = 0, so both passes would leave every value unchanged.
 
 Storage is numpy only. Rows of each direction (ray-major for A,
 voxel-major for A^T) are grouped into buckets by power-of-two length and
-zero-padded to the longest row of their bucket. A voxel-major block of
-slices is applied one chunk of bucket rows at a time: `take` gathers the
-rows' inputs into a bounded temporary and a batched `matmul` contracts them
-with the weights. BLAS computes the columns of each (L, nb) product in
-groups of four and rounds a leftover or lone column differently, so a block
-is padded with zero columns to a multiple of four: each slice then gets the
-same bits whatever block it falls in.
+zero-padded to the longest row of their bucket. ray_mean's pattern buckets
+share A^T's rows and indices, with weights (w > 0): 1 on every entry, since
+coalesced weights are > 0, and 0 on padding. _apply overwrites an output
+block the caller owns (a view of the result or a worker's workspace) from
+a voxel-major input block, one chunk of bucket rows at a time: `take`
+gathers the rows' inputs into a bounded temporary and a batched `matmul`
+contracts them with the weights. BLAS computes the columns of each (L, nb)
+product in groups of four and rounds a leftover or lone column differently,
+so a block is padded with zero columns to a multiple of four: each slice
+then gets the same bits whatever block it falls in.
 
 Blocks come in two layouts:
 - Public blocks. forward, adjoint and ray_mean take and return slice-major
   (nz, ny, nx) volumes, so each block is copied in transposed (forward) or
-  copied back in tiles (adjoint). Their blocks hold _BLOCK_BYTES, one
-  workspace per worker: renders and back-projections pay these copies once
-  per call, and a small block keeps their peak memory low.
+  copied back in tiles (adjoint) through one workspace per worker. Their
+  blocks hold _BLOCK_BYTES: renders and back-projections pay these copies
+  once per call, and a small block keeps their peak memory low.
 - State blocks. A solver that applies A and A^T many times keeps its
   volumes in state layout: one flat float64 buffer in which slices z0..z1
   of each block are stored voxel-major as (ny * nx, z1 - z0). The *_state
@@ -76,12 +79,10 @@ class _Bucket:
     rows: np.ndarray  # (r,) output rows
     idx: np.ndarray   # (r, L) input rows, 0 on padding
     w: np.ndarray     # (r, L) weights, 0 on padding
-    ones: np.ndarray | None = None  # (r, L) pattern weights: 1, 0 on padding
 
 
-def _buckets(out_ids, in_ids, weights, n_out, pattern: bool = False) -> tuple:
-    """Group entries (sorted by out_ids) into padded power-of-two buckets;
-    pattern=True also stores each bucket's pattern weights."""
+def _buckets(out_ids, in_ids, weights, n_out) -> tuple:
+    """Group entries (sorted by out_ids) into padded power-of-two buckets."""
     lengths = np.bincount(out_ids, minlength=n_out)
     starts = np.cumsum(lengths) - lengths
     keys = np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
@@ -96,17 +97,13 @@ def _buckets(out_ids, in_ids, weights, n_out, pattern: bool = False) -> tuple:
             rows=rows,
             idx=np.where(pad, 0, in_ids[pos]),
             w=np.where(pad, 0.0, weights[pos]),
-            ones=np.where(pad, 0.0, 1.0) if pattern else None,
         ))
     return tuple(out)
 
 
-def _apply(buckets, src: np.ndarray, n_out: int, pattern: bool = False,
-           out=None) -> np.ndarray:
-    """out[r] = sum over a row's entries of w * src[idx]; src is (n_in, nb).
-
-    out, if given, is an (n_out, nb) array that is overwritten and returned.
-    pattern=True weights every entry 1 (the buckets' pattern weights). src
+def _apply(buckets, src: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = sum over a row's entries of w * src[idx] for every row r of
+    the (n_rows, nb) block out, which is overwritten; src is (n_in, nb) and
     is padded with zero columns to a multiple of _LANES first, so each
     column's sums do not depend on nb (see the module doc)."""
     n_in, nb = src.shape
@@ -114,17 +111,24 @@ def _apply(buckets, src: np.ndarray, n_out: int, pattern: bool = False,
         padded = np.zeros((n_in, nb + _LANES - nb % _LANES))
         padded[:, :nb] = src
         src = padded
-    if out is None:
-        out = np.zeros((n_out, nb), dtype=np.float64)
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     width = src.shape[1]
     for b in buckets:
-        weights = b.ones if pattern else b.w
         step = max(1, _CHUNK_BYTES // (b.idx.shape[1] * width * 8))
         for s in range(0, len(b.rows), step):
             g = np.take(src, b.idx[s:s + step], axis=0)  # (r, L, width)
-            out[b.rows[s:s + step]] = np.matmul(weights[s:s + step, None, :], g)[:, 0, :nb]
+            out[b.rows[s:s + step]] = np.matmul(b.w[s:s + step, None, :], g)[:, 0, :nb]
+
+
+def _out(out, shape: tuple) -> np.ndarray:
+    """out, or a new float64 array of this shape if out is None; ValueError
+    unless out is a C-contiguous float64 array of this shape."""
+    if out is None:
+        return np.empty(shape, dtype=np.float64)
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, "
+                         f"got {np.asarray(out).dtype} {np.shape(out)}")
     return out
 
 
@@ -214,8 +218,12 @@ class FanOperator:
     @cached_property
     def _cols(self) -> tuple:
         order = np.argsort(self.voxel, kind="stable")
-        return _buckets(self.voxel[order], self.ray[order], self.weight[order],
-                        self.n_voxels, pattern=True)
+        return _buckets(self.voxel[order], self.ray[order], self.weight[order], self.n_voxels)
+
+    @cached_property
+    def _pattern(self) -> tuple:
+        """A^T's buckets weighted 1 on every entry and 0 on padding."""
+        return tuple(_Bucket(b.rows, b.idx, (b.w > 0).astype(np.float64)) for b in self._cols)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -225,19 +233,23 @@ class FanOperator:
         counts.flags.writeable = False  # shared: aggregate_rho returns views of it
         return counts
 
-    def _blocks(self, nz: int) -> list:
-        return [(z0, min(nz, z0 + self.block)) for z0 in range(0, nz, self.block)]
+    def _run_public(self, task, nz: int, threads: int) -> None:
+        """task(z0, z1, vt) for each public block of nz slices on up to `threads`
+        workers; vt is an (n_voxels, z1 - z0) view of the worker's workspace."""
+        def block(z0, work):
+            z1 = min(nz, z0 + self.block)
+            task(z0, z1, work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0))
 
-    def _project(self, xt: np.ndarray, out: np.ndarray, in_place: bool) -> None:
-        """out (nb, n_rays) = the line sums of each column of the voxel-major
-        block xt (n_voxels, nb), shifted by the column minima (see the module
-        doc) in xt itself if in_place, else in a temporary."""
-        m = _minima(xt)
-        shift = m.any()  # -0.0 counts as 0
-        if shift:
-            xt = np.subtract(xt, m, out=xt if in_place else None)
-        out[...] = _apply(self._rows, xt, self.n_rays).T
-        if shift:
+        run_blocks(block, range(0, nz, self.block), threads,
+                   lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
+
+    def _project(self, xt: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+        """out (nb, n_rays) = A xt + n m for the voxel-major block xt
+        (n_voxels, nb): the line sums of a block whose column minima m the
+        caller has subtracted into xt, or of xt itself where m is all 0 (see
+        the module doc). xt is never written."""
+        _apply(self._rows, xt, out.T)
+        if m.any():  # else n m adds only zeros
             out += m[:, None] * self.sample_counts
 
     def forward(self, x: np.ndarray, *, threads: int = 1) -> np.ndarray:
@@ -246,55 +258,42 @@ class FanOperator:
         Blocks of slices run on up to `threads` workers (see _pool); the
         result is the same at any thread count."""
         flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
-        nz = len(flat)
-        out = np.empty((nz, self.n_rays), dtype=np.float64)
+        out = np.empty((len(flat), self.n_rays), dtype=np.float64)
 
-        def block(zs, work):
-            z0, z1 = zs
-            xt = work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0)
+        def block(z0, z1, xt):
             _copy_in(flat[z0:z1], xt)
-            self._project(xt, out[z0:z1], in_place=True)
+            m = _minima(xt)
+            if m.any():  # -0.0 counts as 0; the workspace is forward's own
+                xt -= m
+            self._project(xt, m, out[z0:z1])
 
-        # one voxel-major workspace per worker, filled by copy, so the shift
-        # never writes the caller's data
-        run_blocks(block, self._blocks(nz), threads,
-                   lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
+        self._run_public(block, len(flat), threads)
         return out
 
-    def _transpose(self, r: np.ndarray, pattern: bool, out, threads: int) -> np.ndarray:
+    def _transpose(self, r: np.ndarray, buckets: tuple, threads: int) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         nx, ny = self.bounds
-        if out is None:
-            out = np.empty((len(r), ny, nx), dtype=np.float64)
-        elif (out.shape != (len(r), ny, nx) or out.dtype != np.float64
-              or not out.flags.c_contiguous):
-            raise ValueError(
-                f"out must be a C-contiguous float64 array of shape "
-                f"{(len(r), ny, nx)}, got {out.dtype} {out.shape}"
-            )
+        out = np.empty((len(r), ny, nx), dtype=np.float64)
         flat = out.reshape(len(r), self.n_voxels)
-        cols = self._cols  # built here, not once per worker
 
-        def block(zs, _):
-            z0, z1 = zs
-            vt = _apply(cols, np.ascontiguousarray(r[z0:z1].T), self.n_voxels, pattern)
+        def block(z0, z1, vt):
+            _apply(buckets, np.ascontiguousarray(r[z0:z1].T), vt)
             _copy_back(vt, flat[z0:z1])
 
-        run_blocks(block, self._blocks(len(r)), threads)
+        self._run_public(block, len(r), threads)
         return out
 
-    def adjoint(self, r: np.ndarray, *, out=None, threads: int = 1) -> np.ndarray:
+    def adjoint(self, r: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx).
 
-        out, if given, is a C-contiguous float64 (nz, ny, nx) array that
-        receives the result and is returned. Blocks of rows run on up to
-        `threads` workers; the result is the same at any thread count."""
-        return self._transpose(r, False, out, threads)
+        Blocks of rows run on up to `threads` workers; the result is the
+        same at any thread count."""
+        return self._transpose(r, self._cols, threads)
 
     def ray_mean(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Mean of c_j over the rays crossing each voxel, 0 where none does:
         (nz, n_rays) -> (nz, ny, nx). threads as for adjoint."""
-        sums = self._transpose(c, True, None, threads)
+        sums = self._transpose(c, self._pattern, threads)
         # uncovered voxels hold exact zeros, which stay 0 / 1
         return np.divide(sums, np.maximum(self.counts, 1), out=sums)
 
@@ -323,10 +322,10 @@ class FanOperator:
 
     def from_state(self, state: np.ndarray, out=None) -> np.ndarray:
         """The volume held in state layout as (nz, ny, nx) float64, written
-        into out if given (C-contiguous; it must not overlap state)."""
+        into out if given (a C-contiguous float64 array of that shape, which
+        must not overlap state; ValueError otherwise)."""
         nx, ny = self.bounds
-        if out is None:
-            out = np.empty((len(state) // self.n_voxels, ny, nx), dtype=np.float64)
+        out = _out(out, (len(state) // self.n_voxels, ny, nx))
         flat = out.reshape(len(out), self.n_voxels)
         for (z0, z1), view in self.state_views(state):
             _copy_back(view, flat[z0:z1])
@@ -335,37 +334,36 @@ class FanOperator:
     def forward_state(self, state: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """forward of the volume held in state layout; state is never
         written. threads as for forward."""
-        blocks = self.state_views(state)
         out = np.empty((len(state) // self.n_voxels, self.n_rays), dtype=np.float64)
 
         def block(item, _):
             (z0, z1), view = item
-            self._project(view, out[z0:z1], in_place=False)
+            m = _minima(view)
+            self._project(view - m if m.any() else view, m, out[z0:z1])
 
-        run_blocks(block, blocks, threads)
+        run_blocks(block, self.state_views(state), threads)
         return out
 
-    def _transpose_state(self, r: np.ndarray, pattern: bool, out, threads: int) -> np.ndarray:
-        if out is None:
-            out = np.empty(len(r) * self.n_voxels, dtype=np.float64)
-        cols = self._cols  # built here, not once per worker
+    def _transpose_state(self, r: np.ndarray, buckets: tuple, out, threads: int) -> np.ndarray:
+        out = _out(out, (len(r) * self.n_voxels,))
 
         def block(item, _):
             (z0, z1), view = item
-            _apply(cols, np.ascontiguousarray(r[z0:z1].T), self.n_voxels, pattern, out=view)
+            _apply(buckets, np.ascontiguousarray(r[z0:z1].T), view)
 
         run_blocks(block, self.state_views(out), threads)
         return out
 
     def adjoint_state(self, r: np.ndarray, out=None, *, threads: int = 1) -> np.ndarray:
-        """adjoint of the (nz, n_rays) rows r into a state-layout buffer, out
-        if given. threads as for adjoint."""
-        return self._transpose_state(r, False, out, threads)
+        """adjoint of the (nz, n_rays) rows r into a state-layout buffer: out
+        if given (a C-contiguous float64 array of nz * n_voxels values;
+        ValueError otherwise). threads as for adjoint."""
+        return self._transpose_state(r, self._cols, out, threads)
 
     def ray_mean_state(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """ray_mean of the (nz, n_rays) rows c as a new state-layout buffer.
         threads as for adjoint."""
-        sums = self._transpose_state(c, True, None, threads)
+        sums = self._transpose_state(c, self._pattern, None, threads)
         per_voxel = np.maximum(self.counts, 1).reshape(self.n_voxels, 1)
         for _, view in self.state_views(sums):
             np.divide(view, per_voxel, out=view)

@@ -5,6 +5,7 @@ import pytest
 
 from panoray import cli, fan_operator
 from panoray.errors import FormatError
+from panoray.ray_geometry import GeometryConfig, build_fan
 from panoray.renderer import load_image
 from panoray.volume import load_raw_volume, load_volume
 
@@ -254,11 +255,15 @@ class TestThreads:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_multi_block_pipeline_identical(self, tmp_path, capsys):
-        # 40 slices of the default 256x256 grid make three operator blocks,
-        # and SSIM scores 40 slices, so two workers really split the work
+    def test_multi_block_pipeline_identical(self, tmp_path, capsys, monkeypatch):
+        # 40 slices of the default 256x256 grid make three public operator
+        # blocks and, at 16 slices per state block, three solver blocks; SSIM
+        # scores 40 slices, so two workers really split the work
         nz = 40
         assert fan_operator._BLOCK_BYTES // (8 * 256 * 256) < nz / 2
+        monkeypatch.setattr(fan_operator, "_STATE_BYTES", 16 * 8 * 256 * 256)
+        op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
+        assert len(op.state_blocks(nz)) >= 2
         outputs = {}
         for threads in (1, 2):
             d = tmp_path / f"t{threads}"

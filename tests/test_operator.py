@@ -174,17 +174,39 @@ def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 def test_adjoint_out_buffer(fan, interpolation):
+    # adjoint_state fills a given state-layout buffer and returns it; one of
+    # another dtype, shape or layout is refused before any write, including
+    # one too short for every slice, whose leading blocks alone would fit
     nx, ny = fan.bounds
+    n = 3 * nx * ny
     r = np.random.default_rng(7).uniform(-1.0, 1.0, (3, fan.n_rays))
     op = fan.operator(interpolation)
+    buf = np.full(n, np.nan)
+    assert op.adjoint_state(r, buf) is buf
+    assert np.array_equal(op.from_state(buf), op.adjoint(r))
+    for bad in (np.zeros(n - nx * ny), np.zeros(n + 1), np.zeros(n, dtype=np.float32),
+                np.zeros((3, nx * ny)), np.zeros(2 * n)[::2]):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.adjoint_state(r, bad)
+        assert not bad.any()  # refused before any write
+
+
+def test_from_state_out_buffer(fan):
+    # from_state fills a given volume and returns it; a float32 volume, one
+    # of the wrong shape, or a transposed view (which a reshape would copy,
+    # leaving the view itself unwritten) is refused
+    nx, ny = fan.bounds
+    op = fan.operator()
+    x = np.random.default_rng(8).uniform(0.0, 1.0, (3, ny, nx))
+    state = op.to_state(x)
     buf = np.full((3, ny, nx), np.nan)
-    got = op.adjoint(r, out=buf)
-    assert got is buf
-    assert np.array_equal(buf, op.adjoint(r))
-    for bad in (np.empty((3, ny, nx + 1)), np.empty((3, ny, nx), dtype=np.float32),
-                np.empty((3, nx, ny * 2))[:, :, ::2]):
-        with pytest.raises(ValueError):
-            op.adjoint(r, out=bad)
+    assert op.from_state(state, out=buf) is buf
+    assert np.array_equal(buf, x)
+    for bad in (np.zeros((3, nx, ny)).transpose(0, 2, 1),
+                np.zeros((3, ny, nx), dtype=np.float32),
+                np.zeros((3, ny, nx + 1)), np.zeros((2, ny, nx))):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.from_state(state, out=bad)
 
 
 # random fans from extract_rays: small grids, axis-aligned and random angles,
@@ -291,9 +313,6 @@ class TestOperatorProperties:
             for threads in (1, 2, 3):
                 assert np.array_equal(op.forward(x, threads=threads), want_fwd)
                 assert np.array_equal(op.adjoint(r, threads=threads), want_adj)
-                buf = np.full((nz, ny, nx), np.nan)
-                assert op.adjoint(r, out=buf, threads=threads) is buf
-                assert np.array_equal(buf, want_adj)
                 assert np.array_equal(op.ray_mean(c, threads=threads), want_mean)
 
     @settings(max_examples=60, deadline=None)
@@ -312,13 +331,16 @@ class TestOperatorProperties:
 
 
 def test_pattern_weights_mark_the_entries(fan):
-    # built once with A^T's buckets: 1 on each entry, 0 on padding, so each
-    # voxel's row of pattern weights sums to its entry count
+    # A^T's buckets, sharing their rows and indices, weighted 1 on each
+    # entry and 0 on padding, so each voxel's row of pattern weights sums
+    # to its entry count
     op = fan.operator()
     counts = op.counts.ravel()
-    for b in op._cols:
-        assert np.array_equal(b.ones, (b.w != 0.0).astype(np.float64))
-        assert np.array_equal(b.ones.sum(axis=1), counts[b.rows])
+    assert len(op._pattern) == len(op._cols)
+    for p, b in zip(op._pattern, op._cols):
+        assert p.rows is b.rows and p.idx is b.idx
+        assert np.array_equal(p.w, (b.w != 0.0).astype(np.float64))
+        assert np.array_equal(p.w.sum(axis=1), counts[b.rows])
 
 
 @functools.cache

@@ -318,6 +318,9 @@ class TestWorkspaceProperties:
         assert np.array_equal(vol.data, want_vol)
         assert report.loss_history == want_history
         assert report.iterations_run == len(want_history) - 1
+        # every accepted iterate lowers the loss
+        totals = [row[1] for row in report.loss_history]
+        assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
 class TestStopReason:
@@ -378,7 +381,7 @@ class TestMemory:
         fan = build_fan(GeometryConfig(width=128), bounds=(128, 128))
         truth = make_phantom("jaw-arch", dims, seed=1)
         img = render_for(fan, truth, beta=0.02)
-        fan.operator()._cols  # built once per fan, outside the solver
+        fan.operator()._pattern  # built once per fan with _cols, outside the solver
         cfg = ReconConfig(beta=0.02, max_iters=5)
         tracemalloc.start()
         try:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_operator import fans, modes
 
 from panoray.errors import DimsError, FormatError
 from panoray.fan_operator import INTERPOLATIONS
@@ -267,6 +270,23 @@ class TestSaturation:
         img = render_simpx(vol, fan, RenderConfig(beta=5.0, height=2))
         assert img.pixels.max() < 1.0
         assert img.pixels.max() == np.nextafter(1.0, 0.0)
+
+
+class TestImageRangeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), modes, st.integers(1, 3),
+           st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           st.sampled_from([1e3]) | st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+    def test_pixels_lie_in_unit_interval(self, fan, interpolation, nz, top, beta, seed):
+        # zero volumes and random ones with densities up to 1, at betas up
+        # to ones that saturate 1 - T to 1.0 in double precision: pixels
+        # stay in [0, 1)
+        nx, ny = fan.bounds
+        vol = DensityVolume(np.random.default_rng(seed).uniform(0.0, top, (nz, ny, nx)))
+        cfg = RenderConfig(beta=beta, width=fan.n_rays, height=nz, interpolation=interpolation)
+        px = render_simpx(vol, fan, cfg).pixels
+        assert px.shape == (nz, fan.n_rays)
+        assert px.min() >= 0.0 and px.max() < 1.0
 
 
 class TestConfigMismatches:
