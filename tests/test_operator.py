@@ -343,6 +343,107 @@ def test_pattern_weights_mark_the_entries(fan):
         assert np.array_equal(p.w.sum(axis=1), counts[b.rows])
 
 
+def directions(op):
+    """(buckets, dense matrix, row lengths) of A, A^T and the pattern, the
+    dense matrices built from the coalesced (ray, voxel, weight) entries."""
+    a = np.zeros((op.n_rays, op.n_voxels))
+    a[op.ray, op.voxel] = op.weight  # coalesced: one entry per (ray, voxel)
+    per_ray = np.bincount(op.ray, minlength=op.n_rays)
+    per_voxel = op.counts.ravel()
+    return [(op._rows, a, per_ray), (op._cols, a.T, per_voxel),
+            (op._pattern, (a.T > 0).astype(np.float64), per_voxel)]
+
+
+def dense_from_buckets(buckets, shape):
+    """The matrix the buckets hold; padding adds 0.0 to column 0."""
+    d = np.zeros(shape)
+    for b in buckets:
+        np.add.at(d, (np.repeat(b.rows, b.idx.shape[1]), b.idx.ravel()), b.w.ravel())
+    return d
+
+
+def check_length_classes(buckets, dense, lengths):
+    """The buckets partition the rows: one of length 0 holds every row with
+    no entries, each other holds one length class of rows with entries and is
+    padded to its longest row, under 2 ** (1 / _CLASSES) times each row's
+    length; the matrix they hold is the dense one, exactly."""
+    k = fan_operator._CLASSES
+    rows = np.concatenate([b.rows for b in buckets])
+    assert np.array_equal(np.sort(rows), np.arange(len(lengths)))
+    classes = set()
+    for b in buckets:
+        n = lengths[b.rows]
+        width = b.idx.shape[1]
+        if width == 0:
+            assert np.array_equal(b.rows, np.flatnonzero(lengths == 0))
+            continue
+        key = np.ceil(k * np.log2(n))
+        assert n.min() > 0 and np.all(key == key[0]) and key[0] not in classes
+        classes.add(key[0])
+        assert width == n.max() and np.all(width < n * 2 ** (1 / k))
+        pad = np.arange(width) >= n[:, None]
+        assert np.all(b.w[~pad] > 0) and not b.w[pad].any() and not b.idx[pad].any()
+    assert np.array_equal(dense_from_buckets(buckets, dense.shape), dense)
+
+
+def check_apply_zeroes_empty_rows(op, nb, seed):
+    """_apply into NaN-filled blocks writes exact zeros on the rows with no
+    entries and the dense products on the others."""
+    rng = np.random.default_rng(seed)
+    for buckets, dense, lengths in directions(op):
+        src = rng.uniform(-1.0, 1.0, (dense.shape[1], nb))
+        out = np.full((dense.shape[0], nb), np.nan)
+        fan_operator._apply(buckets, src, out)
+        assert np.all(out[lengths == 0] == 0.0)
+        assert np.allclose(out, dense @ src, rtol=1e-12, atol=1e-12)
+
+
+class TestLengthClasses:
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), modes, st.integers(1, 6), st.sampled_from([8, 256, 512 << 10]),
+           st.integers(0, 2**32 - 1))
+    def test_buckets_and_apply(self, fan, interpolation, nb, chunk, seed):
+        # chunk bytes from one row per chunk to the default
+        op = fan.operator(interpolation)
+        for buckets, dense, lengths in directions(op):
+            check_length_classes(buckets, dense, lengths)
+        with mock.patch.object(fan_operator, "_CHUNK_BYTES", chunk):
+            check_apply_zeroes_empty_rows(op, nb, seed)
+
+    @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+    def test_fixture_fans(self, fan, interpolation):
+        # rows of up to a few hundred entries, so most of these fans have
+        # classes of several lengths and buckets with padding; the random
+        # fans' short rows rarely do
+        op = fan.operator(interpolation)
+        for buckets, dense, lengths in directions(op):
+            check_length_classes(buckets, dense, lengths)
+        check_apply_zeroes_empty_rows(op, 5, 0)
+
+    @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+    def test_rays_and_voxels_without_entries(self, interpolation):
+        # centres off an 8x8 grid: half the rays take no sample
+        fan = extract_rays([(-8.0, -8.0), (24.0, 24.0), (24.0, -8.0)], [90.0, 90.0],
+                           initial_angle=45.0, width=12, bounds=(8, 8), n_samples=20)
+        op = fan.operator(interpolation)
+        assert 0 < np.count_nonzero(fan.sample_counts == 0) < fan.n_rays
+        for buckets, dense, lengths in directions(op):
+            assert buckets[0].idx.shape[1] == 0 and len(buckets[0].rows) > 0
+            check_length_classes(buckets, dense, lengths)
+        check_apply_zeroes_empty_rows(op, 5, 0)
+
+    @pytest.mark.parametrize("cfg, bounds", [
+        (GeometryConfig(width=512, angle_scale=0.5), (64, 64)),
+        (GeometryConfig(), (256, 256)),
+    ], ids=["acceptance-64", "default-256"])
+    def test_padding_stays_low(self, cfg, bounds):
+        # power-of-two buckets padded A and A^T by 1.22x and 1.39x on the
+        # acceptance fan and by 1.04x and 1.29x on the default fan
+        op = build_fan(cfg, bounds=bounds).operator()
+        for buckets in (op._rows, op._cols):
+            assert sum(b.idx.size for b in buckets) <= 1.10 * len(op.weight)
+
+
 @functools.cache
 def square_fan(n):
     return build_fan(GeometryConfig(width=64), bounds=(n, n))
