@@ -225,7 +225,10 @@ class FanOperator:
         keys = ray * self.n_voxels + voxel
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        is_start = np.empty(len(keys), dtype=bool)
+        is_start[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=is_start[1:])
+        starts = np.flatnonzero(is_start)
         weight = np.add.reduceat(w[order], starts) if len(keys) else w
         keep = weight > 0
         keys = keys[starts[keep]]

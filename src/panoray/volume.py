@@ -189,13 +189,42 @@ def _parse_floats(text: str, n: int | None = None):
     return vals
 
 
-def _sphere_mask(dims, center, radius):
-    nz, ny, nx = dims
-    zz = np.arange(nz, dtype=np.float64)[:, None, None] + 0.5
-    yy = np.arange(ny, dtype=np.float64)[None, :, None] + 0.5
-    xx = np.arange(nx, dtype=np.float64)[None, None, :] + 0.5
-    cz, cy, cx = center
-    return (zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
+def _quantize(v: float) -> float:
+    """v rounded to float32 precision, as a PVOL1 file stores it."""
+    return float(np.float32(v))
+
+
+def _axis_terms(n: int, c: float) -> np.ndarray:
+    """(k + 0.5 - c) ** 2 for the n voxel centers k + 0.5 of an axis."""
+    return (np.arange(n, dtype=np.float64) + 0.5 - c) ** 2
+
+
+def _box(terms, limit: float):
+    """The index box of the points whose per-axis terms each pass t <= limit,
+    as slices, with each axis's terms cut to it; None if it is empty.
+
+    The terms are non-negative and rounding is monotone, so a point outside
+    the box has a sum of terms (in any order) above limit as well."""
+    box, cut = [], []
+    for t in terms:
+        inside = np.flatnonzero(t <= limit)
+        if not len(inside):
+            return None
+        lo, hi = inside[0], inside[-1] + 1
+        box.append(slice(lo, hi))
+        cut.append(t[lo:hi])
+    return tuple(box), cut
+
+
+def _fill_sphere(data: np.ndarray, center, radius: float, value: float) -> None:
+    """Set the voxels whose centers lie within radius of center to value,
+    testing ((tz + ty) + tx) <= r ** 2 over the sphere's box only."""
+    r2 = radius ** 2
+    found = _box((_axis_terms(n, c) for n, c in zip(data.shape, center)), r2)
+    if found is None:
+        return
+    box, (tz, ty, tx) = found
+    data[box][(tz[:, None, None] + ty[None, :, None]) + tx[None, None, :] <= r2] = value
 
 
 def _random_spheres(dims, seed, count):
@@ -213,18 +242,27 @@ def _random_spheres(dims, seed, count):
 
 
 def _jaw_arch(dims, seed):
-    """Ellipsoid shell plus tooth-like cylinders along a parabolic arch."""
+    """Ellipsoid shell plus tooth-like cylinders along a parabolic arch,
+    built one axial slice at a time."""
     nz, ny, nx = dims
     rng = np.random.default_rng(seed)
     data = np.zeros(dims, dtype=np.float64)
+    shell, interior = _quantize(0.55), _quantize(0.15)
 
-    zz = (np.arange(nz)[:, None, None] + 0.5) / nz
-    yy = (np.arange(ny)[None, :, None] + 0.5) / ny
-    xx = (np.arange(nx)[None, None, :] + 0.5) / nx
-    # outer shell standing in for cortical bone
-    r2 = ((zz - 0.5) / 0.45) ** 2 + ((yy - 0.52) / 0.44) ** 2 + ((xx - 0.5) / 0.46) ** 2
-    data[(r2 <= 1.0) & (r2 >= 0.78)] = 0.55
-    data[r2 < 0.78] = 0.15  # soft interior
+    # outer shell standing in for cortical bone, around a soft interior;
+    # each slice's r2 is (tz + ty) + tx, the terms summed in axis order
+    tz = (((np.arange(nz) + 0.5) / nz - 0.5) / 0.45) ** 2
+    ty = (((np.arange(ny) + 0.5) / ny - 0.52) / 0.44) ** 2
+    tx = (((np.arange(nx) + 0.5) / nx - 0.5) / 0.46) ** 2
+    for z in range(nz):
+        found = _box((tz[z] + ty, tx), 1.0)
+        if found is None:
+            continue
+        box, (tzy, tx_cut) = found
+        r2 = tzy[:, None] + tx_cut[None, :]
+        part = data[z][box]
+        part[(r2 <= 1.0) & (r2 >= 0.78)] = shell
+        part[r2 < 0.78] = interior
 
     # teeth: short vertical cylinders on a parabolic arch opening toward -y
     n_teeth = 10
@@ -237,12 +275,21 @@ def _jaw_arch(dims, seed):
         cx = (0.5 + half_span * u) * nx
         cy = (apex_y - (apex_y - end_y) * u * u) * ny
         cy += rng.uniform(-0.004, 0.004) * ny
-        dist2 = ((np.arange(ny)[:, None] + 0.5) - cy) ** 2 + (
-            (np.arange(nx)[None, :] + 0.5) - cx
-        ) ** 2
-        disk = dist2 <= tooth_r**2
-        data[z0:z1, disk] = 1.0
-    return np.clip(data, 0.0, 1.0, out=data)
+        # never an empty box: the center lies inside the grid and tooth_r > 1
+        (ys, xs), (ty_cut, tx_cut) = _box((_axis_terms(ny, cy), _axis_terms(nx, cx)), tooth_r**2)
+        data[z0:z1, ys, xs][:, ty_cut[:, None] + tx_cut[None, :] <= tooth_r**2] = 1.0
+    return data
+
+
+def _sphere_count(arg: str) -> int:
+    """The n of 'sphere-set:<n>': a whole number >= 0."""
+    try:
+        count = int(arg)
+    except ValueError:
+        count = -1  # reported like a negative count
+    if count < 0:
+        raise ValueError(f"bad sphere count {arg!r}: expected a whole number >= 0")
+    return count
 
 
 def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
@@ -255,7 +302,12 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
       sphere-set:<z>,<y>,<x>,<r>,<v>;...   explicit spheres
       jaw-arch                         ellipsoid shell + teeth along an arch
 
-    Deterministic given (kind, dims, seed).
+    Deterministic given (kind, dims, seed). Each shape is rasterized over its
+    own bounding box (a jaw slice by slice), so building one costs about the
+    voxels it covers; the zero background outside every shape is never
+    written. Values are quantized to float32 precision as constants, once
+    per shape, so every voxel is float32-representable and a PVOL1 round
+    trip is exact.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or min(dims) < 1:
@@ -267,21 +319,21 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
         c = float(arg) if arg else 0.0
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"uniform value must be in [0, 1], got {c}")
-        data = np.full(dims, c, dtype=np.float64)
+        data = np.full(dims, _quantize(c), dtype=np.float64)
     elif name == "single-voxel":
         z, y, x, v = _parse_floats(arg, 4)
-        z, y, x = int(z), int(y), int(x)
+        # compared as floats first, so NaN and inf are rejected too
         if not (0 <= z < nz and 0 <= y < ny and 0 <= x < nx):
-            raise ValueError(f"single-voxel position ({z},{y},{x}) outside dims {dims}")
+            raise ValueError(f"single-voxel position ({z:g},{y:g},{x:g}) outside dims {dims}")
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"single-voxel value must be in [0, 1], got {v}")
         data = np.zeros(dims, dtype=np.float64)
-        data[z, y, x] = v
+        data[int(z), int(y), int(x)] = _quantize(v)
     elif name == "sphere-set":
         if arg == "":
             spheres = _random_spheres(dims, seed, 5)
         elif ";" not in arg and "," not in arg:
-            spheres = _random_spheres(dims, seed, int(arg))
+            spheres = _random_spheres(dims, seed, _sphere_count(arg))
         else:
             spheres = []
             for part in arg.split(";"):
@@ -290,20 +342,21 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
                     raise ValueError(
                         f"sphere center ({cz},{cy},{cx}) outside volume dims {dims}"
                     )
-                if r <= 0:
-                    raise ValueError(f"sphere radius must be > 0, got {r}")
+                # NaN fails r > 0; an inf or huge radius has no finite r * r
+                if not (r > 0 and math.isfinite(r * r)):
+                    raise ValueError(f"sphere radius must be finite and > 0, got {r}")
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"sphere value must be in [0, 1], got {v}")
                 spheres.append((cz, cy, cx, r, v))
         data = np.zeros(dims, dtype=np.float64)
-        for cz, cy, cx, r, v in spheres:
-            data[_sphere_mask(dims, (cz, cy, cx), r)] = v
+        for cz, cy, cx, r, v in spheres:  # later spheres overwrite earlier ones
+            _fill_sphere(data, (cz, cy, cx), r, _quantize(v))
     elif name == "jaw-arch":
         data = _jaw_arch(dims, seed)
     else:
         raise ValueError(f"unknown phantom kind: {kind!r}")
 
-    return DensityVolume(_as_f32_grid(data))
+    return DensityVolume(data)
 
 
 # ----------------------------------------------------------------------

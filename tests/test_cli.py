@@ -29,6 +29,15 @@ class TestPhantom:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize("kind", [
+        "sphere-set:8,8,8,nan,0.5", "sphere-set:8,8,8,inf,0.5", "sphere-set:-3",
+        "sphere-set:2.5", "single-voxel:inf,0,0,1.0"])
+    def test_bad_shape_parameters(self, tmp_path, capsys, kind):
+        out = tmp_path / "v.pvol"
+        assert run("phantom", "--kind", kind, "--dims", "16,16,16", "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: invalid value:")
+        assert not out.exists()
+
 
 class TestRender:
     def test_golden_zero_image(self, tmp_path):

@@ -154,6 +154,17 @@ def test_operator_coalesces_entries(fan):
     assert len(fan.operator().weight) == sum(len(f) for f in ref_footprints(fan))
 
 
+@pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+def test_operator_without_entries(interpolation):
+    # no retained sample: nothing to coalesce, and A and A^T are zero maps
+    fan = build_fan(GeometryConfig(width=32), bounds=(8, 8))
+    op = fan_operator.FanOperator(fan.sample_xy, np.zeros_like(fan.sample_valid),
+                                  np.zeros_like(fan.sample_counts), fan.bounds, interpolation)
+    assert len(op.ray) == len(op.voxel) == len(op.weight) == 0
+    assert not op.forward(np.ones((2, 8, 8))).any()
+    assert not op.adjoint(np.ones((2, fan.n_rays))).any()
+
+
 def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
     # one slice per block and one row per chunk against the default sizes
     nx, ny = fan.bounds

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panoray import volume
 from panoray.errors import DimsError, FormatError
@@ -66,6 +68,21 @@ class TestPhantoms:
         with pytest.raises(DimsError):
             make_phantom("uniform:0", (0, 8, 8))
 
+    @pytest.mark.parametrize("kind, message", [
+        ("sphere-set:8,8,8,nan,0.5", "sphere radius"),
+        ("sphere-set:8,8,8,inf,0.5", "sphere radius"),
+        ("sphere-set:8,8,8,1e200,0.5", "sphere radius"),
+        ("sphere-set:8,8,8,-2,0.5", "sphere radius"),
+        ("sphere-set:-3", "bad sphere count '-3'"),
+        ("sphere-set:2.5", "bad sphere count '2.5'"),
+        ("single-voxel:nan,0,0,1.0", "outside dims"),
+        ("single-voxel:inf,0,0,1.0", "outside dims"),
+        ("single-voxel:-0.5,0,0,1.0", "outside dims"),
+    ])
+    def test_bad_shape_parameters(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            make_phantom(kind, (16, 16, 16))
+
     def test_value_out_of_range(self):
         with pytest.raises(ValueError):
             make_phantom("uniform:1.5", (4, 4, 4))
@@ -97,11 +114,155 @@ class TestQuantize:
 
     @pytest.mark.parametrize("kind", [
         "uniform:0.3", "single-voxel:2,5,7,0.7", "sphere-set", "jaw-arch"])
-    def test_phantoms_unchanged(self, kind, monkeypatch):
+    def test_phantoms_unchanged(self, kind):
         got = make_phantom(kind, (9, 20, 22), seed=4).data
-        monkeypatch.setattr(volume, "_as_f32_grid", _old_f32_grid)
-        want = make_phantom(kind, (9, 20, 22), seed=4).data
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = _reference_phantom(kind, (9, 20, 22), seed=4)
+        assert _bits_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# The whole-volume phantoms that bounding-box rasterization replaced: one
+# full-grid mask per shape, then one whole-volume float32 round trip.
+# ----------------------------------------------------------------------
+
+def _reference_spheres(dims, spheres):
+    nz, ny, nx = dims
+    zz = np.arange(nz, dtype=np.float64)[:, None, None] + 0.5
+    yy = np.arange(ny, dtype=np.float64)[None, :, None] + 0.5
+    xx = np.arange(nx, dtype=np.float64)[None, None, :] + 0.5
+    data = np.zeros(dims, dtype=np.float64)
+    for cz, cy, cx, r, v in spheres:
+        data[(zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2 <= r**2] = v
+    return _old_f32_grid(data)
+
+
+def _reference_random_spheres(dims, seed, count):
+    rng = np.random.default_rng(seed)
+    nz, ny, nx = dims
+    spheres = []
+    for _ in range(count):
+        r = rng.uniform(0.08, 0.16) * min(dims)
+        cz = rng.uniform(r, nz - r)
+        cy = rng.uniform(r, ny - r)
+        cx = rng.uniform(r, nx - r)
+        val = rng.uniform(0.4, 1.0)
+        spheres.append((cz, cy, cx, r, val))
+    return spheres
+
+
+def _reference_jaw(dims, seed):
+    nz, ny, nx = dims
+    rng = np.random.default_rng(seed)
+    data = np.zeros(dims, dtype=np.float64)
+    zz = (np.arange(nz)[:, None, None] + 0.5) / nz
+    yy = (np.arange(ny)[None, :, None] + 0.5) / ny
+    xx = (np.arange(nx)[None, None, :] + 0.5) / nx
+    r2 = ((zz - 0.5) / 0.45) ** 2 + ((yy - 0.52) / 0.44) ** 2 + ((xx - 0.5) / 0.46) ** 2
+    data[(r2 <= 1.0) & (r2 >= 0.78)] = 0.55
+    data[r2 < 0.78] = 0.15
+    n_teeth = 10
+    apex_y, end_y = 0.72, 0.38
+    half_span = 0.26
+    z0, z1 = int(0.35 * nz), max(int(0.35 * nz) + 1, int(0.65 * nz))
+    tooth_r = max(1.2, 0.035 * nx)
+    for k in range(n_teeth):
+        u = -1.0 + 2.0 * k / (n_teeth - 1)
+        cx = (0.5 + half_span * u) * nx
+        cy = (apex_y - (apex_y - end_y) * u * u) * ny
+        cy += rng.uniform(-0.004, 0.004) * ny
+        dist2 = ((np.arange(ny)[:, None] + 0.5) - cy) ** 2 + (
+            (np.arange(nx)[None, :] + 0.5) - cx
+        ) ** 2
+        data[z0:z1, dist2 <= tooth_r**2] = 1.0
+    return _old_f32_grid(np.clip(data, 0.0, 1.0, out=data))
+
+
+def _reference_phantom(kind, dims, seed=0):
+    name, _, arg = kind.partition(":")
+    if name == "uniform":
+        return _old_f32_grid(np.full(dims, float(arg)))
+    if name == "single-voxel":
+        z, y, x, v = (float(p) for p in arg.split(","))
+        data = np.zeros(dims)
+        data[int(z), int(y), int(x)] = v
+        return _old_f32_grid(data)
+    if name == "sphere-set":
+        return _reference_spheres(dims, _reference_random_spheres(dims, seed, int(arg or 5)))
+    assert name == "jaw-arch"
+    return _reference_jaw(dims, seed)
+
+
+def _bits_equal(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _descriptor(spheres):
+    return "sphere-set:" + ";".join(",".join(repr(float(t)) for t in s) for s in spheres)
+
+
+@st.composite
+def sphere_sets(draw):
+    """Dims with 1-voxel axes among them, and spheres centred on the volume's
+    faces, on voxel centres or anywhere inside, with radii from 0.01 to past
+    the volume, some exactly on the grid's half-integer distances."""
+    dims = tuple(draw(st.integers(1, 12)) for _ in range(3))
+
+    def coord(n):
+        return st.one_of(st.just(0.0), st.just(float(n)),
+                         st.integers(0, n - 1).map(lambda k: k + 0.5),
+                         st.floats(0.0, float(n)))
+
+    radius = st.one_of(st.floats(0.01, 2.0 * max(dims) + 2.0),
+                       st.integers(1, 4 * max(dims)).map(lambda k: k / 2))
+    sphere = st.tuples(*(coord(n) for n in dims), radius, st.floats(0.0, 1.0))
+    return dims, draw(st.lists(sphere, min_size=1, max_size=6))
+
+
+class TestPhantomRasterization:
+    """make_phantom against the whole-volume reference above, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sphere_sets())
+    def test_sphere_sets(self, case):
+        dims, spheres = case
+        got = make_phantom(_descriptor(spheres), dims).data
+        assert _bits_equal(got, _reference_spheres(dims, spheres))
+
+    def test_overlapping_spheres_later_wins(self):
+        spheres = [(4.0, 4.0, 4.0, 3.0, 0.3), (4.5, 5.0, 5.5, 2.5, 0.9), (3.0, 3.0, 3.0, 1.0, 0.1)]
+        got = make_phantom(_descriptor(spheres), (8, 9, 10)).data
+        assert _bits_equal(got, _reference_spheres((8, 9, 10), spheres))
+        assert set(np.unique(got)) == {0.0, *(float(np.float32(s[4])) for s in spheres)}
+
+    @pytest.mark.parametrize("count", [0, 1, 8])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (5, 1, 7), (16, 24, 20)])
+    def test_random_sphere_sets(self, dims, count):
+        got = make_phantom(f"sphere-set:{count}", dims, seed=6).data
+        assert _bits_equal(got, _reference_phantom(f"sphere-set:{count}", dims, seed=6))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (7, 13, 5), (9, 20, 22)])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_jaw(self, dims, seed):
+        got = make_phantom("jaw-arch", dims, seed=seed).data
+        assert _bits_equal(got, _reference_jaw(dims, seed))
+
+    # values float32 rounds: up, down, to a subnormal, to zero, and -0.0
+    @pytest.mark.parametrize("v", ["0.1", "0.3", "0.7", "0.999999999", "1e-40", "1e-50", "-0.0"])
+    def test_rounded_values(self, v):
+        for kind, dims in ((f"uniform:{v}", (2, 3, 4)), (f"single-voxel:1,2,3,{v}", (2, 3, 4))):
+            assert _bits_equal(make_phantom(kind, dims).data, _reference_phantom(kind, dims))
+
+    @pytest.mark.parametrize("kind", ["sphere-set:8", "jaw-arch"])
+    def test_peak_memory_near_the_volume(self, kind):
+        dims = (32, 128, 128)
+        make_phantom(kind, dims, seed=2)  # numpy's one-time lazy set-up is not traced
+        tracemalloc.start()
+        try:
+            vol = make_phantom(kind, dims, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * vol.data.nbytes
 
 
 class TestDensityVolume:
