@@ -15,15 +15,16 @@ import threading
 from numbers import Integral
 
 
-def check_threads(threads) -> None:
-    """ValueError unless threads is an integer >= 1."""
-    if isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+def check_int(name: str, value, minimum: int = 1) -> None:
+    """ValueError unless value is an integer (not a bool) >= minimum; the
+    one rule for every count: threads, widths, sample counts, iterations."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def worker_count(threads, n_blocks: int) -> int:
     """Workers for n_blocks blocks: min(threads, os.cpu_count(), n_blocks), at least 1."""
-    check_threads(threads)
+    check_int("threads", threads)
     return max(1, min(int(threads), os.cpu_count() or 1, n_blocks))
 
 

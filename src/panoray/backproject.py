@@ -95,8 +95,9 @@ def invert_pixel_to_candidate(
         raise ValueError(f"pixel must lie in [0, 1), got {pixel}")
     if n_inbounds < 1:
         raise ValueError(f"n_inbounds must be >= 1, got {n_inbounds}")
-    if delta <= 0 or beta <= 0:
-        raise ValueError("delta and beta must be > 0")
+    # written so that NaN (which fails every comparison) is rejected too
+    if not (0 < delta < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"delta and beta must be finite and > 0, got {delta}, {beta}")
     sigma = -np.log1p(-pixel) / (beta * n_inbounds * delta)
     return float(np.clip(sigma, 0.0, 1.0))
 

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import backproject, metrics, ray_geometry, reconstructor, renderer, volume
-from ._pool import check_threads
+from ._pool import check_int
 from .errors import DimsError, FormatError
 
 # geometry-file keys and their parsers by the config that owns their defaults;
@@ -159,8 +159,7 @@ def _cmd_reconstruct(args):
             f"truth volume dims {truth.shape} do not match the reconstruction "
             f"dims {dims}; set grid=<nx>,<ny> in the geometry file"
         )
-    flags = {"lambda1": args.lambda1, "max_iters": args.iters, "step_size": args.step,
-             "init": args.init}
+    flags = {"max_iters": args.iters, "step_size": args.step, "init": args.init}
     cfg = reconstructor.ReconConfig(beta=beta, **{k: v for k, v in flags.items() if v is not None})
     result, report = reconstructor.reconstruct(img, fan, cfg, threads=args.threads)
     volume.save_volume(result, args.out)
@@ -253,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # solver flags left unset keep ReconConfig's defaults
     sp.add_argument("--iters", type=int, default=None)
     sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--lambda1", type=float, default=None)
     sp.add_argument("--init", choices=("rho", "zeros"), default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", default=None)
@@ -279,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        check_threads(args.threads)
+        check_int("threads", args.threads)
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)

@@ -1,4 +1,6 @@
-"""Volume quality metrics: PSNR, per-slice SSIM, Dice overlap and MSE."""
+"""Volume quality metrics: PSNR, per-slice SSIM, Dice overlap and MSE.
+
+PSNR and SSIM score normalized densities, whose dynamic range is [0, 1]."""
 
 from __future__ import annotations
 
@@ -7,15 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_threads, run_blocks
+from ._pool import check_int, run_blocks
 from .errors import DimsError
 from .volume import DensityVolume
 
 PSNR_CAP_DB = 99.0
 DICE_THRESHOLD = 0.2
 _SSIM_WINDOW = 7
-_SSIM_K1 = 0.01
-_SSIM_K2 = 0.03
+# SSIM's stabilizers (k1 L)^2 and (k2 L)^2 on the dynamic range L = 1
+_SSIM_C1 = 0.01 ** 2
+_SSIM_C2 = 0.03 ** 2
 
 
 @dataclass(frozen=True)
@@ -69,28 +72,25 @@ def volume_mse(a, b) -> float:
     return _mse(a, b)
 
 
-def _check_scales(peak: float = 1.0, threshold: float = 0.0) -> None:
+def _check_threshold(threshold: float) -> None:
     # written so that NaN (which fails every comparison) is rejected too
-    if not 0.0 < peak < math.inf:
-        raise ValueError(f"peak must be finite and > 0, got {peak}")
     if not abs(threshold) < math.inf:
         raise ValueError(f"threshold must be finite, got {threshold}")
 
 
-def _psnr_db(mse: float, peak: float) -> float:
+def _psnr_db(mse: float) -> float:
     if not math.isfinite(mse):
         raise ValueError(f"psnr needs finite inputs, got MSE {mse}")
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
+    return min(PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse))
 
 
-def psnr(a, b, peak: float = 1.0, mask=None) -> float:
-    """10*log10(peak^2 / MSE) in dB, capped at 99.0 (identical inputs).
+def psnr(a, b, *, mask=None) -> float:
+    """10*log10(1 / MSE) in dB, the peak being 1, the top of the normalized
+    density range; capped at 99.0 (identical inputs).
 
-    Raises ValueError when the MSE is not finite (NaN or infinite inputs) or
-    peak is not finite and > 0."""
-    _check_scales(peak=peak)
+    Raises ValueError when the MSE is not finite (NaN or infinite inputs)."""
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     if mask is not None:
@@ -98,13 +98,13 @@ def psnr(a, b, peak: float = 1.0, mask=None) -> float:
         _check_dims(a, mask)
         if not mask.any():
             raise ValueError("psnr mask selects no voxels")
-        return _psnr_db(_mse(a[mask], b[mask]), peak)
-    return _psnr_db(_mse(a, b), peak)
+        return _psnr_db(_mse(a[mask], b[mask]))
+    return _psnr_db(_mse(a, b))
 
 
 def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
     """Overlap of the binarized volumes in percent; two empty sets agree (100)."""
-    _check_scales(threshold=threshold)
+    _check_threshold(threshold)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     fa = a > threshold
@@ -135,21 +135,20 @@ def _window_sums(x: np.ndarray, w: int, rows: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def ssim(a, b, peak: float = 1.0, *, threads: int = 1) -> float:
+def ssim(a, b, *, threads: int = 1) -> float:
     """Mean structural similarity over axial slices, in percent.
 
     Uniform 7x7 window in valid mode, stabilizers k1=0.01 / k2=0.03 on the
-    given dynamic range. Slices run on up to `threads` workers (see _pool);
-    the value is the same at any thread count.
+    dynamic range 1 of normalized densities. Slices run on up to `threads`
+    workers (see _pool); the value is the same at any thread count.
     """
-    _check_scales(peak=peak)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
-    means, _ = _slice_walk(a, b, peak, None, threads)
+    means, _ = _slice_walk(a, b, None, threads)
     return 100.0 * float(np.mean(means))
 
 
-def _slice_walk(a, b, peak, threshold, threads):
+def _slice_walk(a, b, threshold, threads):
     """One pass over the axial slice pairs on up to `threads` workers: the
     per-slice SSIM means in slice order and, for a threshold that is not
     None, Dice's voxel counts (above it in a, in b, in both) summed over
@@ -160,8 +159,6 @@ def _slice_walk(a, b, peak, threshold, threads):
         raise DimsError(
             f"axial slices {a.shape[1:]} are smaller than the {w}x{w} SSIM window"
         )
-    c1 = (_SSIM_K1 * peak) ** 2
-    c2 = (_SSIM_K2 * peak) ** 2
 
     # one slice at a time through buffers allocated once per worker, so a
     # slice's working set stays in cache; the five window means are kept
@@ -197,9 +194,9 @@ def _slice_walk(a, b, peak, threshold, threads):
         np.multiply(mx, my, out=num)
         cov -= num
         num *= 2.0
-        num += c1
+        num += _SSIM_C1
         cov *= 2.0
-        cov += c2
+        cov += _SSIM_C2
         num *= cov
         # den = (mx^2 + my^2 + c1) * (vx + vy + c2), with vx = E[x^2] - mx^2
         np.multiply(mx, mx, out=den)
@@ -207,9 +204,9 @@ def _slice_walk(a, b, peak, threshold, threads):
         my2 = np.multiply(my, my, out=cov)
         vy -= my2
         den += my2
-        den += c1
+        den += _SSIM_C1
         vx += vy
-        vx += c2
+        vx += _SSIM_C2
         den *= vx
         num /= den
         if threshold is None:
@@ -227,20 +224,20 @@ def _slice_walk(a, b, peak, threshold, threads):
     return means, [sum(c) for c in zip(*(counts for _, counts in results))]
 
 
-def evaluate(a, b, threshold: float = DICE_THRESHOLD, peak: float = 1.0, *,
+def evaluate(a, b, threshold: float = DICE_THRESHOLD, *,
              threads: int = 1) -> MetricsReport:
     """PSNR, SSIM, Dice and MSE of a against b; threads as for ssim.
 
     The values are those psnr, ssim, dice and volume_mse give; SSIM and the
     Dice counts come from one walk over the slice pairs. A float32 array is
     read as its float64 values without a widened copy of the whole volume."""
-    _check_scales(peak, threshold)
-    check_threads(threads)
+    _check_threshold(threshold)
+    check_int("threads", threads)
     a, b = _data(a, keep_f32=True), _data(b, keep_f32=True)
     _check_dims(a, b)
     mse = _mse(a, b)  # shared by psnr and mse, the same value each computes
-    psnr_db = _psnr_db(mse, peak)  # non-finite inputs fail before the slice walk
-    means, counts = _slice_walk(a, b, peak, threshold, threads)
+    psnr_db = _psnr_db(mse)  # non-finite inputs fail before the slice walk
+    means, counts = _slice_walk(a, b, threshold, threads)
     return MetricsReport(
         psnr=psnr_db,
         ssim=100.0 * float(np.mean(means)),

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import check_int
 from .errors import DimsError, FormatError
 from .fan_operator import FanOperator
 
@@ -202,8 +203,8 @@ class GeometryConfig:
     theta_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.width < 1 or self.n_samples < 1:
-            raise ValueError("width and n_samples must be >= 1")
+        check_int("width", self.width)
+        check_int("n_samples", self.n_samples)
         # written so that NaN (which fails every comparison) is rejected too
         if not (0 < self.delta < math.inf and 0 < self.angle_scale < math.inf):
             raise ValueError("delta and angle_scale must be finite and > 0")
@@ -259,8 +260,7 @@ def extract_rays(
         raise ValueError(
             f"angle schedule covers {len(angle_schedule)} segments, need {n_seg}"
         )
-    if width < n_seg:
-        raise ValueError(f"width {width} below segment count {n_seg}")
+    check_int("width", width, n_seg)  # at least one ray per segment
 
     if initial_angle is None:
         chord = centers[-1] - centers[0]
@@ -276,8 +276,9 @@ def extract_rays(
         target = current + _wrap180(math.degrees(math.atan2(seg[1], seg[0])) - current)
         turn = target - current
         theta = float(angle_schedule[i])
-        if theta <= 0:
-            raise ValueError(f"rotation step for segment {i} must be > 0, got {theta}")
+        if not 0 < theta < math.inf:
+            raise ValueError(
+                f"rotation step for segment {i} must be finite and > 0, got {theta}")
         sign = 1.0 if turn >= 0 else -1.0
         k = 1
         # rotate until the next step would pass the connecting direction
@@ -331,10 +332,10 @@ def _sample(origins, directions, n_samples: int, delta: float, bounds):
     ray's count. Each computed coordinate is monotone in the step and the box
     is convex, so a ray's in-bounds steps form one run from its first one.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    check_int("n_samples", n_samples)
+    # written so that NaN (which fails every comparison) is rejected too
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     nx, ny = bounds
     reach = math.hypot(nx, ny)
     n_steps = int(math.ceil(2.0 * reach / delta)) + 2

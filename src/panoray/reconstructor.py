@@ -12,11 +12,12 @@ with transmittance T and residual r contributes 2 * r * T * beta * delta to
 every density sample on its ray, scattered through the transposed bilinear
 weights (the transpose of the fan's system matrix, see fan_operator). The
 MIP term splits each projected pixel's residual equally across the voxels
-lying within mip_tie_tol of that column's maximum (a subgradient of the
+lying within _MIP_TIE_TOL of that column's maximum (a subgradient of the
 max; identical to plain argmax routing when the maximum is isolated).
 Routing to the argmax alone jams the descent once shaving flattens column
 maxima into plateaus, so the band backs the practical convergence here.
-Iterates stay inside the [0, 1] box and the step is halved until the loss
+Iterates stay inside the [0, 1] box of normalized densities and the step is
+multiplied by _BACKTRACK, at most _MAX_HALVINGS times, until the loss
 decreases, so the loss history is monotone. Each line search starts from a
 safeguarded spectral (Barzilai-Borwein) guess, which is what lets the
 ill-conditioned tomographic modes converge within a practical iteration
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backproject, metrics
-from ._pool import check_threads
+from ._pool import check_int
 from .errors import DimsError
 from .fan_operator import FanOperator
 from .ray_geometry import RayFan
@@ -39,40 +40,33 @@ from .renderer import _MIP_AXES, RenderConfig, as_pixels
 from .volume import DensityVolume, _as_f32_grid
 
 
+# the line search and MIP band of the module docstring; read at call time,
+# so that a test can patch them
+_BACKTRACK = 0.5
+_MAX_HALVINGS = 30
+_MIP_TIE_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class ReconConfig:
     lambda1: float = 10.0
     max_iters: int = 200
     step_size: float = 1.0
-    backtrack_factor: float = 0.5
-    max_halvings: int = 30
     init: str = "rho"            # "rho" (back-projection) or "zeros"
     tol: float = 1e-7            # relative loss decrease to keep iterating
     beta: float = RenderConfig.beta
-    clamp: tuple[float, float] = (0.0, 1.0)
-    mip_tie_tol: float = 1e-3    # width of the shared-maximum band
 
     def __post_init__(self):
         # written so that NaN (which fails every comparison) is rejected too
         if not 0 <= self.lambda1 < math.inf:
             raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_int("max_iters", self.max_iters)
         if not 0 < self.step_size < math.inf:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if self.max_halvings < 0:
-            raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
-        lo, hi = self.clamp
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"clamp must be finite with lo < hi, got {self.clamp}")
         if self.init not in ("rho", "zeros"):
             raise ValueError(f"init must be 'rho' or 'zeros', got {self.init!r}")
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if not 0 <= self.mip_tie_tol < math.inf:
-            raise ValueError(f"mip_tie_tol must be finite and >= 0, got {self.mip_tie_tol}")
         if math.isnan(self.tol):
             raise ValueError("tol must not be NaN")
 
@@ -115,6 +109,8 @@ def _check_mips(target_mips, dims) -> dict:
             raise DimsError(
                 f"{axis} MIP target has shape {arr.shape}, expected {want[axis]}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{axis} MIP target must be finite")
         out[axis] = arr
     return out
 
@@ -228,7 +224,7 @@ def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
 
 
 def _gradient(state, y, mips, fan, beta, lambda1, pred, projs,
-              tie_tol: float = 1e-3, out=None, threads: int = 1, band=None):
+              out=None, threads: int = 1, band=None):
     """Gradient at the state-layout estimate, in state layout (into out if
     given); pred and projs are the predicted image and the MIP projections
     of this same estimate, as _loss_terms returns them. band is a bool
@@ -242,7 +238,7 @@ def _gradient(state, y, mips, fan, beta, lambda1, pred, projs,
         band = np.empty(len(state), dtype=bool)
     for axis, tgt in mips.items():
         r = 2.0 * lambda1 * (projs[axis] - tgt)
-        _mip_term(op, state, grad, axis, projs[axis], r, tie_tol, band)
+        _mip_term(op, state, grad, axis, projs[axis], r, _MIP_TIE_TOL, band)
     return grad
 
 
@@ -250,8 +246,7 @@ def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.
     """d(total)/d(sigma) at every voxel."""
     state, y, mips = _prepare(est, target_img, target_mips, fan)
     _, _, _, pred, projs = _loss_terms(state, y, mips, fan, cfg.beta, cfg.lambda1)
-    grad = _gradient(state, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs,
-                     tie_tol=cfg.mip_tie_tol)
+    grad = _gradient(state, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs)
     return fan.operator().from_state(grad)
 
 
@@ -276,12 +271,11 @@ def reconstruct(
     slice-major once, at the end; the step's two dots are summed per state
     block (_block_dot).
     """
-    check_threads(threads)
+    check_int("threads", threads)
     y = as_pixels(target_img, fan.n_rays)
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
     mips = _check_mips(target_mips, dims)
-    lo, hi = cfg.clamp
     op = fan.operator()
 
     # Workspace: four volumes in the operator's state layout (see
@@ -309,7 +303,7 @@ def reconstruct(
         # state layout
         cands = backproject.image_candidates(y, fan, cfg.beta)
         x = op.ray_mean_state(cands, threads=threads)
-        np.clip(x, lo, hi, out=x)
+        np.clip(x, 0.0, 1.0, out=x)
     band = np.empty(len(x), dtype=bool) if mips else None
 
     report = ReconReport()
@@ -330,7 +324,7 @@ def reconstruct(
             break
         older, grad = grad, _gradient(
             x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, projs=projs,
-            tie_tol=cfg.mip_tie_tol, out=older, threads=threads, band=band,
+            out=older, threads=threads, band=band,
         )
         if s is not None:
             # spectral step guess from the last accepted move, safeguarded;
@@ -341,11 +335,11 @@ def reconstruct(
             else:
                 step = min(1e6, 2.0 * step)
         accepted = False
-        for _ in range(cfg.max_halvings + 1):
-            # trial = clip(x - step * grad, lo, hi)
+        for _ in range(_MAX_HALVINGS + 1):
+            # trial = clip(x - step * grad, 0, 1)
             np.multiply(grad, step, out=trial)
             np.subtract(x, trial, out=trial)
-            np.clip(trial, lo, hi, out=trial)
+            np.clip(trial, 0.0, 1.0, out=trial)
             t_total, t_img, t_mip, t_pred, t_projs = _loss_terms(
                 trial, y, mips, fan, cfg.beta, cfg.lambda1, threads
             )
@@ -354,7 +348,7 @@ def reconstruct(
             if t_total < total:
                 accepted = True
                 break
-            step *= cfg.backtrack_factor
+            step *= _BACKTRACK
         if not accepted:
             report.stop_reason = "line_search"
             break
@@ -376,7 +370,7 @@ def reconstruct(
     # back to slice-major once, into the free trial buffer
     data = op.from_state(x, out=trial.reshape(dims))
     del x, trial
-    result = DensityVolume(_as_f32_grid(np.clip(data, 0.0, 1.0, out=data)))
+    result = DensityVolume(_as_f32_grid(data))
     if ground_truth is not None:
         report.final_metrics = metrics.evaluate(result, ground_truth, threads=threads)
     return result, report

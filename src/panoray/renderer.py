@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_threads
+from ._pool import check_int
 from .errors import DimsError
 from .fan_operator import INTERPOLATIONS
 from .ray_geometry import RayFan
@@ -46,11 +46,11 @@ class RenderConfig:
         # written so that NaN (which fails every comparison) is rejected too
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("width and height must be >= 1")
+        check_int("width", self.width)
+        check_int("height", self.height)
         if self.interpolation not in INTERPOLATIONS:
             raise ValueError(f"unknown interpolation mode: {self.interpolation!r}")
-        check_threads(self.threads)
+        check_int("threads", self.threads)
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,11 @@ def as_pixels(image, width: int | None = None, height: int | None = None) -> np.
 
 def transmittance(densities, delta: float, beta: float) -> float:
     """T = exp(-sum(beta * sigma_i * delta)) with compensated summation."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    # written so that NaN (which fails every comparison) is rejected too
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     total = math.fsum(float(s) for s in np.asarray(densities, dtype=np.float64).ravel())
     return math.exp(-beta * delta * total)
 

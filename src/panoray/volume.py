@@ -93,10 +93,11 @@ class AttenuationModel:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.mu_water <= 0:
-            raise ValueError(f"mu_water must be > 0, got {self.mu_water}")
-        if self.c <= 0 or self.a <= 0:
-            raise ValueError("a and c must be > 0 so that beta = a/c is > 0")
+        # written so that NaN (which fails every comparison) is rejected too
+        if not 0 < self.mu_water < math.inf:
+            raise ValueError(f"mu_water must be finite and > 0, got {self.mu_water}")
+        if not (0 < self.a < math.inf and 0 < self.c < math.inf):
+            raise ValueError(f"a and c must be finite and > 0, got a={self.a}, c={self.c}")
 
     @property
     def beta(self) -> float:

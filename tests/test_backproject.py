@@ -210,6 +210,14 @@ class TestInvertPixel:
         with pytest.raises(ValueError):
             invert_pixel_to_candidate(0.5, 0, 1.0, 0.02)
 
+    @pytest.mark.parametrize("name", ["delta", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_params(self, name, value):
+        # a NaN delta or beta used to return a NaN candidate
+        params = {"delta": 1.0, "beta": 0.02, name: value}
+        with pytest.raises(ValueError, match="delta and beta"):
+            invert_pixel_to_candidate(0.5, 200, **params)
+
 
 class TestRoundTrip:
     def test_uniform_round_trip(self):

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,12 +8,31 @@ import pytest
 from panoray import cli, fan_operator
 from panoray.errors import FormatError
 from panoray.ray_geometry import GeometryConfig, build_fan
-from panoray.renderer import load_image
+from panoray.reconstructor import ReconConfig
+from panoray.renderer import RenderConfig, load_image
 from panoray.volume import load_raw_volume, load_volume
 
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def test_settable_surface():
+    # every knob has a caller outside the tests; a new one shows up here
+    assert [f.name for f in dataclasses.fields(ReconConfig)] == [
+        "lambda1", "max_iters", "step_size", "init", "tol", "beta"]
+    assert [f.name for f in dataclasses.fields(RenderConfig)] == [
+        "beta", "width", "height", "interpolation", "threads"]
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    common = ["-h", "--help", "--seed", "--threads", "--deterministic"]
+    options = {name: [s for a in sub.choices[name]._actions for s in a.option_strings]
+               for name in ("reconstruct", "metrics")}
+    assert options == {
+        "reconstruct": common + ["--img", "--geometry", "--iters", "--step", "--init",
+                                 "--out", "--report", "--truth"],
+        "metrics": common + ["--a", "--b", "--threshold"],
+    }
 
 
 class TestPhantom:

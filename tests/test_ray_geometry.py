@@ -225,6 +225,9 @@ class TestSamplePoints:
             sample_points(ray, 0, 1.0, (8, 8))
         with pytest.raises(ValueError):
             sample_points(ray, 10, 0.0, (8, 8))
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta"):
+                sample_points(ray, 10, delta, (8, 8))
 
 
 class TestRaymapExport:
@@ -284,6 +287,33 @@ class TestScheduleOverrides:
         # a NaN step used to emit no rotation rays for its segment
         with pytest.raises(ValueError, match="theta_overrides"):
             GeometryConfig(theta_overrides={3: theta})
+
+    @pytest.mark.parametrize("field", ["width", "n_samples"])
+    @pytest.mark.parametrize("value", [0, 20.5, True])
+    def test_counts_are_integers(self, field, value):
+        # n_samples=20.5 built a fan whose sample_counts were the float 20.5
+        # while each ray kept 20 samples; width=32.5 failed with a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            GeometryConfig(**{field: value})
+        assert getattr(GeometryConfig(**{field: np.int64(32)}), field) == 32
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", 19), ("width", 64.0), ("width", True),
+        ("n_samples", 0), ("n_samples", 20.5), ("n_samples", True),
+    ])
+    def test_extract_rays_counts_are_integers(self, field, value):
+        # the default schedule has 20 segments, so width needs 20 rays
+        centers = make_centers(default_curve_for_grid(32, 32))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            extract_rays(centers, GeometryConfig().schedule(), bounds=(32, 32),
+                          **{field: value})
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0])
+    def test_extract_rays_step_must_be_finite_and_positive(self, theta):
+        centers = make_centers(default_curve_for_grid(32, 32))
+        schedule = (theta,) + GeometryConfig().schedule()[1:]
+        with pytest.raises(ValueError, match="rotation step for segment 0"):
+            extract_rays(centers, schedule, bounds=(32, 32))
 
     @pytest.mark.parametrize("field, value", [
         ("delta", math.nan), ("delta", math.inf), ("angle_scale", math.nan),

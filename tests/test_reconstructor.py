@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panoray import _pool, fan_operator
+from panoray import _pool, fan_operator, reconstructor
 from panoray.backproject import aggregate_rho, crossing_counts, image_candidates
 from panoray.errors import DimsError
 from panoray.ray_geometry import GeometryConfig, build_fan
@@ -45,12 +46,11 @@ def allocating_reconstruct(y, fan, cfg, mips):
     of each line-search event."""
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
-    lo, hi = cfg.clamp
     if cfg.init == "zeros":
         x = np.zeros(dims)
     else:
         cands = image_candidates(y, fan, cfg.beta)
-        x = np.clip(aggregate_rho(fan, cands, dims).rho, lo, hi)
+        x = np.clip(aggregate_rho(fan, cands, dims).rho, 0.0, 1.0)
     total, (mse_img, mse_mip) = loss(x, y, mips, fan, cfg)
     history = [(0, total, mse_img, mse_mip, 0.0)]
     events = {"backtrack": 0, "doubling": 0, "exhausted": 0}
@@ -73,12 +73,12 @@ def allocating_reconstruct(y, fan, cfg, mips):
             else:
                 step = min(1e6, 2.0 * step)
                 events["doubling"] += 1
-        for _ in range(cfg.max_halvings + 1):
-            trial = np.clip(x - step * grad, lo, hi)
+        for _ in range(reconstructor._MAX_HALVINGS + 1):
+            trial = np.clip(x - step * grad, 0.0, 1.0)
             t_total, (t_img, t_mip) = loss(trial, y, mips, fan, cfg)
             if t_total < total:
                 break
-            step *= cfg.backtrack_factor
+            step *= reconstructor._BACKTRACK
             events["backtrack"] += 1
         else:
             events["exhausted"] += 1
@@ -90,6 +90,13 @@ def allocating_reconstruct(y, fan, cfg, mips):
         if rel_drop < cfg.tol:
             break
     return np.clip(x, 0.0, 1.0).astype(np.float32).astype(np.float64), history, events
+
+
+def max_halvings(n):
+    """Patches the line search to at most n halvings, or leaves it for None."""
+    if n is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(reconstructor, "_MAX_HALVINGS", n)
 
 
 def render_for(fan, vol, beta):
@@ -135,6 +142,23 @@ class TestLoss:
         with pytest.raises(DimsError):
             loss(vol, np.zeros((8, 64)), {"axial": np.zeros((4, 4))}, fan8, ReconConfig())
 
+
+    @pytest.mark.parametrize("fn", [loss, gradient, reconstruct])
+    @pytest.mark.parametrize("axis", MIP_AXES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mip_target(self, fan8, fn, axis, bad):
+        # loss returned NaN, gradient non-finite values, and reconstruct
+        # built the rho initialization before failing on a non-finite loss
+        truth = make_phantom("sphere-set", (4, 8, 8), seed=0)
+        cfg = ReconConfig(beta=0.3, max_iters=2)
+        y = render_for(fan8, truth, cfg.beta).pixels
+        mips = {ax: mip(truth, ax).copy() for ax in MIP_AXES}
+        mips[axis][1, 2] = bad
+        with pytest.raises(ValueError, match=f"{axis} MIP target must be finite"):
+            if fn is reconstruct:
+                reconstruct(y, fan8, cfg, target_mips=mips)
+            else:
+                fn(truth, y, mips, fan8, cfg)
 
     @pytest.mark.parametrize("fn", [loss, gradient])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, -0.1])
@@ -228,21 +252,7 @@ class TestGradient:
 
 
 class TestReconConfig:
-    @pytest.mark.parametrize("clamp", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan),
-                                       (np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
-    def test_rejects_bad_clamp(self, clamp):
-        with pytest.raises(ValueError):
-            ReconConfig(clamp=clamp)
-
-    def test_rejects_negative_halvings(self):
-        # max_halvings=-1 used to skip the line search and stop silently
-        with pytest.raises(ValueError):
-            ReconConfig(max_halvings=-1)
-
-    def test_accepts_edges(self):
-        assert ReconConfig(max_halvings=0, clamp=(0.0, 0.2)).max_halvings == 0
-
-    @pytest.mark.parametrize("name", ["lambda1", "step_size", "beta", "mip_tie_tol"])
+    @pytest.mark.parametrize("name", ["lambda1", "step_size", "beta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, name, value):
         # each of these used to be accepted and failed later, if at all
@@ -255,23 +265,31 @@ class TestReconConfig:
         for tol in (np.inf, -np.inf, -1.0, 0.0):
             assert ReconConfig(tol=tol).tol == tol
 
+    @pytest.mark.parametrize("value", [0, 2.5, True, "2"])
+    def test_max_iters_is_an_integer(self, value):
+        # 2.5 failed inside range(); True ran one iteration
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            ReconConfig(max_iters=value)
+        assert ReconConfig(max_iters=np.int64(2)).max_iters == 2
+
 
 class TestWorkspace:
     # each case exercises the loop's branches: (phantom seed, config kwargs,
-    # line-search events the reference loop must see)
+    # line-search halvings or None for the solver's own, line-search events
+    # the reference loop must see)
     CASES = {
-        "backtrack-and-doubling": (2, dict(beta=2.0, lambda1=1000.0, step_size=0.01),
+        "backtrack-and-doubling": (2, dict(beta=2.0, lambda1=1000.0, step_size=0.01), None,
                                    ("backtrack", "doubling")),
-        "exhausted": (0, dict(beta=0.3, lambda1=10.0, step_size=0.01, max_halvings=0),
-                      ("exhausted",)),
-        "clamped-exhausted": (0, dict(beta=0.3, lambda1=10.0, clamp=(0.0, 0.2),
-                                      max_halvings=0), ("exhausted",)),
-        "zeros-init": (1, dict(beta=0.3, lambda1=10.0, init="zeros"), ("backtrack",)),
+        "exhausted": (0, dict(beta=0.3, lambda1=10.0, step_size=0.01), 0, ("exhausted",)),
+        # starts on the box's lower face, so the trials are clipped there
+        "clamped-exhausted": (0, dict(beta=0.3, lambda1=10.0, step_size=0.03, init="zeros"),
+                              0, ("exhausted",)),
+        "zeros-init": (1, dict(beta=0.3, lambda1=10.0, init="zeros"), None, ("backtrack",)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_allocating_loop(self, fan8, case):
-        seed, kwargs, want_events = self.CASES[case]
+        seed, kwargs, halvings, want_events = self.CASES[case]
         truth = make_phantom("sphere-set", (8, 8, 8), seed=seed)
         cfg = ReconConfig(max_iters=25, **kwargs)
         y = render_for(fan8, truth, cfg.beta).pixels
@@ -279,11 +297,12 @@ class TestWorkspace:
         y_before = y.copy()
         mips_before = {ax: m.copy() for ax, m in mips.items()}
 
-        want_vol, want_history, events = allocating_reconstruct(y, fan8, cfg, mips)
+        with max_halvings(halvings):
+            want_vol, want_history, events = allocating_reconstruct(y, fan8, cfg, mips)
+            vol, report = reconstruct(y, fan8, cfg, target_mips=mips)
         for name in want_events:
             assert events[name] > 0, (case, events)
         assert len(want_history) > 4  # buffers rotate more than once
-        vol, report = reconstruct(y, fan8, cfg, target_mips=mips)
         assert np.array_equal(vol.data, want_vol)
         assert report.loss_history == want_history
         assert np.array_equal(y, y_before)
@@ -299,22 +318,21 @@ class TestWorkspaceProperties:
         beta=st.floats(0.05, 2.0),
         lambda1=st.sampled_from([0.0]) | st.floats(0.0, 1000.0),
         step_size=st.floats(1e-3, 10.0),
-        max_halvings=st.integers(0, 3),
-        clamp=st.sampled_from([(0.0, 1.0), (0.0, 0.2), (0.1, 0.7)]),
+        halvings=st.integers(0, 3),
         init=st.sampled_from(["rho", "zeros"]),
         with_mips=st.booleans(),
         max_iters=st.integers(1, 25),
     )
     def test_matches_allocating_loop(self, fan8, seed, nz, beta, lambda1, step_size,
-                                     max_halvings, clamp, init, with_mips, max_iters):
+                                     halvings, init, with_mips, max_iters):
         truth = make_phantom("sphere-set", (nz, 8, 8), seed=seed)
-        cfg = ReconConfig(beta=beta, lambda1=lambda1, step_size=step_size,
-                          max_halvings=max_halvings, clamp=clamp, init=init,
+        cfg = ReconConfig(beta=beta, lambda1=lambda1, step_size=step_size, init=init,
                           max_iters=max_iters)
         y = render_for(fan8, truth, beta).pixels
         mips = {ax: mip(truth, ax) for ax in MIP_AXES} if with_mips else None
-        want_vol, want_history, _ = allocating_reconstruct(y, fan8, cfg, mips or {})
-        vol, report = reconstruct(y, fan8, cfg, target_mips=mips)
+        with max_halvings(halvings):
+            want_vol, want_history, _ = allocating_reconstruct(y, fan8, cfg, mips or {})
+            vol, report = reconstruct(y, fan8, cfg, target_mips=mips)
         assert np.array_equal(vol.data, want_vol)
         assert report.loss_history == want_history
         assert report.iterations_run == len(want_history) - 1
@@ -324,18 +342,19 @@ class TestWorkspaceProperties:
 
 
 class TestStopReason:
-    # one case per exit of the loop: (target, config kwargs)
+    # one case per exit of the loop: (target, config kwargs, line-search
+    # halvings or None for the solver's own)
     CASES = {
-        "zero_loss": ("zeros", dict(init="zeros")),
-        "line_search": ("spheres", dict(max_halvings=0, step_size=100.0)),
+        "zero_loss": ("zeros", dict(init="zeros"), None),
+        "line_search": ("spheres", dict(step_size=100.0), 0),
         # a target outside the model's range: the loss levels off above 0
-        "tol": ("random", dict(init="zeros", lambda1=0.0, max_iters=500)),
-        "max_iters": ("spheres", dict(tol=0.0, max_iters=5)),
+        "tol": ("random", dict(init="zeros", lambda1=0.0, max_iters=500), None),
+        "max_iters": ("spheres", dict(tol=0.0, max_iters=5), None),
     }
 
     @pytest.mark.parametrize("reason", sorted(CASES))
     def test_each_exit(self, fan8, reason):
-        kind, kwargs = self.CASES[reason]
+        kind, kwargs, halvings = self.CASES[reason]
         cfg = ReconConfig(beta=0.3, **kwargs)
         if kind == "zeros":
             y = np.zeros((4, fan8.n_rays))
@@ -343,7 +362,8 @@ class TestStopReason:
             y = np.random.default_rng(1).uniform(0.0, 0.5, (2, fan8.n_rays))
         else:
             y = render_for(fan8, make_phantom("sphere-set", (4, 8, 8), seed=0), cfg.beta)
-        _, report = reconstruct(y, fan8, cfg)
+        with max_halvings(halvings):
+            _, report = reconstruct(y, fan8, cfg)
         assert report.stop_reason == reason
         totals = [row[1] for row in report.loss_history]
         n = report.iterations_run
@@ -360,13 +380,12 @@ class TestStopReason:
 
     @pytest.mark.parametrize("max_iters", [1, 2])
     def test_zero_loss_reached_by_a_step(self, fan8, max_iters):
-        # the target is the opacity of 0.5 on every covered voxel, so the
-        # first step from zeros, clipped at 0.5, fits it exactly; with
+        # the target is the opacity of 1.0 on every covered voxel, so the
+        # first step from zeros, clipped at 1.0, fits it exactly; with
         # max_iters=1 the loop ends right after that step, not at its check
-        fit = 0.5 * (crossing_counts(fan8, (3, 8, 8)) > 0)
+        fit = 1.0 * (crossing_counts(fan8, (3, 8, 8)) > 0)
         y = -np.expm1(-0.3 * fan8.delta * fan8.operator().forward(fit))
-        cfg = ReconConfig(beta=0.3, init="zeros", clamp=(0.0, 0.5),
-                          step_size=1e6, max_iters=max_iters)
+        cfg = ReconConfig(beta=0.3, init="zeros", step_size=1e6, max_iters=max_iters)
         _, report = reconstruct(y, fan8, cfg)
         assert report.iterations_run == 1
         assert report.loss_history[-1][1] == 0.0
@@ -536,15 +555,13 @@ class TestStateLayout:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([8, 16]), split_volumes(), st.sampled_from(["rho", "zeros"]),
-           st.booleans(), st.sampled_from([(0.0, 1.0), (0.05, 1.0)]),
-           st.integers(0, 2**16))
+           st.booleans(), st.integers(0, 2**16))
     def test_reconstruct_bit_identical_at_any_thread_count(self, n, split, init, with_mips,
-                                                           clamp, seed):
-        # a positive lower clamp gives blocks with nonzero slice minima
+                                                           seed):
         nz, per_block = split
         fan = square_fan(n)
         truth = DensityVolume(np.random.default_rng(seed).uniform(0.0, 0.6, (nz, n, n)))
-        cfg = ReconConfig(beta=0.3, lambda1=10.0, init=init, clamp=clamp, max_iters=8)
+        cfg = ReconConfig(beta=0.3, lambda1=10.0, init=init, max_iters=8)
         y = render_for(fan, truth, cfg.beta).pixels
         mips = {ax: mip(truth, ax) for ax in MIP_AXES} if with_mips else None
         with state_budget(per_block, n), mock.patch.object(_pool.os, "cpu_count",
@@ -562,7 +579,7 @@ class TestStateLayout:
     @given(st.sampled_from([8, 16]), split_volumes(), st.floats(0.05, 1.0),
            st.sampled_from([0.0, 10.0]), st.integers(0, 2**32 - 1))
     def test_gradient_matches_central_differences(self, n, split, beta, lambda1, seed):
-        # tie_tol=0 routes each MIP residual to its column's maximum; picks
+        # a tie band of 0 routes each MIP residual to its column's maximum; picks
         # keep every column's maximizer unchanged under a +-h step, where
         # the objective is smooth
         nz, per_block = split
@@ -572,9 +589,9 @@ class TestStateLayout:
         target = rng.uniform(0.0, 0.5, (nz, fan.n_rays))
         mips = ({axis: rng.uniform(0.0, 1.0, est.max(axis=_MIP_AXES[axis]).shape)
                  for axis in MIP_AXES} if lambda1 else None)
-        cfg = ReconConfig(beta=beta, lambda1=lambda1, mip_tie_tol=0.0)
+        cfg = ReconConfig(beta=beta, lambda1=lambda1)
         h = 1e-4
-        with state_budget(per_block, n):
+        with state_budget(per_block, n), mock.patch.object(reconstructor, "_MIP_TIE_TOL", 0.0):
             assert len(fan.operator().state_blocks(nz)) >= 2
             g = gradient(est, target, mips, fan, cfg)
             stable = np.abs(g) > 1e-3 * np.abs(g).max()

@@ -80,6 +80,14 @@ class TestTransmittance:
         with pytest.raises(ValueError):
             transmittance([0.5], delta=1.0, beta=-1.0)
 
+    @pytest.mark.parametrize("name", ["delta", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        # a NaN delta used to return a NaN transmittance
+        params = {"delta": 1.0, "beta": 1.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            transmittance([0.5], **params)
+
 
 class TestRenderSimPX:
     def test_zero_volume(self, fan256):
@@ -348,6 +356,14 @@ class TestRenderConfigModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="interpolation"):
             RenderConfig(interpolation="cubic")
+
+    @pytest.mark.parametrize("name", ["width", "height"])
+    @pytest.mark.parametrize("value", [0, 4.5, True])
+    def test_counts_are_integers(self, name, value):
+        # 4.5 failed deep inside the render with a TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            RenderConfig(**{name: value})
+        assert getattr(RenderConfig(**{name: np.int64(4)}), name) == 4
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_beta_must_be_finite_and_positive(self, beta):

@@ -314,6 +314,13 @@ class TestAttenuation:
             AttenuationModel(a=-1.0)
         assert AttenuationModel(a=0.05, c=2.0).beta == pytest.approx(0.025)
 
+    @pytest.mark.parametrize("name", ["mu_water", "a", "c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, value):
+        # a NaN mu_water was accepted, a=nan gave a NaN beta and c=inf a 0 beta
+        with pytest.raises(ValueError, match=name):
+            AttenuationModel(**{name: value})
+
     def test_gray_normalization(self):
         assert gray_to_normalized(-1000) == 0.0
         assert gray_to_normalized(3000) == 1.0
