@@ -1,24 +1,17 @@
 """Panoramic X-ray simulation and volumetric reconstruction toolkit."""
 
-from .backproject import (
-    BackProjectionMap,
-    aggregate_rho,
-    crossing_counts,
-    invert_pixel_to_candidate,
-)
+from .backproject import BackProjectionMap, aggregate_rho, crossing_counts
 from .errors import DimsError, FormatError
 from .metrics import MetricsReport, dice, evaluate, psnr, ssim, volume_mse
 from .ray_geometry import (
     CenterCurve,
     GeometryConfig,
-    Ray,
     RayFan,
     angle_for_center,
     build_fan,
     default_curve_for_grid,
     extract_rays,
     make_centers,
-    sample_points,
     save_rayfan,
 )
 from .reconstructor import ReconConfig, ReconReport, gradient, loss, reconstruct
@@ -30,17 +23,7 @@ from .renderer import (
     render_simpx,
     save_image,
     save_pgm16,
-    transmittance,
 )
-from .volume import (
-    AttenuationModel,
-    DensityVolume,
-    gray_to_normalized,
-    hu_to_mu,
-    load_volume,
-    make_phantom,
-    sample_trilinear,
-    save_volume,
-)
+from .volume import DensityVolume, load_volume, make_phantom, save_volume
 
 __version__ = "0.1.0"

@@ -14,12 +14,32 @@ import os
 import threading
 from numbers import Integral
 
+from .errors import DimsError
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
 
 def check_int(name: str, value, minimum: int = 1) -> None:
     """ValueError unless value is an integer (not a bool) >= minimum; the
     one rule for every count: threads, widths, sample counts, iterations."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_sizes(what: str, sizes, n: int) -> tuple[int, ...]:
+    """A grid's n sizes as ints, by check_int's rule: ValueError unless each
+    is an integer (not a bool), DimsError unless there are n of them and
+    each is >= 1."""
+    sizes = tuple(sizes)
+    if len(sizes) != n:
+        raise DimsError(f"{what} must be {n} sizes, got {sizes}")
+    if not all(_is_int(s) for s in sizes):
+        raise ValueError(f"{what} must be integers, got {sizes}")
+    if min(sizes) < 1:
+        raise DimsError(f"{what} must be positive, got {sizes}")
+    return tuple(int(s) for s in sizes)
 
 
 def worker_count(threads, n_blocks: int) -> int:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import check_sizes
 from .errors import DimsError
 from .ray_geometry import RayFan
 from .renderer import as_pixels
@@ -53,7 +54,7 @@ class BackProjectionMap:
 
 def crossing_counts(fan: RayFan, dims) -> np.ndarray:
     """|B(x)| on an (nz, ny, nx) grid. Identical across axial slices."""
-    nz, ny, nx = (int(d) for d in dims)
+    nz, ny, nx = check_sizes("dims", dims, 3)
     fan.check_grid(nx, ny)
     return np.broadcast_to(fan.operator().counts, (nz, ny, nx)).copy()
 
@@ -66,13 +67,12 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims, *,
     the candidates of slice j's pixels, each in [0, 1] as image_candidates
     returns them. threads as for FanOperator.ray_mean.
     """
-    nz, ny, nx = (int(d) for d in dims)
+    nz, ny, nx = check_sizes("dims", dims, 3)
     fan.check_grid(nx, ny)
     candidates = np.asarray(candidates, dtype=np.float64)
-    if candidates.shape != (nz, fan.n_rays) or nz < 1:
+    if candidates.shape != (nz, fan.n_rays):
         raise DimsError(
-            f"need one candidate per pixel of nz >= 1 slices, shape ({nz}, {fan.n_rays}), "
-            f"got {candidates.shape}"
+            f"need one candidate per pixel, shape ({nz}, {fan.n_rays}), got {candidates.shape}"
         )
     # written so that NaN (which fails every comparison) is rejected too
     if candidates.size and not (candidates.min() >= 0.0 and candidates.max() <= 1.0):
@@ -86,28 +86,15 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims, *,
                                         op.ray_mean(candidates, threads=threads))
 
 
-def invert_pixel_to_candidate(
-    pixel: float, n_inbounds: int, delta: float, beta: float
-) -> float:
-    """Density that would reproduce this opacity if spread uniformly along
-    the ray: solves 1 - exp(-beta * sigma * n * delta) = pixel, clamped to [0, 1]."""
-    if not 0.0 <= pixel < 1.0:
-        raise ValueError(f"pixel must lie in [0, 1), got {pixel}")
-    if n_inbounds < 1:
-        raise ValueError(f"n_inbounds must be >= 1, got {n_inbounds}")
-    # written so that NaN (which fails every comparison) is rejected too
-    if not (0 < delta < math.inf and 0 < beta < math.inf):
-        raise ValueError(f"delta and beta must be finite and > 0, got {delta}, {beta}")
-    sigma = -np.log1p(-pixel) / (beta * n_inbounds * delta)
-    return float(np.clip(sigma, 0.0, 1.0))
-
-
 def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.ndarray:
-    """Vectorized invert_pixel_to_candidate over a whole image: a SimPXImage,
-    or an (h, n_rays) array checked by the same rule (see renderer.as_pixels).
+    """Per-pixel density candidates of a whole image: a SimPXImage, or an
+    (h, n_rays) array checked by the same rule (see renderer.as_pixels).
 
-    Pixels of rays that never enter the grid get candidate 0 (they also have
-    no footprint, so the value is never aggregated).
+    A pixel's candidate is the density that would reproduce its opacity if
+    spread uniformly along its ray's n retained samples: it solves
+    1 - exp(-beta * sigma * n * delta) = pixel, clamped to [0, 1]. Pixels of
+    rays that never enter the grid get candidate 0 (they also have no
+    footprint, so the value is never aggregated).
     """
     # written so that NaN (which fails every comparison) is rejected too
     if not 0 < beta < math.inf:

@@ -245,10 +245,3 @@ def evaluate(a, b, threshold: float = DICE_THRESHOLD, *,
         mse=mse,
         threshold=threshold,
     )
-
-
-def save_report(report: MetricsReport, path) -> None:
-    """Machine-readable key=value dump, one entry per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for key in ("psnr", "ssim", "dice", "mse", "threshold"):
-            fh.write(f"{key}={getattr(report, key):.17g}\n")

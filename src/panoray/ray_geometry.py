@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pool import check_int
-from .errors import DimsError, FormatError
+from ._pool import check_int, check_sizes
+from .errors import DimsError
 from .fan_operator import FanOperator
 
 _RAYFAN_MAGIC = "RAYFAN1"
@@ -94,11 +94,9 @@ class CenterCurve:
 
 
 def check_bounds(bounds) -> tuple[int, int]:
-    """The axial grid (nx, ny) as integers; DimsError unless both are >= 1."""
-    nx, ny = int(bounds[0]), int(bounds[1])
-    if nx < 1 or ny < 1:
-        raise DimsError(f"axial bounds must be positive, got {bounds}")
-    return nx, ny
+    """The axial grid (nx, ny) as ints; ValueError unless both are
+    integers, DimsError unless both are >= 1 (see _pool.check_sizes)."""
+    return check_sizes("axial bounds", bounds, 2)
 
 
 def default_curve_for_grid(nx: int, ny: int, **fields) -> CenterCurve:
@@ -122,24 +120,10 @@ def make_centers(curve: CenterCurve) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """One beam line: origin, unit direction and its retained sample points."""
-
-    origin: np.ndarray      # (2,) axial start point, far outside the grid
-    direction: np.ndarray   # (2,) unit vector
-    delta: float = 1.0
-    samples: np.ndarray | None = None  # (in_bounds_count, 2) or None before sampling
-
-    @property
-    def in_bounds_count(self) -> int:
-        return 0 if self.samples is None else self.samples.shape[0]
-
-
-@dataclass(frozen=True)
 class RayFan:
     """The fan as read-only arrays, one row per ray: origin, direction and
-    retained samples, zero-padded past each ray's in-bounds count. `rays`
-    derives per-ray `Ray` views from them."""
+    retained samples, zero-padded past each ray's in-bounds count. Ray i's
+    samples are sample_xy[i, :sample_counts[i]]."""
 
     origins: np.ndarray = field(repr=False)       # (n_rays, 2)
     directions: np.ndarray = field(repr=False)    # (n_rays, 2) unit vectors
@@ -168,12 +152,6 @@ class RayFan:
     @property
     def n_rays(self) -> int:
         return len(self.origins)
-
-    @property
-    def rays(self) -> tuple:
-        """Per-ray views of the arrays: origin, direction and retained samples."""
-        return tuple(Ray(o, d, self.delta, xy[:k]) for o, d, xy, k in zip(
-            self.origins, self.directions, self.sample_xy, self.sample_counts))
 
     def check_grid(self, nx: int, ny: int) -> None:
         """Raise DimsError unless the fan was built for an (nx, ny) axial grid."""
@@ -261,6 +239,7 @@ def extract_rays(
             f"angle schedule covers {len(angle_schedule)} segments, need {n_seg}"
         )
     check_int("width", width, n_seg)  # at least one ray per segment
+    bounds = check_bounds(bounds)
 
     if initial_angle is None:
         chord = centers[-1] - centers[0]
@@ -311,7 +290,7 @@ def extract_rays(
         directions=directions,
         centers=centers,
         angle_schedule=tuple(float(t) for t in angle_schedule[:n_seg]),
-        bounds=(int(bounds[0]), int(bounds[1])),
+        bounds=bounds,
         n_samples=n_samples,
         delta=delta,
         raw_count=raw_count,
@@ -353,15 +332,6 @@ def _sample(origins, directions, n_samples: int, delta: float, bounds):
     return xy, valid, counts
 
 
-def sample_points(ray: Ray, n_samples: int, delta: float, bounds) -> Ray:
-    """Walk the ray from its origin at spacing delta and keep the first
-    n_samples points that fall inside [0, nx] x [0, ny]."""
-    xy, _, counts = _sample(ray.origin[None, :], ray.direction[None, :],
-                            n_samples, delta, bounds)
-    return Ray(origin=ray.origin, direction=ray.direction, delta=delta,
-               samples=xy[0, :counts[0]])
-
-
 def build_fan(config: GeometryConfig | None = None, bounds=DEFAULT_GRID) -> RayFan:
     """Construct and sample the full fan for an (nx, ny) axial grid."""
     cfg = config if config is not None else GeometryConfig()
@@ -391,17 +361,3 @@ def save_rayfan(fan: RayFan, path) -> None:
         lines.append(f"{i} {ox:.9g} {oy:.9g} {dx:.17g} {dy:.17g} {k}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_rayfan_header(path) -> tuple[int, int, float]:
-    """Parse just the RAYFAN1 header (ray count, sample count, delta)."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-    try:
-        magic, n_rays, n_samples, delta = line.decode("ascii").split()
-        header = int(n_rays), int(n_samples), float(delta)
-    except ValueError as exc:  # non-ASCII bytes, a wrong field count, bad numbers
-        raise FormatError(f"{path}: bad rayfan header ({exc})") from exc
-    if magic != _RAYFAN_MAGIC:
-        raise FormatError(f"{path}: bad rayfan header magic {magic!r}")
-    return header

@@ -91,17 +91,6 @@ def as_pixels(image, width: int | None = None, height: int | None = None) -> np.
     return px
 
 
-def transmittance(densities, delta: float, beta: float) -> float:
-    """T = exp(-sum(beta * sigma_i * delta)) with compensated summation."""
-    # written so that NaN (which fails every comparison) is rejected too
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    total = math.fsum(float(s) for s in np.asarray(densities, dtype=np.float64).ravel())
-    return math.exp(-beta * delta * total)
-
-
 def render_simpx(vol: DensityVolume, fan: RayFan, cfg: RenderConfig) -> SimPXImage:
     """Render the opacity image of a volume through the fan."""
     nz, ny, nx = vol.dims

@@ -1,4 +1,4 @@
-"""Density volumes, synthetic phantoms, unit conversions and PVOL1 file I/O.
+"""Density volumes, synthetic phantoms and PVOL1 file I/O.
 
 A volume is a normalized density field sigma in [0, 1] on an (nz, ny, nx)
 voxel grid, stored z-major. Continuous coordinates are in voxel units with
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import check_sizes
 from .errors import DimsError, FormatError
 
 _PVOL_MAGIC = "PVOL1"
@@ -76,103 +77,6 @@ class DensityVolume:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape  # (nz, ny, nx)
-
-
-@dataclass(frozen=True)
-class AttenuationModel:
-    """Affine map between normalized density, HU and attenuation coefficient.
-
-    mu = mu_water * (1 + HU / 1000) and mu ~ a * sigma + b; beta = a / c folds
-    the voxel-length scale c into a single rendering coefficient. The source
-    intensity normalization is fixed (A * I0 = 1), so it carries no field.
-    """
-
-    mu_water: float = 0.2
-    a: float = 0.02
-    b: float = 0.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        # written so that NaN (which fails every comparison) is rejected too
-        if not 0 < self.mu_water < math.inf:
-            raise ValueError(f"mu_water must be finite and > 0, got {self.mu_water}")
-        if not (0 < self.a < math.inf and 0 < self.c < math.inf):
-            raise ValueError(f"a and c must be finite and > 0, got a={self.a}, c={self.c}")
-
-    @property
-    def beta(self) -> float:
-        return self.a / self.c
-
-
-def hu_to_mu(hu: float, model: AttenuationModel) -> float:
-    """Linear attenuation coefficient for a Hounsfield value (water = 0)."""
-    return model.mu_water * (1.0 + hu / 1000.0)
-
-
-def gray_to_normalized(gray):
-    """Map raw CT-style gray values in [-1000, 3000] linearly onto [0, 1].
-
-    Utility only; clinical calibration of gray values is out of scope.
-    """
-    return np.clip((np.asarray(gray, dtype=np.float64) + 1000.0) / 4000.0, 0.0, 1.0)
-
-
-# ----------------------------------------------------------------------
-# Sampling
-# ----------------------------------------------------------------------
-
-def sample_trilinear(vol: DensityVolume, point, mode: str = "trilinear"):
-    """Sample the volume at continuous (z, y, x) points in voxel units.
-
-    Trilinear interpolation of the 8 surrounding voxel centers, with neighbor
-    indices clamped to the grid so the half-voxel band just inside the
-    boundary reads the edge voxels (a uniform volume reads its constant at
-    every interior point). Points outside the box [0, nz] x [0, ny] x [0, nx]
-    return exactly 0. mode="nearest" snaps to the containing voxel instead.
-    """
-    pts = np.atleast_2d(np.asarray(point, dtype=np.float64))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected point(s) of shape (3,) or (N, 3), got {np.shape(point)}")
-    nz, ny, nx = vol.dims
-    hi = np.array([nz, ny, nx], dtype=np.float64)
-    inside = np.all((pts >= 0.0) & (pts <= hi), axis=1)
-
-    if mode == "nearest":
-        idx = np.clip(np.floor(pts).astype(np.int64), 0, [nz - 1, ny - 1, nx - 1])
-        out = vol.data[idx[:, 0], idx[:, 1], idx[:, 2]]
-        out = np.where(inside, out, 0.0)
-    elif mode == "trilinear":
-        q = pts - 0.5
-        i0 = np.floor(q).astype(np.int64)
-        f = q - i0
-        dims = np.array(vol.dims, dtype=np.int64)
-        lo = np.clip(i0, 0, dims - 1)
-        hi_idx = np.clip(i0 + 1, 0, dims - 1)
-        vals = []
-        for dz in (0, 1):
-            zi = (hi_idx if dz else lo)[:, 0]
-            for dy in (0, 1):
-                yi = (hi_idx if dy else lo)[:, 1]
-                for dx in (0, 1):
-                    xi = (hi_idx if dx else lo)[:, 2]
-                    vals.append(vol.data[zi, yi, xi])
-        c000, c001, c010, c011, c100, c101, c110, c111 = vals
-        # lerp chain; exact on voxel centers and on constant fields
-        fx, fy, fz = f[:, 2], f[:, 1], f[:, 0]
-        c00 = c000 + fx * (c001 - c000)
-        c01 = c010 + fx * (c011 - c010)
-        c10 = c100 + fx * (c101 - c100)
-        c11 = c110 + fx * (c111 - c110)
-        c0 = c00 + fy * (c01 - c00)
-        c1 = c10 + fy * (c11 - c10)
-        out = c0 + fz * (c1 - c0)
-        out = np.where(inside, out, 0.0)
-    else:
-        raise ValueError(f"unknown interpolation mode: {mode!r}")
-
-    if np.ndim(point) == 1:
-        return float(out[0])
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -310,9 +214,7 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
     per shape, so every voxel is float32-representable and a PVOL1 round
     trip is exact.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise DimsError(f"phantom dims must be three positive integers, got {dims}")
+    dims = check_sizes("phantom dims", dims, 3)
     nz, ny, nx = dims
 
     name, _, arg = kind.partition(":")

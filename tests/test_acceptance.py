@@ -22,11 +22,10 @@ from panoray.metrics import dice, psnr, volume_mse
 from panoray.ray_geometry import (
     CenterCurve,
     GeometryConfig,
-    Ray,
+    _sample,
     angle_for_center,
     build_fan,
     make_centers,
-    sample_points,
 )
 from panoray.reconstructor import ReconConfig, gradient, loss, reconstruct
 from panoray.renderer import RenderConfig, mip, render_simpx
@@ -92,20 +91,22 @@ def test_sampling_rule(fan256):
     """<= 200 samples per ray, uniform spacing, in bounds; early exits keep
     only the in-bounds prefix."""
     assert fan256.sample_counts.max() <= 200
-    for ray in fan256.rays:
-        gaps = np.hypot(*np.diff(ray.samples, axis=0).T)
+    for xy, k in zip(fan256.sample_xy, fan256.sample_counts):
+        samples = xy[:k]
+        gaps = np.hypot(*np.diff(samples, axis=0).T)
         assert np.abs(gaps - 1.0).max() < 1e-9
-        assert ray.samples[:, 0].min() >= 0 and ray.samples[:, 0].max() <= 256
-        assert ray.samples[:, 1].min() >= 0 and ray.samples[:, 1].max() <= 256
+        assert samples[:, 0].min() >= 0 and samples[:, 0].max() <= 256
+        assert samples[:, 1].min() >= 0 and samples[:, 1].max() <= 256
     # a ray that leaves the grid early retains only its in-bounds prefix
     a = math.radians(15.0)
-    ray = Ray(origin=np.array([-4.0, 6.0]), direction=np.array([math.cos(a), math.sin(a)]))
-    out = sample_points(ray, 200, 1.0, (8, 8))
-    assert 0 < out.in_bounds_count < 200
+    xy, _, counts = _sample(np.array([[-4.0, 6.0]]), np.array([[math.cos(a), math.sin(a)]]),
+                            200, 1.0, (8, 8))
+    assert 0 < counts[0] < 200
+    samples = xy[0, :counts[0]]
     inside = (
-        (out.samples >= 0.0).all()
-        and (out.samples[:, 0] <= 8.0).all()
-        and (out.samples[:, 1] <= 8.0).all()
+        (samples >= 0.0).all()
+        and (samples[:, 0] <= 8.0).all()
+        and (samples[:, 1] <= 8.0).all()
     )
     assert inside
     ok("sampling-rule")

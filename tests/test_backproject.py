@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,29 +6,21 @@ from panoray.backproject import (
     aggregate_rho,
     crossing_counts,
     image_candidates,
-    invert_pixel_to_candidate,
 )
 from panoray.errors import DimsError
-from panoray.ray_geometry import GeometryConfig, Ray, RayFan, build_fan, sample_points
+from panoray.ray_geometry import GeometryConfig, RayFan, _sample, build_fan
 from panoray.renderer import RenderConfig, SimPXImage, render_simpx
 from panoray.volume import make_phantom
 
 
 def fan_from_rays(rays, bounds, n_samples=200, delta=1.0):
-    """Hand-built fan for small geometric fixtures."""
-    rays = [sample_points(r, n_samples, delta, bounds) for r in rays]
-    counts = np.array([r.in_bounds_count for r in rays], dtype=np.int64)
-    max_k = int(counts.max()) if rays else 0
-    xy = np.zeros((len(rays), max_k, 2))
-    valid = np.zeros((len(rays), max_k), dtype=bool)
-    for i, r in enumerate(rays):
-        k = r.in_bounds_count
-        if k:
-            xy[i, :k] = r.samples
-            valid[i, :k] = True
+    """Hand-built fan of (origin, direction) rays, for small geometric
+    fixtures, sampled as extract_rays samples a fan."""
+    origins = np.array([o for o, _ in rays], dtype=np.float64).reshape(-1, 2)
+    directions = np.array([d for _, d in rays], dtype=np.float64).reshape(-1, 2)
+    xy, valid, counts = _sample(origins, directions, n_samples, delta, bounds)
     return RayFan(
-        origins=np.array([r.origin for r in rays]).reshape(-1, 2),
-        directions=np.array([r.direction for r in rays]).reshape(-1, 2),
+        origins=origins, directions=directions,
         centers=np.zeros((0, 2)), angle_schedule=(),
         bounds=bounds, n_samples=n_samples, delta=delta,
         raw_count=len(rays), adjusted=None,
@@ -39,13 +29,14 @@ def fan_from_rays(rays, bounds, n_samples=200, delta=1.0):
     )
 
 
-def hray(y, bounds):
+def hray(y):
     """Horizontal ray entering from the left at height y."""
-    return Ray(origin=np.array([-4.0, y]), direction=np.array([1.0, 0.0]))
+    return (-4.0, y), (1.0, 0.0)
 
 
-def vray(x, bounds):
-    return Ray(origin=np.array([x, -4.0]), direction=np.array([0.0, 1.0]))
+def vray(x):
+    """Vertical ray entering from below at x."""
+    return (x, -4.0), (0.0, 1.0)
 
 
 class TestCrossingCounts:
@@ -58,21 +49,20 @@ class TestCrossingCounts:
     def test_single_axis_ray(self):
         # ray along y = 3.5 passes through voxel centers of row 3: footprint
         # is exactly that row, each voxel counted once
-        fan = fan_from_rays([hray(3.5, (8, 8))], (8, 8))
+        fan = fan_from_rays([hray(3.5)], (8, 8))
         counts = crossing_counts(fan, (1, 8, 8))
         assert np.all(counts[0, 3, :] == 1)
         assert counts.sum() == 8
 
     def test_off_center_ray_touches_two_rows(self):
-        fan = fan_from_rays([hray(3.0, (8, 8))], (8, 8))
+        fan = fan_from_rays([hray(3.0)], (8, 8))
         counts = crossing_counts(fan, (1, 8, 8))
         assert np.all(counts[0, 2:4, :] == 1)
         assert counts.sum() == 16
 
     def test_membership_counted_once_per_ray(self):
         # dense sampling revisits voxels many times but counts stay 0/1
-        ray = Ray(origin=np.array([-2.0, 3.5]), direction=np.array([1.0, 0.0]))
-        fan = fan_from_rays([ray], (8, 8), n_samples=200, delta=0.125)
+        fan = fan_from_rays([((-2.0, 3.5), (1.0, 0.0))], (8, 8), n_samples=200, delta=0.125)
         counts = crossing_counts(fan, (1, 8, 8))
         assert counts.max() == 1
 
@@ -108,13 +98,13 @@ class TestAggregateRho:
         assert np.all(bmap.rho[~covered] == 0.0)
 
     def test_singleton_mean(self):
-        fan = fan_from_rays([hray(3.5, (8, 8))], (8, 8))
+        fan = fan_from_rays([hray(3.5)], (8, 8))
         bmap = aggregate_rho(fan, np.array([[0.42]]), (1, 8, 8))
         assert np.all(bmap.rho[0, 3, :] == pytest.approx(0.42))
 
     def test_two_ray_mean(self):
         # horizontal and vertical rays cross at voxel (3, 3)
-        fan = fan_from_rays([hray(3.5, (8, 8)), vray(3.5, (8, 8))], (8, 8))
+        fan = fan_from_rays([hray(3.5), vray(3.5)], (8, 8))
         cands = np.array([[0.2, 0.6]])
         bmap = aggregate_rho(fan, cands, (1, 8, 8))
         assert bmap.counts[0, 3, 3] == 2
@@ -188,35 +178,34 @@ class TestAggregateRho:
 
 
 class TestInvertPixel:
+    """image_candidates inverts each pixel in closed form."""
+
     def test_zero_pixel(self):
-        assert invert_pixel_to_candidate(0.0, 200, 1.0, 0.02) == 0.0
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        assert not image_candidates(np.zeros((2, 64)), fan, 0.02).any()
 
     def test_closed_form_inverse(self):
-        # pixel produced by constant density c inverts back to c
+        # the pixel a constant density c gives ray i inverts back to c, each
+        # ray by its own sample count
+        fan = build_fan(GeometryConfig(width=64, delta=0.7), bounds=(32, 32))
+        n = fan.sample_counts
+        assert n.min() > 0 and n.min() < n.max()
         for c in (0.1, 0.37, 0.9):
-            pixel = 1.0 - math.exp(-0.02 * c * 200 * 1.0)
-            got = invert_pixel_to_candidate(pixel, 200, 1.0, 0.02)
-            assert got == pytest.approx(c, rel=1e-12)
+            px = -np.expm1(-0.02 * c * n * fan.delta)
+            got = image_candidates(np.stack([px, px]), fan, 0.02)
+            assert got == pytest.approx(np.full((2, 64), c), rel=1e-12)
 
     def test_clamped_at_one(self):
-        pixel = 1.0 - 1e-12  # implies density far above 1
-        assert invert_pixel_to_candidate(pixel, 10, 1.0, 0.02) == 1.0
+        fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        px = np.full((2, 64), 1.0 - 1e-12)  # implies density far above 1
+        assert np.all(image_candidates(px, fan, 0.02) == 1.0)
 
-    def test_rejects_saturated(self):
-        with pytest.raises(ValueError):
-            invert_pixel_to_candidate(1.0, 200, 1.0, 0.02)
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            invert_pixel_to_candidate(0.5, 0, 1.0, 0.02)
-
-    @pytest.mark.parametrize("name", ["delta", "beta"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_params(self, name, value):
-        # a NaN delta or beta used to return a NaN candidate
-        params = {"delta": 1.0, "beta": 0.02, name: value}
-        with pytest.raises(ValueError, match="delta and beta"):
-            invert_pixel_to_candidate(0.5, 200, **params)
+    def test_rays_without_samples(self):
+        # a ray that never enters the grid gets candidate 0 whatever its pixel
+        fan = fan_from_rays([hray(3.5), ((-50.0, -50.0), (0.0, 1.0))], (8, 8))
+        assert fan.sample_counts[0] > 0 and fan.sample_counts[1] == 0
+        got = image_candidates(np.full((3, 2), 0.5), fan, 0.02)
+        assert np.all(got[:, 0] > 0.0) and np.all(got[:, 1] == 0.0)
 
 
 class TestRoundTrip:

@@ -1,10 +1,12 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
+import panoray
 from panoray import cli, fan_operator
 from panoray.errors import FormatError
 from panoray.ray_geometry import GeometryConfig, build_fan
@@ -33,6 +35,20 @@ def test_settable_surface():
                                  "--out", "--report", "--truth"],
         "metrics": common + ["--a", "--b", "--threshold"],
     }
+
+
+def test_exported_surface():
+    # every name the package exports has a caller in the library, the CLI,
+    # the benchmark or the README; a new one shows up here
+    assert sorted(name for name, value in vars(panoray).items()
+                  if not name.startswith("_") and not inspect.ismodule(value)) == [
+        "BackProjectionMap", "CenterCurve", "DensityVolume", "DimsError", "FormatError",
+        "GeometryConfig", "MetricsReport", "RayFan", "ReconConfig", "ReconReport",
+        "RenderConfig", "SimPXImage", "aggregate_rho", "angle_for_center", "build_fan",
+        "crossing_counts", "default_curve_for_grid", "dice", "evaluate", "extract_rays",
+        "gradient", "load_image", "load_volume", "loss", "make_centers", "make_phantom",
+        "mip", "psnr", "reconstruct", "render_simpx", "save_image", "save_pgm16",
+        "save_rayfan", "save_volume", "ssim", "volume_mse"]
 
 
 class TestPhantom:

@@ -14,7 +14,6 @@ from panoray.metrics import (
     dice,
     evaluate,
     psnr,
-    save_report,
     ssim,
     volume_mse,
 )
@@ -296,15 +295,10 @@ class TestReport:
                         tracemalloc.stop()
                 assert peaks[1] <= peaks[0], (threads, peaks)
 
-    def test_evaluate_and_save(self, tmp_path):
+    def test_evaluate_identical_volumes(self):
         a = make_phantom("sphere-set", (8, 8, 8), seed=2)
         report = evaluate(a, a)
         assert report.psnr == 99.0
         assert report.ssim == 100.0
         assert report.dice == 100.0
         assert report.mse == 0.0
-        path = tmp_path / "report.txt"
-        save_report(report, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "psnr=99"
-        assert len(lines) == 5

@@ -52,8 +52,8 @@ def ref_line_sums(slice2d, fan, interpolation):
     ny, nx = slice2d.shape
     flat = slice2d.ravel()
     out = np.zeros(fan.n_rays)
-    for i, ray in enumerate(fan.rays):
-        for px, py in ray.samples:
+    for i in range(fan.n_rays):
+        for px, py in fan.sample_xy[i, :fan.sample_counts[i]]:
             if interpolation == "nearest":
                 x = min(int(math.floor(px)), nx - 1)
                 y = min(int(math.floor(py)), ny - 1)
@@ -67,8 +67,8 @@ def ref_footprints(fan):
     """Per ray, the set of distinct voxels given nonzero bilinear weight."""
     nx, ny = fan.bounds
     return [
-        {v for px, py in ray.samples for v, w in _corners(px, py, nx, ny) if w > 0}
-        for ray in fan.rays
+        {v for px, py in xy[:k] for v, w in _corners(px, py, nx, ny) if w > 0}
+        for xy, k in zip(fan.sample_xy, fan.sample_counts)
     ]
 
 

@@ -1,4 +1,5 @@
-"""The worker pool: its thread rule, its cap, and block order under contention."""
+"""The worker pool: its thread rule, its cap, and block order under
+contention; and the integer rule for grid sizes that shares its checks."""
 
 import os
 import sys
@@ -10,11 +11,19 @@ import numpy as np
 import pytest
 
 from panoray import _pool
-from panoray.backproject import aggregate_rho
+from panoray.backproject import aggregate_rho, crossing_counts
+from panoray.errors import DimsError
 from panoray.metrics import evaluate, ssim
-from panoray.ray_geometry import GeometryConfig, build_fan
+from panoray.ray_geometry import (
+    GeometryConfig,
+    build_fan,
+    default_curve_for_grid,
+    extract_rays,
+    make_centers,
+)
 from panoray.reconstructor import ReconConfig, reconstruct
 from panoray.renderer import RenderConfig
+from panoray.volume import make_phantom
 
 BAD_THREADS = [0, -1, 1.5, 2.0, True, "2", None]
 
@@ -119,3 +128,34 @@ def test_every_entry_point_checks_threads(name):
     for threads in BAD_THREADS:
         with pytest.raises(ValueError, match="threads must be an integer >= 1"):
             call(threads)
+
+
+def _sized_entry_points():
+    """Per entry point: a call with one grid size n, and a valid n."""
+    fan = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+    centers = make_centers(default_curve_for_grid(32, 32))
+    schedule = GeometryConfig().schedule()
+    return {
+        "build_fan": (lambda n: build_fan(GeometryConfig(width=64), bounds=(n, 32)), 32),
+        "extract_rays": (lambda n: extract_rays(centers, schedule, width=64, bounds=(n, 32)), 32),
+        "crossing_counts": (lambda n: crossing_counts(fan, (n, 32, 32)), 2),
+        "aggregate_rho": (lambda n: aggregate_rho(fan, np.zeros((2, 64)), (n, 32, 32)), 2),
+        "make_phantom": (lambda n: make_phantom("uniform:0.5", (n, 8, 8)), 2),
+    }
+
+
+SIZED_ENTRY_POINTS = _sized_entry_points()
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_ENTRY_POINTS))
+def test_every_sized_entry_point_checks_sizes(name):
+    # fractional sizes used to be truncated: bounds (32.7, 32.2) built a
+    # (32, 32) fan whose samples reached x = 32.6, past its own grid
+    call, size = SIZED_ENTRY_POINTS[name]
+    call(size)
+    call(np.int64(size))
+    for bad in (size + 0.7, float(size), True):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(bad)
+    with pytest.raises(DimsError, match="must be positive"):
+        call(0)

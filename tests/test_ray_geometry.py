@@ -6,18 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from panoray.errors import FormatError
 from panoray.ray_geometry import (
     CenterCurve,
     GeometryConfig,
-    Ray,
+    _sample,
     angle_for_center,
     build_fan,
     default_curve_for_grid,
     extract_rays,
-    load_rayfan_header,
     make_centers,
-    sample_points,
     save_rayfan,
 )
 
@@ -28,6 +25,14 @@ DEFAULT_RAW_COUNT = 240
 
 def unplaced_curve() -> CenterCurve:
     return CenterCurve(offset=(0.0, 0.0), scale=1.0)
+
+
+def sample_one(origin, direction, n_samples, delta, bounds):
+    """One ray's retained samples, (count, 2), from the fan's sampler."""
+    xy, _, counts = _sample(np.array([origin], dtype=np.float64),
+                            np.array([direction], dtype=np.float64),
+                            n_samples, delta, bounds)
+    return xy[0, :counts[0]]
 
 
 class TestCenters:
@@ -122,8 +127,8 @@ class TestExtractRays:
         fan = build_fan(GeometryConfig(), bounds=(256, 256))
         centers = fan.centers
         reach = math.hypot(256, 256)
-        for ray in fan.rays:
-            anchor = ray.origin + reach * ray.direction
+        for origin, direction in zip(fan.origins, fan.directions):
+            anchor = origin + reach * direction
             d = np.min(np.hypot(*(centers - anchor).T))
             assert d < 1e-9
 
@@ -141,9 +146,9 @@ class TestExtractRays:
         fan = build_fan(GeometryConfig(), bounds=(256, 256))
         pad_left = (fan.n_rays - fan.raw_count) // 2
         for i in range(pad_left + 1):
-            assert np.array_equal(fan.rays[i].direction, fan.rays[0].direction)
+            assert np.array_equal(fan.directions[i], fan.directions[0])
         for i in range(1, (fan.n_rays - fan.raw_count) - pad_left + 1):
-            assert np.array_equal(fan.rays[-i].direction, fan.rays[-1].direction)
+            assert np.array_equal(fan.directions[-i], fan.directions[-1])
 
     def test_trim(self):
         fan = build_fan(GeometryConfig(width=200), bounds=(256, 256))
@@ -153,8 +158,7 @@ class TestExtractRays:
 
     def test_unit_directions(self):
         fan = build_fan(GeometryConfig(), bounds=(256, 256))
-        for ray in fan.rays:
-            assert abs(np.hypot(*ray.direction) - 1.0) < 1e-9
+        assert np.abs(np.hypot(*fan.directions.T) - 1.0).max() < 1e-9
 
     def test_molar_density(self):
         # molar-end segments (theta=0.5) emit at least as many rays per degree
@@ -176,35 +180,28 @@ class TestExtractRays:
 class TestSamplePoints:
     def test_full_ray_200_samples(self):
         # vertical ray through the middle of a big grid
-        ray = Ray(origin=np.array([128.0, -400.0]), direction=np.array([0.0, 1.0]))
-        out = sample_points(ray, 200, 1.0, (256, 256))
-        assert out.in_bounds_count == 200
-        gaps = np.hypot(*np.diff(out.samples, axis=0).T)
+        out = sample_one((128.0, -400.0), (0.0, 1.0), 200, 1.0, (256, 256))
+        assert len(out) == 200
+        gaps = np.hypot(*np.diff(out, axis=0).T)
         assert np.all(np.abs(gaps - 1.0) < 1e-9)
 
     def test_never_entering(self):
-        ray = Ray(origin=np.array([-50.0, -50.0]), direction=np.array([0.0, 1.0]))
-        out = sample_points(ray, 200, 1.0, (16, 16))
-        assert out.in_bounds_count == 0
+        out = sample_one((-50.0, -50.0), (0.0, 1.0), 200, 1.0, (16, 16))
+        assert len(out) == 0
 
     def test_first_sample_is_first_inbounds(self):
         # walking +x from x=-3.5: first in-bounds point is x=0.5
-        ray = Ray(origin=np.array([-3.5, 8.0]), direction=np.array([1.0, 0.0]))
-        out = sample_points(ray, 200, 1.0, (16, 16))
-        assert out.samples[0] == pytest.approx((0.5, 8.0))
-        assert out.in_bounds_count == 16  # x = 0.5 .. 15.5, then bound 16 exceeded
+        out = sample_one((-3.5, 8.0), (1.0, 0.0), 200, 1.0, (16, 16))
+        assert out[0] == pytest.approx((0.5, 8.0))
+        assert len(out) == 16  # x = 0.5 .. 15.5, then bound 16 exceeded
 
     def test_early_exit_prefix(self):
         # shallow ray clips the top edge early: keeps only the short prefix
         a = math.radians(15.0)
-        ray = Ray(
-            origin=np.array([-4.0, 6.0]),
-            direction=np.array([math.cos(a), math.sin(a)]),
-        )
-        out = sample_points(ray, 200, 1.0, (8, 8))
-        assert 0 < out.in_bounds_count < 10
-        assert np.all(out.samples[:, 0] <= 8.0)
-        assert np.all(out.samples[:, 1] <= 8.0)
+        out = sample_one((-4.0, 6.0), (math.cos(a), math.sin(a)), 200, 1.0, (8, 8))
+        assert 0 < len(out) < 10
+        assert np.all(out[:, 0] <= 8.0)
+        assert np.all(out[:, 1] <= 8.0)
 
     def test_all_samples_in_bounds(self):
         fan = build_fan(GeometryConfig(), bounds=(256, 256))
@@ -215,19 +212,20 @@ class TestSamplePoints:
 
     def test_monotone_parameter(self):
         fan = build_fan(GeometryConfig(), bounds=(256, 256))
-        for ray in fan.rays[:16]:
-            t = (ray.samples - ray.origin) @ ray.direction
+        for i in range(16):
+            samples = fan.sample_xy[i, :fan.sample_counts[i]]
+            t = (samples - fan.origins[i]) @ fan.directions[i]
             assert np.all(np.diff(t) > 0)
 
     def test_bad_args(self):
-        ray = Ray(origin=np.zeros(2), direction=np.array([1.0, 0.0]))
+        ray = ((0.0, 0.0), (1.0, 0.0))
         with pytest.raises(ValueError):
-            sample_points(ray, 0, 1.0, (8, 8))
+            sample_one(*ray, 0, 1.0, (8, 8))
         with pytest.raises(ValueError):
-            sample_points(ray, 10, 0.0, (8, 8))
+            sample_one(*ray, 10, 0.0, (8, 8))
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="delta"):
-                sample_points(ray, 10, delta, (8, 8))
+                sample_one(*ray, 10, delta, (8, 8))
 
 
 class TestRaymapExport:
@@ -240,23 +238,6 @@ class TestRaymapExport:
         assert len(lines) == 1 + 64
         first = lines[1].split()
         assert first[0] == "0" and len(first) == 6
-        n_rays, n_samples, delta = load_rayfan_header(path)
-        assert (n_rays, n_samples, delta) == (64, 200, 1.0)
-
-    @pytest.mark.parametrize("header", [
-        b"RAYFAN1 x 200 1\n",       # non-integer ray count
-        b"RAYFAN1 64 2.5 1\n",      # non-integer sample count
-        b"RAYFAN1 64 200 one\n",    # non-float delta
-        "RAYFAN1 64 200 1\u00e9\n".encode(),  # non-ASCII
-        b"RAYFAN1 64 200\n",        # missing field
-        b"RAYFAN2 64 200 1\n",      # wrong magic
-        b"",
-    ])
-    def test_bad_header(self, tmp_path, header):
-        path = tmp_path / "fan.txt"
-        path.write_bytes(header + b"0 1 2 0.5 0.5 3\n")
-        with pytest.raises(FormatError, match="rayfan header"):
-            load_rayfan_header(path)
 
     def test_golden_bytes(self, tmp_path):
         # pins every byte of the dump: origins, directions and in-bounds
@@ -336,8 +317,8 @@ class TestScheduleOverrides:
 
     def test_non_unit_delta_spacing(self):
         fan = build_fan(GeometryConfig(width=64, delta=0.7), bounds=(32, 32))
-        for ray in fan.rays[:8]:
-            gaps = np.hypot(*np.diff(ray.samples, axis=0).T)
+        for xy, k in zip(fan.sample_xy[:8], fan.sample_counts):
+            gaps = np.hypot(*np.diff(xy[:k], axis=0).T)
             assert np.abs(gaps - 0.7).max() < 1e-9
 
     def test_custom_initial_angle(self):
@@ -349,7 +330,7 @@ class TestScheduleOverrides:
         )
         assert fan.raw_count == 10
         assert fan.adjusted is None
-        d = fan.rays[0].direction
+        d = fan.directions[0]
         assert math.degrees(math.atan2(d[1], d[0])) == pytest.approx(45.0)
 
 
@@ -408,7 +389,7 @@ def rays_on_grids(draw):
     direction = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
                      | angles.map(lambda a: (math.cos(math.radians(a)),
                                              math.sin(math.radians(a)))))
-    return Ray(origin, np.array(direction)), (nx, ny)
+    return (origin, np.array(direction)), (nx, ny)
 
 
 class TestSamplerProperties:
@@ -427,30 +408,18 @@ class TestSamplerProperties:
             assert xy[i, :k].tobytes() == ref.tobytes()
             assert not xy[i, k:].any()
             assert valid[i].tolist() == [j < k for j in range(valid.shape[1])]
-            one = sample_points(Ray(fan.origins[i], fan.directions[i]),
-                                fan.n_samples, fan.delta, fan.bounds)
-            assert one.samples.tobytes() == ref.tobytes()
+            one = sample_one(fan.origins[i], fan.directions[i],
+                             fan.n_samples, fan.delta, fan.bounds)
+            assert one.tobytes() == ref.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(rays_on_grids(), st.integers(1, 300), deltas)
     def test_sample_points_match_per_ray_walk(self, ray_grid, n_samples, delta):
-        ray, bounds = ray_grid
-        ref = brute_force_samples(ray.origin, ray.direction, n_samples, delta, bounds)
-        out = sample_points(ray, n_samples, delta, bounds)
-        assert out.in_bounds_count == len(ref)
-        assert out.samples.tobytes() == ref.tobytes()
-
-    @settings(max_examples=25, deadline=None)
-    @given(fans())
-    def test_ray_views_match_arrays(self, fan):
-        rays = fan.rays
-        assert len(rays) == fan.n_rays
-        for i, ray in enumerate(rays):
-            assert np.array_equal(ray.origin, fan.origins[i])
-            assert np.array_equal(ray.direction, fan.directions[i])
-            assert ray.delta == fan.delta
-            assert ray.in_bounds_count == fan.sample_counts[i]
-            assert np.array_equal(ray.samples, fan.sample_xy[i, :fan.sample_counts[i]])
+        (origin, direction), bounds = ray_grid
+        ref = brute_force_samples(origin, direction, n_samples, delta, bounds)
+        out = sample_one(origin, direction, n_samples, delta, bounds)
+        assert len(out) == len(ref)
+        assert out.tobytes() == ref.tobytes()
 
     @settings(max_examples=10, deadline=None)
     @given(fans())

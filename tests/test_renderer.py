@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sample_trilinear, transmittance
 from test_operator import fans, modes
 
 from panoray.errors import DimsError, FormatError
@@ -19,7 +20,6 @@ from panoray.renderer import (
     render_simpx,
     save_image,
     save_pgm16,
-    transmittance,
 )
 from panoray.volume import DensityVolume, make_phantom
 
@@ -124,17 +124,11 @@ class TestRenderSimPX:
         vol = make_phantom("sphere-set", (4, 32, 32), seed=9)
         cfg = RenderConfig(beta=0.1, width=64, height=4)
         img = render_simpx(vol, fan32, cfg)
-        from panoray.volume import sample_trilinear
-
         for i in (0, 20, 40, 63):
-            ray = fan32.rays[i]
+            samples = fan32.sample_xy[i, :fan32.sample_counts[i]]
             for j in (0, 3):
                 pts = np.column_stack(
-                    [
-                        np.full(ray.in_bounds_count, j + 0.5),
-                        ray.samples[:, 1],
-                        ray.samples[:, 0],
-                    ]
+                    [np.full(len(samples), j + 0.5), samples[:, 1], samples[:, 0]]
                 )
                 dens = sample_trilinear(vol, pts)
                 expected = 1.0 - transmittance(dens, fan32.delta, cfg.beta)
@@ -300,19 +294,11 @@ class TestImageRangeProperty:
 class TestConfigMismatches:
     def test_nearest_matches_volume_sampler(self, fan32):
         # the image path and the volume-level nearest sampler agree
-        from panoray.volume import sample_trilinear
-
         vol = make_phantom("sphere-set", (2, 32, 32), seed=12)
         cfg = RenderConfig(beta=0.25, width=64, height=2, interpolation="nearest")
         img = render_simpx(vol, fan32, cfg)
-        ray = fan32.rays[10]
-        pts = np.column_stack(
-            [
-                np.full(ray.in_bounds_count, 0.5),
-                ray.samples[:, 1],
-                ray.samples[:, 0],
-            ]
-        )
+        samples = fan32.sample_xy[10, :fan32.sample_counts[10]]
+        pts = np.column_stack([np.full(len(samples), 0.5), samples[:, 1], samples[:, 0]])
         dens = sample_trilinear(vol, pts, mode="nearest")
         expected = 1.0 - transmittance(dens, fan32.delta, cfg.beta)
         assert img.pixels[0, 10] == pytest.approx(expected, abs=1e-12)

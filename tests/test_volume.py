@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sample_trilinear
 
 from panoray import volume
 from panoray.errors import DimsError, FormatError
-from panoray.volume import (
-    AttenuationModel,
-    DensityVolume,
-    gray_to_normalized,
-    hu_to_mu,
-    load_volume,
-    make_phantom,
-    sample_trilinear,
-    save_volume,
-)
+from panoray.volume import DensityVolume, load_volume, make_phantom, save_volume
 
 
 class TestPhantoms:
@@ -286,45 +278,6 @@ class TestDensityVolume:
         vol = make_phantom("uniform:0.5", (4, 4, 4))
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 0.1
-
-
-class TestAttenuation:
-    def test_water_fixed_point(self):
-        assert hu_to_mu(0.0, AttenuationModel()) == AttenuationModel().mu_water
-
-    def test_air_fixed_point(self):
-        assert hu_to_mu(-1000.0, AttenuationModel()) == 0.0
-
-    def test_bone_value(self):
-        # HU = 1000 with mu_water = 0.2 doubles the water coefficient
-        assert hu_to_mu(1000.0, AttenuationModel(mu_water=0.2)) == pytest.approx(0.4)
-
-    def test_affine(self):
-        model = AttenuationModel(mu_water=0.17)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            h1, h2 = rng.uniform(-1000, 3000, 2)
-            alpha = rng.uniform(0, 1)
-            lhs = hu_to_mu(alpha * h1 + (1 - alpha) * h2, model)
-            rhs = alpha * hu_to_mu(h1, model) + (1 - alpha) * hu_to_mu(h2, model)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_beta_positive(self):
-        with pytest.raises(ValueError):
-            AttenuationModel(a=-1.0)
-        assert AttenuationModel(a=0.05, c=2.0).beta == pytest.approx(0.025)
-
-    @pytest.mark.parametrize("name", ["mu_water", "a", "c"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, name, value):
-        # a NaN mu_water was accepted, a=nan gave a NaN beta and c=inf a 0 beta
-        with pytest.raises(ValueError, match=name):
-            AttenuationModel(**{name: value})
-
-    def test_gray_normalization(self):
-        assert gray_to_normalized(-1000) == 0.0
-        assert gray_to_normalized(3000) == 1.0
-        assert gray_to_normalized(1000) == pytest.approx(0.5)
 
 
 class TestTrilinear:
