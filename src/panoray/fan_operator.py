@@ -35,9 +35,13 @@ the length-0 bucket and computes the others one chunk of bucket rows at a
 time, `take` gathering the rows' inputs into a temporary of at most
 _CHUNK_BYTES, sized to stay in a core's L2 cache, and a batched `matmul`
 contracting them with the weights. BLAS computes the columns of each (L, nb)
-product in groups of four and rounds a leftover or lone column differently,
-so a block is padded with zero columns to a multiple of four: each slice
-then gets the same bits whatever block it falls in.
+product in groups and rounds a leftover or lone column differently, so a
+block is padded with zero columns to a multiple of its dtype's _LANES: 4
+for float64 and 16 for float32 (with 4 or 8, OpenBLAS's Haswell float32
+kernels change a column's bits with the block width). Each slice then gets
+the same bits whatever block it falls in. When the length-0 bucket is most
+of a narrow block, one whole-block fill is cheaper than zeroing its rows one
+by one.
 
 Blocks come in two layouts:
 - Public blocks. forward, adjoint and ray_mean take and return slice-major
@@ -46,12 +50,18 @@ Blocks come in two layouts:
   blocks hold _BLOCK_BYTES: renders and back-projections pay these copies
   once per call, and a small block keeps their peak memory low.
 - State blocks. A solver that applies A and A^T many times keeps its
-  volumes in state layout: one flat float64 buffer in which slices z0..z1
-  of each block are stored voxel-major as (ny * nx, z1 - z0). The *_state
-  methods gather straight from such a buffer and write straight into one,
-  with no copy in or out; to_state and from_state convert once at each
-  end. State blocks hold _STATE_BYTES, since no copy bounds them and wider
-  blocks make the gathers and matmuls cheaper.
+  volumes in state layout: one flat float32 or float64 buffer in which
+  slices z0..z1 of each block are stored voxel-major as (ny * nx, z1 - z0).
+  The *_state methods gather straight from such a buffer and write straight
+  into one, with no copy in or out, and compute in the buffer's dtype: the
+  rows of coefficients that A^T reads are cast to it one block at a time,
+  and the weights once per operator. Line sums are float64 in any case.
+  to_state and from_state convert once at each end. _STATE_BYTES is the
+  size of a float32 state block (the solver's dtype): since no copy bounds
+  them and wider blocks make the gathers and matmuls cheaper, a state block
+  holds _STATE_BYTES // (4 * ny * nx) slices whatever its buffer's dtype, so
+  the float64 buffers of the public loss and gradient and a bool workspace
+  split into the same blocks as the solver's float32 ones.
 
 Blocks write disjoint output rows, so every apply runs them on up to
 `threads` workers (see _pool). The block sizes do not depend on the thread
@@ -69,15 +79,20 @@ import numpy as np
 from ._pool import run_blocks
 
 INTERPOLATIONS = ("trilinear", "nearest")
-# bytes of a public block of slices, of a state block and of one gathered
-# chunk; a chunk stays in a core's L2 cache beside the block it reads
+# bytes of a public block of slices, of a float32 state block and of one
+# gathered chunk; a chunk stays in a core's L2 cache beside the block it
+# reads
 _BLOCK_BYTES = 8 << 20
 _STATE_BYTES = 32 << 20
 _CHUNK_BYTES = 512 << 10
 # length classes per octave of row length (see _buckets)
 _CLASSES = 8
-# matmul column counts are padded to a multiple of this (see the module doc)
-_LANES = 4
+# per dtype, matmul column counts are padded to a multiple of this (see the
+# module doc)
+_LANES = {np.dtype(np.float64): 4, np.dtype(np.float32): 16}
+# the widest block, in bytes per row, that _apply zeroes with one fill when
+# most of its rows have no entries
+_FILL_ROW_BYTES = 128
 # slices per piece when slices are copied into a voxel-major block, and
 # voxels per tile when a voxel-major block is copied back to slices: a
 # whole-block strided copy of a wide block runs several times slower
@@ -123,33 +138,48 @@ def _buckets(out_ids, in_ids, weights, n_out) -> tuple:
 def _apply(buckets, src: np.ndarray, out: np.ndarray) -> None:
     """out[r] = sum over a row's entries of w * src[idx] for every row r of
     the (n_rows, nb) block out, which is overwritten (rows with no entries
-    get zeros); src is (n_in, nb) and is padded with zero columns to a
-    multiple of _LANES first, so each column's sums do not depend on nb (see
-    the module doc)."""
+    get zeros); the buckets' weights have src's dtype, in which the sums are
+    computed. src is (n_in, nb) and is padded with zero columns to a
+    multiple of its dtype's _LANES first, so each column's sums do not
+    depend on nb (see the module doc)."""
     n_in, nb = src.shape
-    if nb % _LANES:
-        padded = np.zeros((n_in, nb + _LANES - nb % _LANES))
+    lanes = _LANES[src.dtype]
+    if nb % lanes:
+        padded = np.zeros((n_in, nb + lanes - nb % lanes), dtype=src.dtype)
         padded[:, :nb] = src
         src = padded
-    width = src.shape[1]
+    width, itemsize = src.shape[1], src.itemsize
     for b in buckets:
         if not b.idx.shape[1]:
-            out[b.rows] = 0.0
+            # zeroing by index costs about 25 ns a row at any width, a fill
+            # the block's bytes
+            if 2 * len(b.rows) > len(out) and nb * out.itemsize <= _FILL_ROW_BYTES:
+                out.fill(0.0)
+            else:
+                out[b.rows] = 0.0
             continue
-        step = max(1, _CHUNK_BYTES // (b.idx.shape[1] * width * 8))
+        step = max(1, _CHUNK_BYTES // (b.idx.shape[1] * width * itemsize))
         for s in range(0, len(b.rows), step):
             g = np.take(src, b.idx[s:s + step], axis=0)  # (r, L, width)
             out[b.rows[s:s + step]] = np.matmul(b.w[s:s + step, None, :], g)[:, 0, :nb]
 
 
-def _out(out, shape: tuple) -> np.ndarray:
-    """out, or a new float64 array of this shape if out is None; ValueError
-    unless out is a C-contiguous float64 array of this shape."""
+def _state_dtype(a: np.ndarray) -> np.dtype:
+    """The state dtype that holds a's values: float32 for float32, else
+    float64."""
+    return np.dtype(np.float32 if a.dtype == np.float32 else np.float64)
+
+
+def _out(out, shape: tuple, dtypes: tuple) -> np.ndarray:
+    """out, or a new array of this shape and of dtypes[0] if out is None;
+    ValueError unless out is a C-contiguous array of this shape and of one
+    of dtypes."""
     if out is None:
-        return np.empty(shape, dtype=np.float64)
+        return np.empty(shape, dtype=dtypes[0])
     if not (isinstance(out, np.ndarray) and out.shape == shape
-            and out.dtype == np.float64 and out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, "
+            and out.dtype in dtypes and out.flags.c_contiguous):
+        names = " or ".join(dict.fromkeys(np.dtype(d).name for d in dtypes))
+        raise ValueError(f"out must be a C-contiguous {names} array of shape {shape}, "
                          f"got {np.asarray(out).dtype} {np.shape(out)}")
     return out
 
@@ -239,6 +269,7 @@ class FanOperator:
         self._rows = _buckets(self.ray, self.voxel, self.weight, self.n_rays)
         # slices per public block
         self.block = max(1, _BLOCK_BYTES // (8 * self.n_voxels))
+        self._cast = {}  # see _typed
 
     @cached_property
     def _cols(self) -> tuple:
@@ -249,6 +280,17 @@ class FanOperator:
     def _pattern(self) -> tuple:
         """A^T's buckets weighted 1 on every entry and 0 on padding."""
         return tuple(_Bucket(b.rows, b.idx, (b.w > 0).astype(np.float64)) for b in self._cols)
+
+    def _typed(self, name: str, dtype: np.dtype) -> tuple:
+        """The buckets self.<name> (_rows, _cols or _pattern) with weights of
+        dtype: the float64 ones as built, any other cast once and kept."""
+        buckets = getattr(self, name)
+        if dtype == np.float64:
+            return buckets
+        if (name, dtype) not in self._cast:
+            self._cast[name, dtype] = tuple(_Bucket(b.rows, b.idx, b.w.astype(dtype))
+                                            for b in buckets)
+        return self._cast[name, dtype]
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -268,12 +310,13 @@ class FanOperator:
         run_blocks(block, range(0, nz, self.block), threads,
                    lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
 
-    def _project(self, xt: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    def _project(self, rows: tuple, xt: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
         """out (nb, n_rays) = A xt + n m for the voxel-major block xt
-        (n_voxels, nb): the line sums of a block whose column minima m the
-        caller has subtracted into xt, or of xt itself where m is all 0 (see
-        the module doc). xt is never written."""
-        _apply(self._rows, xt, out.T)
+        (n_voxels, nb), through A's buckets rows of xt's dtype: the line sums
+        of a block whose column minima m the caller has subtracted into xt,
+        or of xt itself where m is all 0 (see the module doc). xt is never
+        written."""
+        _apply(rows, xt, out.T)
         if m.any():  # else n m adds only zeros
             out += m[:, None] * self.sample_counts
 
@@ -290,7 +333,7 @@ class FanOperator:
             m = _minima(xt)
             if m.any():  # -0.0 counts as 0; the workspace is forward's own
                 xt -= m
-            self._project(xt, m, out[z0:z1])
+            self._project(self._rows, xt, m, out[z0:z1])
 
         self._run_public(block, len(flat), threads)
         return out
@@ -325,8 +368,9 @@ class FanOperator:
     # state layout (see the module doc)
 
     def state_blocks(self, nz: int) -> list:
-        """The (z0, z1) slice ranges of the state blocks of nz slices."""
-        step = max(1, _STATE_BYTES // (8 * self.n_voxels))
+        """The (z0, z1) slice ranges of the state blocks of nz slices, the
+        same for every dtype."""
+        step = max(1, _STATE_BYTES // (4 * self.n_voxels))
         return [(z0, min(nz, z0 + step)) for z0 in range(0, nz, step)]
 
     def state_views(self, state: np.ndarray) -> list:
@@ -337,59 +381,68 @@ class FanOperator:
                 for z0, z1 in self.state_blocks(len(state) // n)]
 
     def to_state(self, x: np.ndarray) -> np.ndarray:
-        """The (nz, ny, nx) volume x in state layout: a new flat float64
-        buffer."""
-        flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
-        out = np.empty(flat.size, dtype=np.float64)
+        """The (nz, ny, nx) volume x in state layout: a new flat buffer,
+        float32 if x is and float64 otherwise."""
+        x = np.asarray(x)
+        dtype = _state_dtype(x)
+        flat = np.asarray(x, dtype=dtype).reshape(len(x), self.n_voxels)
+        out = np.empty(flat.size, dtype=dtype)
         for (z0, z1), view in self.state_views(out):
             _copy_in(flat[z0:z1], view)
         return out
 
     def from_state(self, state: np.ndarray, out=None) -> np.ndarray:
-        """The volume held in state layout as (nz, ny, nx) float64, written
-        into out if given (a C-contiguous float64 array of that shape, which
-        must not overlap state; ValueError otherwise)."""
+        """The volume held in state layout as (nz, ny, nx) of the state's
+        dtype, or written into out if given: a C-contiguous array of that
+        shape, of the state's dtype or float64 (which holds float32 values
+        exactly), that does not overlap state; ValueError otherwise."""
         nx, ny = self.bounds
-        out = _out(out, (len(state) // self.n_voxels, ny, nx))
+        out = _out(out, (len(state) // self.n_voxels, ny, nx), (state.dtype, np.float64))
         flat = out.reshape(len(out), self.n_voxels)
         for (z0, z1), view in self.state_views(state):
             _copy_back(view, flat[z0:z1])
         return out
 
     def forward_state(self, state: np.ndarray, *, threads: int = 1) -> np.ndarray:
-        """forward of the volume held in state layout; state is never
-        written. threads as for forward."""
+        """forward of the volume held in state layout, computed in the
+        state's dtype; the line sums are float64 and state is never written.
+        threads as for forward."""
         out = np.empty((len(state) // self.n_voxels, self.n_rays), dtype=np.float64)
+        rows = self._typed("_rows", state.dtype)
 
         def block(item, _):
             (z0, z1), view = item
             m = _minima(view)
-            self._project(view - m if m.any() else view, m, out[z0:z1])
+            self._project(rows, view - m if m.any() else view, m, out[z0:z1])
 
         run_blocks(block, self.state_views(state), threads)
         return out
 
-    def _transpose_state(self, r: np.ndarray, buckets: tuple, out, threads: int) -> np.ndarray:
-        out = _out(out, (len(r) * self.n_voxels,))
+    def _transpose_state(self, r: np.ndarray, name: str, out, threads: int) -> np.ndarray:
+        r = np.asarray(r)
+        out = _out(out, (len(r) * self.n_voxels,), (_state_dtype(r), np.float64, np.float32))
+        buckets = self._typed(name, out.dtype)
 
         def block(item, _):
             (z0, z1), view = item
-            _apply(buckets, np.ascontiguousarray(r[z0:z1].T), view)
+            _apply(buckets, np.ascontiguousarray(r[z0:z1].T, dtype=out.dtype), view)
 
         run_blocks(block, self.state_views(out), threads)
         return out
 
     def adjoint_state(self, r: np.ndarray, out=None, *, threads: int = 1) -> np.ndarray:
-        """adjoint of the (nz, n_rays) rows r into a state-layout buffer: out
-        if given (a C-contiguous float64 array of nz * n_voxels values;
-        ValueError otherwise). threads as for adjoint."""
-        return self._transpose_state(r, self._cols, out, threads)
+        """adjoint of the (nz, n_rays) rows r into a state-layout buffer,
+        computed in its dtype: out if given (a C-contiguous float64 or
+        float32 array of nz * n_voxels values; ValueError otherwise), else a
+        new one of r's state dtype (see to_state). threads as for adjoint."""
+        return self._transpose_state(r, "_cols", out, threads)
 
     def ray_mean_state(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
-        """ray_mean of the (nz, n_rays) rows c as a new state-layout buffer.
-        threads as for adjoint."""
-        sums = self._transpose_state(c, self._pattern, None, threads)
-        per_voxel = np.maximum(self.counts, 1).reshape(self.n_voxels, 1)
+        """ray_mean of the (nz, n_rays) rows c as a new state-layout buffer
+        of c's state dtype (see to_state), computed in it. threads as for
+        adjoint."""
+        sums = self._transpose_state(c, "_pattern", None, threads)
+        per_voxel = np.maximum(self.counts, 1).astype(sums.dtype).reshape(self.n_voxels, 1)
         for _, view in self.state_views(sums):
             np.divide(view, per_voxel, out=view)
         return sums

@@ -37,7 +37,7 @@ from .errors import DimsError
 from .fan_operator import FanOperator
 from .ray_geometry import RayFan
 from .renderer import _MIP_AXES, RenderConfig, as_pixels
-from .volume import DensityVolume, _as_f32_grid
+from .volume import DensityVolume
 
 
 # the line search and MIP band of the module docstring; read at call time,
@@ -119,6 +119,8 @@ def _check_mips(target_mips, dims) -> dict:
 # own thread pool, whose wake-up cost several ms per dot on a 2-vCPU host,
 # and rounds it by that pool's size
 _DOT_CHUNK = 8192
+# the solver's state dtype (see reconstruct)
+_STATE_DTYPE = np.float32
 # where each MIP axis lies in a state block viewed as (ny, nx, nb)
 _BLOCK_AXES = {"axial": 2, "coronal": 0, "sagittal": 1}
 
@@ -138,8 +140,9 @@ def _blocks3(op: FanOperator, state: np.ndarray) -> list:
 
 def _projections(op: FanOperator, state: np.ndarray, axes) -> dict:
     """Maximum intensity projections of the state-layout volume, C-contiguous
-    in slice-major shape: axial (ny, nx), coronal (nz, nx), sagittal (nz, ny).
-    Maxima are exact, so they equal those of the slice-major volume."""
+    in slice-major shape and of the state's dtype: axial (ny, nx), coronal
+    (nz, nx), sagittal (nz, ny). Maxima are exact, so they equal those of
+    the slice-major volume."""
     nx, ny = op.bounds
     blocks = _blocks3(op, state)
     nz = blocks[-1][0][1]
@@ -151,7 +154,7 @@ def _projections(op: FanOperator, state: np.ndarray, axes) -> dict:
             for _, b in blocks[1:]:
                 np.maximum(proj, b.max(axis=k), out=proj)
         else:
-            proj = np.empty((nz, nx if axis == "coronal" else ny))
+            proj = np.empty((nz, nx if axis == "coronal" else ny), dtype=state.dtype)
             for (z0, z1), b in blocks:
                 _block_part(axis, proj, z0, z1)[...] = b.max(axis=k)
         projs[axis] = proj
@@ -159,35 +162,39 @@ def _projections(op: FanOperator, state: np.ndarray, axes) -> dict:
 
 
 def _mip_term(op, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
-    """grad += the MIP term of one axis, on state-layout volumes: each
-    projected residual r is shared equally across the voxels within tie_tol
-    of their column's maximum proj. Returns the tie counts, shaped like
-    proj. band is a bool state-layout workspace that holds the tie band;
-    the counts are integers, so summing them over blocks is exact."""
+    """grad += the MIP term of one axis, on state-layout volumes of one
+    dtype: each projected residual r is shared equally across the voxels
+    within tie_tol of their column's maximum proj. The threshold and each
+    share are rounded to that dtype, so no block is compared or added in
+    another. Returns the tie counts, shaped like proj. band is a bool
+    state-layout workspace that holds the tie band; the counts are
+    integers, so summing them over blocks is exact."""
     k = _BLOCK_AXES[axis]
     counts = np.zeros(proj.shape, dtype=np.int64)
+    floor = (proj - tie_tol).astype(state.dtype)
     blocks = list(zip(_blocks3(op, state), _blocks3(op, band), _blocks3(op, grad)))
     for ((z0, z1), b), (_, t), _ in blocks:
-        np.greater_equal(b, np.expand_dims(_block_part(axis, proj, z0, z1) - tie_tol, k),
-                         out=t)
+        np.greater_equal(b, np.expand_dims(_block_part(axis, floor, z0, z1), k), out=t)
         _block_part(axis, counts, z0, z1)[...] += t.sum(axis=k)
+    share = (r / counts).astype(grad.dtype)
     for ((z0, z1), _), (_, t), (_, g) in blocks:
-        share = _block_part(axis, r, z0, z1) / _block_part(axis, counts, z0, z1)
-        np.add(g, np.expand_dims(share, k), out=g, where=t)
+        np.add(g, np.expand_dims(_block_part(axis, share, z0, z1), k), out=g, where=t)
     return counts
 
 
 def _block_dot(op: FanOperator, a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two state-layout buffers: partial dots per state block,
-    summed in block order. A block's partial dot sums the dots of its
-    consecutive _DOT_CHUNK-element chunks, and of the rest last."""
+    """a . b of two state-layout buffers of one dtype: partial dots per
+    state block, summed in block order. A block's partial dot sums the dots
+    of its consecutive _DOT_CHUNK-element chunks, and of the rest last; each
+    of these is a BLAS dot in the buffers' dtype, and their sums are
+    float64."""
     total = 0.0
     for (z0, z1), _ in op.state_views(a):
         x, y = a[z0 * op.n_voxels:z1 * op.n_voxels], b[z0 * op.n_voxels:z1 * op.n_voxels]
         n = len(x) - len(x) % _DOT_CHUNK
         # one BLAS dot per chunk, in one batched call
         parts = np.matmul(x[:n].reshape(-1, 1, _DOT_CHUNK), y[:n].reshape(-1, _DOT_CHUNK, 1))
-        total += float(np.sum(parts)) + float(x[n:] @ y[n:])
+        total += float(np.sum(parts, dtype=np.float64)) + float(x[n:] @ y[n:])
     return total
 
 
@@ -225,15 +232,17 @@ def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
 
 def _gradient(state, y, mips, fan, beta, lambda1, pred, projs,
               out=None, threads: int = 1, band=None):
-    """Gradient at the state-layout estimate, in state layout (into out if
-    given); pred and projs are the predicted image and the MIP projections
-    of this same estimate, as _loss_terms returns them. band is a bool
-    state-layout workspace for the MIP term, allocated here if None."""
+    """Gradient at the state-layout estimate, in state layout and its dtype
+    (into out if given); pred and projs are the predicted image and the MIP
+    projections of this same estimate, as _loss_terms returns them. band is
+    a bool state-layout workspace for the MIP term, allocated here if
+    None."""
     op = fan.operator()
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
-    grad = op.adjoint_state(coeff, out, threads=threads)
+    grad = op.adjoint_state(coeff, np.empty_like(state) if out is None else out,
+                            threads=threads)
     if mips and band is None:
         band = np.empty(len(state), dtype=bool)
     for axis, tgt in mips.items():
@@ -266,10 +275,13 @@ def reconstruct(
     adjoint projections, the back-projection and the final SSIM (see
     fan_operator and metrics.ssim); the result is the same at any thread
     count. The solver's whole-volume arithmetic runs on the calling thread.
-    The solver holds its volumes in the operator's state layout, block by
-    block as the projections read and write them, and turns the result
-    slice-major once, at the end; the step's two dots are summed per state
-    block (_block_dot).
+    The solver holds its volumes as float32 in the operator's state layout,
+    block by block as the projections read and write them, and widens the
+    result slice-major into float64 once, at the end; the step's two dots
+    are summed per state block (_block_dot). Densities lie in [0, 1] and
+    results are stored as float32, so the state holds them at the precision
+    they are stored with; the loss, the line sums and the step are float64,
+    and the public loss and gradient stay float64 throughout.
     """
     check_int("threads", threads)
     y = as_pixels(target_img, fan.n_rays)
@@ -278,12 +290,13 @@ def reconstruct(
     mips = _check_mips(target_mips, dims)
     op = fan.operator()
 
-    # Workspace: four volumes in the operator's state layout (see
-    # fan_operator), 64 MB each at 128 x 256 x 256: the iterate x, trial,
+    # Workspace: four float32 volumes in the operator's state layout (see
+    # fan_operator), 32 MB each at 128 x 256 x 256: the iterate x, trial,
     # and two gradient buffers. Held that way, every forward gathers
     # straight from x or trial and every adjoint writes straight into a
     # gradient buffer, with no layout copy; all other arithmetic is
-    # elementwise, in any layout. The spectral step needs only
+    # elementwise, in any layout, and stays in float32 (a Python float
+    # step does not widen it). The spectral step needs only
     # s = x_new - x_old and the gradient change g_new - g_old (s_k and y_k
     # in Nocedal & Wright, section 6.1), so the previous iterate and
     # gradient are not kept beside them:
@@ -294,15 +307,15 @@ def reconstruct(
     #   change is written over the older one, which then receives the
     #   gradient after that.
     # Whole-volume arithmetic writes into these buffers, because a fresh
-    # 64 MB temporary costs page faults and an munmap each time. With MIP
+    # 32 MB temporary costs page faults and an munmap each time. With MIP
     # targets a bool volume holds each axis's tie band in turn.
     if cfg.init == "zeros":
-        x = np.zeros(dims[0] * op.n_voxels, dtype=np.float64)
+        x = np.zeros(dims[0] * op.n_voxels, dtype=_STATE_DTYPE)
     else:
-        # the back-projection rho (backproject.aggregate_rho), written in
-        # state layout
+        # the back-projection rho (backproject.aggregate_rho) of the
+        # candidates rounded to float32, written in state layout
         cands = backproject.image_candidates(y, fan, cfg.beta)
-        x = op.ray_mean_state(cands, threads=threads)
+        x = op.ray_mean_state(cands.astype(_STATE_DTYPE), threads=threads)
         np.clip(x, 0.0, 1.0, out=x)
     band = np.empty(len(x), dtype=bool) if mips else None
 
@@ -317,7 +330,7 @@ def reconstruct(
     trial = np.empty_like(x)
     s = None  # the buffer holding s, once an iterate is accepted
     grad = older = None
-    step = cfg.step_size
+    step = float(cfg.step_size)  # a Python float: float32 * step stays float32
     for it in range(1, cfg.max_iters + 1):
         if total == 0.0:
             report.stop_reason = "zero_loss"
@@ -367,10 +380,11 @@ def reconstruct(
         report.stop_reason = "zero_loss" if total == 0.0 else "max_iters"
     del s, grad, older, band
 
-    # back to slice-major once, into the free trial buffer
-    data = op.from_state(x, out=trial.reshape(dims))
-    del x, trial
-    result = DensityVolume(_as_f32_grid(data))
+    del trial
+    # back to slice-major once, widened exactly; every iterate is clipped
+    # to [0, 1]
+    result = DensityVolume._unchecked(op.from_state(x, out=np.empty(dims)))
+    del x
     if ground_truth is not None:
         report.final_metrics = metrics.evaluate(result, ground_truth, threads=threads)
     return result, report

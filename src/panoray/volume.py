@@ -40,15 +40,6 @@ def _f32_slabs(data: np.ndarray):
         yield part, f32
 
 
-def _as_f32_grid(data: np.ndarray) -> np.ndarray:
-    """Quantize the caller's float64 array in place to float32-representable
-    values, slab by slab, and return it. PVOL1 round trips are then exact,
-    while downstream arithmetic keeps float64."""
-    for part, f32 in _f32_slabs(data):
-        part[...] = f32
-    return data
-
-
 def _check_densities(data: np.ndarray) -> None:
     lo, hi = data.min(), data.max()
     # written so that NaN (which fails every comparison) is rejected too
@@ -63,6 +54,16 @@ class DensityVolume:
     """Immutable 3D scalar field of normalized densities."""
 
     data: np.ndarray  # shape (nz, ny, nx), float64, values in [0, 1]
+
+    @classmethod
+    def _unchecked(cls, data: np.ndarray) -> DensityVolume:
+        """A volume of data, which must be a C-contiguous float64 3D array
+        of dims >= 1 with values in [0, 1] by construction: skips
+        __post_init__'s checks and its whole-volume range passes."""
+        vol = object.__new__(cls)
+        data.flags.writeable = False
+        vol.__dict__.update(data=data)
+        return vol
 
     def __post_init__(self):
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -259,7 +260,8 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
     else:
         raise ValueError(f"unknown phantom kind: {kind!r}")
 
-    return DensityVolume(data)
+    # every value written is a checked constant in [0, 1]
+    return DensityVolume._unchecked(data)
 
 
 # ----------------------------------------------------------------------

@@ -307,7 +307,7 @@ class TestThreads:
         # scores 40 slices, so two workers really split the work
         nz = 40
         assert fan_operator._BLOCK_BYTES // (8 * 256 * 256) < nz / 2
-        monkeypatch.setattr(fan_operator, "_STATE_BYTES", 16 * 8 * 256 * 256)
+        monkeypatch.setattr(fan_operator, "_STATE_BYTES", 16 * 4 * 256 * 256)
         op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
         assert len(op.state_blocks(nz)) >= 2
         outputs = {}

@@ -185,17 +185,22 @@ def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 def test_adjoint_out_buffer(fan, interpolation):
-    # adjoint_state fills a given state-layout buffer and returns it; one of
-    # another dtype, shape or layout is refused before any write, including
-    # one too short for every slice, whose leading blocks alone would fit
+    # adjoint_state fills a given float64 or float32 state-layout buffer
+    # and returns it; one of another dtype, shape or layout is refused
+    # before any write, including one too short for every slice, whose
+    # leading blocks alone would fit
     nx, ny = fan.bounds
     n = 3 * nx * ny
     r = np.random.default_rng(7).uniform(-1.0, 1.0, (3, fan.n_rays))
     op = fan.operator(interpolation)
+    want = op.adjoint(r)
     buf = np.full(n, np.nan)
     assert op.adjoint_state(r, buf) is buf
-    assert np.array_equal(op.from_state(buf), op.adjoint(r))
-    for bad in (np.zeros(n - nx * ny), np.zeros(n + 1), np.zeros(n, dtype=np.float32),
+    assert np.array_equal(op.from_state(buf), want)
+    buf32 = np.full(n, np.nan, dtype=np.float32)
+    assert op.adjoint_state(r, buf32) is buf32
+    assert np.allclose(op.from_state(buf32), want, rtol=1e-5, atol=1e-5)
+    for bad in (np.zeros(n - nx * ny), np.zeros(n + 1), np.zeros(n, dtype=np.float16),
                 np.zeros((3, nx * ny)), np.zeros(2 * n)[::2]):
         with pytest.raises(ValueError, match="C-contiguous float64"):
             op.adjoint_state(r, bad)
@@ -480,7 +485,8 @@ class TestStateLayout:
         r = rng.uniform(-1.0, 1.0, (nz, op.n_rays))
         c = rng.uniform(0.0, 1.0, (nz, op.n_rays))
         want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
-        with mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 8 * n * n):
+        # _STATE_BYTES is the size of a float32 state block
+        with mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 4 * n * n):
             blocks = op.state_blocks(nz)
             assert 2 <= len(blocks) <= 4 and blocks[-1][1] == nz
             state = op.to_state(x)
@@ -500,3 +506,95 @@ class TestStateLayout:
                     assert np.array_equal(op.from_state(buf), want_adj)
                     mean = op.ray_mean_state(c, threads=threads)
                     assert np.array_equal(op.from_state(mean), want_mean)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([8, 16]), modes, split_volumes(), st.integers(0, 2**32 - 1))
+    def test_float32_state_cores(self, n, interpolation, split, seed):
+        # float32 buffers: the same bits in any block split and at any thread
+        # count, float32 state out of adjoint_state and ray_mean_state,
+        # float64 line sums, and values close to the float64 cores'
+        nz, per_block = split
+        op = square_fan(n).operator(interpolation)
+        rng = np.random.default_rng(seed)
+        x = (rng.uniform(0.0, 1.0, (nz, n, n))
+             + 0.25 * rng.integers(0, 2, (nz, 1, 1))).astype(np.float32)
+        r = rng.uniform(-1.0, 1.0, (nz, op.n_rays))
+        c = rng.uniform(0.0, 1.0, (nz, op.n_rays)).astype(np.float32)
+        want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
+        runs = []
+        for block_bytes in (per_block * 4 * n * n, nz * 4 * n * n):
+            with mock.patch.object(fan_operator, "_STATE_BYTES", block_bytes), \
+                    mock.patch.object(_pool.os, "cpu_count", return_value=3):
+                state = op.to_state(x)
+                assert state.dtype == np.float32
+                assert np.array_equal(op.from_state(state), x)
+                for threads in (1, 2, 3):
+                    fwd = op.forward_state(state, threads=threads)
+                    adj = op.adjoint_state(r, np.empty(state.shape, np.float32),
+                                           threads=threads)
+                    mean = op.ray_mean_state(c, threads=threads)
+                    assert fwd.dtype == np.float64 and mean.dtype == np.float32
+                    runs.append((fwd, op.from_state(adj), op.from_state(mean)))
+        fwd, adj, mean = runs[0]
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert a.tobytes() == b.tobytes()
+        assert np.allclose(fwd, want_fwd, rtol=1e-5, atol=1e-5)
+        assert np.allclose(adj, want_adj, rtol=1e-5, atol=1e-5)
+        assert np.allclose(mean, want_mean, rtol=1e-5, atol=1e-6)
+
+
+@st.composite
+def random_buckets(draw):
+    """Buckets of a random sparse matrix whose rows hold 0 to 200 entries,
+    some of them long enough for BLAS to regroup a product's columns."""
+    lengths = draw(st.lists(st.integers(0, 200), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out_ids = np.repeat(np.arange(len(lengths)), lengths)
+    n_in = 250
+    in_ids = rng.integers(0, n_in, len(out_ids))
+    weights = rng.uniform(0.0, 1.0, len(out_ids))
+    return fan_operator._buckets(out_ids, in_ids, weights, len(lengths)), n_in, rng
+
+
+class TestApply:
+    @settings(max_examples=40, deadline=None)
+    @given(random_buckets(), st.sampled_from([np.float64, np.float32]),
+           st.lists(st.integers(1, 63), min_size=1, max_size=6))
+    def test_column_bits_do_not_depend_on_block_width(self, drawn, dtype, widths):
+        # padding each block to its dtype's lane count gives every column the
+        # bits it gets in the widest block; float32 needs 16 lanes for that
+        buckets, n_in, rng = drawn
+        buckets = tuple(fan_operator._Bucket(b.rows, b.idx, b.w.astype(dtype))
+                        for b in buckets)
+        n_out = sum(len(b.rows) for b in buckets)
+        src = rng.uniform(-1.0, 1.0, (n_in, 64)).astype(dtype)
+        wide = np.empty((n_out, 64), dtype)
+        fan_operator._apply(buckets, src, wide)
+        for nb in widths:
+            out = np.full((n_out, nb), np.nan, dtype)
+            fan_operator._apply(buckets, np.ascontiguousarray(src[:, :nb]), out)
+            assert out.tobytes() == np.ascontiguousarray(wide[:, :nb]).tobytes()
+
+    def test_empty_rows_fill_or_zero_alike(self):
+        # most voxels of this fan are crossed by no ray, so narrow blocks of
+        # A^T fill whole and wide ones zero their empty rows; either way
+        # every output is bit-identical
+        fan = build_fan(GeometryConfig(width=20), bounds=(32, 32))
+        op = fan.operator()
+        assert 2 * len(op._cols[0].rows) > op.n_voxels
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.0, 1.0, (40, 32, 32))
+        r = rng.uniform(-1.0, 1.0, (40, fan.n_rays))
+        runs = []
+        for fill_bytes in (0, 1 << 30):
+            with mock.patch.object(fan_operator, "_FILL_ROW_BYTES", fill_bytes):
+                got = [op.forward(x), op.adjoint(r), op.ray_mean(r)]
+                for dtype in (np.float64, np.float32):
+                    state = op.to_state(x.astype(dtype))
+                    got += [op.forward_state(state),
+                            op.adjoint_state(r, np.empty(state.shape, dtype)),
+                            op.ray_mean_state(r.astype(dtype))]
+                runs.append(got)
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()

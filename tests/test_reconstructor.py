@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panoray import _pool, fan_operator, reconstructor
-from panoray.backproject import aggregate_rho, crossing_counts, image_candidates
+from panoray.backproject import crossing_counts, image_candidates
 from panoray.errors import DimsError
 from panoray.ray_geometry import GeometryConfig, build_fan
 from panoray.reconstructor import (
@@ -41,17 +41,32 @@ def fan32():
 
 def allocating_reconstruct(y, fan, cfg, mips):
     """The solver loop as it was written before it reused buffers: fresh
-    arrays for every trial and step difference, built on the public loss and
-    gradient. Returns the quantized volume, the loss history and the count
-    of each line-search event."""
+    slice-major float32 arrays for every trial and step difference, with the
+    loss and gradient at each estimate computed as the solver computes them,
+    from the estimate in float32 state layout. Returns the volume, the loss
+    history and the count of each line-search event."""
+    op = fan.operator()
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
+
+    def loss_at(x):
+        total, mse_img, mse_mip, _, _ = reconstructor._loss_terms(
+            op.to_state(x), y, mips, fan, cfg.beta, cfg.lambda1)
+        return total, (mse_img, mse_mip)
+
+    def gradient_at(x):
+        state = op.to_state(x)
+        *_, pred, projs = reconstructor._loss_terms(state, y, mips, fan, cfg.beta, cfg.lambda1)
+        return op.from_state(reconstructor._gradient(state, y, mips, fan, cfg.beta,
+                                                     cfg.lambda1, pred, projs))
+
     if cfg.init == "zeros":
-        x = np.zeros(dims)
+        x = np.zeros(dims, dtype=np.float32)
     else:
-        cands = image_candidates(y, fan, cfg.beta)
-        x = np.clip(aggregate_rho(fan, cands, dims).rho, 0.0, 1.0)
-    total, (mse_img, mse_mip) = loss(x, y, mips, fan, cfg)
+        cands = image_candidates(y, fan, cfg.beta).astype(np.float32)
+        x = np.clip(op.from_state(op.ray_mean_state(cands)), 0.0, 1.0)
+    assert x.dtype == np.float32
+    total, (mse_img, mse_mip) = loss_at(x)
     history = [(0, total, mse_img, mse_mip, 0.0)]
     events = {"backtrack": 0, "doubling": 0, "exhausted": 0}
     step = cfg.step_size
@@ -59,12 +74,11 @@ def allocating_reconstruct(y, fan, cfg, mips):
     for it in range(1, cfg.max_iters + 1):
         if total == 0.0:
             break
-        grad = gradient(x, y, mips, fan, cfg)
+        grad = gradient_at(x)
         if prev_x is None:
             step = cfg.step_size
         else:
             # the solver's dots: partial dots per state block, in block order
-            op = fan.operator()
             dx = op.to_state(x - prev_x)
             dg = op.to_state(grad - prev_grad)
             curv = _block_dot(op, dx, dg)
@@ -75,7 +89,7 @@ def allocating_reconstruct(y, fan, cfg, mips):
                 events["doubling"] += 1
         for _ in range(reconstructor._MAX_HALVINGS + 1):
             trial = np.clip(x - step * grad, 0.0, 1.0)
-            t_total, (t_img, t_mip) = loss(trial, y, mips, fan, cfg)
+            t_total, (t_img, t_mip) = loss_at(trial)
             if t_total < total:
                 break
             step *= reconstructor._BACKTRACK
@@ -89,7 +103,8 @@ def allocating_reconstruct(y, fan, cfg, mips):
         history.append((it, total, t_img, t_mip, step))
         if rel_drop < cfg.tol:
             break
-    return np.clip(x, 0.0, 1.0).astype(np.float32).astype(np.float64), history, events
+    assert x.dtype == np.float32
+    return x.astype(np.float64), history, events
 
 
 def max_halvings(n):
@@ -380,11 +395,13 @@ class TestStopReason:
 
     @pytest.mark.parametrize("max_iters", [1, 2])
     def test_zero_loss_reached_by_a_step(self, fan8, max_iters):
-        # the target is the opacity of 1.0 on every covered voxel, so the
-        # first step from zeros, clipped at 1.0, fits it exactly; with
-        # max_iters=1 the loop ends right after that step, not at its check
-        fit = 1.0 * (crossing_counts(fan8, (3, 8, 8)) > 0)
-        y = -np.expm1(-0.3 * fan8.delta * fan8.operator().forward(fit))
+        # the target is the opacity of 1.0 on every covered voxel, with the
+        # line sums of the solver's float32 state, so the first step from
+        # zeros, clipped at 1.0, fits it exactly; with max_iters=1 the loop
+        # ends right after that step, not at its check
+        fit = (crossing_counts(fan8, (3, 8, 8)) > 0).astype(np.float32)
+        op = fan8.operator()
+        y = -np.expm1(-0.3 * fan8.delta * op.forward_state(op.to_state(fit)))
         cfg = ReconConfig(beta=0.3, init="zeros", step_size=1e6, max_iters=max_iters)
         _, report = reconstruct(y, fan8, cfg)
         assert report.iterations_run == 1
@@ -392,10 +409,49 @@ class TestStopReason:
         assert report.stop_reason == "zero_loss"
 
 
+class TestStateDtype:
+    def test_solver_state_is_float32_and_public_path_float64(self, fan8):
+        # the solver's volumes are float32 state-layout buffers; the public
+        # loss and gradient run the same cores on float64 ones
+        op = fan8.operator()
+        seen = []
+
+        def spy(name):
+            real = getattr(op, name)
+
+            def call(arg, *args, **kwargs):
+                result = real(arg, *args, **kwargs)
+                seen.append((name, (arg if name == "forward_state" else result).dtype))
+                return result
+            return mock.patch.object(op, name, call)
+
+        truth = make_phantom("sphere-set", (4, 8, 8), seed=0)
+        mips = {ax: mip(truth, ax) for ax in MIP_AXES}
+        cfg = ReconConfig(beta=0.3, max_iters=3)
+        y = render_for(fan8, truth, cfg.beta).pixels
+        with spy("forward_state"), spy("adjoint_state"), spy("ray_mean_state"):
+            vol, report = reconstruct(y, fan8, cfg, target_mips=mips)
+            assert report.iterations_run == 3
+            assert {name for name, _ in seen} == {"forward_state", "adjoint_state",
+                                                  "ray_mean_state"}
+            assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+            # the result skips the range check; the checking constructor
+            # takes its data as it is
+            assert vol.data.dtype == np.float64 and not vol.data.flags.writeable
+            assert DensityVolume(vol.data).data is vol.data
+            seen.clear()
+            total, parts = loss(truth, y, mips, fan8, cfg)
+            g = gradient(truth, y, mips, fan8, cfg)
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+        assert all(type(v) is float for v in (total, *parts))
+        assert g.dtype == np.float64
+
+
 class TestMemory:
     def test_peak_below_six_volumes(self):
-        # the solver's workspace is four volumes; the operator's block
-        # buffers and the final quantized copy stay within two more
+        # in float64 volumes: the solver's workspace is four float32 volumes,
+        # the size of two; the operator's block buffers and the float64
+        # result stay within one more
         dims = (64, 128, 128)
         fan = build_fan(GeometryConfig(width=128), bounds=(128, 128))
         truth = make_phantom("jaw-arch", dims, seed=1)
@@ -409,7 +465,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert report.iterations_run == 5
-        assert peak < 6 * truth.data.nbytes
+        assert peak < 3 * truth.data.nbytes
 
 
 class TestReconstruct:
@@ -507,7 +563,8 @@ def split_volumes(draw):
 
 
 def state_budget(per_block, n):
-    return mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 8 * n * n)
+    # _STATE_BYTES is the size of a float32 state block
+    return mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 4 * n * n)
 
 
 def brute_mip_term(est, grad, ax, r, tie_tol):
