@@ -120,18 +120,17 @@ def _buckets(out_ids, in_ids, weights, n_out) -> tuple:
     keys[has] = np.ceil(_CLASSES * np.log2(lengths[has]))
     order = np.argsort(keys, kind="stable")
     edges = np.append(np.flatnonzero(np.diff(keys[order], prepend=-2)), n_out)
+    # padding reads one (0, 0.0) entry appended past the last, so a single
+    # gather fills a bucket's idx and another its w, zeros included
+    pad = len(in_ids)
+    in_ids, weights = np.append(in_ids, 0), np.append(weights, 0.0)
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
         rows = order[a:b]
         n = lengths[rows][:, None]
         col = np.arange(n.max())
-        pad = col >= n
-        pos = np.where(pad, 0, starts[rows][:, None] + col)
-        out.append(_Bucket(
-            rows=rows,
-            idx=np.where(pad, 0, in_ids[pos]),
-            w=np.where(pad, 0.0, weights[pos]),
-        ))
+        pos = np.where(col < n, starts[rows][:, None] + col, pad)
+        out.append(_Bucket(rows=rows, idx=in_ids[pos], w=weights[pos]))
     return tuple(out)
 
 
@@ -208,27 +207,57 @@ def _copy_back(vt: np.ndarray, rows: np.ndarray) -> None:
         rows[:, v0:v0 + _TILE] = vt[v0:v0 + _TILE].T
 
 
+def _corners(p: np.ndarray, size: int) -> tuple:
+    """Bilinear neighbors along one axis of the coordinates p: the lower
+    and upper indices, clamped to [0, size - 1], and their weights 1 - f
+    and f."""
+    q = p - 0.5
+    i = np.floor(q)
+    f = q - i
+    i = i.astype(np.int64)  # in [-1, size - 1]
+    lo = np.clip(i, 0, size - 1)
+    i += 1
+    return lo, np.clip(i, 0, size - 1, out=i), 1.0 - f, f
+
+
 def _entries(sample_xy, sample_valid, bounds, interpolation):
-    """Uncoalesced (ray, voxel, weight) entries of every retained sample,
-    ray-major; bilinear corners of zero weight are included."""
+    """The uncoalesced entries of every retained sample, in ray-major
+    order: each sample's ray (n,) and the voxels (n, m) and weights (n, m)
+    of its m entries. Those are its four clamped bilinear corners for
+    "trilinear", zero weights included, or for "nearest" the voxel that
+    contains it, whose weight 1.0 is left implicit: weights are None. Each
+    pass runs over one contiguous coordinate column of the kept samples,
+    and the corners are written straight into their (n, 4) arrays."""
     nx, ny = bounds
-    valid = sample_valid.ravel()
-    ray = np.nonzero(valid)[0] // sample_valid.shape[1]
-    xy = sample_xy.reshape(-1, 2)[valid]
+    kept = np.flatnonzero(sample_valid)
+    ray = kept // sample_valid.shape[1]
+    flat = sample_xy.reshape(-1, 2)
+    px, py = flat[:, 0].take(kept), flat[:, 1].take(kept)
     if interpolation == "nearest":
-        x = np.clip(np.floor(xy[:, 0]).astype(np.int64), 0, nx - 1)
-        y = np.clip(np.floor(xy[:, 1]).astype(np.int64), 0, ny - 1)
-        return ray, y * nx + x, np.ones(len(ray))
-    q = xy - 0.5
-    i0 = np.floor(q)
-    fx, fy = (q - i0).T
-    i0 = i0.astype(np.int64)  # in [-1, n - 1]
-    x0, x1 = np.clip(i0[:, 0], 0, nx - 1), np.clip(i0[:, 0] + 1, 0, nx - 1)
-    y0, y1 = np.clip(i0[:, 1], 0, ny - 1) * nx, np.clip(i0[:, 1] + 1, 0, ny - 1) * nx
-    gx, gy = 1.0 - fx, 1.0 - fy
-    voxel = np.stack((y0 + x0, y0 + x1, y1 + x0, y1 + x1), axis=1)
-    weight = np.stack((gy * gx, gy * fx, fy * gx, fy * fx), axis=1)
-    return np.repeat(ray, 4), voxel.ravel(), weight.ravel()
+        x = np.clip(np.floor(px).astype(np.int64), 0, nx - 1)
+        y = np.clip(np.floor(py).astype(np.int64), 0, ny - 1)
+        y *= nx
+        y += x
+        return ray, y[:, None], None
+    x0, x1, gx, fx = _corners(px, nx)
+    y0, y1, gy, fy = _corners(py, ny)
+    y0 *= nx
+    y1 *= nx
+    voxel = np.empty((len(kept), 4), dtype=np.int64)
+    weight = np.empty((len(kept), 4))
+    for j, (y, x, wy, wx) in enumerate(((y0, x0, gy, gx), (y0, x1, gy, fx),
+                                         (y1, x0, fy, gx), (y1, x1, fy, fx))):
+        np.add(y, x, out=voxel[:, j])
+        np.multiply(wy, wx, out=weight[:, j])
+    return ray, voxel, weight
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in keys."""
+    is_start = np.empty(len(keys), dtype=bool)
+    is_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=is_start[1:])
+    return np.flatnonzero(is_start)
 
 
 class FanOperator:
@@ -250,22 +279,30 @@ class FanOperator:
         self.n_rays = len(sample_counts)
         self.sample_counts = np.asarray(sample_counts, dtype=np.float64)
         ray, voxel, w = _entries(sample_xy, sample_valid, self.bounds, interpolation)
-        # coalesce repeated (ray, voxel) pairs; the entries arrive ray-major,
-        # which the stable sort exploits
-        keys = ray * self.n_voxels + voxel
+        # coalesce repeated (ray, voxel) pairs: a stable sort of the keys
+        # (the entries arrive ray-major, which it exploits) makes each pair
+        # one run of entries in their original order, whose weights are
+        # summed in that order and whose ray and voxel are gathered from the
+        # run's first entry. Each array over all entries is dropped once
+        # used, which keeps the build's peak memory low.
+        keys = ((ray * self.n_voxels)[:, None] + voxel).ravel()
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        is_start = np.empty(len(keys), dtype=bool)
-        is_start[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        weight = np.add.reduceat(w[order], starts) if len(keys) else w
+        starts = _run_starts(keys.take(order))
+        del keys
+        first = order.take(starts)
+        if w is None:
+            # every entry weighs 1.0, so each sum is its run's length
+            weight = np.diff(starts, append=len(order)).astype(np.float64)
+        else:
+            weight = np.add.reduceat(w.ravel().take(order), starts) if len(order) else w.ravel()
+        del order, w
         keep = weight > 0
-        keys = keys[starts[keep]]
+        if not keep.all():  # bilinear corners of zero weight
+            first, weight = first[keep], weight[keep]
         # coalesced entries, sorted by ray and then by voxel
-        self.ray = keys // self.n_voxels
-        self.voxel = keys % self.n_voxels
-        self.weight = weight[keep]
+        self.ray = ray[first // voxel.shape[1]]
+        self.voxel = voxel.ravel()[first]
+        self.weight = weight
         self._rows = _buckets(self.ray, self.voxel, self.weight, self.n_rays)
         # slices per public block
         self.block = max(1, _BLOCK_BYTES // (8 * self.n_voxels))

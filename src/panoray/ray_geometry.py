@@ -205,11 +205,6 @@ class GeometryConfig:
         return tuple(thetas)
 
 
-def _unit(angle_deg: float) -> np.ndarray:
-    a = math.radians(angle_deg)
-    return np.array([math.cos(a), math.sin(a)], dtype=np.float64)
-
-
 def _wrap180(a: float) -> float:
     """Signed minimal arc in (-180, 180]."""
     return -((-a + 180.0) % 360.0 - 180.0)
@@ -282,7 +277,8 @@ def extract_rays(
         left = deficit // 2
         rays = [rays[0]] * left + rays + [rays[-1]] * (deficit - left)
 
-    directions = np.array([_unit(angle) for _, angle in rays])
+    angles = np.radians([angle for _, angle in rays])
+    directions = np.stack((np.cos(angles), np.sin(angles)), axis=1)
     origins = centers[[c for c, _ in rays]] - math.hypot(bounds[0], bounds[1]) * directions
     xy, valid, counts = _sample(origins, directions, n_samples, delta, bounds)
     return RayFan(
@@ -308,8 +304,18 @@ def _sample(origins, directions, n_samples: int, delta: float, bounds):
     n_samples points that fall inside [0, nx] x [0, ny].
 
     Returns the packed (xy, valid, counts) arrays, zero-padded past each
-    ray's count. Each computed coordinate is monotone in the step and the box
-    is convex, so a ray's in-bounds steps form one run from its first one.
+    ray's count. Step j of a ray is origin + (delta * j) * direction, and
+    each of the four half-plane tests x >= 0, x <= nx, y >= 0, y <= ny on
+    it is monotone in j (every rounding on the way is), so each holds on a
+    prefix or a suffix of the walk and their intersection, the in-bounds
+    run, is one interval of steps. A vectorized bisection finds the step at
+    which each test switches, evaluating the exact test, and coordinates
+    are computed only for the steps kept. The entry and exit parameters of
+    slab (Siddon) arithmetic are not used: they round differently from the
+    walk and miss samples the exact test keeps on an edge. With origin
+    (256, -3) and direction (cos 90 deg, sin 90 deg) on a 256 x 256 grid,
+    slab arithmetic puts the x exit at t = 0, yet x rounds to exactly 256
+    for hundreds of steps and the walk keeps 257 samples.
     """
     check_int("n_samples", n_samples)
     # written so that NaN (which fails every comparison) is rejected too
@@ -319,15 +325,39 @@ def _sample(origins, directions, n_samples: int, delta: float, bounds):
     reach = math.hypot(nx, ny)
     n_steps = int(math.ceil(2.0 * reach / delta)) + 2
     ts = delta * np.arange(n_steps, dtype=np.float64)
-    x = origins[:, 0, None] + ts * directions[:, 0, None]
-    y = origins[:, 1, None] + ts * directions[:, 1, None]
-    ok = (x >= 0) & (x <= nx) & (y >= 0) & (y <= ny)
-    counts = np.minimum(ok.sum(axis=1), n_samples)
+    # the four tests of every ray, one row each: lo <= coordinate <= hi
+    o = origins.T[[0, 0, 1, 1]]
+    d = directions.T[[0, 0, 1, 1]]
+    lo = np.array([0.0, -math.inf, 0.0, -math.inf])[:, None]
+    hi = np.array([math.inf, nx, math.inf, ny])[:, None]
+
+    def test(steps):
+        c = o + ts[steps] * d
+        return (c >= lo) & (c <= hi)
+
+    # bisect for the first step whose test differs from step 0's, n_steps
+    # where none does; a < b with test(a) == start and b that step or above
+    start = test(np.zeros(o.shape, dtype=np.int64))
+    switches = test(np.full(o.shape, n_steps - 1)) != start
+    a = np.where(switches, 0, n_steps - 1)
+    b = np.where(switches, n_steps - 1, n_steps)
+    while np.any(b - a > 1):
+        mid = (a + b) // 2
+        same = test(mid) == start
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+    # a test that holds at step 0 holds before b, one that fails from b on
+    first = np.where(start, 0, b).max(axis=0)
+    stop = np.where(start, b, n_steps).min(axis=0)
+    counts = np.clip(stop - first, 0, n_samples)
     max_k = int(counts.max()) if len(counts) else 0
     k = np.arange(max_k)
-    steps = np.minimum(ok.argmax(axis=1)[:, None] + k, n_steps - 1)
+    t = ts.take(first[:, None] + k, mode="clip")  # clipped past a ray's count
     valid = k < counts[:, None]
-    xy = np.stack([np.take_along_axis(c, steps, axis=1) for c in (x, y)], axis=-1)
+    xy = np.empty((len(counts), max_k, 2), dtype=np.float64)
+    for axis in (0, 1):
+        np.multiply(t, directions[:, axis, None], out=xy[..., axis])
+        xy[..., axis] += origins[:, axis, None]
     xy[~valid] = 0.0
     return xy, valid, counts
 

@@ -1,10 +1,16 @@
-"""Independent per-point references for the renderer's line integrals.
+"""Independent references for the fan, its system matrix and the renderer.
 
 The library computes every line integral through the fan's system matrix
-(see panoray.fan_operator). These scalar forms walk one point at a time
-instead: the tests check renders against them, and their own math is
-pinned by TestTransmittance (test_renderer.py) and TestTrilinear
-(test_volume.py).
+(see panoray.fan_operator). sample_trilinear and transmittance walk one
+point at a time instead: the tests check renders against them, and their
+own math is pinned by TestTransmittance (test_renderer.py) and
+TestTrilinear (test_volume.py).
+
+walk_samples, coalesced_entries and padded_buckets build the fan's sample
+arrays and the operator's entries and buckets by whole-array passes: every
+step of every ray is computed and tested, and entries are coalesced by
+integer keys. The library builds the same arrays from the samples it keeps;
+the tests require them to be bit-identical.
 """
 
 import math
@@ -77,3 +83,93 @@ def transmittance(densities, delta: float, beta: float) -> float:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
     total = math.fsum(float(s) for s in np.asarray(densities, dtype=np.float64).ravel())
     return math.exp(-beta * delta * total)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b have one dtype and shape and the same bits; 8-byte values are
+    compared as uint64, so -0.0 and 0.0 differ."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype.itemsize == 8:
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return np.array_equal(a, b)
+
+
+def walk_samples(origins, directions, n_samples: int, delta: float, bounds):
+    """(xy, valid, counts) as packed by ray_geometry._sample, from every
+    step origin + (delta * j) * direction of every ray, j < n_steps."""
+    nx, ny = bounds
+    n_steps = int(math.ceil(2.0 * math.hypot(nx, ny) / delta)) + 2
+    ts = delta * np.arange(n_steps, dtype=np.float64)
+    x = origins[:, 0, None] + ts * directions[:, 0, None]
+    y = origins[:, 1, None] + ts * directions[:, 1, None]
+    ok = (x >= 0) & (x <= nx) & (y >= 0) & (y <= ny)
+    counts = np.minimum(ok.sum(axis=1), n_samples)
+    max_k = int(counts.max()) if len(counts) else 0
+    k = np.arange(max_k)
+    steps = np.minimum(ok.argmax(axis=1)[:, None] + k, n_steps - 1)
+    valid = k < counts[:, None]
+    xy = np.stack([np.take_along_axis(c, steps, axis=1) for c in (x, y)], axis=-1)
+    xy[~valid] = 0.0
+    return xy, valid, counts
+
+
+def coalesced_entries(sample_xy, sample_valid, bounds, interpolation):
+    """The (ray, voxel, weight) entries of FanOperator: each retained
+    sample's clamped bilinear corners (or its containing voxel), sorted
+    stably by the key ray * n_voxels + voxel, summed per key by reduceat,
+    entries of zero sum dropped, and ray and voxel taken back from the key."""
+    nx, ny = bounds
+    n_voxels = nx * ny
+    valid = sample_valid.ravel()
+    ray = np.nonzero(valid)[0] // sample_valid.shape[1]
+    xy = sample_xy.reshape(-1, 2)[valid]
+    if interpolation == "nearest":
+        x = np.clip(np.floor(xy[:, 0]).astype(np.int64), 0, nx - 1)
+        y = np.clip(np.floor(xy[:, 1]).astype(np.int64), 0, ny - 1)
+        voxel, w = y * nx + x, np.ones(len(ray))
+    else:
+        q = xy - 0.5
+        i0 = np.floor(q)
+        fx, fy = (q - i0).T
+        i0 = i0.astype(np.int64)
+        x0, x1 = np.clip(i0[:, 0], 0, nx - 1), np.clip(i0[:, 0] + 1, 0, nx - 1)
+        y0, y1 = np.clip(i0[:, 1], 0, ny - 1) * nx, np.clip(i0[:, 1] + 1, 0, ny - 1) * nx
+        gx, gy = 1.0 - fx, 1.0 - fy
+        voxel = np.stack((y0 + x0, y0 + x1, y1 + x0, y1 + x1), axis=1).ravel()
+        w = np.stack((gy * gx, gy * fx, fy * gx, fy * fx), axis=1).ravel()
+        ray = np.repeat(ray, 4)
+    keys = ray * n_voxels + voxel
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    is_start = np.empty(len(keys), dtype=bool)
+    is_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    weight = np.add.reduceat(w[order], starts) if len(keys) else w
+    keep = weight > 0
+    keys = keys[starts[keep]]
+    return keys // n_voxels, keys % n_voxels, weight[keep]
+
+
+def padded_buckets(out_ids, in_ids, weights, n_out, classes):
+    """(rows, idx, w) of each of fan_operator._buckets' buckets, in its
+    order, for entries sorted by out_ids and `classes` length classes per
+    octave: each row's entries gathered and then masked to 0 on the
+    padding."""
+    lengths = np.bincount(out_ids, minlength=n_out)
+    starts = np.cumsum(lengths) - lengths
+    keys = np.full(n_out, -1, dtype=np.int64)
+    has = lengths > 0
+    keys[has] = np.ceil(classes * np.log2(lengths[has]))
+    order = np.argsort(keys, kind="stable")
+    edges = np.append(np.flatnonzero(np.diff(keys[order], prepend=-2)), n_out)
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        rows = order[a:b]
+        n = lengths[rows][:, None]
+        col = np.arange(n.max())
+        pad = col >= n
+        pos = np.where(pad, 0, starts[rows][:, None] + col)
+        out.append((rows, np.where(pad, 0, in_ids[pos]), np.where(pad, 0.0, weights[pos])))
+    return out

@@ -10,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import coalesced_entries, padded_buckets, same_bits
+
 from panoray import _pool, fan_operator
 from panoray.backproject import BackProjectionMap, aggregate_rho, crossing_counts
 from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
@@ -25,6 +27,10 @@ FANS = {
     "padded": (GeometryConfig(width=200, angle_scale=2.0), (16, 16)),
     "short-rays": (GeometryConfig(width=40, n_samples=9), (20, 20)),
 }
+
+
+# (angle_scale, width) of the fans the render-sweep benchmark builds at 256^2
+SWEEP_GEOMETRIES = [(0.5, 256), (0.5, 512), (1.0, 256), (1.0, 512)]
 
 
 @pytest.fixture(scope="module", params=sorted(FANS))
@@ -163,6 +169,37 @@ def test_operator_without_entries(interpolation):
     assert len(op.ray) == len(op.voxel) == len(op.weight) == 0
     assert not op.forward(np.ones((2, 8, 8))).any()
     assert not op.adjoint(np.ones((2, fan.n_rays))).any()
+    check_build_matches_oracle(op, fan.sample_xy, np.zeros_like(fan.sample_valid), interpolation)
+
+
+def check_build_matches_oracle(op, sample_xy, sample_valid, interpolation):
+    """op's coalesced entries and its A and A^T buckets are bit-identical
+    to the whole-array build of oracles.py from the same samples."""
+    ray, voxel, weight = coalesced_entries(sample_xy, sample_valid, op.bounds, interpolation)
+    assert same_bits(op.ray, ray) and same_bits(op.voxel, voxel) and same_bits(op.weight, weight)
+    by_voxel = np.argsort(voxel, kind="stable")
+    for got, want in (
+        (op._rows, padded_buckets(ray, voxel, weight, op.n_rays, fan_operator._CLASSES)),
+        (op._cols, padded_buckets(voxel[by_voxel], ray[by_voxel], weight[by_voxel],
+                                  op.n_voxels, fan_operator._CLASSES)),
+    ):
+        assert len(got) == len(want)
+        for b, (rows, idx, w) in zip(got, want):
+            assert same_bits(b.rows, rows) and same_bits(b.idx, idx) and same_bits(b.w, w)
+
+
+@pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+def test_build_matches_oracle(fan, interpolation):
+    check_build_matches_oracle(fan.operator(interpolation), fan.sample_xy, fan.sample_valid,
+                               interpolation)
+
+
+@pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+@pytest.mark.parametrize("angle_scale, width", SWEEP_GEOMETRIES)
+def test_sweep_build_matches_oracle(angle_scale, width, interpolation):
+    fan = build_fan(GeometryConfig(width=width, angle_scale=angle_scale), bounds=(256, 256))
+    check_build_matches_oracle(fan.operator(interpolation), fan.sample_xy, fan.sample_valid,
+                               interpolation)
 
 
 def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):

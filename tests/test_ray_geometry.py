@@ -1,10 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import same_bits, walk_samples
 
 from panoray.ray_geometry import (
     CenterCurve,
@@ -21,6 +23,13 @@ from panoray.ray_geometry import (
 # raw emission count of the default construction; computed once by running it
 # and pinned here as a regression bound
 DEFAULT_RAW_COUNT = 240
+# (angle_scale, width) of the fans the render-sweep benchmark builds at 256^2
+SWEEP_GEOMETRIES = [(0.5, 256), (0.5, 512), (1.0, 256), (1.0, 512)]
+# a ray along the x = 256 edge: x = 256 + t * 6.1e-17 rounds to exactly 256
+# through step 464 and past the edge after it, while slab arithmetic puts
+# its x exit at t = 0
+EDGE_RAY = (np.array([256.0, -3.0]),
+            np.array([math.cos(math.radians(90.0)), math.sin(math.radians(90.0))]))
 
 
 def unplaced_curve() -> CenterCurve:
@@ -216,6 +225,28 @@ class TestSamplePoints:
             samples = fan.sample_xy[i, :fan.sample_counts[i]]
             t = (samples - fan.origins[i]) @ fan.directions[i]
             assert np.all(np.diff(t) > 0)
+
+    @pytest.mark.parametrize("bounds, n_samples, kept", [
+        ((256, 256), 300, 257),   # y = 0 .. 256, the whole edge
+        ((256, 1024), 2000, 462),  # y = 0 .. 461: x leaves the grid after step 464
+    ])
+    def test_edge_ray_keeps_rounded_samples(self, bounds, n_samples, kept):
+        out = sample_one(*EDGE_RAY, n_samples, 1.0, bounds)
+        assert len(out) == kept
+        assert np.all(out[:, 0] == 256.0)
+        assert np.array_equal(out[:, 1], np.arange(kept, dtype=np.float64))
+
+    def test_memory_stays_near_outputs(self):
+        # walking every step held three (n_rays, n_steps) arrays, 3 MB each
+        # for this fan's 512 rays of 727 steps, against 1.7 MB of outputs
+        fan = build_fan(GeometryConfig(width=512), bounds=(256, 256))
+        tracemalloc.start()
+        try:
+            out = _sample(fan.origins, fan.directions, 200, 1.0, (256, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(a.nbytes for a in out)
 
     def test_bad_args(self):
         ray = ((0.0, 0.0), (1.0, 0.0))
@@ -414,12 +445,30 @@ class TestSamplerProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(rays_on_grids(), st.integers(1, 300), deltas)
+    @example(ray_grid=(EDGE_RAY, (256, 256)), n_samples=300, delta=1.0)
+    @example(ray_grid=(EDGE_RAY, (256, 1024)), n_samples=2000, delta=1.0)
     def test_sample_points_match_per_ray_walk(self, ray_grid, n_samples, delta):
         (origin, direction), bounds = ray_grid
         ref = brute_force_samples(origin, direction, n_samples, delta, bounds)
         out = sample_one(origin, direction, n_samples, delta, bounds)
         assert len(out) == len(ref)
         assert out.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def check_matches_walk_oracle(fan):
+        want = walk_samples(fan.origins, fan.directions, fan.n_samples, fan.delta, fan.bounds)
+        got = (fan.sample_xy, fan.sample_valid, fan.sample_counts)
+        assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fans())
+    def test_arrays_match_walk_oracle(self, fan):
+        self.check_matches_walk_oracle(fan)
+
+    @pytest.mark.parametrize("angle_scale, width", SWEEP_GEOMETRIES)
+    def test_sweep_fans_match_walk_oracle(self, angle_scale, width):
+        self.check_matches_walk_oracle(
+            build_fan(GeometryConfig(width=width, angle_scale=angle_scale), bounds=(256, 256)))
 
     @settings(max_examples=10, deadline=None)
     @given(fans())
