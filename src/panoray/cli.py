@@ -146,33 +146,43 @@ def _cmd_backproject(args):
     return 0
 
 
+def _load_truth(path, dims):
+    """The --truth volume's float32 values, checked as load_volume checks
+    them and against the reconstruction dims."""
+    truth = volume.load_volume_f32(path)
+    if truth.shape != dims:
+        raise DimsError(
+            f"truth volume dims {truth.shape} do not match the reconstruction "
+            f"dims {dims}; set grid=<nx>,<ny> in the geometry file"
+        )
+    return truth
+
+
 def _cmd_reconstruct(args):
     img = renderer.load_image(args.img)
     fan, beta = _geometry_setup(args)
     nx, ny = fan.bounds
     dims = (img.dims[0], ny, nx)
-    # checked before solving, but held as float32 through the solve, half
-    # the size of the float64 volume that metrics reads afterwards
-    truth = volume.load_volume_f32(args.truth) if args.truth else None
-    if truth is not None and truth.shape != dims:
-        raise DimsError(
-            f"truth volume dims {truth.shape} do not match the reconstruction "
-            f"dims {dims}; set grid=<nx>,<ny> in the geometry file"
-        )
+    if args.truth:
+        # checked before solving but not held through the solve, whose
+        # state volumes are the command's peak; read again to score
+        _load_truth(args.truth, dims)
     flags = {"max_iters": args.iters, "step_size": args.step, "init": args.init}
     cfg = reconstructor.ReconConfig(beta=beta, **{k: v for k, v in flags.items() if v is not None})
     result, report = reconstructor.reconstruct(img, fan, cfg, threads=args.threads)
     volume.save_volume(result, args.out)
     if args.report:
         reconstructor.save_report(report, args.report)
-    if truth is not None:
+    if args.truth:
+        truth = _load_truth(args.truth, dims)
         print(metrics.evaluate(result, truth, threads=args.threads).format_line())
     return 0
 
 
 def _cmd_metrics(args):
-    a = volume.load_volume(args.a)
-    b = volume.load_volume(args.b)
+    # float32 as stored: evaluate widens one slice pair at a time
+    a = volume.load_volume_f32(args.a)
+    b = volume.load_volume_f32(args.b)
     report = metrics.evaluate(a, b, threshold=args.threshold, threads=args.threads)
     print(report.format_line())
     return 0

@@ -50,17 +50,47 @@ def _data(v, keep_f32: bool = False) -> np.ndarray:
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimsError(f"volume dims differ: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise DimsError(f"volumes of dims {a.shape} hold no voxels")
+
+
+def _check_finite(*arrays: np.ndarray, out=None) -> None:
+    """ValueError unless every value is finite, checked before any arithmetic
+    (inf - inf would warn, and a NaN would score); out, a bool buffer of the
+    arrays' shape, spares the temporary."""
+    if not all(np.isfinite(v, out=out).all() for v in arrays):
+        raise ValueError("metrics need finite values, got NaN or infinity")
+
+
+def _slice_sq_sum(x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> float:
+    """The sum of (x - y) ** 2 over a float64 slice pair, through the slice
+    buffer diff."""
+    np.subtract(x, y, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(diff.sum())
+
+
+def _slice_mean(sq_sums, size: int) -> float:
+    """The mean squared difference from per-slice sums: the sums added in
+    slice order, then divided by the voxel count."""
+    # a plain loop, not sum(), which compensates its float sums on Python 3.12+
+    total = 0.0
+    for s in sq_sums:
+        total += s
+    return total / size
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    # a - b in float64 for float32 operands too (each float32 value is exact
-    # in float64); a float32 b is widened into the difference buffer first,
-    # which needs no cast buffer
-    if b.dtype == np.float64:
-        d = np.subtract(a, b, dtype=np.float64)
-    else:
-        d = b.astype(np.float64)
-        np.subtract(a, d, out=d)
+    """Mean of (a - b) ** 2 over float64 a and b of one shape; ValueError for
+    a NaN or infinite value. A 3D pair is summed one axial slice pair at a
+    time through one slice buffer, by the rule evaluate's slice tasks follow,
+    so the two agree exactly; any other array (a masked selection, a 2D
+    image) takes one whole-array mean."""
+    _check_finite(a, b)
+    if a.ndim == 3:
+        diff = np.empty(a.shape[1:])
+        return _slice_mean((_slice_sq_sum(x, y, diff) for x, y in zip(a, b)), a.size)
+    d = np.subtract(a, b)
     np.square(d, out=d)  # the values (a - b) ** 2 gives, without a second temporary
     return float(np.mean(d))
 
@@ -88,9 +118,10 @@ def _psnr_db(mse: float) -> float:
 
 def psnr(a, b, *, mask=None) -> float:
     """10*log10(1 / MSE) in dB, the peak being 1, the top of the normalized
-    density range; capped at 99.0 (identical inputs).
+    density range; capped at 99.0 (identical inputs). The MSE is volume_mse's,
+    taken over the voxels a mask selects when one is given.
 
-    Raises ValueError when the MSE is not finite (NaN or infinite inputs)."""
+    Raises ValueError when a scored value is NaN or infinite."""
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     if mask is not None:
@@ -107,6 +138,7 @@ def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
     _check_threshold(threshold)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
+    _check_finite(a, b)
     fa = a > threshold
     fb = b > threshold
     return _dice_percent(int(fa.sum()), int(fb.sum()), int((fa & fb).sum()))
@@ -144,7 +176,7 @@ def ssim(a, b, *, threads: int = 1) -> float:
     """
     a, b = _data(a), _data(b)
     _check_dims(a, b)
-    means, _ = _slice_walk(a, b, None, threads)
+    means, _, _ = _slice_walk(a, b, None, threads)
     return 100.0 * float(np.mean(means))
 
 
@@ -152,7 +184,9 @@ def _slice_walk(a, b, threshold, threads):
     """One pass over the axial slice pairs on up to `threads` workers: the
     per-slice SSIM means in slice order and, for a threshold that is not
     None, Dice's voxel counts (above it in a, in b, in both) summed over
-    the slices; the counts are integers, so they equal whole-volume counts."""
+    the slices and the per-slice sums of squared differences in slice order;
+    the counts are integers, so they equal whole-volume counts. ValueError
+    for a NaN or infinite value, before any SSIM arithmetic on its slice."""
     w = _SSIM_WINDOW
     nz, ny, nx = a.shape
     if ny < w or nx < w:
@@ -184,6 +218,9 @@ def _slice_walk(a, b, threshold, threads):
         if wide_b is not None:
             np.copyto(wide_b, y)
             y = wide_b
+        _check_finite(x, y, out=above_a)
+        # the MSE's float64 squared differences go through prod before SSIM's products
+        sq_sum = None if threshold is None else _slice_sq_sum(x, y, prod)
         _window_sums(x, w, rows, mx)
         _window_sums(y, w, rows, my)
         _window_sums(np.multiply(x, x, out=prod), w, rows, vx)
@@ -210,36 +247,37 @@ def _slice_walk(a, b, threshold, threads):
         den *= vx
         num /= den
         if threshold is None:
-            return np.mean(num), None
+            return np.mean(num), None, None
         np.greater(x, threshold, out=above_a)
         np.greater(y, threshold, out=above_b)
         counts = (np.count_nonzero(above_a), np.count_nonzero(above_b),
                   np.count_nonzero(np.logical_and(above_a, above_b, out=above_a)))
-        return np.mean(num), counts
+        return np.mean(num), counts, sq_sum
 
-    results = run_blocks(slice_pair, range(nz), threads, buffers)
-    means = [mean for mean, _ in results]
+    means, counts, sq_sums = zip(*run_blocks(slice_pair, range(nz), threads, buffers))
     if threshold is None:
-        return means, None
-    return means, [sum(c) for c in zip(*(counts for _, counts in results))]
+        return means, None, None
+    return means, [sum(c) for c in zip(*counts)], sq_sums
 
 
 def evaluate(a, b, threshold: float = DICE_THRESHOLD, *,
              threads: int = 1) -> MetricsReport:
     """PSNR, SSIM, Dice and MSE of a against b; threads as for ssim.
 
-    The values are those psnr, ssim, dice and volume_mse give; SSIM and the
-    Dice counts come from one walk over the slice pairs. A float32 array is
-    read as its float64 values without a widened copy of the whole volume."""
+    The values are those psnr, ssim, dice and volume_mse give. One walk over
+    the axial slice pairs scores one pair at a time: its SSIM, its Dice
+    counts and its float64 sum of squared differences, which are added in
+    slice order for the MSE, as volume_mse adds them. A float32 array is read
+    as its float64 values a slice at a time, so no whole-volume copy or
+    difference volume is made. ValueError for a NaN or infinite value."""
     _check_threshold(threshold)
     check_int("threads", threads)
     a, b = _data(a, keep_f32=True), _data(b, keep_f32=True)
     _check_dims(a, b)
-    mse = _mse(a, b)  # shared by psnr and mse, the same value each computes
-    psnr_db = _psnr_db(mse)  # non-finite inputs fail before the slice walk
-    means, counts = _slice_walk(a, b, threshold, threads)
+    means, counts, sq_sums = _slice_walk(a, b, threshold, threads)
+    mse = _slice_mean(sq_sums, a.size)  # shared by psnr and mse, as each computes it
     return MetricsReport(
-        psnr=psnr_db,
+        psnr=_psnr_db(mse),
         ssim=100.0 * float(np.mean(means)),
         dice=_dice_percent(*counts),
         mse=mse,

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -213,6 +214,36 @@ class TestReconstruct:
         assert run("reconstruct", "--img", img, "--geometry", geom, "--truth", bad,
                    "--out", tmp_path / "r.pvol") == 1
         assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+    def test_truth_not_held_through_the_solve(self, tmp_path, capsys, monkeypatch):
+        # the truth is read and checked before solving, dropped, and read
+        # again after the solve to score the result
+        geom = tmp_path / "g.txt"
+        geom.write_text("grid=16,16\nwidth=48\nbeta=0.3\n")
+        vol, img, out = tmp_path / "v.pvol", tmp_path / "v.pimg", tmp_path / "r.pvol"
+        run("phantom", "--kind", "jaw-arch", "--dims", "4,16,16", "--seed", 3, "--out", vol)
+        run("render", "--vol", vol, "--geometry", geom, "--height", 4, "--out", img)
+        loaded, load = [], cli.volume.load_volume_f32
+        solve = cli.reconstructor.reconstruct
+
+        def tracked_load(path):
+            data = load(path)
+            loaded.append(weakref.ref(data))
+            return data
+
+        def checked_solve(*args, **kwargs):
+            assert len(loaded) == 1 and loaded[0]() is None
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli.volume, "load_volume_f32", tracked_load)
+        monkeypatch.setattr(cli.reconstructor, "reconstruct", checked_solve)
+        assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 5,
+                   "--truth", vol, "--out", out) == 0
+        assert len(loaded) == 2
+        assert run("metrics", "--a", out, "--b", vol) == 0
+        # the lines the whole-volume float64 scoring printed, byte for byte
+        line = "psnr=11.7401 ssim=4.36297 dice=22.4638 mse=0.0669876 threshold=0.2\n"
+        assert capsys.readouterr().out == line * 2
 
 
 class TestMetrics:

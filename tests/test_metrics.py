@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -241,10 +242,70 @@ class TestVolumeMse:
                         total += (a[z, y, x] - b[z, y, x]) ** 2
             assert volume_mse(a, b) == pytest.approx(total / 64.0, abs=1e-12)
 
-    def test_same_as_whole_array_expression(self):
-        # squared in place, then the same whole-array mean: bit-identical
-        a, b = rand_volume((6, 40, 33), 19), rand_volume((6, 40, 33), 20)
-        assert volume_mse(a, b) == float(np.mean((a - b) ** 2))
+    def test_empty_rejected(self):
+        # a per-slice mean would divide by a voxel count of 0
+        empty = np.zeros((0, 8, 8))
+        for fn in (volume_mse, psnr, dice, ssim, evaluate):
+            with pytest.raises(DimsError, match="no voxels"):
+                fn(empty, empty)
+
+    def test_same_as_per_slice_expression(self):
+        # each axial slice pair's squared differences summed on their own,
+        # the sums added in slice order, then divided by the voxel count:
+        # the rule evaluate's slice tasks follow, so bit-identical; on about
+        # half of such pairs a whole-array mean differs in the last bits
+        for seed in (19, 21, 23, 25):
+            a, b = rand_volume((6, 40, 33), seed), rand_volume((6, 40, 33), seed + 1)
+            total = 0.0
+            for x, y in zip(a, b):
+                total += float(np.sum((x - y) ** 2))
+            mse = total / a.size
+            assert volume_mse(a, b) == mse
+            assert psnr(a, b) == 10.0 * math.log10(1.0 / mse)
+
+    def test_selection_and_image_keep_whole_array_expression(self):
+        # a masked selection (1D) and a 2D image take one whole-array mean
+        a, b = rand_volume((6, 40, 33), 21), rand_volume((6, 40, 33), 22)
+        mask = a > 0.3
+        want = float(np.mean((a[mask] - b[mask]) ** 2))
+        assert psnr(a, b, mask=mask) == min(99.0, 10.0 * math.log10(1.0 / want))
+        assert volume_mse(a[0], b[0]) == float(np.mean((a[0] - b[0]) ** 2))
+        assert psnr(a[0], b[0]) == 10.0 * math.log10(1.0 / volume_mse(a[0], b[0]))
+
+
+class TestNonFinite:
+    # every metric raises ValueError, and no RuntimeWarning, for a NaN or an
+    # infinity in a, in b or in both at one voxel (inf - inf is NaN)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["a", "b", "both"])
+    def test_rejected_without_warning(self, bad, where):
+        a, b = rand_volume((4, 9, 8), 23), rand_volume((4, 9, 8), 24)
+        for v in {"a": (a,), "b": (b,), "both": (a, b)}[where]:
+            v[2, 4, 5] = bad
+        mask = np.zeros(a.shape, dtype=bool)
+        mask[2] = True
+        calls = [lambda: psnr(a, b), lambda: psnr(a, b, mask=mask),
+                 lambda: psnr(a[2], b[2]), lambda: volume_mse(a, b),
+                 lambda: dice(a, b)]
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 2, 3):
+                calls += [lambda t=threads: ssim(a, b, threads=t),
+                          lambda t=threads: evaluate(a, b, threads=t),
+                          lambda t=threads: evaluate(a.astype(np.float32),
+                                                     b.astype(np.float32), threads=t)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in calls:
+                    with pytest.raises(ValueError, match="finite"):
+                        call()
+
+    def test_outside_the_mask_ignored(self):
+        # a masked psnr scores only the voxels the mask selects
+        a, b = rand_volume((2, 8, 8), 25), rand_volume((2, 8, 8), 26)
+        a[0, 0, 0] = math.nan
+        mask = np.ones(a.shape, dtype=bool)
+        mask[0, 0, 0] = False
+        assert psnr(a, b, mask=mask) == psnr(a[mask], b[mask])
 
 
 class TestReport:
@@ -255,12 +316,16 @@ class TestReport:
         assert "dice=66.7" in line and "threshold=0.2" in line
 
     def test_evaluate_matches_metric_functions(self):
+        # exactly, also for a float32 operand scored on three workers
         a, b = rand_volume((3, 9, 9), 15), rand_volume((3, 9, 9), 16)
-        report = evaluate(a, b, threshold=0.4)
-        assert report.psnr == psnr(a, b)
-        assert report.mse == volume_mse(a, b)
-        assert report.ssim == ssim(a, b)
-        assert report.dice == dice(a, b, threshold=0.4)
+        b32 = b.astype(np.float32)
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for other, threads in ((b, 1), (b32, 3)):
+                report = evaluate(a, other, threshold=0.4, threads=threads)
+                assert report.psnr == psnr(a, other)
+                assert report.mse == volume_mse(a, other)
+                assert report.ssim == ssim(a, other)
+                assert report.dice == dice(a, other, threshold=0.4)
 
     def test_evaluate_reads_float32_exactly(self):
         # float32 volumes on either side, values at the float32 threshold
@@ -278,22 +343,22 @@ class TestReport:
                                                                       threads=threads)
 
     def test_evaluate_widens_no_float32_volume(self):
-        # the peak is the MSE's float64 difference volume either way; a
-        # float32 slice is widened into a per-worker buffer, not the volume
+        # every slice pair is scored through per-worker slice buffers: no
+        # widened float32 volume and no difference volume, so the traced
+        # peak stays under one float64 volume's bytes for either dtype
         a = rand_volume((64, 32, 32), 20)
         b32 = rand_volume((64, 32, 32), 21).astype(np.float32)
         b64 = b32.astype(np.float64)
         with mock.patch.object(_pool.os, "cpu_count", return_value=3):
             for threads in (1, 2, 3):
-                peaks = []
                 for b in (b64, b32):
                     tracemalloc.start()
                     try:
                         evaluate(a, b, threads=threads)
-                        peaks.append(tracemalloc.get_traced_memory()[1])
+                        peak = tracemalloc.get_traced_memory()[1]
                     finally:
                         tracemalloc.stop()
-                assert peaks[1] <= peaks[0], (threads, peaks)
+                    assert peak < a.nbytes, (threads, b.dtype, peak)
 
     def test_evaluate_identical_volumes(self):
         a = make_phantom("sphere-set", (8, 8, 8), seed=2)
