@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from . import backproject, metrics, ray_geometry, reconstructor, renderer, volume
@@ -148,14 +149,19 @@ def _cmd_backproject(args):
 
 def _load_truth(path, dims):
     """The --truth volume's float32 values, checked as load_volume checks
-    them and against the reconstruction dims."""
+    them and against the reconstruction dims, and the file's identity:
+    (device, inode, size, mtime) for a regular file, None for anything else
+    (a pipe, which can be read only once)."""
     truth = volume.load_volume_f32(path)
     if truth.shape != dims:
         raise DimsError(
             f"truth volume dims {truth.shape} do not match the reconstruction "
             f"dims {dims}; set grid=<nx>,<ny> in the geometry file"
         )
-    return truth
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        return truth, None
+    return truth, (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def _cmd_reconstruct(args):
@@ -163,10 +169,14 @@ def _cmd_reconstruct(args):
     fan, beta = _geometry_setup(args)
     nx, ny = fan.bounds
     dims = (img.dims[0], ny, nx)
+    truth = identity = None
     if args.truth:
-        # checked before solving but not held through the solve, whose
-        # state volumes are the command's peak; read again to score
-        _load_truth(args.truth, dims)
+        # checked before solving; a regular file is not held through the
+        # solve, whose state volumes are the command's peak, but read again
+        # to score
+        truth, identity = _load_truth(args.truth, dims)
+        if identity is not None:
+            truth = None
     flags = {"max_iters": args.iters, "step_size": args.step, "init": args.init}
     cfg = reconstructor.ReconConfig(beta=beta, **{k: v for k, v in flags.items() if v is not None})
     result, report = reconstructor.reconstruct(img, fan, cfg, threads=args.threads)
@@ -174,7 +184,10 @@ def _cmd_reconstruct(args):
     if args.report:
         reconstructor.save_report(report, args.report)
     if args.truth:
-        truth = _load_truth(args.truth, dims)
+        if truth is None:
+            truth, again = _load_truth(args.truth, dims)
+            if again != identity:
+                raise ValueError(f"{args.truth}: truth volume changed during the solve")
         print(metrics.evaluate(result, truth, threads=args.threads).format_line())
     return 0
 

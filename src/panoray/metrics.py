@@ -85,14 +85,11 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     a NaN or infinite value. A 3D pair is summed one axial slice pair at a
     time through one slice buffer, by the rule evaluate's slice tasks follow,
     so the two agree exactly; any other array (a masked selection, a 2D
-    image) takes one whole-array mean."""
+    image) is summed as one slice, which gives np.mean's value."""
     _check_finite(a, b)
-    if a.ndim == 3:
-        diff = np.empty(a.shape[1:])
-        return _slice_mean((_slice_sq_sum(x, y, diff) for x, y in zip(a, b)), a.size)
-    d = np.subtract(a, b)
-    np.square(d, out=d)  # the values (a - b) ** 2 gives, without a second temporary
-    return float(np.mean(d))
+    pairs = zip(a, b) if a.ndim == 3 else [(a, b)]
+    diff = np.empty(a.shape[1:] if a.ndim == 3 else a.shape)
+    return _slice_mean((_slice_sq_sum(x, y, diff) for x, y in pairs), a.size)
 
 
 def volume_mse(a, b) -> float:

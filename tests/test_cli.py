@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import hashlib
 import inspect
+import os
+import threading
 import weakref
 
 import numpy as np
@@ -244,6 +246,65 @@ class TestReconstruct:
         # the lines the whole-volume float64 scoring printed, byte for byte
         line = "psnr=11.7401 ssim=4.36297 dice=22.4638 mse=0.0669876 threshold=0.2\n"
         assert capsys.readouterr().out == line * 2
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_truth_through_a_fifo(self, tmp_path, capsys):
+        # a pipe can be read only once: its truth is held through the solve
+        geom = tmp_path / "g.txt"
+        geom.write_text("grid=16,16\nwidth=48\nbeta=0.3\n")
+        vol, img, out = tmp_path / "v.pvol", tmp_path / "v.pimg", tmp_path / "r.pvol"
+        run("phantom", "--kind", "jaw-arch", "--dims", "4,16,16", "--seed", 3, "--out", vol)
+        run("render", "--vol", vol, "--geometry", geom, "--height", 4, "--out", img)
+        fifo, done = tmp_path / "t.fifo", threading.Event()
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(vol.read_bytes())
+            # a second open for reading would wait for a writer forever;
+            # give it one that writes nothing, so it fails at once instead
+            while not done.wait(0.01):
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:  # no reader
+                    pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 5,
+                       "--truth", fifo, "--out", out) == 0
+        finally:
+            done.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        line = "psnr=11.7401 ssim=4.36297 dice=22.4638 mse=0.0669876 threshold=0.2\n"
+        assert capsys.readouterr().out == line
+
+    def test_truth_changed_during_the_solve(self, tmp_path, capsys, monkeypatch):
+        # the file read again to score must be the one checked before solving
+        geom = tmp_path / "g.txt"
+        geom.write_text("grid=16,16\nwidth=48\n")
+        vol, img, truth = tmp_path / "v.pvol", tmp_path / "v.pimg", tmp_path / "t.pvol"
+        run("phantom", "--kind", "uniform:0.4", "--dims", "4,16,16", "--out", vol)
+        run("render", "--vol", vol, "--geometry", geom, "--height", 4, "--out", img)
+        run("phantom", "--kind", "uniform:0.4", "--dims", "4,16,16", "--out", truth)
+        solve = cli.reconstructor.reconstruct
+
+        def replacing_solve(*args, **kwargs):
+            replacement = tmp_path / "new.pvol"
+            run("phantom", "--kind", "uniform:0.5", "--dims", "4,16,16", "--out",
+                replacement)
+            os.replace(replacement, truth)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli.reconstructor, "reconstruct", replacing_solve)
+        assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 1,
+                   "--truth", truth, "--out", tmp_path / "r.pvol") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid value:")
+        assert "changed during the solve" in captured.err
 
 
 class TestMetrics:
