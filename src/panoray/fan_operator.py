@@ -18,50 +18,46 @@ slices exact: x - m is exactly zero there. A block of slices whose minima
 are all 0 (zero backgrounds, clipped iterates) skips the shift: x - 0 = x
 and n * 0 = 0, so both passes would leave every value unchanged.
 
-Storage is numpy only. Rows of each direction (ray-major for A,
-voxel-major for A^T) are grouped into buckets by length class, _CLASSES
-classes per octave of row length, and zero-padded to the longest row of
-their bucket, so each row's padded length is under 2 ** (1 / _CLASSES)
-times its own (1.04x the entries of A and 1.03x those of A^T on the 64^2
-acceptance fan). Classes, unlike fixed-size groups of length-sorted rows,
-keep _apply's chunks sized in bytes, which scale with the block width. Rows
-with no entries (voxels no ray crosses, rays with no samples) form a bucket
-of length 0. ray_mean's
-pattern buckets share A^T's rows and indices, with weights (w > 0): 1 on
-every entry, since coalesced weights are > 0, and 0 on padding. _apply
-overwrites an output block the caller owns (a view of the result or a
-worker's workspace) from a voxel-major input block: it zeroes the rows of
-the length-0 bucket and computes the others one chunk of bucket rows at a
-time, `take` gathering the rows' inputs into a temporary of at most
-_CHUNK_BYTES, sized to stay in a core's L2 cache, and a batched `matmul`
-contracting them with the weights. BLAS computes the columns of each (L, nb)
-product in groups and rounds a leftover or lone column differently, so a
-block is padded with zero columns to a multiple of its dtype's _LANES: 4
-for float64 and 16 for float32 (with 4 or 8, OpenBLAS's Haswell float32
-kernels change a column's bits with the block width). Each slice then gets
-the same bits whatever block it falls in. When the length-0 bucket is most
-of a narrow block, one whole-block fill is cheaper than zeroing its rows one
-by one.
+Storage is numpy only. Rows of each direction (ray-major for A, voxel-major
+for A^T) are grouped into buckets by length class, _CLASSES classes per
+octave of row length, and zero-padded to the longest row of their bucket,
+so each row's padded length is under 2 ** (1 / _CLASSES) times its own
+(1.04x the entries of A and 1.03x those of A^T on the 64^2 acceptance fan).
+Classes, unlike fixed-size groups of length-sorted rows, keep _apply's
+chunks sized in bytes, which scale with the block width. Rows with no
+entries (voxels no ray crosses, rays with no samples) form a bucket of
+length 0. ray_mean's pattern buckets share A^T's rows and indices, with
+weights (w > 0): 1 on every entry, since coalesced weights are > 0, and 0
+on padding. _apply overwrites an output block, a view of the result, from a
+voxel-major input block: it zeroes the rows of the length-0 bucket and
+computes the others one chunk of bucket rows at a time, `take` gathering
+the rows' inputs into a temporary of at most _CHUNK_BYTES, sized to stay in
+a core's L2 cache, and a batched `matmul` contracting them with the
+weights. BLAS computes the columns of each (L, nb) product in groups and
+rounds a leftover or lone column differently, so a block is padded with
+zero columns to a multiple of its dtype's _LANES: 4 for float64 and 16 for
+float32 (with 4 or 8, OpenBLAS's Haswell float32 kernels change a column's
+bits with the block width). Each slice then gets the same bits whatever
+block it falls in. When the length-0 bucket is most of a narrow block, one
+whole-block fill is cheaper than zeroing its rows one by one.
 
 Blocks come in two layouts:
-- Public blocks. forward, adjoint and ray_mean take and return slice-major
-  (nz, ny, nx) volumes, so each block is copied in transposed (forward) or
-  copied back in tiles (adjoint) through one workspace per worker. Their
-  blocks hold _BLOCK_BYTES: renders and back-projections pay these copies
-  once per call, and a small block keeps their peak memory low.
-- State blocks. A solver that applies A and A^T many times keeps its
-  volumes in state layout: one flat float32 or float64 buffer in which
-  slices z0..z1 of each block are stored voxel-major as (ny * nx, z1 - z0).
-  The *_state methods gather straight from such a buffer and write straight
-  into one, with no copy in or out, and compute in the buffer's dtype: the
-  rows of coefficients that A^T reads are cast to it one block at a time,
-  and the weights once per operator. Line sums are float64 in any case.
-  to_state and from_state convert once at each end. _STATE_BYTES is the
-  size of a float32 state block (the solver's dtype): since no copy bounds
-  them and wider blocks make the gathers and matmuls cheaper, a state block
-  holds _STATE_BYTES // (4 * ny * nx) slices whatever its buffer's dtype, so
-  the float64 buffers of the public loss and gradient and a bool workspace
-  split into the same blocks as the solver's float32 ones.
+- Public blocks serve forward only, which takes slice-major (nz, ny, nx)
+  volumes: each block is copied in transposed through one workspace per
+  worker. They hold _BLOCK_BYTES, so a render's peak memory stays low.
+- State blocks serve A^T and the solver. A state-layout volume is one flat
+  float32 or float64 buffer in which slices z0..z1 of each block are
+  stored voxel-major as (ny * nx, z1 - z0). The *_state methods gather
+  straight from such a buffer and write straight into one, and compute in
+  its dtype: the rows of coefficients that A^T reads are cast to it one
+  block at a time, and the weights once per operator. Line sums are
+  float64 in any case. to_state and from_state convert once at each end;
+  the public adjoint and ray_mean are adjoint_state and ray_mean_state of
+  float64 rows, turned slice-major by from_state. No copy bounds a state
+  block and wider blocks make the gathers and matmuls cheaper, so each
+  holds _STATE_BYTES // (4 * ny * nx) slices, _STATE_BYTES being the size
+  of a float32 block (the solver's dtype), whatever its buffer's dtype:
+  float64 buffers and a bool workspace split into the same blocks.
 
 Blocks write disjoint output rows, so every apply runs them on up to
 `threads` workers (see _pool). The block sizes do not depend on the thread
@@ -337,16 +333,6 @@ class FanOperator:
         counts.flags.writeable = False  # shared: aggregate_rho returns views of it
         return counts
 
-    def _run_public(self, task, nz: int, threads: int) -> None:
-        """task(z0, z1, vt) for each public block of nz slices on up to `threads`
-        workers; vt is an (n_voxels, z1 - z0) view of the worker's workspace."""
-        def block(z0, work):
-            z1 = min(nz, z0 + self.block)
-            task(z0, z1, work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0))
-
-        run_blocks(block, range(0, nz, self.block), threads,
-                   lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
-
     def _project(self, rows: tuple, xt: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
         """out (nb, n_rays) = A xt + n m for the voxel-major block xt
         (n_voxels, nb), through A's buckets rows of xt's dtype: the line sums
@@ -360,47 +346,39 @@ class FanOperator:
     def forward(self, x: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays).
 
-        Blocks of slices run on up to `threads` workers (see _pool); the
-        result is the same at any thread count."""
+        Public blocks of slices run on up to `threads` workers (see _pool),
+        each copied into a workspace of its worker's own; the result is the
+        same at any thread count."""
         flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
-        out = np.empty((len(flat), self.n_rays), dtype=np.float64)
+        nz = len(flat)
+        out = np.empty((nz, self.n_rays), dtype=np.float64)
 
-        def block(z0, z1, xt):
+        def block(z0, work):
+            z1 = min(nz, z0 + self.block)
+            xt = work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0)
             _copy_in(flat[z0:z1], xt)
             m = _minima(xt)
             if m.any():  # -0.0 counts as 0; the workspace is forward's own
                 xt -= m
             self._project(self._rows, xt, m, out[z0:z1])
 
-        self._run_public(block, len(flat), threads)
-        return out
-
-    def _transpose(self, r: np.ndarray, buckets: tuple, threads: int) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        nx, ny = self.bounds
-        out = np.empty((len(r), ny, nx), dtype=np.float64)
-        flat = out.reshape(len(r), self.n_voxels)
-
-        def block(z0, z1, vt):
-            _apply(buckets, np.ascontiguousarray(r[z0:z1].T), vt)
-            _copy_back(vt, flat[z0:z1])
-
-        self._run_public(block, len(r), threads)
+        run_blocks(block, range(0, nz, self.block), threads,
+                   lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
         return out
 
     def adjoint(self, r: np.ndarray, *, threads: int = 1) -> np.ndarray:
-        """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx).
-
-        Blocks of rows run on up to `threads` workers; the result is the
-        same at any thread count."""
-        return self._transpose(r, self._cols, threads)
+        """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx), float64
+        whatever r's dtype; adjoint_state's result, turned slice-major.
+        threads as for forward."""
+        return self.from_state(self.adjoint_state(np.asarray(r, dtype=np.float64),
+                                                  threads=threads))
 
     def ray_mean(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Mean of c_j over the rays crossing each voxel, 0 where none does:
-        (nz, n_rays) -> (nz, ny, nx). threads as for adjoint."""
-        sums = self._transpose(c, self._pattern, threads)
-        # uncovered voxels hold exact zeros, which stay 0 / 1
-        return np.divide(sums, np.maximum(self.counts, 1), out=sums)
+        (nz, n_rays) -> (nz, ny, nx), float64 whatever c's dtype;
+        ray_mean_state's result, turned slice-major. threads as for forward."""
+        return self.from_state(self.ray_mean_state(np.asarray(c, dtype=np.float64),
+                                                   threads=threads))
 
     # state layout (see the module doc)
 

@@ -36,13 +36,13 @@ class MetricsReport:
         )
 
 
-def _data(v, keep_f32: bool = False) -> np.ndarray:
-    """The values of a DensityVolume or array-like as float64; keep_f32=True
-    passes a float32 array through unwidened, for callers that widen it on
-    use (every float32 value is exact in float64)."""
+def _data(v) -> np.ndarray:
+    """The values of a DensityVolume or array-like: a float32 array as it is,
+    since the metrics widen it to float64 as they use it (every float32
+    value is exact in float64), anything else as float64."""
     if isinstance(v, DensityVolume):
         return v.data
-    if keep_f32 and isinstance(v, np.ndarray) and v.dtype == np.float32:
+    if isinstance(v, np.ndarray) and v.dtype == np.float32:
         return v
     return np.asarray(v, dtype=np.float64)
 
@@ -62,12 +62,22 @@ def _check_finite(*arrays: np.ndarray, out=None) -> None:
         raise ValueError("metrics need finite values, got NaN or infinity")
 
 
+def _no_overflow(value):
+    """value; ValueError unless it is finite. Float64 arithmetic on finite
+    values can overflow: squares do past about 1e154."""
+    if not math.isfinite(value):
+        raise ValueError("metrics overflow float64 on values this large")
+    return value
+
+
 def _slice_sq_sum(x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> float:
-    """The sum of (x - y) ** 2 over a float64 slice pair, through the slice
-    buffer diff."""
-    np.subtract(x, y, out=diff)
-    np.multiply(diff, diff, out=diff)
-    return float(diff.sum())
+    """The sum of (x - y) ** 2 over a slice pair, computed in float64 (a
+    float32 slice is widened by the ufuncs' casts) through the float64 slice
+    buffer diff; inf if it overflows."""
+    with np.errstate(over="ignore"):
+        np.subtract(x, y, out=diff, dtype=np.float64)
+        np.multiply(diff, diff, out=diff)
+        return float(diff.sum())
 
 
 def _slice_mean(sq_sums, size: int) -> float:
@@ -77,15 +87,16 @@ def _slice_mean(sq_sums, size: int) -> float:
     total = 0.0
     for s in sq_sums:
         total += s
-    return total / size
+    return _no_overflow(total) / size
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean of (a - b) ** 2 over float64 a and b of one shape; ValueError for
-    a NaN or infinite value. A 3D pair is summed one axial slice pair at a
-    time through one slice buffer, by the rule evaluate's slice tasks follow,
-    so the two agree exactly; any other array (a masked selection, a 2D
-    image) is summed as one slice, which gives np.mean's value."""
+    """Mean of (a - b) ** 2 over a and b of one shape; ValueError for a NaN or
+    infinite value or a sum that overflows. A 3D pair is summed one axial
+    slice pair at a time through one slice buffer, by the rule evaluate's
+    slice tasks follow, so the two agree exactly; any other array (a masked
+    selection, a 2D image) is summed as one slice, which gives np.mean's
+    value."""
     _check_finite(a, b)
     pairs = zip(a, b) if a.ndim == 3 else [(a, b)]
     diff = np.empty(a.shape[1:] if a.ndim == 3 else a.shape)
@@ -106,8 +117,7 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _psnr_db(mse: float) -> float:
-    if not math.isfinite(mse):
-        raise ValueError(f"psnr needs finite inputs, got MSE {mse}")
+    """PSNR in dB of a finite MSE (as _slice_mean returns)."""
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse))
@@ -118,7 +128,8 @@ def psnr(a, b, *, mask=None) -> float:
     density range; capped at 99.0 (identical inputs). The MSE is volume_mse's,
     taken over the voxels a mask selects when one is given.
 
-    Raises ValueError when a scored value is NaN or infinite."""
+    Raises ValueError when a scored value is NaN or infinite, or when its
+    squared differences overflow."""
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     if mask is not None:
@@ -136,8 +147,10 @@ def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     _check_finite(a, b)
-    fa = a > threshold
-    fb = b > threshold
+    # compared in float64: float32 values and a Python float would be
+    # compared in float32, to the threshold rounded
+    fa = np.greater(a, threshold, signature="dd->?")
+    fb = np.greater(b, threshold, signature="dd->?")
     return _dice_percent(int(fa.sum()), int(fb.sum()), int((fa & fb).sum()))
 
 
@@ -183,7 +196,8 @@ def _slice_walk(a, b, threshold, threads):
     None, Dice's voxel counts (above it in a, in b, in both) summed over
     the slices and the per-slice sums of squared differences in slice order;
     the counts are integers, so they equal whole-volume counts. ValueError
-    for a NaN or infinite value, before any SSIM arithmetic on its slice."""
+    for a NaN or infinite value, before any SSIM arithmetic on its slice,
+    and for an SSIM mean that overflows."""
     w = _SSIM_WINDOW
     nz, ny, nx = a.shape
     if ny < w or nx < w:
@@ -205,6 +219,9 @@ def _slice_walk(a, b, threshold, threads):
                 np.empty((ny, nx), dtype=bool), np.empty((ny, nx), dtype=bool),
                 wide_a, wide_b)
 
+    # SSIM's products and window sums of finite values past about 1e154
+    # overflow, with no warning here: _no_overflow rejects the slice's mean
+    @np.errstate(all="ignore")
     def slice_pair(j, bufs):
         rows, prod, means, num, den, above_a, above_b, wide_a, wide_b = bufs
         mx, my, vx, vy, cov = means
@@ -243,13 +260,14 @@ def _slice_walk(a, b, threshold, threads):
         vx += _SSIM_C2
         den *= vx
         num /= den
+        mean = _no_overflow(np.mean(num))
         if threshold is None:
-            return np.mean(num), None, None
+            return mean, None, None
         np.greater(x, threshold, out=above_a)
         np.greater(y, threshold, out=above_b)
         counts = (np.count_nonzero(above_a), np.count_nonzero(above_b),
                   np.count_nonzero(np.logical_and(above_a, above_b, out=above_a)))
-        return np.mean(num), counts, sq_sum
+        return mean, counts, sq_sum
 
     means, counts, sq_sums = zip(*run_blocks(slice_pair, range(nz), threads, buffers))
     if threshold is None:
@@ -266,10 +284,11 @@ def evaluate(a, b, threshold: float = DICE_THRESHOLD, *,
     counts and its float64 sum of squared differences, which are added in
     slice order for the MSE, as volume_mse adds them. A float32 array is read
     as its float64 values a slice at a time, so no whole-volume copy or
-    difference volume is made. ValueError for a NaN or infinite value."""
+    difference volume is made. ValueError for a NaN or infinite value, and
+    for values so large that float64 sums overflow."""
     _check_threshold(threshold)
     check_int("threads", threads)
-    a, b = _data(a, keep_f32=True), _data(b, keep_f32=True)
+    a, b = _data(a), _data(b)
     _check_dims(a, b)
     means, counts, sq_sums = _slice_walk(a, b, threshold, threads)
     mse = _slice_mean(sq_sums, a.size)  # shared by psnr and mse, as each computes it

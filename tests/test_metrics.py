@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from panoray import _pool
 from panoray.errors import DimsError
 from panoray.metrics import (
+    DICE_THRESHOLD,
     MetricsReport,
     dice,
     evaluate,
@@ -112,6 +114,17 @@ class TestDice:
     def test_empty_empty(self):
         z = np.zeros((4, 4, 4))
         assert dice(z, z) == 100.0
+
+    def test_float32_compared_in_float64(self):
+        # voxels at float32(0.2) lie above the threshold 0.2 once widened; a
+        # float32 comparison would round the threshold to them and miss them
+        a, b = (rand_volume((3, 8, 8), seed).astype(np.float32) for seed in (30, 31))
+        a[1, 2:5, 2:5] = np.float32(DICE_THRESHOLD)
+        b[1, 3:7, 3:7] = np.float32(DICE_THRESHOLD)
+        want = dice(a.astype(np.float64), b.astype(np.float64))
+        assert dice(a, b) == want
+        assert dice(a, b.astype(np.float64)) == want
+        assert dice(a, b) == evaluate(a, b).dice
 
     @pytest.mark.parametrize("threshold,want", [(0.2, None), (0.7, None), (2.0, 100.0)])
     def test_evaluate_counts_per_slice_exactly(self, threshold, want):
@@ -299,6 +312,27 @@ class TestNonFinite:
                     with pytest.raises(ValueError, match="finite"):
                         call()
 
+    def test_overflow_rejected_without_warning(self):
+        # finite values whose squares, products or window sums overflow
+        # float64 raise ValueError, not a RuntimeWarning; Dice only compares
+        big, zero = np.full((2, 8, 8), 1e200), np.zeros((2, 8, 8))
+        calls = [lambda: psnr(big, zero), lambda: psnr(big, zero, mask=big > 0),
+                 lambda: psnr(big[0], -big[0]), lambda: volume_mse(big, zero),
+                 lambda: volume_mse(1e154 * np.ones(4), -1e154 * np.ones(4))]
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 2, 3):
+                calls += [lambda t=threads: ssim(big, zero, threads=t),
+                          lambda t=threads: ssim(big, big, threads=t),
+                          lambda t=threads: evaluate(big, zero, threads=t),
+                          lambda t=threads: evaluate(big, big, threads=t)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in calls:
+                    with pytest.raises(ValueError, match="overflow"):
+                        call()
+                assert dice(big, zero) == 0.0
+                assert dice(big, big) == 100.0
+
     def test_outside_the_mask_ignored(self):
         # a masked psnr scores only the voxels the mask selects
         a, b = rand_volume((2, 8, 8), 25), rand_volume((2, 8, 8), 26)
@@ -343,22 +377,29 @@ class TestReport:
                                                                       threads=threads)
 
     def test_evaluate_widens_no_float32_volume(self):
-        # every slice pair is scored through per-worker slice buffers: no
-        # widened float32 volume and no difference volume, so the traced
-        # peak stays under one float64 volume's bytes for either dtype
+        # evaluate and ssim score slice pairs through per-worker slice
+        # buffers, volume_mse and psnr widen float32 by their ufuncs' casts,
+        # and dice compares float32 to a float64 threshold: no widened
+        # float32 volume and no difference volume, so the traced peak stays
+        # under one float64 volume's bytes for either dtype
         a = rand_volume((64, 32, 32), 20)
+        a32 = a.astype(np.float32)
         b32 = rand_volume((64, 32, 32), 21).astype(np.float32)
         b64 = b32.astype(np.float64)
+        calls = {"psnr": psnr, "volume_mse": volume_mse, "dice": dice}
         with mock.patch.object(_pool.os, "cpu_count", return_value=3):
             for threads in (1, 2, 3):
-                for b in (b64, b32):
+                calls[f"evaluate/{threads}"] = partial(evaluate, threads=threads)
+                calls[f"ssim/{threads}"] = partial(ssim, threads=threads)
+            for name, call in calls.items():
+                for x, y in ((a, b64), (a, b32), (b32, a), (a32, b32)):
                     tracemalloc.start()
                     try:
-                        evaluate(a, b, threads=threads)
+                        call(x, y)
                         peak = tracemalloc.get_traced_memory()[1]
                     finally:
                         tracemalloc.stop()
-                    assert peak < a.nbytes, (threads, b.dtype, peak)
+                    assert peak < a.nbytes, (name, x.dtype, y.dtype, peak)
 
     def test_evaluate_identical_volumes(self):
         a = make_phantom("sphere-set", (8, 8, 8), seed=2)

@@ -221,6 +221,18 @@ def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+def test_public_transpose_of_float32_rows_is_float64(fan, interpolation):
+    # the public adjoint and ray_mean widen float32 rows before applying
+    # A^T: float64 volumes with the bits of the widened rows' volumes
+    r = np.random.default_rng(8).uniform(-1.0, 1.0, (3, fan.n_rays)).astype(np.float32)
+    op = fan.operator(interpolation)
+    for apply in (op.adjoint, op.ray_mean):
+        got, want = apply(r), apply(r.astype(np.float64))
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 def test_adjoint_out_buffer(fan, interpolation):
     # adjoint_state fills a given float64 or float32 state-layout buffer
     # and returns it; one of another dtype, shape or layout is refused
