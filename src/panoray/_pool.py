@@ -10,6 +10,7 @@ ufunc loops, which is where the blocks spend their time.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from numbers import Integral
@@ -26,6 +27,16 @@ def check_int(name: str, value, minimum: int = 1) -> None:
     one rule for every count: threads, widths, sample counts, iterations."""
     if not _is_int(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, bound: str = "") -> None:
+    """ValueError unless value is finite and, for bound "> 0" or ">= 0",
+    meets it; the one rule for every real-valued setting: steps, spacings,
+    attenuation scales, curve values, thresholds. NaN fails every
+    comparison, so it fails this rule too."""
+    low = {"": -math.inf < value, "> 0": 0 < value, ">= 0": 0 <= value}[bound]
+    if not (low and value < math.inf):
+        raise ValueError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value}")
 
 
 def check_sizes(what: str, sizes, n: int) -> tuple[int, ...]:

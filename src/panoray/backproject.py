@@ -16,12 +16,11 @@ transposed to the candidates, divided by the counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_sizes
+from ._pool import check_real, check_sizes
 from .errors import DimsError
 from .ray_geometry import RayFan
 from .renderer import as_pixels
@@ -96,9 +95,7 @@ def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.n
     rays that never enter the grid get candidate 0 (they also have no
     footprint, so the value is never aggregated).
     """
-    # written so that NaN (which fails every comparison) is rejected too
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    check_real("beta", beta, "> 0")
     px = as_pixels(image_pixels, fan.n_rays)
     n = fan.sample_counts.astype(np.float64)
     denom = beta * np.maximum(n, 1.0) * fan.delta

@@ -1,6 +1,12 @@
 """Command-line entry point wiring phantoms, rendering, back-projection,
 reconstruction, metrics and export together.
 
+--geometry FILE is the one source of the fan: render, raymap, backproject
+and reconstruct build it from the same file, so an image is inverted
+through the fan that rendered it. render's --beta (over the file's beta=)
+and --height set the render's own values and leave the fan as the file
+gives it.
+
 --threads N (default: the CPU count) caps the worker threads of render,
 backproject, reconstruct and metrics: the fan's system matrix projects
 blocks of slices on them, and SSIM scores slices on them. Every block is
@@ -92,13 +98,11 @@ def build_geometry(raw: dict, grid: tuple[int, int]):
                                        **_given(raw, _FAN_KEYS))
 
 
-def _geometry_setup(args, overrides=None, grid=None):
-    """Load the geometry file (if any), apply CLI overrides, and return the
-    fan for `grid` (nx, ny), else for the file's grid= or 256x256, with the
-    beta to use; a file grid= that differs from `grid` raises DimsError."""
-    raw = load_geometry(args.geometry) if getattr(args, "geometry", None) else {}
-    if overrides:
-        raw.update({k: str(v) for k, v in overrides.items() if v is not None})
+def _geometry_setup(args, grid=None):
+    """Load the geometry file (if any) and return the fan for `grid` (nx, ny),
+    else for the file's grid= or 256x256, with the file's beta or the
+    default; a file grid= that differs from `grid` raises DimsError."""
+    raw = load_geometry(args.geometry) if args.geometry else {}
     if "grid" in raw:
         file_grid = _parse_grid(raw["grid"])
         if grid is not None and file_grid != grid:
@@ -110,7 +114,11 @@ def _geometry_setup(args, overrides=None, grid=None):
 
 
 def _cmd_phantom(args):
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError as exc:
+        raise ValueError(f"--dims expects three comma-separated integers nz,ny,nx, "
+                         f"got {args.dims!r}") from exc
     vol = volume.make_phantom(args.kind, dims, seed=args.seed)
     volume.save_volume(vol, args.out)
     return 0
@@ -119,12 +127,10 @@ def _cmd_phantom(args):
 def _cmd_render(args):
     vol = volume.load_volume(args.vol)
     nz, ny, nx = vol.dims
-    overrides = {"width": args.width, "n_samples": args.samples, "delta": args.delta,
-                 "beta": args.beta}
-    fan, beta = _geometry_setup(args, overrides, grid=(nx, ny))
+    fan, beta = _geometry_setup(args, grid=(nx, ny))
     height = args.height if args.height is not None else min(nz, 128)
-    rcfg = renderer.RenderConfig(beta=beta, width=fan.n_rays, height=height,
-                                 threads=args.threads)
+    rcfg = renderer.RenderConfig(beta=beta if args.beta is None else args.beta,
+                                 width=fan.n_rays, height=height, threads=args.threads)
     img = renderer.render_simpx(vol, fan, rcfg)
     renderer.save_image(img, args.out)
     return 0
@@ -248,9 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vol", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--height", type=int, default=None)
     sp.add_argument("--geometry", default=None)
     sp.set_defaults(fn=_cmd_render)
@@ -310,6 +313,11 @@ def main(argv=None) -> int:
         print(f"error: inconsistent dims: {exc}", file=sys.stderr)
     except (ValueError, RuntimeError) as exc:
         print(f"error: invalid value: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # str(exc) names exc.filename when the error carries one
+        print(f"error: cannot read or write: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
     return 1
 
 

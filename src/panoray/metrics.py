@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_int, run_blocks
+from ._pool import check_int, check_real, run_blocks
 from .errors import DimsError
 from .volume import DensityVolume
 
@@ -110,12 +110,6 @@ def volume_mse(a, b) -> float:
     return _mse(a, b)
 
 
-def _check_threshold(threshold: float) -> None:
-    # written so that NaN (which fails every comparison) is rejected too
-    if not abs(threshold) < math.inf:
-        raise ValueError(f"threshold must be finite, got {threshold}")
-
-
 def _psnr_db(mse: float) -> float:
     """PSNR in dB of a finite MSE (as _slice_mean returns)."""
     if mse == 0.0:
@@ -143,7 +137,7 @@ def psnr(a, b, *, mask=None) -> float:
 
 def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
     """Overlap of the binarized volumes in percent; two empty sets agree (100)."""
-    _check_threshold(threshold)
+    check_real("threshold", threshold)
     a, b = _data(a), _data(b)
     _check_dims(a, b)
     _check_finite(a, b)
@@ -286,7 +280,7 @@ def evaluate(a, b, threshold: float = DICE_THRESHOLD, *,
     as its float64 values a slice at a time, so no whole-volume copy or
     difference volume is made. ValueError for a NaN or infinite value, and
     for values so large that float64 sums overflow."""
-    _check_threshold(threshold)
+    check_real("threshold", threshold)
     check_int("threads", threads)
     a, b = _data(a), _data(b)
     _check_dims(a, b)

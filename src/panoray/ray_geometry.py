@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pool import check_int, check_sizes
+from ._pool import check_int, check_real, check_sizes
 from .errors import DimsError
 from .fan_operator import FanOperator
 
@@ -66,16 +66,13 @@ class CenterCurve:
     scale: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN (which fails every comparison) is rejected too
         for name in ("coefficient", "span", "offset"):
-            if not all(abs(v) < math.inf for v in np.ravel(getattr(self, name))):
-                raise ValueError(f"curve {name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.step < math.inf:
-            raise ValueError(f"curve step must be finite and > 0, got {self.step}")
+            for v in np.ravel(getattr(self, name)):
+                check_real(f"curve {name}", v)
+        check_real("curve step", self.step, "> 0")
         if not -math.inf < self.x_range[0] < self.x_range[1] < math.inf:
             raise ValueError(f"x_range must be finite and non-empty, got {self.x_range}")
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"curve scale must be finite and > 0, got {self.scale}")
+        check_real("curve scale", self.scale, "> 0")
         n = (self.x_range[1] - self.x_range[0]) / self.step
         if abs(n - round(n)) > 1e-9:
             raise ValueError(
@@ -183,19 +180,18 @@ class GeometryConfig:
     def __post_init__(self):
         check_int("width", self.width)
         check_int("n_samples", self.n_samples)
-        # written so that NaN (which fails every comparison) is rejected too
-        if not (0 < self.delta < math.inf and 0 < self.angle_scale < math.inf):
-            raise ValueError("delta and angle_scale must be finite and > 0")
-        if not (self.initial_angle is None or abs(self.initial_angle) < math.inf):
-            raise ValueError(f"initial_angle must be finite, got {self.initial_angle}")
+        check_real("delta", self.delta, "> 0")
+        check_real("angle_scale", self.angle_scale, "> 0")
+        if self.initial_angle is not None:
+            check_real("initial_angle", self.initial_angle)
         bad = [k for k in self.theta_overrides if k not in range(N_SEGMENTS)]
         if bad:
             raise ValueError(
                 f"theta_overrides keys must be segment indices 0..{N_SEGMENTS - 1}, "
                 f"got {bad}"
             )
-        if not all(0 < t < math.inf for t in self.theta_overrides.values()):
-            raise ValueError(f"theta_overrides must be finite and > 0, got {self.theta_overrides}")
+        for i, t in self.theta_overrides.items():
+            check_real(f"theta_overrides[{i}]", t, "> 0")
 
     def schedule(self) -> tuple:
         thetas = []
@@ -250,9 +246,7 @@ def extract_rays(
         target = current + _wrap180(math.degrees(math.atan2(seg[1], seg[0])) - current)
         turn = target - current
         theta = float(angle_schedule[i])
-        if not 0 < theta < math.inf:
-            raise ValueError(
-                f"rotation step for segment {i} must be finite and > 0, got {theta}")
+        check_real(f"rotation step for segment {i}", theta, "> 0")
         sign = 1.0 if turn >= 0 else -1.0
         k = 1
         # rotate until the next step would pass the connecting direction
@@ -318,9 +312,7 @@ def _sample(origins, directions, n_samples: int, delta: float, bounds):
     for hundreds of steps and the walk keeps 257 samples.
     """
     check_int("n_samples", n_samples)
-    # written so that NaN (which fails every comparison) is rejected too
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    check_real("delta", delta, "> 0")
     nx, ny = bounds
     reach = math.hypot(nx, ny)
     n_steps = int(math.ceil(2.0 * reach / delta)) + 2

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backproject, metrics
-from ._pool import check_int
+from ._pool import check_int, check_real
 from .errors import DimsError
 from .fan_operator import FanOperator
 from .ray_geometry import RayFan
@@ -57,16 +57,12 @@ class ReconConfig:
     beta: float = RenderConfig.beta
 
     def __post_init__(self):
-        # written so that NaN (which fails every comparison) is rejected too
-        if not 0 <= self.lambda1 < math.inf:
-            raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
+        check_real("lambda1", self.lambda1, ">= 0")
         check_int("max_iters", self.max_iters)
-        if not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        check_real("step_size", self.step_size, "> 0")
         if self.init not in ("rho", "zeros"):
             raise ValueError(f"init must be 'rho' or 'zeros', got {self.init!r}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        check_real("beta", self.beta, "> 0")
         if math.isnan(self.tol):
             raise ValueError("tol must not be NaN")
 

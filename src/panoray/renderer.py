@@ -10,12 +10,11 @@ so the line sums of all slices come from the fan's one system matrix
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_int
+from ._pool import check_int, check_real
 from .errors import DimsError
 from .fan_operator import INTERPOLATIONS
 from .ray_geometry import RayFan
@@ -43,9 +42,7 @@ class RenderConfig:
     threads: int = 1
 
     def __post_init__(self):
-        # written so that NaN (which fails every comparison) is rejected too
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        check_real("beta", self.beta, "> 0")
         check_int("width", self.width)
         check_int("height", self.height)
         if self.interpolation not in INTERPOLATIONS:

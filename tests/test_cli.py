@@ -32,8 +32,10 @@ def test_settable_surface():
                if isinstance(a, argparse._SubParsersAction))
     common = ["-h", "--help", "--seed", "--threads", "--deterministic"]
     options = {name: [s for a in sub.choices[name]._actions for s in a.option_strings]
-               for name in ("reconstruct", "metrics")}
+               for name in ("render", "reconstruct", "metrics")}
     assert options == {
+        # the fan's width, samples and spacing come from --geometry alone
+        "render": common + ["--vol", "--out", "--beta", "--height", "--geometry"],
         "reconstruct": common + ["--img", "--geometry", "--iters", "--step", "--init",
                                  "--out", "--report", "--truth"],
         "metrics": common + ["--a", "--b", "--threshold"],
@@ -447,6 +449,43 @@ class TestDiagnostics:
             run("phantom", "--kind", "uniform:0", "--dims", "4,4,4",
                 "--out", tmp_path / "x", "--wobble")
         assert exc.value.code == 2
+
+    def test_dims_not_integers(self, tmp_path, capsys):
+        # used to print int()'s "invalid literal for int() with base 10: 'a'"
+        assert run("phantom", "--kind", "uniform:0", "--dims", "a,b,c",
+                   "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == (
+            "error: invalid value: --dims expects three comma-separated integers "
+            "nz,ny,nx, got 'a,b,c'\n")
+
+    def test_export_to_directory(self, tmp_path, capsys):
+        vol = tmp_path / "v.pvol"
+        run("phantom", "--kind", "uniform:0", "--dims", "2,4,4", "--out", vol)
+        assert run("export", "--vol", vol, "--format", "float", "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read or write:") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+    def test_render_from_directory(self, tmp_path, capsys):
+        assert run("render", "--vol", tmp_path, "--out", tmp_path / "i.pimg") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read or write:") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_to_full_device(self, capsys):
+        assert run("raymap", "--out", "/dev/full") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read or write:") and err.count("\n") == 1
+
+    def test_phantom_too_large_to_allocate(self, tmp_path, capsys):
+        # 10^15 voxels: numpy refuses the allocation without touching memory
+        out = tmp_path / "x.pvol"
+        assert run("phantom", "--kind", "uniform:0", "--dims", "100000,100000,100000",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_phantom_value(self, tmp_path, capsys):
         assert run("phantom", "--kind", "uniform:7", "--dims", "4,4,4",

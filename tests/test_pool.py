@@ -1,6 +1,8 @@
 """The worker pool: its thread rule, its cap, and block order under
-contention; and the integer rule for grid sizes that shares its checks."""
+contention; the integer rule for grid sizes that shares its checks; and the
+rule for real-valued settings."""
 
+import math
 import os
 import sys
 import threading
@@ -50,6 +52,35 @@ class TestWorkerCount:
     def test_rejects_non_integers_and_values_below_one(self, threads):
         with pytest.raises(ValueError, match="threads must be an integer >= 1"):
             _pool.worker_count(threads, 4)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("bound", ["", "> 0", ">= 0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_rejected(self, bound, value):
+        with pytest.raises(ValueError, match="^step must be finite"):
+            _pool.check_real("step", value, bound)
+
+    def test_unbounded_takes_any_finite_value(self):
+        for value in (-1e300, -1.5, 0.0, 2, np.float32(3.5), 1e300):
+            _pool.check_real("offset", value)
+
+    def test_strict_bound(self):
+        _pool.check_real("delta", 5e-324, "> 0")
+        for value in (0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match=r"^delta must be finite and > 0, got "):
+                _pool.check_real("delta", value, "> 0")
+
+    def test_non_strict_bound(self):
+        for value in (0.0, -0.0, 0, 5e-324, 1e300):
+            _pool.check_real("lambda1", value, ">= 0")
+        for value in (-5e-324, -1.0):
+            with pytest.raises(ValueError, match=r"^lambda1 must be finite and >= 0, got "):
+                _pool.check_real("lambda1", value, ">= 0")
+
+    def test_message_shows_the_value(self):
+        with pytest.raises(ValueError, match=r"^threshold must be finite, got nan$"):
+            _pool.check_real("threshold", math.nan)
 
 
 class TestRunBlocks:
