@@ -1,19 +1,17 @@
 """Command-line entry point wiring phantoms, rendering, back-projection,
 reconstruction, metrics and export together.
 
---geometry FILE is the one source of the fan: render, raymap, backproject
-and reconstruct build it from the same file, so an image is inverted
-through the fan that rendered it. render's --beta (over the file's beta=)
-and --height set the render's own values and leave the fan as the file
-gives it.
+--geometry FILE is the one source of the fan and of beta: render, raymap,
+backproject and reconstruct build the fan from the same file and read the
+same beta (the file's beta=, else 0.02), so an image is inverted through
+the fan and attenuation that rendered it. render's --height sets the
+image's own height; its --beta must equal the geometry's beta.
 
 --threads N (default: the CPU count) caps the worker threads of render,
 backproject, reconstruct and metrics: the fan's system matrix projects
 blocks of slices on them, and SSIM scores slices on them. Every block is
 computed the same way whichever worker runs it, so outputs are
-bit-identical at any thread count. That is also why --deterministic is
-accepted but changes nothing: there is no non-deterministic path to
-disable.
+bit-identical at any thread count. --seed sets phantom's RNG seed.
 """
 
 from __future__ import annotations
@@ -128,9 +126,12 @@ def _cmd_render(args):
     vol = volume.load_volume(args.vol)
     nz, ny, nx = vol.dims
     fan, beta = _geometry_setup(args, grid=(nx, ny))
+    if args.beta is not None and args.beta != beta:
+        raise ValueError(f"--beta {args.beta} does not match the geometry's beta {beta}; "
+                         "set beta= in the geometry file")
     height = args.height if args.height is not None else min(nz, 128)
-    rcfg = renderer.RenderConfig(beta=beta if args.beta is None else args.beta,
-                                 width=fan.n_rays, height=height, threads=args.threads)
+    rcfg = renderer.RenderConfig(beta=beta, width=fan.n_rays, height=height,
+                                 threads=args.threads)
     img = renderer.render_simpx(vol, fan, rcfg)
     renderer.save_image(img, args.out)
     return 0
@@ -227,18 +228,9 @@ def _cmd_export(args):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed; only phantom reads it, every other subcommand ignores it",
-    )
-    common.add_argument(
         "--threads", type=int, default=max(1, os.cpu_count() or 1),
         help="most worker threads for projections and SSIM (default: the CPU count); "
              "outputs are identical at any count",
-    )
-    common.add_argument(
-        "--deterministic", action="store_true",
-        help="accepted for compatibility; has no effect (outputs are identical at any "
-             "thread count)",
     )
 
     p = argparse.ArgumentParser(prog="panoray", description=__doc__)
@@ -247,13 +239,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phantom", parents=[common], help="generate a synthetic volume")
     sp.add_argument("--kind", required=True)
     sp.add_argument("--dims", required=True, help="nz,ny,nx")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_phantom)
 
     sp = sub.add_parser("render", parents=[common], help="render a SimPX image")
     sp.add_argument("--vol", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--beta", type=float, default=None)
+    sp.add_argument("--beta", type=float, default=None,
+                    help="must equal the geometry's beta (the file's beta=, else "
+                         f"{renderer.RenderConfig.beta:g})")
     sp.add_argument("--height", type=int, default=None)
     sp.add_argument("--geometry", default=None)
     sp.set_defaults(fn=_cmd_render)

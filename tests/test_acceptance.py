@@ -253,8 +253,8 @@ def _cli(*argv, cwd):
 
 
 def test_cli_determinism(tmp_path):
-    """Identical --deterministic invocations are bit-identical at 1, 2 and 8
-    threads, across the render/backproject/reconstruct pipeline."""
+    """Identical invocations are bit-identical at 1, 2 and 8 threads, across
+    the render/backproject/reconstruct pipeline."""
     geom = tmp_path / "g.txt"
     geom.write_text("grid=32,32\nwidth=96\nbeta=0.3\n")
     outputs = {}
@@ -264,8 +264,8 @@ def test_cli_determinism(tmp_path):
         vol, img = d / "v.pvol", d / "v.pimg"
         cnt, rho = d / "c.pvol", d / "r.pvol"
         rec, rep = d / "rec.pvol", d / "rep.txt"
-        base = ["--threads", threads, "--deterministic", "--seed", 5]
-        _cli("phantom", "--kind", "sphere-set", "--dims", "8,32,32",
+        base = ["--threads", threads]
+        _cli("phantom", "--kind", "sphere-set", "--dims", "8,32,32", "--seed", 5,
              "--out", vol, *base, cwd=tmp_path)
         _cli("render", "--vol", vol, "--geometry", geom, "--height", 8,
              "--out", img, *base, cwd=tmp_path)

@@ -30,7 +30,7 @@ def test_settable_surface():
         "beta", "width", "height", "interpolation", "threads"]
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    common = ["-h", "--help", "--seed", "--threads", "--deterministic"]
+    common = ["-h", "--help", "--threads"]
     options = {name: [s for a in sub.choices[name]._actions for s in a.option_strings]
                for name in ("render", "reconstruct", "metrics")}
     assert options == {
@@ -589,16 +589,27 @@ class TestGeometryExtras:
                    "--out", tmp_path / "r.pvol") == 1
         assert "error: inconsistent dims:" in capsys.readouterr().err
 
-    def test_render_flag_overrides_geometry(self, tmp_path):
+    def test_render_beta_must_match_geometry(self, tmp_path, capsys):
+        # backproject and reconstruct read the geometry's beta, so a render
+        # at another beta would be inverted with the wrong attenuation
         geom = tmp_path / "g.txt"
         geom.write_text("grid=32,32\nwidth=64\nbeta=0.01\n")
         vol = tmp_path / "v.pvol"
         a, b = tmp_path / "a.pimg", tmp_path / "b.pimg"
         run("phantom", "--kind", "uniform:0.5", "--dims", "2,32,32", "--out", vol)
+        assert run("render", "--vol", vol, "--geometry", geom, "--height", 2, "--beta", 0.2,
+                   "--out", b) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid value:")
+        assert "0.2" in err and "0.01" in err and "beta=" in err
+        assert not b.exists()
+        # no geometry file: the default beta
+        assert run("render", "--vol", vol, "--height", 2, "--beta", 0.03, "--out", b) == 1
+        assert "0.02" in capsys.readouterr().err
         run("render", "--vol", vol, "--geometry", geom, "--height", 2, "--out", a)
-        run("render", "--vol", vol, "--geometry", geom, "--height", 2, "--beta", 0.2,
-            "--out", b)
-        assert load_image(b).pixels.max() > 5 * load_image(a).pixels.max()
+        assert run("render", "--vol", vol, "--geometry", geom, "--height", 2, "--beta", 0.01,
+                   "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_truth_grid_mismatch_fails_fast(self, tmp_path, capsys):
         vol, img = tmp_path / "v.pvol", tmp_path / "v.pimg"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from functools import partial
@@ -189,6 +190,15 @@ class TestSsim:
     def test_window_too_large(self):
         with pytest.raises(DimsError):
             ssim(np.zeros((2, 5, 5)), np.zeros((2, 5, 5)))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (64,), (2, 8, 8, 8)])
+    def test_not_3d_rejected(self, shape):
+        # SSIM scores axial slices; psnr, volume_mse and dice take any shape
+        a = b = np.zeros(shape)
+        for fn in (ssim, evaluate):
+            with pytest.raises(DimsError, match=re.escape(str(shape))):
+                fn(a, b)
+        assert psnr(a, b) == 99.0 and volume_mse(a, b) == 0.0 and dice(a, b) == 100.0
 
     @pytest.mark.parametrize("shape", [(3, 7, 7), (2, 7, 12), (2, 11, 8), (2, 16, 16)])
     def test_bruteforce_oracle(self, shape):
@@ -400,6 +410,22 @@ class TestReport:
                     finally:
                         tracemalloc.stop()
                     assert peak < a.nbytes, (name, x.dtype, y.dtype, peak)
+
+    def test_metric_functions_make_no_whole_volume_temporary(self):
+        # psnr, volume_mse and dice read the pair a slice pair at a time, so
+        # their traced peak is a few slice buffers, far under one volume
+        a = rand_volume((64, 32, 32), 22)
+        b = rand_volume((64, 32, 32), 23)
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+        for fn in (psnr, volume_mse, dice):
+            for x, y in ((a, b), (a, b32), (a32, b32)):
+                tracemalloc.start()
+                try:
+                    fn(x, y)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < a.nbytes // 8, (fn.__name__, x.dtype, y.dtype, peak)
 
     def test_evaluate_identical_volumes(self):
         a = make_phantom("sphere-set", (8, 8, 8), seed=2)
