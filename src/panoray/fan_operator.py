@@ -25,21 +25,20 @@ so each row's padded length is under 2 ** (1 / _CLASSES) times its own
 (1.04x the entries of A and 1.03x those of A^T on the 64^2 acceptance fan).
 Classes, unlike fixed-size groups of length-sorted rows, keep _apply's
 chunks sized in bytes, which scale with the block width. Rows with no
-entries (voxels no ray crosses, rays with no samples) form a bucket of
-length 0. ray_mean's pattern buckets share A^T's rows and indices, with
-weights (w > 0): 1 on every entry, since coalesced weights are > 0, and 0
-on padding. _apply overwrites an output block, a view of the result, from a
-voxel-major input block: it zeroes the rows of the length-0 bucket and
-computes the others one chunk of bucket rows at a time, `take` gathering
-the rows' inputs into a temporary of at most _CHUNK_BYTES, sized to stay in
-a core's L2 cache, and a batched `matmul` contracting them with the
-weights. BLAS computes the columns of each (L, nb) product in groups and
-rounds a leftover or lone column differently, so a block is padded with
-zero columns to a multiple of its dtype's _LANES: 4 for float64 and 16 for
-float32 (with 4 or 8, OpenBLAS's Haswell float32 kernels change a column's
-bits with the block width). Each slice then gets the same bits whatever
-block it falls in. When the length-0 bucket is most of a narrow block, one
-whole-block fill is cheaper than zeroing its rows one by one.
+entries (rays with no samples, and in the full layout voxels no ray
+crosses) form a bucket of length 0. ray_mean's pattern buckets share A^T's
+rows and indices, with weights (w > 0): 1 on every entry, since coalesced
+weights are > 0, and 0 on padding. _apply overwrites an output block, a
+view of the result, from a voxel-major input block: it zeroes the rows of
+the length-0 bucket and computes the others one chunk of bucket rows at a
+time, `take` gathering the rows' inputs into a temporary of at most
+_CHUNK_BYTES, sized to stay in a core's L2 cache, and a batched `matmul`
+contracting them with the weights. BLAS computes the columns of each
+(L, nb) product in groups and rounds a leftover or lone column differently,
+so a block is padded with zero columns to a multiple of its dtype's _LANES:
+4 for float64 and 16 for float32 (with 4 or 8, OpenBLAS's Haswell float32
+kernels change a column's bits with the block width). Each slice then gets
+the same bits whatever block it falls in.
 
 Blocks come in two layouts:
 - Public blocks serve forward only, which takes slice-major (nz, ny, nx)
@@ -47,26 +46,48 @@ Blocks come in two layouts:
   worker. They hold _BLOCK_BYTES, so a render's peak memory stays low.
 - State blocks serve A^T and the solver. A state-layout volume is one flat
   float32 or float64 buffer in which slices z0..z1 of each block are
-  stored voxel-major as (ny * nx, z1 - z0). The *_state methods gather
-  straight from such a buffer and write straight into one, and compute in
-  its dtype: the rows of coefficients that A^T reads are cast to it one
-  block at a time, and the weights once per operator. Line sums are
-  float64 in any case. to_state and from_state convert once at each end;
-  the public adjoint and ray_mean are adjoint_state and ray_mean_state of
-  float64 rows, turned slice-major by from_state. No copy bounds a state
-  block and wider blocks make the gathers and matmuls cheaper, so each
-  holds _STATE_BYTES // (4 * ny * nx) slices, _STATE_BYTES being the size
-  of a float32 block (the solver's dtype), whatever its buffer's dtype:
-  float64 buffers and a bool workspace split into the same blocks.
+  stored voxel-major as (size, z1 - z0), size being the voxel count of the
+  layout's support (below). The *_state methods gather straight from such
+  a buffer and write straight into one, and compute in its dtype: the rows
+  of coefficients that A^T reads are cast to it one block at a time, and
+  the weights once per layout. Line sums are float64 in any case. to_state
+  and from_state convert once at each end. New state buffers are mapped
+  on their own (StateLayout.buffer). No copy bounds a state block and
+  wider blocks make the gathers and matmuls cheaper, so each holds
+  _STATE_BYTES // (4 * size) slices, _STATE_BYTES being the size of a
+  float32 block (the solver's dtype), whatever its buffer's dtype: float64
+  buffers and a bool workspace split into the same blocks.
+
+A state layout holds the voxels of its support, each operator building
+two, once each (StateLayout):
+- full: every voxel;
+- crossed: the voxels some ray crosses (counts > 0), 40.9% of the default
+  256^2 grid and 85.5% of the 64^2 acceptance fan's. A's bucket indices
+  are remapped to support positions, and A^T and the pattern keep only the
+  support's rows, so they have no bucket of length 0 (A^T's other buckets
+  are the full layout's, renumbered). to_state gathers the support and
+  from_state writes it and zero-fills the rest.
+A's columns and A^T's rows of the voxels no ray crosses are zero, so a
+crossed layout gives the full one's values wherever the volume is 0 off
+the support. The forward shifts by the slice minima, and those implicit
+zeros belong to the slices: a crossed forward takes each minimum as
+min(0, min over the support), so the shift, and every line sum, is the
+full layout's. The public adjoint and ray_mean are adjoint_state and
+ray_mean_state of float64 rows in the crossed layout, turned slice-major
+by from_state; ray_mean runs in no other, since it divides by the counts,
+which are 0 off the support. When every voxel is crossed, crossed is full.
+When none is, the support is empty and its buffers hold nothing whatever
+their slice count, so from_state takes that count from its out.
 
 Blocks write disjoint output rows, so every apply runs them on up to
 `threads` workers (see _pool). The block sizes do not depend on the thread
 count, and padded blocks give every slice the same bits, so the outputs are
-bit-identical at any thread count and in either layout.
+bit-identical at any thread count, in any layout and on either support.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,9 +107,6 @@ _CLASSES = 8
 # per dtype, matmul column counts are padded to a multiple of this (see the
 # module doc)
 _LANES = {np.dtype(np.float64): 4, np.dtype(np.float32): 16}
-# the widest block, in bytes per row, that _apply zeroes with one fill when
-# most of its rows have no entries
-_FILL_ROW_BYTES = 128
 # slices per piece when slices are copied into a voxel-major block, and
 # voxels per tile when a voxel-major block is copied back to slices: a
 # whole-block strided copy of a wide block runs several times slower
@@ -146,12 +164,7 @@ def _apply(buckets, src: np.ndarray, out: np.ndarray) -> None:
     width, itemsize = src.shape[1], src.itemsize
     for b in buckets:
         if not b.idx.shape[1]:
-            # zeroing by index costs about 25 ns a row at any width, a fill
-            # the block's bytes
-            if 2 * len(b.rows) > len(out) and nb * out.itemsize <= _FILL_ROW_BYTES:
-                out.fill(0.0)
-            else:
-                out[b.rows] = 0.0
+            out[b.rows] = 0.0
             continue
         step = max(1, _CHUNK_BYTES // (b.idx.shape[1] * width * itemsize))
         for s in range(0, len(b.rows), step):
@@ -180,27 +193,60 @@ def _out(out, shape: tuple, dtypes: tuple) -> np.ndarray:
 
 
 def _minima(xt: np.ndarray) -> np.ndarray:
-    """Per-column minima of the voxel-major block xt (n_voxels, nb). The
-    wide reshape reduces whole rows of 64 * nb values at a time, several
-    times faster than xt.min(axis=0); minima are exact in any order."""
+    """Per-column minima of the voxel-major block xt (n, nb). The wide
+    reshape reduces whole rows of 64 * nb values at a time, several times
+    faster than xt.min(axis=0), which reduces only the last n % 64 rows;
+    minima are exact in any order."""
     n, nb = xt.shape
-    if n % 64:
-        return xt.min(axis=0)
-    return xt.reshape(-1, 64 * nb).min(axis=0).reshape(64, nb).min(axis=0)
+    k = n - n % 64
+    m = xt[k:].min(axis=0, initial=np.inf)
+    if k:
+        np.minimum(m, xt[:k].reshape(-1, 64 * nb).min(axis=0).reshape(64, nb).min(axis=0),
+                   out=m)
+    return m
 
 
-def _copy_in(rows: np.ndarray, vt: np.ndarray) -> None:
-    """vt (n_voxels, nb) = rows.T for the slice-major rows, in pieces of
-    _PIECE slices."""
+def _copy_in(rows: np.ndarray, vt: np.ndarray, voxels=None) -> None:
+    """vt (n, nb) = rows.T for the slice-major rows (nb, n_voxels), in
+    pieces of _PIECE slices; with voxels (sorted voxel ids), only their
+    columns of rows."""
     for j in range(0, vt.shape[1], _PIECE):
-        np.copyto(vt[:, j:j + _PIECE], rows[j:j + _PIECE].T)
+        piece = rows[j:j + _PIECE]
+        np.copyto(vt[:, j:j + _PIECE], (piece if voxels is None else piece[:, voxels]).T)
 
 
-def _copy_back(vt: np.ndarray, rows: np.ndarray) -> None:
+def _copy_back(vt: np.ndarray, rows: np.ndarray, voxels=None) -> None:
     """rows (nb, n_voxels) = vt.T for the voxel-major block vt, in tiles of
-    _TILE voxels."""
-    for v0 in range(0, vt.shape[0], _TILE):
-        rows[:, v0:v0 + _TILE] = vt[v0:v0 + _TILE].T
+    _TILE voxels; with voxels (sorted voxel ids), vt holds only their rows
+    and every other voxel gets 0. A tile is assembled voxel-major first, so
+    its rows move whole and its transposed copy is the same as without
+    voxels."""
+    n = rows.shape[1]
+    if voxels is not None:
+        tile = np.empty((_TILE, vt.shape[1]), dtype=vt.dtype)
+        # the support positions that start each tile
+        starts = np.searchsorted(voxels, np.arange(0, n + _TILE, _TILE))
+    for i, v0 in enumerate(range(0, n, _TILE)):
+        if voxels is None:
+            part = vt[v0:v0 + _TILE]
+        else:
+            a, b = starts[i], starts[i + 1]
+            part = tile[:min(_TILE, n - v0)]
+            part.fill(0)
+            part[voxels[a:b] - v0] = vt[a:b]
+        rows[:, v0:v0 + _TILE] = part.T
+
+
+def _project(rows: tuple, xt: np.ndarray, m: np.ndarray, counts: np.ndarray,
+             out: np.ndarray) -> None:
+    """out (nb, n_rays) = A xt + n m for the voxel-major block xt (n, nb),
+    through A's buckets rows of xt's dtype that read its n voxels, with n
+    the rays' sample counts: the line sums of a block whose column minima m
+    the caller has subtracted into xt, or of xt itself where m is all 0
+    (see the module doc). xt is never written."""
+    _apply(rows, xt, out.T)
+    if m.any():  # else n m adds only zeros
+        out += m[:, None] * counts
 
 
 def _corners(p: np.ndarray, size: int) -> tuple:
@@ -262,7 +308,8 @@ class FanOperator:
     forward maps (nz, ny, nx) volumes to (nz, n_rays) line sums, adjoint
     maps (nz, n_rays) coefficients back to (nz, ny, nx), and ray_mean
     averages per-pixel values over each voxel's crossing rays. The *_state
-    methods do the same on volumes in state layout (see the module doc).
+    methods of its two StateLayouts, full and crossed, do the same on
+    volumes in state layout (see the module doc).
     """
 
     def __init__(self, sample_xy, sample_valid, sample_counts, bounds,
@@ -302,28 +349,18 @@ class FanOperator:
         self._rows = _buckets(self.ray, self.voxel, self.weight, self.n_rays)
         # slices per public block
         self.block = max(1, _BLOCK_BYTES // (8 * self.n_voxels))
-        self._cast = {}  # see _typed
 
     @cached_property
-    def _cols(self) -> tuple:
-        order = np.argsort(self.voxel, kind="stable")
-        return _buckets(self.voxel[order], self.ray[order], self.weight[order], self.n_voxels)
+    def full(self) -> StateLayout:
+        """The state layout of every voxel."""
+        return StateLayout(self)
 
     @cached_property
-    def _pattern(self) -> tuple:
-        """A^T's buckets weighted 1 on every entry and 0 on padding."""
-        return tuple(_Bucket(b.rows, b.idx, (b.w > 0).astype(np.float64)) for b in self._cols)
-
-    def _typed(self, name: str, dtype: np.dtype) -> tuple:
-        """The buckets self.<name> (_rows, _cols or _pattern) with weights of
-        dtype: the float64 ones as built, any other cast once and kept."""
-        buckets = getattr(self, name)
-        if dtype == np.float64:
-            return buckets
-        if (name, dtype) not in self._cast:
-            self._cast[name, dtype] = tuple(_Bucket(b.rows, b.idx, b.w.astype(dtype))
-                                            for b in buckets)
-        return self._cast[name, dtype]
+    def crossed(self) -> StateLayout:
+        """The state layout of the voxels some ray crosses (counts > 0): full
+        when every voxel is crossed."""
+        crossed = self.counts.ravel() > 0
+        return self.full if crossed.all() else StateLayout(self, np.flatnonzero(crossed))
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -332,16 +369,6 @@ class FanOperator:
         counts = np.bincount(self.voxel, minlength=self.n_voxels).reshape(ny, nx)
         counts.flags.writeable = False  # shared: aggregate_rho returns views of it
         return counts
-
-    def _project(self, rows: tuple, xt: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
-        """out (nb, n_rays) = A xt + n m for the voxel-major block xt
-        (n_voxels, nb), through A's buckets rows of xt's dtype: the line sums
-        of a block whose column minima m the caller has subtracted into xt,
-        or of xt itself where m is all 0 (see the module doc). xt is never
-        written."""
-        _apply(rows, xt, out.T)
-        if m.any():  # else n m adds only zeros
-            out += m[:, None] * self.sample_counts
 
     def forward(self, x: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays).
@@ -360,7 +387,7 @@ class FanOperator:
             m = _minima(xt)
             if m.any():  # -0.0 counts as 0; the workspace is forward's own
                 xt -= m
-            self._project(self._rows, xt, m, out[z0:z1])
+            _project(self._rows, xt, m, self.sample_counts, out[z0:z1])
 
         run_blocks(block, range(0, nz, self.block), threads,
                    lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
@@ -368,74 +395,164 @@ class FanOperator:
 
     def adjoint(self, r: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx), float64
-        whatever r's dtype; adjoint_state's result, turned slice-major.
-        threads as for forward."""
-        return self.from_state(self.adjoint_state(np.asarray(r, dtype=np.float64),
-                                                  threads=threads))
+        whatever r's dtype; the crossed adjoint_state's result, turned
+        slice-major. threads as for forward."""
+        r = np.asarray(r, dtype=np.float64)
+        nx, ny = self.bounds
+        return self.crossed.from_state(self.crossed.adjoint_state(r, threads=threads),
+                                       out=np.empty((len(r), ny, nx)))
 
     def ray_mean(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Mean of c_j over the rays crossing each voxel, 0 where none does:
-        (nz, n_rays) -> (nz, ny, nx), float64 whatever c's dtype;
+        (nz, n_rays) -> (nz, ny, nx), float64 whatever c's dtype; the crossed
         ray_mean_state's result, turned slice-major. threads as for forward."""
-        return self.from_state(self.ray_mean_state(np.asarray(c, dtype=np.float64),
-                                                   threads=threads))
+        c = np.asarray(c, dtype=np.float64)
+        nx, ny = self.bounds
+        return self.crossed.from_state(self.crossed.ray_mean_state(c, threads=threads),
+                                       out=np.empty((len(c), ny, nx)))
 
-    # state layout (see the module doc)
+
+class StateLayout:
+    """The state layout of a FanOperator's volumes over one support (see the
+    module doc): voxels holds the ids of the voxels some ray crosses, in
+    increasing order, or is None for every voxel; size counts the support's
+    voxels and counts holds their entry counts. An operator's full and
+    crossed properties build its two."""
+
+    def __init__(self, op: FanOperator, voxels: np.ndarray | None = None):
+        # op's arrays and full layout, not op, which holds its layouts: a
+        # cycle would keep them all alive until the garbage collector ran
+        self.bounds, self.n_voxels, self.n_rays = op.bounds, op.n_voxels, op.n_rays
+        self.sample_counts = op.sample_counts
+        self.voxels = voxels
+        self.size = op.n_voxels if voxels is None else len(voxels)
+        counts = op.counts.ravel()
+        self.counts = counts if voxels is None else counts[voxels]
+        if voxels is None:
+            self._full = None
+            self._a = op._rows
+            self._entries = (op.voxel, op.ray, op.weight)
+        else:
+            self._full = op.full
+            # each voxel's support position, 0 off the support, where only
+            # padding of weight 0 reads
+            self._pos = np.zeros(op.n_voxels, dtype=np.int64)
+            self._pos[voxels] = np.arange(self.size)
+        self._cast = {}  # see _typed
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """A's buckets, reading support positions."""
+        if self._full is None:
+            return self._a
+        return tuple(_Bucket(b.rows, self._pos[b.idx], b.w) for b in self._full._rows)
+
+    @cached_property
+    def _cols(self) -> tuple:
+        """A^T's buckets of the support's rows. The crossed ones are the full
+        layout's, less its bucket of length 0, which holds every voxel no ray
+        crosses, with their rows renumbered to support positions: they share
+        its index and weight arrays."""
+        if self._full is None:
+            voxel, ray, weight = self._entries
+            order = np.argsort(voxel, kind="stable")
+            return _buckets(voxel[order], ray[order], weight[order], self.size)
+        return tuple(_Bucket(self._pos[b.rows], b.idx, b.w) for b in self._full._cols
+                     if b.idx.shape[1])
+
+    @cached_property
+    def _pattern(self) -> tuple:
+        """A^T's buckets weighted 1 on every entry and 0 on padding."""
+        return tuple(_Bucket(b.rows, b.idx, (b.w > 0).astype(np.float64)) for b in self._cols)
+
+    def _typed(self, name: str, dtype: np.dtype) -> tuple:
+        """The buckets self.<name> (_rows, _cols or _pattern) with weights of
+        dtype: the float64 ones as built, any other cast once and kept."""
+        buckets = getattr(self, name)
+        if dtype == np.float64:
+            return buckets
+        if (name, dtype) not in self._cast:
+            self._cast[name, dtype] = tuple(_Bucket(b.rows, b.idx, b.w.astype(dtype))
+                                            for b in buckets)
+        return self._cast[name, dtype]
 
     def state_blocks(self, nz: int) -> list:
         """The (z0, z1) slice ranges of the state blocks of nz slices, the
         same for every dtype."""
-        step = max(1, _STATE_BYTES // (4 * self.n_voxels))
+        step = max(1, _STATE_BYTES // (4 * max(1, self.size)))
         return [(z0, min(nz, z0 + step)) for z0 in range(0, nz, step)]
+
+    def _views(self, state: np.ndarray, nz: int) -> list:
+        n = self.size
+        return [((z0, z1), state[z0 * n:z1 * n].reshape(n, z1 - z0))
+                for z0, z1 in self.state_blocks(nz)]
 
     def state_views(self, state: np.ndarray) -> list:
         """((z0, z1), view) for each state block of the flat buffer state:
-        view is its (n_voxels, z1 - z0) voxel-major block."""
-        n = self.n_voxels
-        return [((z0, z1), state[z0 * n:z1 * n].reshape(n, z1 - z0))
-                for z0, z1 in self.state_blocks(len(state) // n)]
+        view is its (size, z1 - z0) voxel-major block. An empty support's
+        buffers hold no block."""
+        return self._views(state, len(state) // self.size) if self.size else []
+
+    def buffer(self, nz: int, dtype) -> np.ndarray:
+        """A new state-layout buffer of nz slices of dtype, all 0, in an
+        anonymous memory mapping of its own, which goes back to the system
+        when the buffer is freed. malloc would serve a buffer under 32 MiB
+        from its heap once a freed one of about that size had raised its
+        mmap threshold, and keep it resident after it is freed, so each
+        solve or transpose in a process would leave its buffers behind."""
+        dtype = np.dtype(dtype)
+        n = nz * self.size
+        return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
 
     def to_state(self, x: np.ndarray) -> np.ndarray:
-        """The (nz, ny, nx) volume x in state layout: a new flat buffer,
-        float32 if x is and float64 otherwise."""
+        """The support of the (nz, ny, nx) volume x in state layout: a new
+        buffer (see buffer), float32 if x is and float64 otherwise."""
         x = np.asarray(x)
         dtype = _state_dtype(x)
         flat = np.asarray(x, dtype=dtype).reshape(len(x), self.n_voxels)
-        out = np.empty(flat.size, dtype=dtype)
+        out = self.buffer(len(flat), dtype)
         for (z0, z1), view in self.state_views(out):
-            _copy_in(flat[z0:z1], view)
+            _copy_in(flat[z0:z1], view, self.voxels)
         return out
 
     def from_state(self, state: np.ndarray, out=None) -> np.ndarray:
         """The volume held in state layout as (nz, ny, nx) of the state's
-        dtype, or written into out if given: a C-contiguous array of that
-        shape, of the state's dtype or float64 (which holds float32 values
-        exactly), that does not overlap state; ValueError otherwise."""
+        dtype, 0 off the support, or written into out if given: a
+        C-contiguous array of that shape, of the state's dtype or float64
+        (which holds float32 values exactly), that does not overlap state;
+        ValueError otherwise. An empty support's buffers are empty whatever
+        nz, which out must then give."""
         nx, ny = self.bounds
-        out = _out(out, (len(state) // self.n_voxels, ny, nx), (state.dtype, np.float64))
-        flat = out.reshape(len(out), self.n_voxels)
-        for (z0, z1), view in self.state_views(state):
-            _copy_back(view, flat[z0:z1])
+        nz = len(state) // self.size if self.size else len(out)
+        out = _out(out, (nz, ny, nx), (state.dtype, np.float64))
+        flat = out.reshape(nz, self.n_voxels)
+        for (z0, z1), view in self._views(state, nz):
+            _copy_back(view, flat[z0:z1], self.voxels)
         return out
 
     def forward_state(self, state: np.ndarray, *, threads: int = 1) -> np.ndarray:
-        """forward of the volume held in state layout, computed in the
-        state's dtype; the line sums are float64 and state is never written.
-        threads as for forward."""
-        out = np.empty((len(state) // self.n_voxels, self.n_rays), dtype=np.float64)
+        """forward of the volume held in state layout, 0 off the support,
+        computed in the state's dtype; the line sums are float64 and state
+        is never written. threads as for forward."""
+        out = np.empty((len(state) // self.size, self.n_rays), dtype=np.float64)
         rows = self._typed("_rows", state.dtype)
 
         def block(item, _):
             (z0, z1), view = item
             m = _minima(view)
-            self._project(rows, view - m if m.any() else view, m, out[z0:z1])
+            if self.voxels is not None:
+                np.minimum(m, 0, out=m)  # the zeros off the support
+            _project(rows, view - m if m.any() else view, m, self.sample_counts, out[z0:z1])
 
         run_blocks(block, self.state_views(state), threads)
         return out
 
     def _transpose_state(self, r: np.ndarray, name: str, out, threads: int) -> np.ndarray:
         r = np.asarray(r)
-        out = _out(out, (len(r) * self.n_voxels,), (_state_dtype(r), np.float64, np.float32))
+        if out is None:
+            out = self.buffer(len(r), _state_dtype(r))
+        else:
+            out = _out(out, (len(r) * self.size,), (np.float64, np.float32))
         buckets = self._typed(name, out.dtype)
 
         def block(item, _):
@@ -446,18 +563,20 @@ class FanOperator:
         return out
 
     def adjoint_state(self, r: np.ndarray, out=None, *, threads: int = 1) -> np.ndarray:
-        """adjoint of the (nz, n_rays) rows r into a state-layout buffer,
-        computed in its dtype: out if given (a C-contiguous float64 or
-        float32 array of nz * n_voxels values; ValueError otherwise), else a
-        new one of r's state dtype (see to_state). threads as for adjoint."""
+        """adjoint of the (nz, n_rays) rows r on the support, into a
+        state-layout buffer, computed in its dtype: out if given (a
+        C-contiguous float64 or float32 array of nz * size values;
+        ValueError otherwise), else a new one of r's state dtype (see
+        to_state). threads as for forward."""
         return self._transpose_state(r, "_cols", out, threads)
 
     def ray_mean_state(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
-        """ray_mean of the (nz, n_rays) rows c as a new state-layout buffer
-        of c's state dtype (see to_state), computed in it. threads as for
-        adjoint."""
+        """ray_mean of the (nz, n_rays) rows c on the support, as a new
+        state-layout buffer of c's state dtype (see to_state), computed in
+        it. Only for the crossed layout: every voxel of its support has a
+        count of at least 1. threads as for forward."""
         sums = self._transpose_state(c, "_pattern", None, threads)
-        per_voxel = np.maximum(self.counts, 1).astype(sums.dtype).reshape(self.n_voxels, 1)
+        per_voxel = self.counts.astype(sums.dtype).reshape(self.size, 1)
         for _, view in self.state_views(sums):
             np.divide(view, per_voxel, out=view)
         return sums

@@ -34,7 +34,7 @@ import numpy as np
 from . import backproject, metrics
 from ._pool import check_int, check_real
 from .errors import DimsError
-from .fan_operator import FanOperator
+from .fan_operator import FanOperator, StateLayout
 from .ray_geometry import RayFan
 from .renderer import _MIP_AXES, RenderConfig, as_pixels
 from .volume import DensityVolume
@@ -128,19 +128,31 @@ def _block_part(axis: str, arr: np.ndarray, z0: int, z1: int) -> np.ndarray:
     return arr if axis == "axial" else arr[z0:z1].T
 
 
-def _blocks3(op: FanOperator, state: np.ndarray) -> list:
-    """((z0, z1), block) for each state block, viewed as (ny, nx, nb)."""
-    nx, ny = op.bounds
-    return [(zs, view.reshape(ny, nx, zs[1] - zs[0])) for zs, view in op.state_views(state)]
+def _state_layout(op: FanOperator, mips: dict) -> StateLayout:
+    """The state layout a solve runs in: the crossed voxels, the only ones
+    the data term moves, or every voxel when MIP targets are given, since
+    their tie band can move any voxel, or when no voxel is crossed, since
+    the forward reads the slice count from its buffer's length."""
+    return op.crossed if op.crossed.size and not mips else op.full
 
 
-def _projections(op: FanOperator, state: np.ndarray, axes) -> dict:
-    """Maximum intensity projections of the state-layout volume, C-contiguous
-    in slice-major shape and of the state's dtype: axial (ny, nx), coronal
-    (nz, nx), sagittal (nz, ny). Maxima are exact, so they equal those of
-    the slice-major volume."""
-    nx, ny = op.bounds
-    blocks = _blocks3(op, state)
+def _blocks3(lay: StateLayout, state: np.ndarray) -> list:
+    """((z0, z1), block) for each state block of the full layout lay,
+    viewed as (ny, nx, nb)."""
+    nx, ny = lay.bounds
+    return [(zs, view.reshape(ny, nx, zs[1] - zs[0])) for zs, view in lay.state_views(state)]
+
+
+def _projections(lay: StateLayout, state: np.ndarray, axes) -> dict:
+    """Maximum intensity projections of the volume held in the full layout
+    lay, C-contiguous in slice-major shape and of the state's dtype: axial
+    (ny, nx), coronal (nz, nx), sagittal (nz, ny); none without axes, in
+    any layout. Maxima are exact, so they equal those of the slice-major
+    volume."""
+    if not axes:
+        return {}
+    nx, ny = lay.bounds
+    blocks = _blocks3(lay, state)
     nz = blocks[-1][0][1]
     projs = {}
     for axis in axes:
@@ -157,10 +169,11 @@ def _projections(op: FanOperator, state: np.ndarray, axes) -> dict:
     return projs
 
 
-def _mip_term(op, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
-    """grad += the MIP term of one axis, on state-layout volumes of one
-    dtype: each projected residual r is shared equally across the voxels
-    within tie_tol of their column's maximum proj. The threshold and each
+def _mip_term(lay, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
+    """grad += the MIP term of one axis, on volumes of one dtype held in
+    the full layout lay: each projected residual r is shared equally across
+    the voxels within tie_tol of their column's maximum proj. The threshold
+    and each
     share are rounded to that dtype, so no block is compared or added in
     another. Returns the tie counts, shaped like proj. band is a bool
     state-layout workspace that holds the tie band; the counts are
@@ -168,7 +181,7 @@ def _mip_term(op, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
     k = _BLOCK_AXES[axis]
     counts = np.zeros(proj.shape, dtype=np.int64)
     floor = (proj - tie_tol).astype(state.dtype)
-    blocks = list(zip(_blocks3(op, state), _blocks3(op, band), _blocks3(op, grad)))
+    blocks = list(zip(_blocks3(lay, state), _blocks3(lay, band), _blocks3(lay, grad)))
     for ((z0, z1), b), (_, t), _ in blocks:
         np.greater_equal(b, np.expand_dims(_block_part(axis, floor, z0, z1), k), out=t)
         _block_part(axis, counts, z0, z1)[...] += t.sum(axis=k)
@@ -178,15 +191,15 @@ def _mip_term(op, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
     return counts
 
 
-def _block_dot(op: FanOperator, a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two state-layout buffers of one dtype: partial dots per
-    state block, summed in block order. A block's partial dot sums the dots
-    of its consecutive _DOT_CHUNK-element chunks, and of the rest last; each
-    of these is a BLAS dot in the buffers' dtype, and their sums are
-    float64."""
+def _block_dot(lay: StateLayout, a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two buffers of one dtype in the state layout lay: partial
+    dots per state block, summed in block order. A block's partial dot sums
+    the dots of its consecutive _DOT_CHUNK-element chunks, and of the rest
+    last; each of these is a BLAS dot in the buffers' dtype, and their sums
+    are float64."""
     total = 0.0
-    for (z0, z1), _ in op.state_views(a):
-        x, y = a[z0 * op.n_voxels:z1 * op.n_voxels], b[z0 * op.n_voxels:z1 * op.n_voxels]
+    for (_, u), (_, v) in zip(lay.state_views(a), lay.state_views(b)):
+        x, y = u.reshape(-1), v.reshape(-1)
         n = len(x) - len(x) % _DOT_CHUNK
         # one BLAS dot per chunk, in one batched call
         parts = np.matmul(x[:n].reshape(-1, 1, _DOT_CHUNK), y[:n].reshape(-1, _DOT_CHUNK, 1))
@@ -194,65 +207,65 @@ def _block_dot(op: FanOperator, a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _loss_terms(state, y, mips, fan, beta, lambda1, threads=1):
+def _loss_terms(lay, state, y, mips, fan, beta, lambda1, threads=1):
     """total, mse_img, mse_mip, and the predicted image and MIP projections
-    of the state-layout estimate, which _gradient can reuse at the same
-    estimate."""
-    op = fan.operator()
-    pred = -np.expm1(-beta * fan.delta * op.forward_state(state, threads=threads))
+    of the estimate held in the state layout lay, which _gradient can reuse
+    at the same estimate."""
+    pred = -np.expm1(-beta * fan.delta * lay.forward_state(state, threads=threads))
     mse_img = float(np.sum((pred - y) ** 2))
     mse_mip = 0.0
-    projs = _projections(op, state, mips)
+    projs = _projections(lay, state, mips)
     for axis, tgt in mips.items():
         mse_mip += float(np.sum((projs[axis] - tgt) ** 2))
     return mse_img + lambda1 * mse_mip, mse_img, mse_mip, pred, projs
 
 
 def _prepare(est, target_img, target_mips, fan):
-    """The estimate in state layout, the target's pixels and the MIP
-    targets, checked against each other and the fan."""
+    """The estimate in the full state layout, the target's pixels and the
+    MIP targets, checked against each other and the fan."""
     est_data = est.data if isinstance(est, DensityVolume) else np.asarray(est, np.float64)
     nz, ny, nx = est_data.shape
     fan.check_grid(nx, ny)
     y = as_pixels(target_img, fan.n_rays, nz)
     mips = _check_mips(target_mips, est_data.shape)
-    return fan.operator().to_state(est_data), y, mips
+    return fan.operator().full.to_state(est_data), y, mips
 
 
 def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
     """Total objective and its (mse_img, mse_mip) components."""
     state, y, mips = _prepare(est, target_img, target_mips, fan)
-    total, mse_img, mse_mip, _, _ = _loss_terms(state, y, mips, fan, cfg.beta, cfg.lambda1)
+    total, mse_img, mse_mip, _, _ = _loss_terms(fan.operator().full, state, y, mips, fan,
+                                                cfg.beta, cfg.lambda1)
     return total, (mse_img, mse_mip)
 
 
-def _gradient(state, y, mips, fan, beta, lambda1, pred, projs,
+def _gradient(lay, state, y, mips, fan, beta, lambda1, pred, projs,
               out=None, threads: int = 1, band=None):
-    """Gradient at the state-layout estimate, in state layout and its dtype
-    (into out if given); pred and projs are the predicted image and the MIP
-    projections of this same estimate, as _loss_terms returns them. band is
-    a bool state-layout workspace for the MIP term, allocated here if
-    None."""
-    op = fan.operator()
+    """Gradient at the estimate held in the state layout lay, in that
+    layout and the state's dtype (into out if given); pred and projs are
+    the predicted image and the MIP projections of this same estimate, as
+    _loss_terms returns them. band is a bool state-layout workspace for the
+    MIP term, allocated here if None."""
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
-    grad = op.adjoint_state(coeff, np.empty_like(state) if out is None else out,
-                            threads=threads)
+    grad = lay.adjoint_state(coeff, lay.buffer(len(y), state.dtype) if out is None else out,
+                             threads=threads)
     if mips and band is None:
         band = np.empty(len(state), dtype=bool)
     for axis, tgt in mips.items():
         r = 2.0 * lambda1 * (projs[axis] - tgt)
-        _mip_term(op, state, grad, axis, projs[axis], r, _MIP_TIE_TOL, band)
+        _mip_term(lay, state, grad, axis, projs[axis], r, _MIP_TIE_TOL, band)
     return grad
 
 
 def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.ndarray:
     """d(total)/d(sigma) at every voxel."""
     state, y, mips = _prepare(est, target_img, target_mips, fan)
-    _, _, _, pred, projs = _loss_terms(state, y, mips, fan, cfg.beta, cfg.lambda1)
-    grad = _gradient(state, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs)
-    return fan.operator().from_state(grad)
+    full = fan.operator().full
+    _, _, _, pred, projs = _loss_terms(full, state, y, mips, fan, cfg.beta, cfg.lambda1)
+    grad = _gradient(full, state, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs)
+    return full.from_state(grad)
 
 
 def reconstruct(
@@ -271,13 +284,16 @@ def reconstruct(
     adjoint projections, the back-projection and the final SSIM (see
     fan_operator and metrics.ssim); the result is the same at any thread
     count. The solver's whole-volume arithmetic runs on the calling thread.
-    The solver holds its volumes as float32 in the operator's state layout,
-    block by block as the projections read and write them, and widens the
-    result slice-major into float64 once, at the end; the step's two dots
-    are summed per state block (_block_dot). Densities lie in [0, 1] and
-    results are stored as float32, so the state holds them at the precision
-    they are stored with; the loss, the line sums and the step are float64,
-    and the public loss and gradient stay float64 throughout.
+    The solver holds its volumes as float32 in one of the operator's state
+    layouts, block by block as the projections read and write them: the
+    crossed voxels only, unless MIP targets are given (see _state_layout).
+    Without MIP targets no other voxel gets a gradient, so every voxel no
+    ray crosses ends at exactly 0. The result is widened slice-major into
+    float64 once, at the end; the step's two dots are summed per state
+    block (_block_dot). Densities lie in [0, 1] and results are stored as
+    float32, so the state holds them at the precision they are stored
+    with; the loss, the line sums and the step are float64, and the public
+    loss and gradient stay float64 throughout.
     """
     check_int("threads", threads)
     y = as_pixels(target_img, fan.n_rays)
@@ -285,17 +301,19 @@ def reconstruct(
     dims = (y.shape[0], ny, nx)
     mips = _check_mips(target_mips, dims)
     op = fan.operator()
+    lay = _state_layout(op, mips)
 
-    # Workspace: four float32 volumes in the operator's state layout (see
-    # fan_operator), 32 MB each at 128 x 256 x 256: the iterate x, trial,
-    # and two gradient buffers. Held that way, every forward gathers
-    # straight from x or trial and every adjoint writes straight into a
-    # gradient buffer, with no layout copy; all other arithmetic is
-    # elementwise, in any layout, and stays in float32 (a Python float
-    # step does not widen it). The spectral step needs only
-    # s = x_new - x_old and the gradient change g_new - g_old (s_k and y_k
-    # in Nocedal & Wright, section 6.1), so the previous iterate and
-    # gradient are not kept beside them:
+    # Workspace: four float32 volumes in the state layout lay (see
+    # fan_operator): the iterate x, trial, and two gradient buffers. At
+    # 128 x 256 x 256 on the default fan each holds the 40.9% of the voxels
+    # that rays cross, about 13.1 MiB, and the full 32 MiB only with MIP
+    # targets. Held that way, every forward gathers straight from x or
+    # trial and every adjoint writes straight into a gradient buffer, with
+    # no layout copy; all other arithmetic is elementwise, in any layout,
+    # and stays in float32 (a Python float step does not widen it). The
+    # spectral step needs only s = x_new - x_old and the gradient change
+    # g_new - g_old (s_k and y_k in Nocedal & Wright, section 6.1), so the
+    # previous iterate and gradient are not kept beside them:
     # - at acceptance the old iterate's buffer receives s and trades places
     #   with trial, so trial holds s until the next spectral step has used
     #   it and then takes that iteration's line-search trials;
@@ -303,27 +321,31 @@ def reconstruct(
     #   change is written over the older one, which then receives the
     #   gradient after that.
     # Whole-volume arithmetic writes into these buffers, because a fresh
-    # 32 MB temporary costs page faults and an munmap each time. With MIP
-    # targets a bool volume holds each axis's tie band in turn.
+    # temporary of their size costs page faults and an munmap each time.
+    # With MIP targets a bool volume holds each axis's tie band in turn.
     if cfg.init == "zeros":
-        x = np.zeros(dims[0] * op.n_voxels, dtype=_STATE_DTYPE)
+        x = lay.buffer(dims[0], _STATE_DTYPE)
     else:
         # the back-projection rho (backproject.aggregate_rho) of the
-        # candidates rounded to float32, written in state layout
+        # candidates rounded to float32: a mean over crossing rays, taken on
+        # the crossed voxels and, for MIP targets, placed into the full
+        # layout
         cands = backproject.image_candidates(y, fan, cfg.beta)
-        x = op.ray_mean_state(cands.astype(_STATE_DTYPE), threads=threads)
+        x = op.crossed.ray_mean_state(cands.astype(_STATE_DTYPE), threads=threads)
+        if lay is not op.crossed:
+            x = lay.to_state(op.crossed.from_state(x, out=np.empty(dims, _STATE_DTYPE)))
         np.clip(x, 0.0, 1.0, out=x)
     band = np.empty(len(x), dtype=bool) if mips else None
 
     report = ReconReport()
     total, mse_img, mse_mip, pred, projs = _loss_terms(
-        x, y, mips, fan, cfg.beta, cfg.lambda1, threads
+        lay, x, y, mips, fan, cfg.beta, cfg.lambda1, threads
     )
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss at initialization: {total}")
     report.loss_history.append((0, total, mse_img, mse_mip, 0.0))
 
-    trial = np.empty_like(x)
+    trial = lay.buffer(dims[0], _STATE_DTYPE)
     s = None  # the buffer holding s, once an iterate is accepted
     grad = older = None
     step = float(cfg.step_size)  # a Python float: float32 * step stays float32
@@ -332,15 +354,15 @@ def reconstruct(
             report.stop_reason = "zero_loss"
             break
         older, grad = grad, _gradient(
-            x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, projs=projs,
+            lay, x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, projs=projs,
             out=older, threads=threads, band=band,
         )
         if s is not None:
             # spectral step guess from the last accepted move, safeguarded;
             # the backtracking below keeps the iteration monotone regardless
-            curv = _block_dot(op, s, np.subtract(grad, older, out=older))
+            curv = _block_dot(lay, s, np.subtract(grad, older, out=older))
             if curv > 1e-30:
-                step = min(1e6, max(1e-12, _block_dot(op, s, s) / curv))
+                step = min(1e6, max(1e-12, _block_dot(lay, s, s) / curv))
             else:
                 step = min(1e6, 2.0 * step)
         accepted = False
@@ -350,7 +372,7 @@ def reconstruct(
             np.subtract(x, trial, out=trial)
             np.clip(trial, 0.0, 1.0, out=trial)
             t_total, t_img, t_mip, t_pred, t_projs = _loss_terms(
-                trial, y, mips, fan, cfg.beta, cfg.lambda1, threads
+                lay, trial, y, mips, fan, cfg.beta, cfg.lambda1, threads
             )
             if not np.isfinite(t_total):
                 raise RuntimeError(f"non-finite loss during line search: {t_total}")
@@ -379,7 +401,7 @@ def reconstruct(
     del trial
     # back to slice-major once, widened exactly; every iterate is clipped
     # to [0, 1]
-    result = DensityVolume._unchecked(op.from_state(x, out=np.empty(dims)))
+    result = DensityVolume._unchecked(lay.from_state(x, out=np.empty(dims)))
     del x
     if ground_truth is not None:
         report.final_metrics = metrics.evaluate(result, ground_truth, threads=threads)

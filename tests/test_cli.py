@@ -397,13 +397,14 @@ class TestThreads:
 
     def test_multi_block_pipeline_identical(self, tmp_path, capsys, monkeypatch):
         # 40 slices of the default 256x256 grid make three public operator
-        # blocks and, at 16 slices per state block, three solver blocks; SSIM
+        # blocks and, at 16 slices per state block of the crossed voxels
+        # that backproject and reconstruct hold, three state blocks; SSIM
         # scores 40 slices, so two workers really split the work
         nz = 40
         assert fan_operator._BLOCK_BYTES // (8 * 256 * 256) < nz / 2
-        monkeypatch.setattr(fan_operator, "_STATE_BYTES", 16 * 4 * 256 * 256)
-        op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
-        assert len(op.state_blocks(nz)) >= 2
+        lay = build_fan(GeometryConfig(), bounds=(256, 256)).operator().crossed
+        monkeypatch.setattr(fan_operator, "_STATE_BYTES", 16 * 4 * lay.size)
+        assert len(lay.state_blocks(nz)) >= 2
         outputs = {}
         for threads in (1, 2):
             d = tmp_path / f"t{threads}"

@@ -1,7 +1,10 @@
 """The fan's system matrix against per-sample loop references."""
 
 import functools
+import gc
 import math
+import mmap
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -180,7 +183,7 @@ def check_build_matches_oracle(op, sample_xy, sample_valid, interpolation):
     by_voxel = np.argsort(voxel, kind="stable")
     for got, want in (
         (op._rows, padded_buckets(ray, voxel, weight, op.n_rays, fan_operator._CLASSES)),
-        (op._cols, padded_buckets(voxel[by_voxel], ray[by_voxel], weight[by_voxel],
+        (op.full._cols, padded_buckets(voxel[by_voxel], ray[by_voxel], weight[by_voxel],
                                   op.n_voxels, fan_operator._CLASSES)),
     ):
         assert len(got) == len(want)
@@ -243,16 +246,17 @@ def test_adjoint_out_buffer(fan, interpolation):
     r = np.random.default_rng(7).uniform(-1.0, 1.0, (3, fan.n_rays))
     op = fan.operator(interpolation)
     want = op.adjoint(r)
+    lay = op.full
     buf = np.full(n, np.nan)
-    assert op.adjoint_state(r, buf) is buf
-    assert np.array_equal(op.from_state(buf), want)
+    assert lay.adjoint_state(r, buf) is buf
+    assert np.array_equal(lay.from_state(buf), want)
     buf32 = np.full(n, np.nan, dtype=np.float32)
-    assert op.adjoint_state(r, buf32) is buf32
-    assert np.allclose(op.from_state(buf32), want, rtol=1e-5, atol=1e-5)
+    assert lay.adjoint_state(r, buf32) is buf32
+    assert np.allclose(lay.from_state(buf32), want, rtol=1e-5, atol=1e-5)
     for bad in (np.zeros(n - nx * ny), np.zeros(n + 1), np.zeros(n, dtype=np.float16),
                 np.zeros((3, nx * ny)), np.zeros(2 * n)[::2]):
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            op.adjoint_state(r, bad)
+            lay.adjoint_state(r, bad)
         assert not bad.any()  # refused before any write
 
 
@@ -261,17 +265,17 @@ def test_from_state_out_buffer(fan):
     # of the wrong shape, or a transposed view (which a reshape would copy,
     # leaving the view itself unwritten) is refused
     nx, ny = fan.bounds
-    op = fan.operator()
+    lay = fan.operator().full
     x = np.random.default_rng(8).uniform(0.0, 1.0, (3, ny, nx))
-    state = op.to_state(x)
+    state = lay.to_state(x)
     buf = np.full((3, ny, nx), np.nan)
-    assert op.from_state(state, out=buf) is buf
+    assert lay.from_state(state, out=buf) is buf
     assert np.array_equal(buf, x)
     for bad in (np.zeros((3, nx, ny)).transpose(0, 2, 1),
                 np.zeros((3, ny, nx), dtype=np.float32),
                 np.zeros((3, ny, nx + 1)), np.zeros((2, ny, nx))):
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            op.from_state(state, out=bad)
+            lay.from_state(state, out=bad)
 
 
 # random fans from extract_rays: small grids, axis-aligned and random angles,
@@ -396,27 +400,32 @@ class TestOperatorProperties:
 
 
 def test_pattern_weights_mark_the_entries(fan):
-    # A^T's buckets, sharing their rows and indices, weighted 1 on each
-    # entry and 0 on padding, so each voxel's row of pattern weights sums
-    # to its entry count
-    op = fan.operator()
-    counts = op.counts.ravel()
-    assert len(op._pattern) == len(op._cols)
-    for p, b in zip(op._pattern, op._cols):
+    # the crossed layout's A^T buckets, sharing their rows and indices,
+    # weighted 1 on each entry and 0 on padding, so each support voxel's
+    # row of pattern weights sums to its entry count
+    lay = fan.operator().crossed
+    assert np.array_equal(lay.counts, fan.operator().counts[fan.operator().counts > 0])
+    assert len(lay._pattern) == len(lay._cols)
+    for p, b in zip(lay._pattern, lay._cols):
         assert p.rows is b.rows and p.idx is b.idx
         assert np.array_equal(p.w, (b.w != 0.0).astype(np.float64))
-        assert np.array_equal(p.w.sum(axis=1), counts[b.rows])
+        assert np.array_equal(p.w.sum(axis=1), lay.counts[b.rows])
 
 
 def directions(op):
-    """(buckets, dense matrix, row lengths) of A, A^T and the pattern, the
-    dense matrices built from the coalesced (ray, voxel, weight) entries."""
+    """(buckets, dense matrix, row lengths) of A and A^T in the full layout
+    and of A, A^T and the pattern in the crossed one, the dense matrices
+    built from the coalesced (ray, voxel, weight) entries; a crossed
+    matrix keeps the crossed voxels' columns or rows, in voxel order."""
     a = np.zeros((op.n_rays, op.n_voxels))
     a[op.ray, op.voxel] = op.weight  # coalesced: one entry per (ray, voxel)
     per_ray = np.bincount(op.ray, minlength=op.n_rays)
     per_voxel = op.counts.ravel()
-    return [(op._rows, a, per_ray), (op._cols, a.T, per_voxel),
-            (op._pattern, (a.T > 0).astype(np.float64), per_voxel)]
+    crossed = per_voxel > 0
+    lay = op.crossed
+    return [(op.full._rows, a, per_ray), (op.full._cols, a.T, per_voxel),
+            (lay._rows, a[:, crossed], per_ray), (lay._cols, a.T[crossed], per_voxel[crossed]),
+            (lay._pattern, (a.T[crossed] > 0).astype(np.float64), per_voxel[crossed])]
 
 
 def dense_from_buckets(buckets, shape):
@@ -433,7 +442,8 @@ def check_length_classes(buckets, dense, lengths):
     padded to its longest row, under 2 ** (1 / _CLASSES) times each row's
     length; the matrix they hold is the dense one, exactly."""
     k = fan_operator._CLASSES
-    rows = np.concatenate([b.rows for b in buckets])
+    # an empty support has no rows and no buckets
+    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [b.rows for b in buckets])
     assert np.array_equal(np.sort(rows), np.arange(len(lengths)))
     classes = set()
     for b in buckets:
@@ -492,8 +502,11 @@ class TestLengthClasses:
                            initial_angle=45.0, width=12, bounds=(8, 8), n_samples=20)
         op = fan.operator(interpolation)
         assert 0 < np.count_nonzero(fan.sample_counts == 0) < fan.n_rays
+        assert 0 < op.crossed.size < op.n_voxels
         for buckets, dense, lengths in directions(op):
-            assert buckets[0].idx.shape[1] == 0 and len(buckets[0].rows) > 0
+            # A and the full A^T have rows of length 0; the crossed A^T and
+            # pattern do not
+            assert (buckets[0].idx.shape[1] == 0) == (lengths == 0).any()
             check_length_classes(buckets, dense, lengths)
         check_apply_zeroes_empty_rows(op, 5, 0)
 
@@ -505,7 +518,7 @@ class TestLengthClasses:
         # power-of-two buckets padded A and A^T by 1.22x and 1.39x on the
         # acceptance fan and by 1.04x and 1.29x on the default fan
         op = build_fan(cfg, bounds=bounds).operator()
-        for buckets in (op._rows, op._cols):
+        for buckets in (op._rows, op.full._cols):
             assert sum(b.idx.size for b in buckets) <= 1.10 * len(op.weight)
 
 
@@ -534,27 +547,28 @@ class TestStateLayout:
         r = rng.uniform(-1.0, 1.0, (nz, op.n_rays))
         c = rng.uniform(0.0, 1.0, (nz, op.n_rays))
         want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
+        lay, crossed = op.full, op.crossed
         # _STATE_BYTES is the size of a float32 state block
         with mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 4 * n * n):
-            blocks = op.state_blocks(nz)
+            blocks = lay.state_blocks(nz)
             assert 2 <= len(blocks) <= 4 and blocks[-1][1] == nz
-            state = op.to_state(x)
+            state = lay.to_state(x)
             # slices z0..z1 of a block are stored voxel-major, block after block
-            views = op.state_views(state)
+            views = lay.state_views(state)
             assert [zs for zs, _ in views] == blocks
             assert np.array_equal(np.concatenate([v.ravel() for _, v in views]), state)
             for (z0, z1), view in views:
                 assert np.array_equal(view, x[z0:z1].reshape(z1 - z0, n * n).T)
-            assert np.array_equal(op.from_state(state), x)
+            assert np.array_equal(lay.from_state(state), x)
             state.flags.writeable = False  # the forward never writes its input
             with mock.patch.object(_pool.os, "cpu_count", return_value=3):
                 for threads in (1, 2, 3):
-                    assert np.array_equal(op.forward_state(state, threads=threads), want_fwd)
+                    assert np.array_equal(lay.forward_state(state, threads=threads), want_fwd)
                     buf = np.full(state.shape, np.nan)
-                    assert op.adjoint_state(r, buf, threads=threads) is buf
-                    assert np.array_equal(op.from_state(buf), want_adj)
-                    mean = op.ray_mean_state(c, threads=threads)
-                    assert np.array_equal(op.from_state(mean), want_mean)
+                    assert lay.adjoint_state(r, buf, threads=threads) is buf
+                    assert np.array_equal(lay.from_state(buf), want_adj)
+                    mean = crossed.ray_mean_state(c, threads=threads)
+                    assert np.array_equal(crossed.from_state(mean), want_mean)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([8, 16]), modes, split_volumes(), st.integers(0, 2**32 - 1))
@@ -570,20 +584,21 @@ class TestStateLayout:
         r = rng.uniform(-1.0, 1.0, (nz, op.n_rays))
         c = rng.uniform(0.0, 1.0, (nz, op.n_rays)).astype(np.float32)
         want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
+        lay, crossed = op.full, op.crossed
         runs = []
         for block_bytes in (per_block * 4 * n * n, nz * 4 * n * n):
             with mock.patch.object(fan_operator, "_STATE_BYTES", block_bytes), \
                     mock.patch.object(_pool.os, "cpu_count", return_value=3):
-                state = op.to_state(x)
+                state = lay.to_state(x)
                 assert state.dtype == np.float32
-                assert np.array_equal(op.from_state(state), x)
+                assert np.array_equal(lay.from_state(state), x)
                 for threads in (1, 2, 3):
-                    fwd = op.forward_state(state, threads=threads)
-                    adj = op.adjoint_state(r, np.empty(state.shape, np.float32),
-                                           threads=threads)
-                    mean = op.ray_mean_state(c, threads=threads)
+                    fwd = lay.forward_state(state, threads=threads)
+                    adj = lay.adjoint_state(r, np.empty(state.shape, np.float32),
+                                            threads=threads)
+                    mean = crossed.ray_mean_state(c, threads=threads)
                     assert fwd.dtype == np.float64 and mean.dtype == np.float32
-                    runs.append((fwd, op.from_state(adj), op.from_state(mean)))
+                    runs.append((fwd, lay.from_state(adj), crossed.from_state(mean)))
         fwd, adj, mean = runs[0]
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
@@ -591,6 +606,102 @@ class TestStateLayout:
         assert np.allclose(fwd, want_fwd, rtol=1e-5, atol=1e-5)
         assert np.allclose(adj, want_adj, rtol=1e-5, atol=1e-5)
         assert np.allclose(mean, want_mean, rtol=1e-5, atol=1e-6)
+
+
+def full_ray_mean_state(op, c, threads):
+    """ray_mean_state in the full layout, as computed before the crossed
+    support: the full pattern's sums divided by the counts raised to 1,
+    since the voxels no ray crosses sum to 0."""
+    sums = op.full._transpose_state(c, "_pattern", None, threads)
+    per_voxel = np.maximum(op.counts, 1).astype(sums.dtype).reshape(op.n_voxels, 1)
+    for _, view in op.full.state_views(sums):
+        np.divide(view, per_voxel, out=view)
+    return sums
+
+
+class TestCrossedLayout:
+    def test_supports(self):
+        # every voxel of a 4x4 grid is crossed, so its crossed layout is the
+        # full one; the default fan crosses 26,790 of its 65,536 voxels
+        op = build_fan(GeometryConfig(width=256), bounds=(4, 4)).operator()
+        assert op.crossed is op.full and op.full.voxels is None and op.full.size == 16
+        op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
+        assert op.crossed.size == 26790
+        assert np.array_equal(op.crossed.voxels, np.flatnonzero(op.counts))
+
+    def test_state_buffers_are_mapped_zeros(self):
+        # new state buffers, an empty support's too, are zeros in a writable
+        # anonymous mapping of their own, which goes when they are freed
+        def mapped(a):
+            return isinstance(getattr(a.base, "obj", a.base), mmap.mmap)
+
+        for lay in (square_fan(16).operator().crossed,
+                    extract_rays([(-60.0, -60.0), (-40.0, -60.0)], [10.0], width=4,
+                                 bounds=(8, 8), n_samples=5).operator().crossed):
+            for dtype in (np.float32, np.float64):
+                buf = lay.buffer(3, dtype)
+                assert buf.dtype == dtype and buf.shape == (3 * lay.size,) and not buf.any()
+                assert buf.flags.writeable and mapped(buf)
+            for state in (lay.adjoint_state(np.ones((3, lay.n_rays))),
+                          lay.to_state(np.ones((3, *lay.bounds[::-1]), np.float32))):
+                assert mapped(state)
+
+    def test_freed_without_the_garbage_collector(self):
+        # the layouts hold the operator's arrays and the crossed one the full
+        # one, not the operator, so no cycle keeps them alive
+        fan = square_fan(16)
+        op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid, fan.sample_counts,
+                                      fan.bounds)
+        assert 0 < op.crossed.size < op.n_voxels
+        c = np.ones((2, op.n_rays))
+        op.ray_mean(c)
+        op.crossed.forward_state(op.crossed.to_state(np.ones((2, 16, 16), np.float32)))
+        refs = [weakref.ref(o) for o in (op, op.full, op.crossed)]
+        gc.disable()
+        try:
+            del op
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), modes, st.integers(1, 5), st.sampled_from([4, 32 << 20]),
+           st.sampled_from([np.float64, np.float32]), st.integers(0, 2**32 - 1))
+    def test_crossed_cores_equal_the_full_ones(self, fan, interpolation, nz, block_bytes,
+                                               dtype, seed):
+        # non-negative volumes that are 0 off the crossed voxels, with zero and
+        # positive minima on them: after scattering, the crossed cores give the
+        # full ones' bits, in one-slice blocks and whole ones, at 1 and 2
+        # threads; an empty support holds no slice count for the forward
+        op = fan.operator(interpolation)
+        nx, ny = fan.bounds
+        rng = np.random.default_rng(seed)
+        x = ((rng.uniform(0.0, 1.0, (nz, ny, nx)) + 0.25 * rng.integers(0, 2, (nz, 1, 1)))
+             * (op.counts > 0)).astype(dtype)
+        r = rng.uniform(-1.0, 1.0, (nz, op.n_rays)).astype(dtype)
+        c = rng.uniform(0.0, 1.0, (nz, op.n_rays)).astype(dtype)
+        full, lay = op.full, op.crossed
+        assert lay.size == np.count_nonzero(op.counts)
+
+        def scatter(state):
+            return lay.from_state(state, out=np.full((nz, ny, nx), np.nan, state.dtype))
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        with mock.patch.object(fan_operator, "_STATE_BYTES", block_bytes), \
+                mock.patch.object(_pool.os, "cpu_count", return_value=2):
+            state, full_state = lay.to_state(x), full.to_state(x)
+            assert len(state) == nz * lay.size
+            assert same(scatter(state), x)
+            for threads in (1, 2):
+                if lay.size:
+                    assert same(lay.forward_state(state, threads=threads),
+                                full.forward_state(full_state, threads=threads))
+                assert same(scatter(lay.adjoint_state(r, threads=threads)),
+                            full.from_state(full.adjoint_state(r, threads=threads)))
+                assert same(scatter(lay.ray_mean_state(c, threads=threads)),
+                            full.from_state(full_ray_mean_state(op, c, threads)))
 
 
 @st.composite
@@ -624,26 +735,3 @@ class TestApply:
             out = np.full((n_out, nb), np.nan, dtype)
             fan_operator._apply(buckets, np.ascontiguousarray(src[:, :nb]), out)
             assert out.tobytes() == np.ascontiguousarray(wide[:, :nb]).tobytes()
-
-    def test_empty_rows_fill_or_zero_alike(self):
-        # most voxels of this fan are crossed by no ray, so narrow blocks of
-        # A^T fill whole and wide ones zero their empty rows; either way
-        # every output is bit-identical
-        fan = build_fan(GeometryConfig(width=20), bounds=(32, 32))
-        op = fan.operator()
-        assert 2 * len(op._cols[0].rows) > op.n_voxels
-        rng = np.random.default_rng(9)
-        x = rng.uniform(0.0, 1.0, (40, 32, 32))
-        r = rng.uniform(-1.0, 1.0, (40, fan.n_rays))
-        runs = []
-        for fill_bytes in (0, 1 << 30):
-            with mock.patch.object(fan_operator, "_FILL_ROW_BYTES", fill_bytes):
-                got = [op.forward(x), op.adjoint(r), op.ray_mean(r)]
-                for dtype in (np.float64, np.float32):
-                    state = op.to_state(x.astype(dtype))
-                    got += [op.forward_state(state),
-                            op.adjoint_state(r, np.empty(state.shape, dtype)),
-                            op.ray_mean_state(r.astype(dtype))]
-                runs.append(got)
-        for a, b in zip(*runs):
-            assert a.tobytes() == b.tobytes()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from panoray import _pool, fan_operator, reconstructor
 from panoray.backproject import crossing_counts, image_candidates
 from panoray.errors import DimsError
-from panoray.ray_geometry import GeometryConfig, build_fan
+from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
 from panoray.reconstructor import (
     ReconConfig,
     _block_dot,
@@ -42,29 +42,32 @@ def fan32():
 def allocating_reconstruct(y, fan, cfg, mips):
     """The solver loop as it was written before it reused buffers: fresh
     slice-major float32 arrays for every trial and step difference, with the
-    loss and gradient at each estimate computed as the solver computes them,
-    from the estimate in float32 state layout. Returns the volume, the loss
-    history and the count of each line-search event."""
+    loss, the gradient and the step's dots at each estimate computed as the
+    solver computes them, from the estimate in float32 state layout, in
+    the layout the solver picks for these MIP targets. Returns the volume,
+    the loss history and the count of each line-search event."""
     op = fan.operator()
+    lay = reconstructor._state_layout(op, mips)
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
 
     def loss_at(x):
         total, mse_img, mse_mip, _, _ = reconstructor._loss_terms(
-            op.to_state(x), y, mips, fan, cfg.beta, cfg.lambda1)
+            lay, lay.to_state(x), y, mips, fan, cfg.beta, cfg.lambda1)
         return total, (mse_img, mse_mip)
 
     def gradient_at(x):
-        state = op.to_state(x)
-        *_, pred, projs = reconstructor._loss_terms(state, y, mips, fan, cfg.beta, cfg.lambda1)
-        return op.from_state(reconstructor._gradient(state, y, mips, fan, cfg.beta,
-                                                     cfg.lambda1, pred, projs))
+        state = lay.to_state(x)
+        *_, pred, projs = reconstructor._loss_terms(lay, state, y, mips, fan, cfg.beta,
+                                                    cfg.lambda1)
+        return lay.from_state(reconstructor._gradient(lay, state, y, mips, fan, cfg.beta,
+                                                      cfg.lambda1, pred, projs))
 
     if cfg.init == "zeros":
         x = np.zeros(dims, dtype=np.float32)
     else:
         cands = image_candidates(y, fan, cfg.beta).astype(np.float32)
-        x = np.clip(op.from_state(op.ray_mean_state(cands)), 0.0, 1.0)
+        x = np.clip(op.crossed.from_state(op.crossed.ray_mean_state(cands)), 0.0, 1.0)
     assert x.dtype == np.float32
     total, (mse_img, mse_mip) = loss_at(x)
     history = [(0, total, mse_img, mse_mip, 0.0)]
@@ -79,11 +82,11 @@ def allocating_reconstruct(y, fan, cfg, mips):
             step = cfg.step_size
         else:
             # the solver's dots: partial dots per state block, in block order
-            dx = op.to_state(x - prev_x)
-            dg = op.to_state(grad - prev_grad)
-            curv = _block_dot(op, dx, dg)
+            dx = lay.to_state(x - prev_x)
+            dg = lay.to_state(grad - prev_grad)
+            curv = _block_dot(lay, dx, dg)
             if curv > 1e-30:
-                step = min(1e6, max(1e-12, _block_dot(op, dx, dx) / curv))
+                step = min(1e6, max(1e-12, _block_dot(lay, dx, dx) / curv))
             else:
                 step = min(1e6, 2.0 * step)
                 events["doubling"] += 1
@@ -401,7 +404,7 @@ class TestStopReason:
         # ends right after that step, not at its check
         fit = (crossing_counts(fan8, (3, 8, 8)) > 0).astype(np.float32)
         op = fan8.operator()
-        y = -np.expm1(-0.3 * fan8.delta * op.forward_state(op.to_state(fit)))
+        y = -np.expm1(-0.3 * fan8.delta * op.full.forward_state(op.full.to_state(fit)))
         cfg = ReconConfig(beta=0.3, init="zeros", step_size=1e6, max_iters=max_iters)
         _, report = reconstruct(y, fan8, cfg)
         assert report.iterations_run == 1
@@ -417,13 +420,16 @@ class TestStateDtype:
         seen = []
 
         def spy(name):
-            real = getattr(op, name)
+            stack = contextlib.ExitStack()
+            for lay in {id(lay): lay for lay in (op.full, op.crossed)}.values():
+                real = getattr(lay, name)
 
-            def call(arg, *args, **kwargs):
-                result = real(arg, *args, **kwargs)
-                seen.append((name, (arg if name == "forward_state" else result).dtype))
-                return result
-            return mock.patch.object(op, name, call)
+                def call(arg, *args, real=real, **kwargs):
+                    result = real(arg, *args, **kwargs)
+                    seen.append((name, (arg if name == "forward_state" else result).dtype))
+                    return result
+                stack.enter_context(mock.patch.object(lay, name, call))
+            return stack
 
         truth = make_phantom("sphere-set", (4, 8, 8), seed=0)
         mips = {ax: mip(truth, ax) for ax in MIP_AXES}
@@ -456,7 +462,7 @@ class TestMemory:
         fan = build_fan(GeometryConfig(width=128), bounds=(128, 128))
         truth = make_phantom("jaw-arch", dims, seed=1)
         img = render_for(fan, truth, beta=0.02)
-        fan.operator()._pattern  # built once per fan with _cols, outside the solver
+        fan.operator().crossed._pattern  # built once per fan with _cols, outside the solver
         cfg = ReconConfig(beta=0.02, max_iters=5)
         tracemalloc.start()
         try:
@@ -562,9 +568,9 @@ def split_volumes(draw):
     return nz, draw(st.integers(-(-nz // 4), nz - 1))
 
 
-def state_budget(per_block, n):
-    # _STATE_BYTES is the size of a float32 state block
-    return mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 4 * n * n)
+def state_budget(per_block, size):
+    # _STATE_BYTES is the size of a float32 state block of size voxels
+    return mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 4 * size)
 
 
 def brute_mip_term(est, grad, ax, r, tie_tol):
@@ -595,20 +601,51 @@ class TestStateLayout:
         est = (rng.integers(0, 4, (nz, n, n)) / 4.0 if coarse
                else rng.uniform(0.0, 1.0, (nz, n, n)))
         want = rng.uniform(-1.0, 1.0, (nz, n, n))
-        with state_budget(per_block, n):
-            assert len(op.state_blocks(nz)) >= 2
-            state, grad = op.to_state(est), op.to_state(want)
+        lay = op.full
+        with state_budget(per_block, n * n):
+            assert len(lay.state_blocks(nz)) >= 2
+            state, grad = lay.to_state(est), lay.to_state(want)
             band = np.empty(len(state), dtype=bool)
-            projs = _projections(op, state, MIP_AXES)
+            projs = _projections(lay, state, MIP_AXES)
             for axis in MIP_AXES:
                 ax = _MIP_AXES[axis]
                 proj = projs[axis]
                 assert proj.flags.c_contiguous
                 assert np.array_equal(proj, est.max(axis=ax))
                 r = 20.0 * (proj - rng.uniform(0.0, 1.0, proj.shape))
-                counts = _mip_term(op, state, grad, axis, proj, r, tie_tol, band)
+                counts = _mip_term(lay, state, grad, axis, proj, r, tie_tol, band)
                 assert np.array_equal(counts, brute_mip_term(est, want, ax, r, tie_tol))
-                assert np.array_equal(op.from_state(grad), want)
+                assert np.array_equal(lay.from_state(grad), want)
+
+    @pytest.mark.parametrize("init", ["rho", "zeros"])
+    def test_voxels_no_ray_crosses_end_at_zero(self, fan8, init):
+        # without MIP targets no voxel off the crossed support gets a
+        # gradient, so the solve leaves each at exactly 0; MIP targets move
+        # some of them, so their solve holds every voxel
+        crossed = fan8.operator().counts > 0
+        assert not crossed.all()
+        truth = DensityVolume(np.random.default_rng(3).uniform(0.2, 0.8, (4, 8, 8)))
+        cfg = ReconConfig(beta=0.3, init=init, max_iters=10)
+        y = render_for(fan8, truth, cfg.beta).pixels
+        vol, report = reconstruct(y, fan8, cfg)
+        assert report.iterations_run == 10
+        assert vol.data[:, crossed].any()
+        assert not np.signbit(vol.data).any() and np.all(vol.data[:, ~crossed] == 0.0)
+        mips = {ax: mip(truth, ax) for ax in MIP_AXES}
+        assert reconstruct(y, fan8, cfg, target_mips=mips)[0].data[:, ~crossed].any()
+
+    def test_fan_that_crosses_no_voxel(self):
+        # every ray ends before the grid: the crossed support is empty, so the
+        # solve runs in the full layout, and no init leaves 0
+        fan = extract_rays([(-60.0, -60.0), (-40.0, -60.0)], [10.0], width=4, bounds=(8, 8),
+                           n_samples=5)
+        op = fan.operator()
+        assert fan.n_rays == 4 and not op.counts.any() and op.crossed.size == 0
+        y = np.full((3, fan.n_rays), 0.5)
+        for init in ("rho", "zeros"):
+            vol, report = reconstruct(y, fan, ReconConfig(init=init, max_iters=3))
+            assert vol.dims == (3, 8, 8) and not vol.data.any()
+            assert report.stop_reason == "line_search"
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([8, 16]), split_volumes(), st.sampled_from(["rho", "zeros"]),
@@ -621,9 +658,11 @@ class TestStateLayout:
         cfg = ReconConfig(beta=0.3, lambda1=10.0, init=init, max_iters=8)
         y = render_for(fan, truth, cfg.beta).pixels
         mips = {ax: mip(truth, ax) for ax in MIP_AXES} if with_mips else None
-        with state_budget(per_block, n), mock.patch.object(_pool.os, "cpu_count",
-                                                           return_value=3):
-            assert len(fan.operator().state_blocks(nz)) >= 2
+        # the budget splits the layout the solver runs in
+        lay = reconstructor._state_layout(fan.operator(), mips)
+        with state_budget(per_block, lay.size), mock.patch.object(_pool.os, "cpu_count",
+                                                                  return_value=3):
+            assert len(lay.state_blocks(nz)) >= 2
             runs = [reconstruct(y, fan, cfg, target_mips=mips, threads=threads)
                     for threads in (1, 2, 3)]
         (want_vol, want_report), *others = runs
@@ -648,8 +687,9 @@ class TestStateLayout:
                  for axis in MIP_AXES} if lambda1 else None)
         cfg = ReconConfig(beta=beta, lambda1=lambda1)
         h = 1e-4
-        with state_budget(per_block, n), mock.patch.object(reconstructor, "_MIP_TIE_TOL", 0.0):
-            assert len(fan.operator().state_blocks(nz)) >= 2
+        with state_budget(per_block, n * n), mock.patch.object(reconstructor, "_MIP_TIE_TOL",
+                                                               0.0):
+            assert len(fan.operator().full.state_blocks(nz)) >= 2
             g = gradient(est, target, mips, fan, cfg)
             stable = np.abs(g) > 1e-3 * np.abs(g).max()
             for ax in _MIP_AXES.values() if mips else ():
