@@ -62,22 +62,22 @@ A state layout holds the voxels of its support, each operator building
 two, once each (StateLayout):
 - full: every voxel;
 - crossed: the voxels some ray crosses (counts > 0), 40.9% of the default
-  256^2 grid and 85.5% of the 64^2 acceptance fan's. A's bucket indices
-  are remapped to support positions, and A^T and the pattern keep only the
-  support's rows, so they have no bucket of length 0 (A^T's other buckets
-  are the full layout's, renumbered). to_state gathers the support and
-  from_state writes it and zero-fills the rest.
-A's columns and A^T's rows of the voxels no ray crosses are zero, so a
-crossed layout gives the full one's values wherever the volume is 0 off
-the support. The forward shifts by the slice minima, and those implicit
-zeros belong to the slices: a crossed forward takes each minimum as
-min(0, min over the support), so the shift, and every line sum, is the
-full layout's. The public adjoint and ray_mean are adjoint_state and
-ray_mean_state of float64 rows in the crossed layout, turned slice-major
-by from_state; ray_mean runs in no other, since it divides by the counts,
-which are 0 off the support. When every voxel is crossed, crossed is full.
-When none is, the support is empty and its buffers hold nothing whatever
-their slice count, so from_state takes that count from its out.
+  256^2 grid and 85.5% of the 64^2 acceptance fan's; it is full when every
+  voxel is crossed or none is, so no support is empty.
+Each layout builds its buckets from the operator's in one way: A's read
+support positions, and A^T's hold the coalesced entries sorted stably by
+voxel, with rows at support positions, so only the full layout's A^T has
+rows of length 0 (the voxels no ray crosses). to_state gathers the support and
+from_state writes it and zero-fills the rest. A's columns and A^T's rows
+of the voxels no ray crosses are zero, so a crossed layout gives the full
+one's values wherever the volume is 0 off the support. The forward shifts
+by the slice minima, and those implicit zeros belong to the slices: a
+crossed forward takes each minimum as min(0, min over the support), so the
+shift, and every line sum, is the full layout's. ray_mean_state divides by
+the counts raised to 1, so it gives 0 wherever no ray crosses and the same
+values in either layout. The public adjoint and ray_mean are adjoint_state
+and ray_mean_state of float64 rows in the crossed layout, turned
+slice-major by from_state.
 
 Blocks write disjoint output rows, so every apply runs them on up to
 `threads` workers (see _pool). The block sizes do not depend on the thread
@@ -358,9 +358,9 @@ class FanOperator:
     @cached_property
     def crossed(self) -> StateLayout:
         """The state layout of the voxels some ray crosses (counts > 0): full
-        when every voxel is crossed."""
-        crossed = self.counts.ravel() > 0
-        return self.full if crossed.all() else StateLayout(self, np.flatnonzero(crossed))
+        when every voxel is crossed or none is."""
+        voxels = np.flatnonzero(self.counts)
+        return StateLayout(self, voxels) if 0 < len(voxels) < self.n_voxels else self.full
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -398,67 +398,57 @@ class FanOperator:
         whatever r's dtype; the crossed adjoint_state's result, turned
         slice-major. threads as for forward."""
         r = np.asarray(r, dtype=np.float64)
-        nx, ny = self.bounds
-        return self.crossed.from_state(self.crossed.adjoint_state(r, threads=threads),
-                                       out=np.empty((len(r), ny, nx)))
+        return self.crossed.from_state(self.crossed.adjoint_state(r, threads=threads))
 
     def ray_mean(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Mean of c_j over the rays crossing each voxel, 0 where none does:
         (nz, n_rays) -> (nz, ny, nx), float64 whatever c's dtype; the crossed
         ray_mean_state's result, turned slice-major. threads as for forward."""
         c = np.asarray(c, dtype=np.float64)
-        nx, ny = self.bounds
-        return self.crossed.from_state(self.crossed.ray_mean_state(c, threads=threads),
-                                       out=np.empty((len(c), ny, nx)))
+        return self.crossed.from_state(self.crossed.ray_mean_state(c, threads=threads))
 
 
 class StateLayout:
     """The state layout of a FanOperator's volumes over one support (see the
     module doc): voxels holds the ids of the voxels some ray crosses, in
     increasing order, or is None for every voxel; size counts the support's
-    voxels and counts holds their entry counts. An operator's full and
-    crossed properties build its two."""
+    voxels, at least 1, and counts holds their entry counts. An operator's
+    full and crossed properties build its two."""
 
     def __init__(self, op: FanOperator, voxels: np.ndarray | None = None):
-        # op's arrays and full layout, not op, which holds its layouts: a
-        # cycle would keep them all alive until the garbage collector ran
+        # op's arrays, not op, which holds its layouts: a cycle would keep
+        # them all alive until the garbage collector ran
         self.bounds, self.n_voxels, self.n_rays = op.bounds, op.n_voxels, op.n_rays
         self.sample_counts = op.sample_counts
         self.voxels = voxels
         self.size = op.n_voxels if voxels is None else len(voxels)
         counts = op.counts.ravel()
         self.counts = counts if voxels is None else counts[voxels]
-        if voxels is None:
-            self._full = None
-            self._a = op._rows
-            self._entries = (op.voxel, op.ray, op.weight)
-        else:
-            self._full = op.full
-            # each voxel's support position, 0 off the support, where only
-            # padding of weight 0 reads
-            self._pos = np.zeros(op.n_voxels, dtype=np.int64)
-            self._pos[voxels] = np.arange(self.size)
+        self._a, self._entries = op._rows, (op.voxel, op.ray, op.weight)
         self._cast = {}  # see _typed
+
+    def _positions(self, ids: np.ndarray) -> np.ndarray:
+        """The support positions of the voxel ids: the ids themselves in the
+        full layout, and 0 for a voxel off the support, which only padding
+        of weight 0 reads."""
+        if self.voxels is None:
+            return ids
+        pos = np.zeros(self.n_voxels, dtype=np.int64)
+        pos[self.voxels] = np.arange(self.size)
+        return pos[ids]
 
     @cached_property
     def _rows(self) -> tuple:
         """A's buckets, reading support positions."""
-        if self._full is None:
-            return self._a
-        return tuple(_Bucket(b.rows, self._pos[b.idx], b.w) for b in self._full._rows)
+        return tuple(_Bucket(b.rows, self._positions(b.idx), b.w) for b in self._a)
 
     @cached_property
     def _cols(self) -> tuple:
-        """A^T's buckets of the support's rows. The crossed ones are the full
-        layout's, less its bucket of length 0, which holds every voxel no ray
-        crosses, with their rows renumbered to support positions: they share
-        its index and weight arrays."""
-        if self._full is None:
-            voxel, ray, weight = self._entries
-            order = np.argsort(voxel, kind="stable")
-            return _buckets(voxel[order], ray[order], weight[order], self.size)
-        return tuple(_Bucket(self._pos[b.rows], b.idx, b.w) for b in self._full._cols
-                     if b.idx.shape[1])
+        """A^T's buckets: the operator's entries sorted stably by voxel, with
+        rows at support positions."""
+        voxel, ray, weight = self._entries
+        order = np.argsort(voxel, kind="stable")
+        return _buckets(self._positions(voxel[order]), ray[order], weight[order], self.size)
 
     @cached_property
     def _pattern(self) -> tuple:
@@ -479,19 +469,16 @@ class StateLayout:
     def state_blocks(self, nz: int) -> list:
         """The (z0, z1) slice ranges of the state blocks of nz slices, the
         same for every dtype."""
-        step = max(1, _STATE_BYTES // (4 * max(1, self.size)))
+        step = max(1, _STATE_BYTES // (4 * self.size))
         return [(z0, min(nz, z0 + step)) for z0 in range(0, nz, step)]
 
-    def _views(self, state: np.ndarray, nz: int) -> list:
+    def state_views(self, state: np.ndarray) -> list:
+        """((z0, z1), view) for each state block of the flat buffer state,
+        which holds len(state) // size slices: view is its (size, z1 - z0)
+        voxel-major block."""
         n = self.size
         return [((z0, z1), state[z0 * n:z1 * n].reshape(n, z1 - z0))
-                for z0, z1 in self.state_blocks(nz)]
-
-    def state_views(self, state: np.ndarray) -> list:
-        """((z0, z1), view) for each state block of the flat buffer state:
-        view is its (size, z1 - z0) voxel-major block. An empty support's
-        buffers hold no block."""
-        return self._views(state, len(state) // self.size) if self.size else []
+                for z0, z1 in self.state_blocks(len(state) // n)]
 
     def buffer(self, nz: int, dtype) -> np.ndarray:
         """A new state-layout buffer of nz slices of dtype, all 0, in an
@@ -520,13 +507,15 @@ class StateLayout:
         dtype, 0 off the support, or written into out if given: a
         C-contiguous array of that shape, of the state's dtype or float64
         (which holds float32 values exactly), that does not overlap state;
-        ValueError otherwise. An empty support's buffers are empty whatever
-        nz, which out must then give."""
+        ValueError otherwise."""
         nx, ny = self.bounds
-        nz = len(state) // self.size if self.size else len(out)
+        nz = len(state) // self.size
         out = _out(out, (nz, ny, nx), (state.dtype, np.float64))
+        # both are contiguous, so sharing memory means overlapping
+        if np.may_share_memory(out, state):
+            raise ValueError("out must not overlap state")
         flat = out.reshape(nz, self.n_voxels)
-        for (z0, z1), view in self._views(state, nz):
+        for (z0, z1), view in self.state_views(state):
             _copy_back(view, flat[z0:z1], self.voxels)
         return out
 
@@ -573,10 +562,11 @@ class StateLayout:
     def ray_mean_state(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """ray_mean of the (nz, n_rays) rows c on the support, as a new
         state-layout buffer of c's state dtype (see to_state), computed in
-        it. Only for the crossed layout: every voxel of its support has a
-        count of at least 1. threads as for forward."""
+        it. Each pattern sum is divided by its voxel's count raised to 1, so
+        a voxel no ray crosses, whose sum is 0, gets 0. threads as for
+        forward."""
         sums = self._transpose_state(c, "_pattern", None, threads)
-        per_voxel = self.counts.astype(sums.dtype).reshape(self.size, 1)
+        per_voxel = np.maximum(self.counts, 1).astype(sums.dtype).reshape(self.size, 1)
         for _, view in self.state_views(sums):
             np.divide(view, per_voxel, out=view)
         return sums

@@ -131,9 +131,8 @@ def _block_part(axis: str, arr: np.ndarray, z0: int, z1: int) -> np.ndarray:
 def _state_layout(op: FanOperator, mips: dict) -> StateLayout:
     """The state layout a solve runs in: the crossed voxels, the only ones
     the data term moves, or every voxel when MIP targets are given, since
-    their tie band can move any voxel, or when no voxel is crossed, since
-    the forward reads the slice count from its buffer's length."""
-    return op.crossed if op.crossed.size and not mips else op.full
+    their tie band can move any voxel."""
+    return op.full if mips else op.crossed
 
 
 def _blocks3(lay: StateLayout, state: np.ndarray) -> list:
@@ -232,7 +231,12 @@ def _prepare(est, target_img, target_mips, fan):
 
 
 def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
-    """Total objective and its (mse_img, mse_mip) components."""
+    """Total objective and its (mse_img, mse_mip) components.
+
+    loss and gradient run in the full state layout, not the crossed one the
+    solver uses without MIP targets: they take any volume, including one
+    with values off the crossed voxels, and keep the forward's exact
+    constant-slice shift, whose slice minima read every voxel."""
     state, y, mips = _prepare(est, target_img, target_mips, fan)
     total, mse_img, mse_mip, _, _ = _loss_terms(fan.operator().full, state, y, mips, fan,
                                                 cfg.beta, cfg.lambda1)
@@ -260,7 +264,8 @@ def _gradient(lay, state, y, mips, fan, beta, lambda1, pred, projs,
 
 
 def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.ndarray:
-    """d(total)/d(sigma) at every voxel."""
+    """d(total)/d(sigma) at every voxel, computed in the full state layout
+    (see loss)."""
     state, y, mips = _prepare(est, target_img, target_mips, fan)
     full = fan.operator().full
     _, _, _, pred, projs = _loss_terms(full, state, y, mips, fan, cfg.beta, cfg.lambda1)
@@ -300,8 +305,7 @@ def reconstruct(
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
     mips = _check_mips(target_mips, dims)
-    op = fan.operator()
-    lay = _state_layout(op, mips)
+    lay = _state_layout(fan.operator(), mips)
 
     # Workspace: four float32 volumes in the state layout lay (see
     # fan_operator): the iterate x, trial, and two gradient buffers. At
@@ -327,13 +331,10 @@ def reconstruct(
         x = lay.buffer(dims[0], _STATE_DTYPE)
     else:
         # the back-projection rho (backproject.aggregate_rho) of the
-        # candidates rounded to float32: a mean over crossing rays, taken on
-        # the crossed voxels and, for MIP targets, placed into the full
-        # layout
+        # candidates rounded to float32: a mean over crossing rays, taken
+        # straight in the layout lay, 0 wherever no ray crosses
         cands = backproject.image_candidates(y, fan, cfg.beta)
-        x = op.crossed.ray_mean_state(cands.astype(_STATE_DTYPE), threads=threads)
-        if lay is not op.crossed:
-            x = lay.to_state(op.crossed.from_state(x, out=np.empty(dims, _STATE_DTYPE)))
+        x = lay.ray_mean_state(cands.astype(_STATE_DTYPE), threads=threads)
         np.clip(x, 0.0, 1.0, out=x)
     band = np.empty(len(x), dtype=bool) if mips else None
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -279,12 +279,17 @@ def test_from_state_out_buffer(fan):
 
 
 # random fans from extract_rays: small grids, axis-aligned and random angles,
-# integral and random centers inside and outside the grid
+# integral and random centers inside and outside the grid. Rays through a
+# center inside the grid enter it, and on a grid of at most 3 voxels a side
+# they often cross every voxel, so the fans' crossed supports are empty,
+# partial and full in shares of about 1:2:1 (see test_fans_draw_every_support)
 @st.composite
 def fans(draw):
-    nx, ny = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    size = st.integers(1, 3) | st.integers(1, 16)
+    nx, ny = draw(size), draw(size)
     coord = st.integers(-8, 24).map(float) | st.floats(-8.0, 24.0)
-    centers = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=3))
+    inside = st.tuples(st.floats(0.0, float(nx)), st.floats(0.0, float(ny)))
+    centers = draw(st.lists(st.tuples(coord, coord) | inside, min_size=2, max_size=3))
     for a, b in zip(centers, centers[1:]):
         assume(math.hypot(b[0] - a[0], b[1] - a[1]) > 1e-6)
     n_seg = len(centers) - 1
@@ -301,6 +306,18 @@ def fans(draw):
 
 
 modes = st.sampled_from(["trilinear", "nearest"])
+
+
+def support(op):
+    """Whether op's rays cross no voxel, some or every one."""
+    return "empty" if not op.counts.any() else "full" if op.counts.all() else "partial"
+
+
+@pytest.mark.parametrize("kind", ["empty", "partial", "full"])
+def test_fans_draw_every_support(kind):
+    # the properties over fans() meet each kind of crossed support
+    find(fans(), lambda fan: support(fan.operator()) == kind,
+         settings=settings(max_examples=200, database=None, phases=[Phase.generate]))
 
 
 class TestOperatorProperties:
@@ -416,16 +433,16 @@ def directions(op):
     """(buckets, dense matrix, row lengths) of A and A^T in the full layout
     and of A, A^T and the pattern in the crossed one, the dense matrices
     built from the coalesced (ray, voxel, weight) entries; a crossed
-    matrix keeps the crossed voxels' columns or rows, in voxel order."""
+    matrix keeps its support's columns or rows, in voxel order."""
     a = np.zeros((op.n_rays, op.n_voxels))
     a[op.ray, op.voxel] = op.weight  # coalesced: one entry per (ray, voxel)
     per_ray = np.bincount(op.ray, minlength=op.n_rays)
     per_voxel = op.counts.ravel()
-    crossed = per_voxel > 0
     lay = op.crossed
+    keep = slice(None) if lay.voxels is None else lay.voxels
     return [(op.full._rows, a, per_ray), (op.full._cols, a.T, per_voxel),
-            (lay._rows, a[:, crossed], per_ray), (lay._cols, a.T[crossed], per_voxel[crossed]),
-            (lay._pattern, (a.T[crossed] > 0).astype(np.float64), per_voxel[crossed])]
+            (lay._rows, a[:, keep], per_ray), (lay._cols, a.T[keep], per_voxel[keep]),
+            (lay._pattern, (a.T[keep] > 0).astype(np.float64), per_voxel[keep])]
 
 
 def dense_from_buckets(buckets, shape):
@@ -442,8 +459,7 @@ def check_length_classes(buckets, dense, lengths):
     padded to its longest row, under 2 ** (1 / _CLASSES) times each row's
     length; the matrix they hold is the dense one, exactly."""
     k = fan_operator._CLASSES
-    # an empty support has no rows and no buckets
-    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [b.rows for b in buckets])
+    rows = np.concatenate([b.rows for b in buckets])
     assert np.array_equal(np.sort(rows), np.arange(len(lengths)))
     classes = set()
     for b in buckets:
@@ -608,17 +624,6 @@ class TestStateLayout:
         assert np.allclose(mean, want_mean, rtol=1e-5, atol=1e-6)
 
 
-def full_ray_mean_state(op, c, threads):
-    """ray_mean_state in the full layout, as computed before the crossed
-    support: the full pattern's sums divided by the counts raised to 1,
-    since the voxels no ray crosses sum to 0."""
-    sums = op.full._transpose_state(c, "_pattern", None, threads)
-    per_voxel = np.maximum(op.counts, 1).astype(sums.dtype).reshape(op.n_voxels, 1)
-    for _, view in op.full.state_views(sums):
-        np.divide(view, per_voxel, out=view)
-    return sums
-
-
 class TestCrossedLayout:
     def test_supports(self):
         # every voxel of a 4x4 grid is crossed, so its crossed layout is the
@@ -628,16 +633,24 @@ class TestCrossedLayout:
         op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
         assert op.crossed.size == 26790
         assert np.array_equal(op.crossed.voxels, np.flatnonzero(op.counts))
+        # every ray of this fan ends before the 8x8 grid: no support is empty,
+        # so its crossed layout is the full one too, and A, A^T and ray_mean
+        # are zero maps
+        op = extract_rays([(-60.0, -60.0), (-40.0, -60.0)], [10.0], width=4, bounds=(8, 8),
+                          n_samples=5).operator()
+        assert op.n_rays == 4 and not op.counts.any() and op.crossed is op.full
+        assert not op.forward(np.ones((2, 8, 8))).any()
+        for apply in (op.adjoint, op.ray_mean):
+            got = apply(np.ones((2, 4)))
+            assert got.dtype == np.float64 and got.shape == (2, 8, 8) and not got.any()
 
     def test_state_buffers_are_mapped_zeros(self):
-        # new state buffers, an empty support's too, are zeros in a writable
+        # new state buffers of either layout are zeros in a writable
         # anonymous mapping of their own, which goes when they are freed
         def mapped(a):
             return isinstance(getattr(a.base, "obj", a.base), mmap.mmap)
 
-        for lay in (square_fan(16).operator().crossed,
-                    extract_rays([(-60.0, -60.0), (-40.0, -60.0)], [10.0], width=4,
-                                 bounds=(8, 8), n_samples=5).operator().crossed):
+        for lay in (square_fan(16).operator().crossed, square_fan(16).operator().full):
             for dtype in (np.float32, np.float64):
                 buf = lay.buffer(3, dtype)
                 assert buf.dtype == dtype and buf.shape == (3 * lay.size,) and not buf.any()
@@ -646,9 +659,34 @@ class TestCrossedLayout:
                           lay.to_state(np.ones((3, *lay.bounds[::-1]), np.float32))):
                 assert mapped(state)
 
+    def test_from_state_refuses_an_overlapping_out(self):
+        # an out that shares memory with the state it is read from is
+        # refused before any write, in either layout; one that ends where
+        # the state begins is filled
+        op = square_fan(16).operator()
+        x = np.random.default_rng(9).uniform(0.0, 1.0, (4, 16, 16))
+        n = x.size
+        for lay in (op.full, op.crossed):
+            src = lay.to_state(x)
+            want, k = lay.from_state(src), len(src)
+            # (state offset, out offset) in one buffer of 2n values
+            for at, out_at in ((0, 0), (0, k - 1), (n - 1, 0), (n, 0)):
+                buf = np.zeros(2 * n)
+                state = buf[at:at + k]
+                state[:] = src
+                out = buf[out_at:out_at + n].reshape(x.shape)
+                if at < out_at + n and out_at < at + k:
+                    before = buf.copy()
+                    with pytest.raises(ValueError, match="overlap"):
+                        lay.from_state(state, out=out)
+                    assert np.array_equal(buf, before)
+                else:
+                    assert lay.from_state(state, out=out) is out
+                    assert np.array_equal(out, want)
+
     def test_freed_without_the_garbage_collector(self):
-        # the layouts hold the operator's arrays and the crossed one the full
-        # one, not the operator, so no cycle keeps them alive
+        # the layouts hold the operator's arrays, not the operator, so no
+        # cycle keeps them alive
         fan = square_fan(16)
         op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid, fan.sample_counts,
                                       fan.bounds)
@@ -672,7 +710,8 @@ class TestCrossedLayout:
         # non-negative volumes that are 0 off the crossed voxels, with zero and
         # positive minima on them: after scattering, the crossed cores give the
         # full ones' bits, in one-slice blocks and whole ones, at 1 and 2
-        # threads; an empty support holds no slice count for the forward
+        # threads; ray_mean_state's too, which the full layout divides by the
+        # counts raised to 1
         op = fan.operator(interpolation)
         nx, ny = fan.bounds
         rng = np.random.default_rng(seed)
@@ -681,7 +720,8 @@ class TestCrossedLayout:
         r = rng.uniform(-1.0, 1.0, (nz, op.n_rays)).astype(dtype)
         c = rng.uniform(0.0, 1.0, (nz, op.n_rays)).astype(dtype)
         full, lay = op.full, op.crossed
-        assert lay.size == np.count_nonzero(op.counts)
+        crossed = np.count_nonzero(op.counts)
+        assert lay is full if crossed in (0, op.n_voxels) else lay.size == crossed
 
         def scatter(state):
             return lay.from_state(state, out=np.full((nz, ny, nx), np.nan, state.dtype))
@@ -695,13 +735,12 @@ class TestCrossedLayout:
             assert len(state) == nz * lay.size
             assert same(scatter(state), x)
             for threads in (1, 2):
-                if lay.size:
-                    assert same(lay.forward_state(state, threads=threads),
-                                full.forward_state(full_state, threads=threads))
+                assert same(lay.forward_state(state, threads=threads),
+                            full.forward_state(full_state, threads=threads))
                 assert same(scatter(lay.adjoint_state(r, threads=threads)),
                             full.from_state(full.adjoint_state(r, threads=threads)))
                 assert same(scatter(lay.ray_mean_state(c, threads=threads)),
-                            full.from_state(full_ray_mean_state(op, c, threads)))
+                            full.from_state(full.ray_mean_state(c, threads=threads)))
 
 
 @st.composite

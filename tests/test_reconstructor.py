@@ -635,12 +635,13 @@ class TestStateLayout:
         assert reconstruct(y, fan8, cfg, target_mips=mips)[0].data[:, ~crossed].any()
 
     def test_fan_that_crosses_no_voxel(self):
-        # every ray ends before the grid: the crossed support is empty, so the
-        # solve runs in the full layout, and no init leaves 0
+        # every ray ends before the grid: the crossed layout is the full one,
+        # which the solve runs in, and no init leaves 0
         fan = extract_rays([(-60.0, -60.0), (-40.0, -60.0)], [10.0], width=4, bounds=(8, 8),
                            n_samples=5)
         op = fan.operator()
-        assert fan.n_rays == 4 and not op.counts.any() and op.crossed.size == 0
+        assert fan.n_rays == 4 and not op.counts.any() and op.crossed is op.full
+        assert reconstructor._state_layout(op, {}) is op.full
         y = np.full((3, fan.n_rays), 0.5)
         for init in ("rho", "zeros"):
             vol, report = reconstruct(y, fan, ReconConfig(init=init, max_iters=3))
