@@ -54,9 +54,13 @@ def check_sizes(what: str, sizes, n: int) -> tuple[int, ...]:
 
 
 def worker_count(threads, n_blocks: int) -> int:
-    """Workers for n_blocks blocks: min(threads, os.cpu_count(), n_blocks), at least 1."""
+    """Workers for n_blocks blocks: min(threads, os.cpu_count(), n_blocks), at
+    least 1. The CPU count is read only when more than one worker could run."""
     check_int("threads", threads)
-    return max(1, min(int(threads), os.cpu_count() or 1, n_blocks))
+    n = min(int(threads), n_blocks)
+    if n <= 1:
+        return 1
+    return min(n, os.cpu_count() or 1)
 
 
 def run_blocks(task, items, threads, scratch=lambda: None) -> list:

@@ -2,7 +2,11 @@
 
 PSNR and SSIM score normalized densities, whose dynamic range is [0, 1].
 Every metric reads its volumes through one walk that scores one axial slice
-pair at a time in float64, so none makes a whole-volume temporary."""
+pair at a time in float64, so none makes a whole-volume temporary. SSIM's
+window sums run as shifted adds over whole rows, the horizontal ones along
+the flattened rows, and a slice pair whose values are all +-0 scores exactly
+1 with no window arithmetic; both give the values of the plain 2D-view
+computation bit for bit."""
 
 from __future__ import annotations
 
@@ -127,17 +131,23 @@ def _dice_percent(na: int, nb: int, both: int) -> float:
 
 
 def _window_sums(x: np.ndarray, w: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Valid-mode w x w moving sums of the 2D x into out, through the
-    (ny - w + 1, nx) buffer rows: w - 1 shifted adds down the columns, then
-    w - 1 along the rows, all on contiguous rows."""
+    """Valid-mode w x w moving sums of the 2D x into the first nx - w + 1
+    columns of out, through rows; both buffers are C-contiguous and of shape
+    (ny - w + 1, nx). w - 1 shifted adds of whole rows run down the columns,
+    then w - 1 shifted adds along the flattened rows. Each of out's last
+    w - 1 columns wraps into the next row (the very last w - 1 values are
+    left unwritten): junk that no caller reads. Every valid sum adds the
+    same values in the same order as shifted 2D column views would."""
     n = rows.shape[0]
     np.add(x[0:n], x[1:n + 1], out=rows)
     for k in range(2, w):
         rows += x[k:k + n]
-    m = out.shape[1]
-    np.add(rows[:, 0:m], rows[:, 1:m + 1], out=out)
+    flat = rows.reshape(-1)
+    m = flat.size - (w - 1)
+    sums = out.reshape(-1)[:m]
+    np.add(flat[0:m], flat[1:m + 1], out=sums)
     for k in range(2, w):
-        out += rows[:, k:k + m]
+        sums += flat[k:k + m]
     return out
 
 
@@ -155,9 +165,12 @@ def ssim(a, b, *, threads: int = 1) -> float:
 
 def _slice_ssim(x, y, prod, rows, means, num, den) -> float:
     """The mean SSIM of the float64 slice pair x, y through the buffers: prod
-    of the slice's shape, rows as for _window_sums, the five window means
-    and num and den of the windows' shape. The five means are kept apart so
-    that ssim(v, v) is exactly 100."""
+    of the slice's shape; rows, the five window means, num and den of shape
+    (ny - w + 1, nx), as _window_sums fills them. The arithmetic runs on
+    whole rows, wrapped junk columns included (they may overflow, so the
+    caller ignores float errors); the mean is over a contiguous copy of the
+    valid windows, since a strided view would sum them in another order.
+    The five means are kept apart so that ssim(v, v) is exactly 100."""
     w = _SSIM_WINDOW
     mx, my, vx, vy, cov = means
     _window_sums(x, w, rows, mx)
@@ -185,7 +198,10 @@ def _slice_ssim(x, y, prod, rows, means, num, den) -> float:
     vx += _SSIM_C2
     den *= vx
     num /= den
-    return _no_overflow(np.mean(num))
+    n, m = num.shape[0], num.shape[1] - (w - 1)
+    valid = den.reshape(-1)[:n * m].reshape(n, m)
+    np.copyto(valid, num[:, :m])
+    return _no_overflow(np.mean(valid))
 
 
 def _slice_walk(a, b, threshold, threads, with_ssim=False):
@@ -216,7 +232,7 @@ def _slice_walk(a, b, threshold, threads, with_ssim=False):
         window = None
         if with_ssim:
             ny, nx = shape
-            means = np.empty((5, ny - w + 1, nx - w + 1))
+            means = np.empty((5, ny - w + 1, nx))
             window = (np.empty((ny - w + 1, nx)), means,
                       np.empty_like(means[0]), np.empty_like(means[0]))
         return (np.empty(shape), np.empty(shape, dtype=bool),
@@ -224,7 +240,8 @@ def _slice_walk(a, b, threshold, threads, with_ssim=False):
 
     # squares, SSIM's products and window sums of finite values past about
     # 1e154 overflow, with no warning here: _slice_mean and _slice_ssim
-    # reject the overflowed sum or mean
+    # reject the overflowed sum or mean. SSIM's junk columns may overflow
+    # too, and are never read
     @np.errstate(all="ignore")
     def slice_pair(j, bufs):
         prod, above_a, above_b, wide_a, wide_b, window = bufs
@@ -247,7 +264,14 @@ def _slice_walk(a, b, threshold, threads, with_ssim=False):
         np.greater(y, threshold, out=above_b)
         counts = (np.count_nonzero(above_a), np.count_nonzero(above_b),
                   np.count_nonzero(np.logical_and(above_a, above_b, out=above_a)))
-        mean = None if window is None else _slice_ssim(x, y, prod, *window)
+        if window is None:
+            mean = None
+        elif sq_sum == 0.0 and not (x.any() or y.any()):
+            # every window sum of a pair of zeros is 0, so every window's
+            # num and den are the same rounded c1 c2: SSIM is exactly 1
+            mean = 1.0
+        else:
+            mean = _slice_ssim(x, y, prod, *window)
         return counts, sq_sum, mean
 
     counts, sq_sums, means = zip(*run_blocks(slice_pair, range(len(a)), threads, buffers))

@@ -6,6 +6,11 @@ point at a time instead: the tests check renders against them, and their
 own math is pinned by TestTransmittance (test_renderer.py) and
 TestTrilinear (test_volume.py).
 
+ssim_percent scores SSIM through the window sums of shifted 2D views and
+runs the arithmetic on every pair, all-zero pairs included; the library's
+flat-row sums and its exact score for an all-zero pair must match it bit for
+bit.
+
 walk_samples, coalesced_entries and padded_buckets build the fan's sample
 arrays and the operator's entries and buckets by whole-array passes: every
 step of every ray is computed and tested, and entries are coalesced by
@@ -173,3 +178,32 @@ def padded_buckets(out_ids, in_ids, weights, n_out, classes):
         pos = np.where(pad, 0, starts[rows][:, None] + col)
         out.append((rows, np.where(pad, 0, in_ids[pos]), np.where(pad, 0.0, weights[pos])))
     return out
+
+
+def _view_window_sums(x, w: int):
+    """Valid-mode w x w moving sums of the 2D x: w - 1 shifted adds of whole
+    rows, then w - 1 adds of shifted 2D column views."""
+    n, m = x.shape[0] - w + 1, x.shape[1] - w + 1
+    rows = x[0:n] + x[1:n + 1]
+    for k in range(2, w):
+        rows += x[k:k + n]
+    out = rows[:, 0:m] + rows[:, 1:m + 1]
+    for k in range(2, w):
+        out += rows[:, k:k + m]
+    return out
+
+
+def ssim_percent(a, b, w: int = 7, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
+    """Mean SSIM in percent over the axial slices of the 3D a and b, each
+    slice pair read as float64 and scored by uniform w x w windows in valid
+    mode, in the operation order of panoray.metrics."""
+    slice_means = []
+    for x, y in zip(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)):
+        mx, my, vx, vy, cov = (_view_window_sums(v, w) / (w * w)
+                               for v in (x, y, x * x, y * y, x * y))
+        mxy = mx * my
+        num = (2.0 * mxy + c1) * (2.0 * (cov - mxy) + c2)
+        mx2, my2 = mx * mx, my * my
+        den = (mx2 + my2 + c1) * ((vx - mx2) + (vy - my2) + c2)
+        slice_means.append(np.mean(num / den))
+    return 100.0 * float(np.mean(slice_means))

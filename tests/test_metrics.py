@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panoray import _pool
+from oracles import ssim_percent
+from panoray import _pool, metrics
 from panoray.errors import DimsError
 from panoray.metrics import (
     DICE_THRESHOLD,
@@ -26,6 +27,31 @@ from panoray.volume import make_phantom
 
 def rand_volume(shape, seed):
     return np.random.default_rng(seed).uniform(0.0, 1.0, shape)
+
+
+@st.composite
+def ssim_pairs(draw):
+    """Two volumes of one shape, float64 or float32 each, with values in
+    [-0.5, 1) and slices that may be all 0.0, all -0.0 or carry bands of
+    zero rows and columns."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(7, 40)), draw(st.integers(7, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def volume():
+        v = rng.uniform(-0.5, 1.0, shape)
+        for z in range(shape[0]):
+            kind = draw(st.sampled_from(["values", "zeros", "negative zeros", "bands"]))
+            if kind == "zeros":
+                v[z] = 0.0
+            elif kind == "negative zeros":
+                v[z] = -0.0
+            elif kind == "bands":
+                r, c = draw(st.integers(0, shape[1] - 1)), draw(st.integers(0, shape[2] - 1))
+                v[z, r:r + draw(st.integers(1, 8))] = 0.0
+                v[z, :, c:c + draw(st.integers(1, 8))] = -0.0
+        return v.astype(draw(st.sampled_from([np.float64, np.float32])))
+
+    return volume(), volume()
 
 
 class TestPsnr:
@@ -241,6 +267,60 @@ class TestSsim:
             for threads in (1, 2, 3):
                 assert ssim(a, b, threads=threads) == want_ssim
                 assert evaluate(a, b, threads=threads) == want_report
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(ssim_pairs())
+    def test_equals_the_view_window_oracle(self, pair):
+        # the flat-row window sums, the arithmetic on their wrapped rows and
+        # the exact score of all-zero pairs give the 2D-view oracle's value
+        a, b = pair
+        want = ssim_percent(a, b)
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 3):
+                assert ssim(a, b, threads=threads) == want
+                assert evaluate(a, b, threads=threads).ssim == want
+
+    @pytest.mark.parametrize("shape", [(2, 96, 130), (1, 256, 256)])
+    def test_wide_slices_equal_the_view_window_oracle(self, shape):
+        # past about 128 windows a row, a mean over a strided view of the
+        # valid windows would sum in another order than the oracle's
+        rng = np.random.default_rng(sum(shape))
+        a, b = rng.uniform(-0.5, 1.0, shape), rng.uniform(-0.5, 1.0, shape)
+        b[0, 40:60] = 0.0
+        want = ssim_percent(a, b)
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+            for threads in (1, 3):
+                assert ssim(a, b, threads=threads) == want
+                assert evaluate(a.astype(np.float32), b, threads=threads).ssim == \
+                    ssim_percent(a.astype(np.float32), b)
+
+    def test_all_zero_pairs_skip_the_arithmetic(self):
+        # a pair of slices of +-0 scores exactly 1 without SSIM arithmetic;
+        # any other pair runs it, an identical one and one whose squared
+        # differences round to 0 included
+        zeros, negative = np.zeros((3, 9, 10)), np.full((3, 9, 10), -0.0)
+        values = rand_volume((3, 9, 10), 27)
+        tiny = zeros.copy()
+        tiny[1, 4, 4] = 5e-324
+        big = np.full((2, 8, 8), 1e200)
+        with mock.patch.object(metrics, "_slice_ssim", wraps=metrics._slice_ssim) as core:
+            for x, y in ((zeros, zeros), (zeros, negative), (negative, zeros),
+                         (negative, negative), (negative.astype(np.float32), zeros)):
+                assert ssim(x, y) == 100.0
+                assert evaluate(x, y).ssim == 100.0
+            assert core.call_count == 0
+            assert ssim(values, values) == 100.0
+            assert core.call_count == 3
+            mixed = values.copy()
+            mixed[1] = -0.0
+            assert ssim(mixed, np.where(mixed == 0.0, 0.0, mixed)) == 100.0
+            assert core.call_count == 5
+            assert ssim(zeros, tiny) == ssim_percent(zeros, tiny)
+            assert core.call_count == 6
+            with pytest.raises(ValueError, match="overflow"):
+                ssim(big, big)
+            assert core.call_count == 7
 
 
 class TestVolumeMse:

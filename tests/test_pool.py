@@ -45,13 +45,26 @@ class TestWorkerCount:
             assert _pool.worker_count(3, 10**9) == 3
             assert _pool.worker_count(10**6, 5) == 5
 
+    def test_cpu_count_unread_for_one_worker(self):
+        # run_blocks asks for a worker count on every call
+        with mock.patch.object(_pool.os, "cpu_count", return_value=64) as cpus:
+            assert _pool.worker_count(1, 10**9) == 1
+            assert _pool.worker_count(10**6, 1) == 1
+            assert _pool.worker_count(10**6, 0) == 1
+            assert _pool.run_blocks(lambda k, _: k * k, range(4), 1) == [0, 1, 4, 9]
+            a = np.random.default_rng(3).uniform(0, 1, (3, 8, 8))
+            assert ssim(a, a, threads=1) == 100.0
+            cpus.assert_not_called()
+
     def test_numpy_integers_accepted(self):
         assert _pool.worker_count(np.int64(1), 4) == 1
 
     @pytest.mark.parametrize("threads", BAD_THREADS)
     def test_rejects_non_integers_and_values_below_one(self, threads):
-        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
-            _pool.worker_count(threads, 4)
+        # checked before the block count can settle on one worker
+        for n_blocks in (4, 1, 0):
+            with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+                _pool.worker_count(threads, n_blocks)
 
 
 class TestCheckReal:
