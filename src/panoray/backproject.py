@@ -11,8 +11,10 @@ Because the fan is shared by all axial slices, the crossing structure is a
 2D pattern replicated along z, and pixel (j, i) only touches voxels of
 slice j. That pattern is the nonzero pattern of the fan's trilinear system
 matrix: |B(x)| is its per-voxel entry count, and rho is its pattern applied
-transposed to the candidates, divided by the counts raised to 1, so every
-voxel no ray crosses gets 0 (FanOperator.ray_mean, see fan_operator).
+transposed to the candidates, divided by the counts raised to 1.
+FanOperator.ray_mean computes rho in the operator's crossed state layout,
+over the voxels some ray crosses only, and writes 0 at every voxel no ray
+crosses (see fan_operator).
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ backproject, reconstruct and metrics: the fan's system matrix projects
 blocks of slices on them, and SSIM scores slices on them. Every block is
 computed the same way whichever worker runs it, so outputs are
 bit-identical at any thread count. --seed sets phantom's RNG seed.
+
+No command writes a file it reads or writes one file twice: an output
+path that names an input or another output is refused before any work.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ _FAN_KEYS = {"initial_angle": float, "width": int, "n_samples": int, "delta": fl
              "angle_scale": float}
 _AUTO_KEYS = {"scale", "offset", "initial_angle"}
 _GEOMETRY_KEYS = {*_CURVE_KEYS, *_FAN_KEYS, "grid", "beta"}
+# the path options each command reads and writes (see _check_outputs)
+_PATHS = {
+    "phantom": ((), ("out",)),
+    "render": (("vol", "geometry"), ("out",)),
+    "raymap": (("geometry",), ("out",)),
+    "backproject": (("img", "geometry"), ("out_counts", "out_rho")),
+    "reconstruct": (("img", "geometry", "truth"), ("out", "report")),
+    "metrics": (("a", "b"), ()),
+    "export": (("img", "vol"), ("out",)),
+}
 
 
 def _parse_pair(text, name):
@@ -54,8 +67,11 @@ def load_geometry(path) -> dict:
     """Parse a key=value geometry file; unknown keys, and theta_<i> keys
     whose i is not a segment index, are rejected."""
     raw = {}
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes become lone surrogates, which fail isascii
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, 1):
+            if not line.isascii():
+                raise FormatError(f"{path}:{ln}: line is not ASCII")
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -109,6 +125,27 @@ def _geometry_setup(args, grid=None):
     grid = grid or ray_geometry.DEFAULT_GRID
     fan = ray_geometry.build_fan(build_geometry(raw, grid), bounds=grid)
     return fan, float(raw.get("beta", renderer.RenderConfig.beta))
+
+
+def _same_file(a, b) -> bool:
+    """Whether the paths a and b name one file: by device and inode where
+    both exist, else by resolved path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args) -> None:
+    """ValueError if an output path of the command names one of its inputs
+    or an earlier output."""
+    inputs, outputs = _PATHS[args.command]
+    seen = [(dest, getattr(args, dest)) for dest in inputs if getattr(args, dest)]
+    for dest, path in ((d, getattr(args, d)) for d in outputs if getattr(args, d)):
+        for other, prior in seen:
+            if _same_file(path, prior):
+                raise ValueError(f"--{dest.replace('_', '-')} {path} names the same file "
+                                 f"as --{other.replace('_', '-')}")
+        seen.append((dest, path))
 
 
 def _cmd_phantom(args):
@@ -299,6 +336,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         check_int("threads", args.threads)
+        _check_outputs(args)
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)

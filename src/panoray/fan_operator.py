@@ -40,49 +40,54 @@ so a block is padded with zero columns to a multiple of its dtype's _LANES:
 kernels change a column's bits with the block width). Each slice then gets
 the same bits whatever block it falls in.
 
-Blocks come in two layouts:
-- Public blocks serve forward only, which takes slice-major (nz, ny, nx)
-  volumes: each block is copied in transposed through one workspace per
-  worker. They hold _BLOCK_BYTES, so a render's peak memory stays low.
-- State blocks serve A^T and the solver. A state-layout volume is one flat
-  float32 or float64 buffer in which slices z0..z1 of each block are
-  stored voxel-major as (size, z1 - z0), size being the voxel count of the
-  layout's support (below). The *_state methods gather straight from such
-  a buffer and write straight into one, and compute in its dtype: the rows
+A state layout (StateLayout) holds one array of voxel ids, its support,
+in increasing order, and each operator builds two, once each:
+- full: every voxel, np.arange(n_voxels);
+- crossed: the voxels some ray crosses (counts > 0), 40.9% of the default
+  256^2 grid, 45.6% of the 512-ray 256^2 fan's and 85.5% of the 64^2
+  acceptance fan's; it is full when every voxel is crossed or none is, so
+  no support is empty.
+Each layout builds A and A^T from the operator's coalesced entries in one
+way, turning their voxel ids into support positions: A's buckets group the
+entries as they are, sorted by ray, and read positions; A^T's group them
+sorted stably by voxel, with rows at positions. So only the full layout's
+A^T has rows of length 0 (the voxels no ray crosses). A's columns and A^T's
+rows of the voxels no ray crosses are zero, so the crossed layout gives the
+full one's values wherever a volume is 0 off the support, and forward,
+adjoint and ray_mean all run in it.
+
+Blocks come in two kinds:
+- Public blocks serve forward, which takes slice-major (nz, ny, nx)
+  volumes: each block's crossed voxels are gathered, transposed, into one
+  workspace per worker. They hold _BLOCK_BYTES of slices, so a render's
+  peak memory stays low. The voxels no ray crosses reach the line sums
+  only through the slice minima, which are taken over every voxel of the
+  slice-major rows, so the shift and every line sum are the full grid's.
+- State blocks serve the *_state methods and the solver. A state-layout
+  volume is one flat float32 or float64 buffer in which slices z0..z1 of
+  each block are stored voxel-major as (size, z1 - z0), size being the
+  support's voxel count. The *_state methods gather straight from such a
+  buffer and write straight into one, and compute in its dtype: the rows
   of coefficients that A^T reads are cast to it one block at a time, and
   the weights once per layout. Line sums are float64 in any case. to_state
-  and from_state convert once at each end. New state buffers are mapped
-  on their own (StateLayout.buffer). No copy bounds a state block and
-  wider blocks make the gathers and matmuls cheaper, so each holds
-  _STATE_BYTES // (4 * size) slices, _STATE_BYTES being the size of a
-  float32 block (the solver's dtype), whatever its buffer's dtype: float64
-  buffers and a bool workspace split into the same blocks.
-
-A state layout holds the voxels of its support, each operator building
-two, once each (StateLayout):
-- full: every voxel;
-- crossed: the voxels some ray crosses (counts > 0), 40.9% of the default
-  256^2 grid and 85.5% of the 64^2 acceptance fan's; it is full when every
-  voxel is crossed or none is, so no support is empty.
-Each layout builds its buckets from the operator's in one way: A's read
-support positions, and A^T's hold the coalesced entries sorted stably by
-voxel, with rows at support positions, so only the full layout's A^T has
-rows of length 0 (the voxels no ray crosses). to_state gathers the support and
-from_state writes it and zero-fills the rest. A's columns and A^T's rows
-of the voxels no ray crosses are zero, so a crossed layout gives the full
-one's values wherever the volume is 0 off the support. The forward shifts
-by the slice minima, and those implicit zeros belong to the slices: a
-crossed forward takes each minimum as min(0, min over the support), so the
-shift, and every line sum, is the full layout's. ray_mean_state divides by
-the counts raised to 1, so it gives 0 wherever no ray crosses and the same
-values in either layout. The public adjoint and ray_mean are adjoint_state
-and ray_mean_state of float64 rows in the crossed layout, turned
-slice-major by from_state.
+  gathers the support and from_state writes it and zero-fills the rest,
+  once at each end. New state buffers are mapped on their own
+  (StateLayout.buffer). No copy bounds a state block and wider blocks make
+  the gathers and matmuls cheaper, so each holds _STATE_BYTES // (4 * size)
+  slices, _STATE_BYTES being the size of a float32 block (the solver's
+  dtype), whatever its buffer's dtype: float64 buffers and a bool
+  workspace split into the same blocks. A state volume is 0 off its
+  support, so forward_state on a support smaller than the grid takes each
+  minimum as min(0, min over the support), and the shift is again the full
+  grid's. ray_mean_state divides by the counts raised to 1, so it gives 0
+  wherever no ray crosses and the same values in either layout. The public
+  adjoint and ray_mean are adjoint_state and ray_mean_state of float64 rows
+  in the crossed layout, turned slice-major by from_state.
 
 Blocks write disjoint output rows, so every apply runs them on up to
 `threads` workers (see _pool). The block sizes do not depend on the thread
 count, and padded blocks give every slice the same bits, so the outputs are
-bit-identical at any thread count, in any layout and on either support.
+bit-identical at any thread count and in either layout.
 """
 
 from __future__ import annotations
@@ -206,34 +211,28 @@ def _minima(xt: np.ndarray) -> np.ndarray:
     return m
 
 
-def _copy_in(rows: np.ndarray, vt: np.ndarray, voxels=None) -> None:
-    """vt (n, nb) = rows.T for the slice-major rows (nb, n_voxels), in
-    pieces of _PIECE slices; with voxels (sorted voxel ids), only their
-    columns of rows."""
+def _copy_in(rows: np.ndarray, vt: np.ndarray, voxels: np.ndarray) -> None:
+    """vt (size, nb) = the columns voxels (sorted voxel ids) of the
+    slice-major rows (nb, n_voxels), transposed, in pieces of _PIECE
+    slices."""
     for j in range(0, vt.shape[1], _PIECE):
-        piece = rows[j:j + _PIECE]
-        np.copyto(vt[:, j:j + _PIECE], (piece if voxels is None else piece[:, voxels]).T)
+        np.copyto(vt[:, j:j + _PIECE], rows[j:j + _PIECE, voxels].T)
 
 
-def _copy_back(vt: np.ndarray, rows: np.ndarray, voxels=None) -> None:
-    """rows (nb, n_voxels) = vt.T for the voxel-major block vt, in tiles of
-    _TILE voxels; with voxels (sorted voxel ids), vt holds only their rows
-    and every other voxel gets 0. A tile is assembled voxel-major first, so
-    its rows move whole and its transposed copy is the same as without
-    voxels."""
+def _copy_back(vt: np.ndarray, rows: np.ndarray, voxels: np.ndarray) -> None:
+    """rows (nb, n_voxels) = the voxel-major block vt (size, nb), whose rows
+    are the voxels (sorted voxel ids), transposed, every other voxel 0, in
+    tiles of _TILE voxels. A tile is assembled voxel-major first, so its
+    rows move whole."""
     n = rows.shape[1]
-    if voxels is not None:
-        tile = np.empty((_TILE, vt.shape[1]), dtype=vt.dtype)
-        # the support positions that start each tile
-        starts = np.searchsorted(voxels, np.arange(0, n + _TILE, _TILE))
+    tile = np.empty((_TILE, vt.shape[1]), dtype=vt.dtype)
+    # the support positions that start each tile
+    starts = np.searchsorted(voxels, np.arange(0, n + _TILE, _TILE))
     for i, v0 in enumerate(range(0, n, _TILE)):
-        if voxels is None:
-            part = vt[v0:v0 + _TILE]
-        else:
-            a, b = starts[i], starts[i + 1]
-            part = tile[:min(_TILE, n - v0)]
-            part.fill(0)
-            part[voxels[a:b] - v0] = vt[a:b]
+        a, b = starts[i], starts[i + 1]
+        part = tile[:min(_TILE, n - v0)]
+        part.fill(0)
+        part[voxels[a:b] - v0] = vt[a:b]
         rows[:, v0:v0 + _TILE] = part.T
 
 
@@ -346,14 +345,13 @@ class FanOperator:
         self.ray = ray[first // voxel.shape[1]]
         self.voxel = voxel.ravel()[first]
         self.weight = weight
-        self._rows = _buckets(self.ray, self.voxel, self.weight, self.n_rays)
         # slices per public block
         self.block = max(1, _BLOCK_BYTES // (8 * self.n_voxels))
 
     @cached_property
     def full(self) -> StateLayout:
         """The state layout of every voxel."""
-        return StateLayout(self)
+        return StateLayout(self, np.arange(self.n_voxels))
 
     @cached_property
     def crossed(self) -> StateLayout:
@@ -374,23 +372,26 @@ class FanOperator:
         """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays).
 
         Public blocks of slices run on up to `threads` workers (see _pool),
-        each copied into a workspace of its worker's own; the result is the
-        same at any thread count."""
+        each block's crossed voxels copied into a workspace of its worker's
+        own and shifted by its slices' minima over every voxel; the result
+        is the same at any thread count."""
         flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
         nz = len(flat)
         out = np.empty((nz, self.n_rays), dtype=np.float64)
+        lay = self.crossed
+        rows = lay._rows
 
         def block(z0, work):
             z1 = min(nz, z0 + self.block)
-            xt = work[:self.n_voxels * (z1 - z0)].reshape(self.n_voxels, z1 - z0)
-            _copy_in(flat[z0:z1], xt)
-            m = _minima(xt)
+            xt = work[:lay.size * (z1 - z0)].reshape(lay.size, z1 - z0)
+            _copy_in(flat[z0:z1], xt, lay.voxels)
+            m = flat[z0:z1].min(axis=1)
             if m.any():  # -0.0 counts as 0; the workspace is forward's own
                 xt -= m
-            _project(self._rows, xt, m, self.sample_counts, out[z0:z1])
+            _project(rows, xt, m, self.sample_counts, out[z0:z1])
 
         run_blocks(block, range(0, nz, self.block), threads,
-                   lambda: np.empty(self.n_voxels * min(nz, self.block), dtype=np.float64))
+                   lambda: np.empty(lay.size * min(nz, self.block), dtype=np.float64))
         return out
 
     def adjoint(self, r: np.ndarray, *, threads: int = 1) -> np.ndarray:
@@ -410,43 +411,38 @@ class FanOperator:
 
 class StateLayout:
     """The state layout of a FanOperator's volumes over one support (see the
-    module doc): voxels holds the ids of the voxels some ray crosses, in
-    increasing order, or is None for every voxel; size counts the support's
-    voxels, at least 1, and counts holds their entry counts. An operator's
-    full and crossed properties build its two."""
+    module doc): voxels holds the support's voxel ids in increasing order,
+    size (at least 1) counts them and counts holds their entry counts. An
+    operator's full and crossed properties build its two."""
 
-    def __init__(self, op: FanOperator, voxels: np.ndarray | None = None):
+    def __init__(self, op: FanOperator, voxels: np.ndarray):
         # op's arrays, not op, which holds its layouts: a cycle would keep
         # them all alive until the garbage collector ran
         self.bounds, self.n_voxels, self.n_rays = op.bounds, op.n_voxels, op.n_rays
         self.sample_counts = op.sample_counts
-        self.voxels = voxels
-        self.size = op.n_voxels if voxels is None else len(voxels)
-        counts = op.counts.ravel()
-        self.counts = counts if voxels is None else counts[voxels]
-        self._a, self._entries = op._rows, (op.voxel, op.ray, op.weight)
+        self.voxels, self.size = voxels, len(voxels)
+        self.counts = op.counts.ravel()[voxels]
+        self._entries = (op.ray, op.voxel, op.weight)
         self._cast = {}  # see _typed
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """The support positions of the voxel ids: the ids themselves in the
-        full layout, and 0 for a voxel off the support, which only padding
-        of weight 0 reads."""
-        if self.voxels is None:
-            return ids
+        """The support positions of the voxel ids, each on the support."""
         pos = np.zeros(self.n_voxels, dtype=np.int64)
         pos[self.voxels] = np.arange(self.size)
         return pos[ids]
 
     @cached_property
     def _rows(self) -> tuple:
-        """A's buckets, reading support positions."""
-        return tuple(_Bucket(b.rows, self._positions(b.idx), b.w) for b in self._a)
+        """A's buckets: the operator's entries, sorted by ray, reading
+        support positions."""
+        ray, voxel, weight = self._entries
+        return _buckets(ray, self._positions(voxel), weight, self.n_rays)
 
     @cached_property
     def _cols(self) -> tuple:
         """A^T's buckets: the operator's entries sorted stably by voxel, with
         rows at support positions."""
-        voxel, ray, weight = self._entries
+        ray, voxel, weight = self._entries
         order = np.argsort(voxel, kind="stable")
         return _buckets(self._positions(voxel[order]), ray[order], weight[order], self.size)
 
@@ -529,7 +525,7 @@ class StateLayout:
         def block(item, _):
             (z0, z1), view = item
             m = _minima(view)
-            if self.voxels is not None:
+            if self.size < self.n_voxels:
                 np.minimum(m, 0, out=m)  # the zeros off the support
             _project(rows, view - m if m.any() else view, m, self.sample_counts, out[z0:z1])
 

@@ -309,6 +309,65 @@ class TestReconstruct:
         assert "changed during the solve" in captured.err
 
 
+class TestOutputPaths:
+    # an output that names an input or another output is refused before
+    # any work, and every input keeps its bytes
+
+    @pytest.fixture
+    def pipeline(self, tmp_path):
+        geom = tmp_path / "g.txt"
+        geom.write_text("grid=16,16\nwidth=48\n")
+        vol, img = tmp_path / "t.pvol", tmp_path / "v.pimg"
+        run("phantom", "--kind", "uniform:0.4", "--dims", "4,16,16", "--out", vol)
+        run("render", "--vol", vol, "--geometry", geom, "--height", 4, "--out", img)
+        return geom, vol, img
+
+    def test_every_command_declares_its_paths(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(cli._PATHS) == set(sub.choices)
+
+    def test_reconstruct_out_names_the_truth(self, tmp_path, capsys, pipeline):
+        # the result used to be written over the truth, and the command then
+        # failed because the truth had changed during the solve
+        geom, truth, img = pipeline
+        before = truth.read_bytes()
+        assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 1,
+                   "--truth", truth, "--out", truth) == 1
+        assert capsys.readouterr().err.startswith("error: invalid value: --out ")
+        assert truth.read_bytes() == before
+
+    def test_reconstruct_report_names_the_truth(self, tmp_path, capsys, pipeline):
+        # the report used to be written over the truth
+        geom, truth, img = pipeline
+        before, out = truth.read_bytes(), tmp_path / "r.pvol"
+        assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 1,
+                   "--out", out, "--report", truth, "--truth", truth) == 1
+        assert capsys.readouterr().err.startswith("error: invalid value: --report ")
+        assert truth.read_bytes() == before
+        assert not out.exists()
+
+    def test_backproject_outputs_name_one_file(self, tmp_path, capsys, pipeline):
+        # both volumes used to go to one file, which kept only the second;
+        # the second path is spelled differently and does not exist yet
+        geom, _, img = pipeline
+        before, out = img.read_bytes(), tmp_path / "x.pvol"
+        assert run("backproject", "--img", img, "--geometry", geom, "--out-counts", out,
+                   "--out-rho", tmp_path / "sub" / ".." / "x.pvol") == 1
+        assert capsys.readouterr().err.startswith("error: invalid value: --out-rho ")
+        assert img.read_bytes() == before
+        assert not out.exists()
+
+    def test_render_out_is_a_link_to_the_volume(self, tmp_path, capsys, pipeline):
+        # a hard link is another path to the same file
+        geom, vol, _ = pipeline
+        before, link = vol.read_bytes(), tmp_path / "link.pvol"
+        os.link(vol, link)
+        assert run("render", "--vol", vol, "--geometry", geom, "--out", link) == 1
+        assert capsys.readouterr().err.startswith("error: invalid value: --out ")
+        assert vol.read_bytes() == before
+
+
 class TestMetrics:
     def test_identity(self, tmp_path, capsys):
         vol = tmp_path / "v.pvol"
@@ -507,6 +566,15 @@ class TestGeometryExtras:
         geom.write_text("no equals sign here\n")
         assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
         assert "error: malformed format:" in capsys.readouterr().err
+
+    def test_non_ascii_geometry_names_the_line(self, tmp_path, capsys):
+        # used to fail as a bare codec error that named no file
+        geom = tmp_path / "g.txt"
+        geom.write_bytes(b"grid=32,32\n# caf\xc3\xa9\nwidth=64\n")
+        with pytest.raises(FormatError, match=r"g\.txt:2: line is not ASCII"):
+            cli.load_geometry(geom)
+        assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == f"error: malformed format: {geom}:2: line is not ASCII\n"
 
     @pytest.mark.parametrize("key", ["theta_20", "theta_25", "theta_x", "theta_-1", "theta_"])
     def test_theta_key_outside_segments(self, tmp_path, capsys, key):

@@ -182,7 +182,7 @@ def check_build_matches_oracle(op, sample_xy, sample_valid, interpolation):
     assert same_bits(op.ray, ray) and same_bits(op.voxel, voxel) and same_bits(op.weight, weight)
     by_voxel = np.argsort(voxel, kind="stable")
     for got, want in (
-        (op._rows, padded_buckets(ray, voxel, weight, op.n_rays, fan_operator._CLASSES)),
+        (op.full._rows, padded_buckets(ray, voxel, weight, op.n_rays, fan_operator._CLASSES)),
         (op.full._cols, padded_buckets(voxel[by_voxel], ray[by_voxel], weight[by_voxel],
                                   op.n_voxels, fan_operator._CLASSES)),
     ):
@@ -377,6 +377,35 @@ class TestOperatorProperties:
         assert np.array_equal(x, x_before)
 
     @settings(max_examples=60, deadline=None)
+    @given(fans(), modes, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_uncrossed_voxels_reach_forward_only_through_the_minima(
+            self, fan, interpolation, nz, seed):
+        # forward gathers only the crossed voxels but shifts each slice by
+        # its minimum over every voxel. So the first slice, whose minimum
+        # sits on a voxel no ray crosses (where there is one), gets the full
+        # layout's bits, and rewriting those voxels to values at or above
+        # their slice's minimum, which keeps it, leaves every byte unchanged
+        op = fan.operator(interpolation)
+        nx, ny = fan.bounds
+        rng = np.random.default_rng(seed)
+        # slices with negative and with positive minima
+        x = (rng.uniform(-1.0, 1.0, (nz, nx * ny))
+             + 1.25 * rng.integers(0, 2, (nz, 1)))
+        off = np.flatnonzero(op.counts.ravel() == 0)
+        if len(off):
+            x[0, rng.choice(off)] = x[0].min() - 1.0
+        got = op.forward(x.reshape(nz, ny, nx))
+        full = op.full
+        assert got.tobytes() == full.forward_state(full.to_state(x.reshape(nz, ny, nx))).tobytes()
+        m = x.min(axis=1, keepdims=True)
+        y = x.copy()
+        # voxels at the minimum keep it; about half of the others move onto it
+        above = m + rng.uniform(0.0, 2.0, (nz, len(off))) * rng.integers(0, 2, (nz, len(off)))
+        y[:, off] = np.where(x[:, off] == m, x[:, off], above)
+        assert np.array_equal(y.min(axis=1, keepdims=True), m)
+        assert op.forward(y.reshape(nz, ny, nx)).tobytes() == got.tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(fans(), modes, st.integers(1, 6), st.integers(1, 2), st.integers(0, 2**32 - 1))
     def test_bit_identical_at_any_thread_count(self, fan, interpolation, nz, per_block,
                                                seed):
@@ -439,7 +468,7 @@ def directions(op):
     per_ray = np.bincount(op.ray, minlength=op.n_rays)
     per_voxel = op.counts.ravel()
     lay = op.crossed
-    keep = slice(None) if lay.voxels is None else lay.voxels
+    keep = lay.voxels
     return [(op.full._rows, a, per_ray), (op.full._cols, a.T, per_voxel),
             (lay._rows, a[:, keep], per_ray), (lay._cols, a.T[keep], per_voxel[keep]),
             (lay._pattern, (a.T[keep] > 0).astype(np.float64), per_voxel[keep])]
@@ -534,7 +563,7 @@ class TestLengthClasses:
         # power-of-two buckets padded A and A^T by 1.22x and 1.39x on the
         # acceptance fan and by 1.04x and 1.29x on the default fan
         op = build_fan(cfg, bounds=bounds).operator()
-        for buckets in (op._rows, op.full._cols):
+        for buckets in (op.full._rows, op.full._cols):
             assert sum(b.idx.size for b in buckets) <= 1.10 * len(op.weight)
 
 
@@ -629,7 +658,8 @@ class TestCrossedLayout:
         # every voxel of a 4x4 grid is crossed, so its crossed layout is the
         # full one; the default fan crosses 26,790 of its 65,536 voxels
         op = build_fan(GeometryConfig(width=256), bounds=(4, 4)).operator()
-        assert op.crossed is op.full and op.full.voxels is None and op.full.size == 16
+        assert op.crossed is op.full and op.full.size == 16
+        assert np.array_equal(op.full.voxels, np.arange(16))
         op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
         assert op.crossed.size == 26790
         assert np.array_equal(op.crossed.voxels, np.flatnonzero(op.counts))
