@@ -18,27 +18,60 @@ slices exact: x - m is exactly zero there. A block of slices whose minima
 are all 0 (zero backgrounds, clipped iterates) skips the shift: x - 0 = x
 and n * 0 = 0, so both passes would leave every value unchanged.
 
-Storage is numpy only. Rows of each direction (ray-major for A, voxel-major
-for A^T) are grouped into buckets by length class, _CLASSES classes per
-octave of row length, and zero-padded to the longest row of their bucket,
-so each row's padded length is under 2 ** (1 / _CLASSES) times its own
-(1.04x the entries of A and 1.03x those of A^T on the 64^2 acceptance fan).
-Classes, unlike fixed-size groups of length-sorted rows, keep _apply's
-chunks sized in bytes, which scale with the block width. Rows with no
-entries (rays with no samples, and in the full layout voxels no ray
-crosses) form a bucket of length 0. ray_mean's pattern buckets share A^T's
-rows and indices, with weights (w > 0): 1 on every entry, since coalesced
-weights are > 0, and 0 on padding. _apply overwrites an output block, a
-view of the result, from a voxel-major input block: it zeroes the rows of
-the length-0 bucket and computes the others one chunk of bucket rows at a
-time, `take` gathering the rows' inputs into a temporary of at most
-_CHUNK_BYTES, sized to stay in a core's L2 cache, and a batched `matmul`
-contracting them with the weights. BLAS computes the columns of each
-(L, nb) product in groups and rounds a leftover or lone column differently,
-so a block is padded with zero columns to a multiple of its dtype's _LANES:
-4 for float64 and 16 for float32 (with 4 or 8, OpenBLAS's Haswell float32
-kernels change a column's bits with the block width). Each slice then gets
-the same bits whatever block it falls in.
+Storage is numpy only, in dense tiles. Tile t of a direction holds the
+_TILE output ids t * _TILE ... t * _TILE + _TILE - 1 (rays for A, voxel ids
+for A^T), and its columns are the sorted union of their entries' input ids;
+its weights are one dense (_TILE, L) block, 0 where a row has no entry
+(register-blocked storage with explicit zero fill: Im, Yelick and Vuduc,
+"SPARSITY", IJHPCA 18(1), 2004). Adjacent rays of a fan are nearly parallel
+and under a voxel apart, and adjacent voxels are crossed by mostly the same
+rays, so a tile's rows share most of their inputs: on the 64^2 acceptance
+fan A's tiles gather 0.31 inputs per entry for 1.23 multiply-adds and A^T's
+0.52 for 2.08, padding included (0.53 and 2.10, 0.50 and 2.01 on the
+default 256^2 fan). Tiles are grouped into length classes of L, _CLASSES
+per octave, and zero-padded to the longest union of their class, under
+2 ** (1 / _CLASSES) times each; classes, unlike fixed-size groups of
+length-sorted tiles, keep _apply's chunks sized in bytes, which scale with
+the block width. Tiles with no entries form a class of L = 0. ray_mean's
+pattern tiles share A^T's rows and indices, with weights (w > 0): 1 on
+every entry, since coalesced weights are > 0, and 0 elsewhere.
+
+_apply overwrites an output block, a view of the result, from a
+voxel-major input block: it zeroes the rows of the L = 0 class and computes
+the others one chunk of tiles at a time, `take` gathering each tile's union
+once into a temporary of at most _CHUNK_BYTES, sized to stay in a core's L2
+cache, and one batched `matmul` contracting each (_TILE, L) block with it.
+That is one small GEMM per tile, where one GEMV per row gathered a shared
+input once for each row that reads it and paid a BLAS call per row. A row
+with no entries, in a tile that has some, gets 0 from its zero weights, as
+does a row off the output (an id past the last ray, or a voxel off the
+layout's support), which is computed and dropped. So a NaN or infinite
+input reaches every row of its tile (0 * NaN is NaN); densities and pixels
+are checked finite where they enter the package.
+
+Each column of a block must get the same bits whatever the block's width,
+so that a slice's results do not depend on its block, its layout or the
+thread count:
+- BLAS computes a product's columns in groups and rounds a leftover column
+  differently, so a block is padded with zero columns to a multiple of its
+  dtype's _LANES: 8 for float64 and 16 for float32 (OpenBLAS 0.3.31's
+  AVX-512 GEMM kernels round a leftover of up to 4 float64 or 8 float32
+  columns their own way).
+- The same OpenBLAS hands a GEMM of more than about 10^6 multiply-adds
+  from its small-matrix kernel to its general one, which sums a long L in
+  panels, and may split one of more than 2^18 over its threads; either
+  changes the bits with the width or with OPENBLAS_NUM_THREADS. So _apply
+  runs a wide block in column groups, a multiple of _LANES wide, that keep
+  each tile's matmul within _GEMM = 2^18 multiply-adds where a group of
+  _LANES columns can: the 128-slice float32 block of the default fan runs
+  A's longest tiles, about 1,500 columns, 32 slices at a time.
+Tiles are 4 rows high; tiles of 2 to 16 rows give the same bytes as each
+other. Taller tiles gather less but multiply more zeros: on a 2-vCPU Xeon,
+8-row tiles ran the default 256-ray fan's A slower (a 16-slice public
+forward took 5.0 against 2.8 ms, the 128-slice float32 state block 6.5
+against 5.0 ms) and its A^T faster (7.2 against 8.1 ms). With no bound on
+a matmul's size, OpenBLAS threaded 8-row tiles of that 128-slice block and
+their bytes changed under OPENBLAS_NUM_THREADS=1.
 
 A state layout (StateLayout) holds one array of voxel ids, its support,
 in increasing order, and each operator builds two, once each:
@@ -48,13 +81,15 @@ in increasing order, and each operator builds two, once each:
   acceptance fan's; it is full when every voxel is crossed or none is, so
   no support is empty.
 Each layout builds A and A^T from the operator's coalesced entries in one
-way, turning their voxel ids into support positions: A's buckets group the
-entries as they are, sorted by ray, and read positions; A^T's group them
-sorted stably by voxel, with rows at positions. So only the full layout's
-A^T has rows of length 0 (the voxels no ray crosses). A's columns and A^T's
-rows of the voxels no ray crosses are zero, so the crossed layout gives the
-full one's values wherever a volume is 0 off the support, and forward,
-adjoint and ray_mean all run in it.
+way: A's tiles group them by ray and read support positions, and A^T's
+group them by voxel id, whatever the support, and write their rows at
+support positions, dropping the ids off it. So every layout has the same
+tiles, unions and padding, and a tile's sums get the same bits in each;
+only the full layout's A^T writes rows of no entries (the voxels no ray
+crosses), as zeros. A's columns and A^T's rows of the voxels no ray crosses
+are zero, so the crossed layout gives the full one's values wherever a
+volume is 0 off the support, and forward, adjoint and ray_mean all run in
+it.
 
 Blocks come in two kinds:
 - Public blocks serve forward, which takes slice-major (nz, ny, nx)
@@ -107,59 +142,123 @@ INTERPOLATIONS = ("trilinear", "nearest")
 _BLOCK_BYTES = 8 << 20
 _STATE_BYTES = 32 << 20
 _CHUNK_BYTES = 512 << 10
-# length classes per octave of row length (see _buckets)
+# output ids per tile and length classes per octave of tile width (see
+# _tiles and the module doc)
+_TILE = 4
 _CLASSES = 8
-# per dtype, matmul column counts are padded to a multiple of this (see the
-# module doc)
-_LANES = {np.dtype(np.float64): 4, np.dtype(np.float32): 16}
+# per dtype, matmul column counts are padded to a multiple of this; and the
+# most multiply-adds one tile's matmul may hold (see the module doc)
+_LANES = {np.dtype(np.float64): 8, np.dtype(np.float32): 16}
+_GEMM = 1 << 18
 # slices per piece when slices are copied into a voxel-major block, and
-# voxels per tile when a voxel-major block is copied back to slices: a
+# voxels per strip when a voxel-major block is copied back to slices: a
 # whole-block strided copy of a wide block runs several times slower
 _PIECE = 16
-_TILE = 512
+_STRIP = 512
 
 
 @dataclass(frozen=True)
-class _Bucket:
-    rows: np.ndarray  # (r,) output rows
-    idx: np.ndarray   # (r, L) input rows, 0 on padding
-    w: np.ndarray     # (r, L) weights, 0 on padding
+class _Tiles:
+    rows: np.ndarray          # (c * _TILE,) each tile id's output row, -1 if none
+    keep: np.ndarray | None   # rows >= 0, None when every id has a row
+    idx: np.ndarray           # (c, L) input rows, 0 on padding
+    w: np.ndarray             # (c, _TILE, L) weights, 0 off the entries
 
 
-def _buckets(out_ids, in_ids, weights, n_out) -> tuple:
-    """Group entries (sorted by out_ids) into one padded bucket per length
-    class: a row of n > 0 entries has class ceil(_CLASSES * log2(n)), so its
-    bucket's longest row is under 2 ** (1 / _CLASSES) times n. Rows with no
-    entries form a first bucket of length 0. One stable sort of the rows by
-    class splits them, each bucket's rows in increasing order."""
-    lengths = np.bincount(out_ids, minlength=n_out)
-    starts = np.cumsum(lengths) - lengths
-    keys = np.full(n_out, -1, dtype=np.int64)
-    has = lengths > 0
-    keys[has] = np.ceil(_CLASSES * np.log2(lengths[has]))
+def _tiles(out_ids, in_ids, weights, rows, n_in: int) -> tuple:
+    """Group entries, one per (out_id, in_id) pair and in any order, into
+    dense tiles, one padded _Tiles per length class. Tile t holds the output
+    ids t * _TILE ... t * _TILE + _TILE - 1, whose rows are rows[id] (-1 for
+    none, as for ids past len(rows)); its columns are the sorted union of
+    their in_ids (< n_in). A tile whose union has L > 0 columns has class
+    ceil(_CLASSES * log2(L)), so its class's longest union is under
+    2 ** (1 / _CLASSES) times L; tiles with no entries form a first class
+    of L = 0. One sort of the (tile, in_id) keys gives every union, and one
+    scatter each fills the idx and w arrays of all classes, which are views
+    of two flat arrays."""
+    n_tiles = -(-len(rows) // _TILE)
+    keys = out_ids // _TILE
+    keys *= n_in
+    keys += in_ids
+    # stable: the operator's ray-major entries give keys in sorted runs (A's
+    # are _TILE runs per tile), which a merge sort exploits; it took 0.6 and
+    # 1.9 ms for A and A^T on the 64^2 acceptance fan, against 1.6 and 1.8
+    # for the default sort
     order = np.argsort(keys, kind="stable")
-    edges = np.append(np.flatnonzero(np.diff(keys[order], prepend=-2)), n_out)
-    # padding reads one (0, 0.0) entry appended past the last, so a single
-    # gather fills a bucket's idx and another its w, zeros included
-    pad = len(in_ids)
-    in_ids, weights = np.append(in_ids, 0), np.append(weights, 0.0)
-    out = []
+    keys = keys.take(order)
+    first = _run_starts(keys)
+    pairs = keys.take(first)  # the distinct (tile, in_id) keys, sorted
+    del keys
+    # each sorted entry's pair
+    col = np.repeat(np.arange(len(first)), np.diff(first, append=len(order)))
+    del first
+    pair_tile = pairs // n_in
+    lengths = np.bincount(pair_tile, minlength=n_tiles)
+    starts = np.cumsum(lengths) - lengths
+    classes = np.full(n_tiles, -1, dtype=np.int64)
+    has = lengths > 0
+    classes[has] = np.ceil(_CLASSES * np.log2(lengths[has]))
+    by_class = np.argsort(classes, kind="stable")
+    edges = np.append(np.flatnonzero(np.diff(classes[by_class], prepend=-2)), n_tiles)
+    # each tile's class width and its offset in the flat idx array; its w
+    # block starts at _TILE times that offset
+    width = np.empty(n_tiles, dtype=np.int64)
+    base = np.empty(n_tiles, dtype=np.int64)
+    spans, total = [], 0
     for a, b in zip(edges[:-1], edges[1:]):
-        rows = order[a:b]
-        n = lengths[rows][:, None]
-        col = np.arange(n.max())
-        pos = np.where(col < n, starts[rows][:, None] + col, pad)
-        out.append(_Bucket(rows=rows, idx=in_ids[pos], w=weights[pos]))
+        t = by_class[a:b]
+        n = int(lengths[t].max())
+        width[t] = n
+        base[t] = total + n * np.arange(b - a)
+        spans.append((t, total, n))
+        total += n * (b - a)
+    idx = np.zeros(total, dtype=np.int64)
+    at = base[pair_tile]
+    at += np.arange(len(pairs))
+    at -= starts[pair_tile]
+    pairs -= pair_tile * n_in
+    idx[at] = pairs
+    del at, pairs, pair_tile
+    # each sorted entry's place in w: tile, row in the tile, column
+    row = out_ids.take(order)
+    tile = row // _TILE
+    row -= _TILE * tile
+    row *= width[tile]
+    col -= starts[tile]
+    row += col
+    del col
+    at = base[tile]
+    del tile
+    at *= _TILE
+    at += row
+    del row
+    w = np.zeros(_TILE * total)
+    w[at] = weights.take(order)
+    del at, order
+    ids = np.full(n_tiles * _TILE, -1, dtype=np.int64)
+    ids[:len(rows)] = rows
+    ids = ids.reshape(n_tiles, _TILE)
+    out = []
+    for t, at, n in spans:
+        r = ids[t].ravel()
+        keep = r >= 0
+        out.append(_Tiles(rows=r, keep=None if keep.all() else keep,
+                          idx=idx[at:at + n * len(t)].reshape(len(t), n),
+                          w=w[_TILE * at:_TILE * (at + n * len(t))].reshape(len(t), _TILE, n)))
     return tuple(out)
 
 
-def _apply(buckets, src: np.ndarray, out: np.ndarray) -> None:
+def _apply(tiles, src: np.ndarray, out: np.ndarray) -> None:
     """out[r] = sum over a row's entries of w * src[idx] for every row r of
     the (n_rows, nb) block out, which is overwritten (rows with no entries
-    get zeros); the buckets' weights have src's dtype, in which the sums are
+    get zeros); the tiles' weights have src's dtype, in which the sums are
     computed. src is (n_in, nb) and is padded with zero columns to a
-    multiple of its dtype's _LANES first, so each column's sums do not
-    depend on nb (see the module doc)."""
+    multiple of its dtype's _LANES first. Each chunk of a class's tiles is
+    gathered once and contracted by batched matmuls, _TILE rows at a time,
+    over groups of columns a multiple of _LANES wide that keep a tile's
+    matmul within _GEMM multiply-adds, so each column's sums do not depend
+    on nb (see the module doc); the rows of ids off the output are computed
+    and dropped."""
     n_in, nb = src.shape
     lanes = _LANES[src.dtype]
     if nb % lanes:
@@ -167,14 +266,22 @@ def _apply(buckets, src: np.ndarray, out: np.ndarray) -> None:
         padded[:, :nb] = src
         src = padded
     width, itemsize = src.shape[1], src.itemsize
-    for b in buckets:
-        if not b.idx.shape[1]:
-            out[b.rows] = 0.0
+    for t in tiles:
+        c, n = t.idx.shape
+        if not n:
+            out[t.rows if t.keep is None else t.rows[t.keep]] = 0.0
             continue
-        step = max(1, _CHUNK_BYTES // (b.idx.shape[1] * width * itemsize))
-        for s in range(0, len(b.rows), step):
-            g = np.take(src, b.idx[s:s + step], axis=0)  # (r, L, width)
-            out[b.rows[s:s + step]] = np.matmul(b.w[s:s + step, None, :], g)[:, 0, :nb]
+        cols = max(lanes, _GEMM // (_TILE * n) // lanes * lanes)
+        step = max(1, _CHUNK_BYTES // (n * width * itemsize))
+        for s in range(0, c, step):
+            g = np.take(src, t.idx[s:s + step], axis=0)  # (c', L, width)
+            rows = t.rows[_TILE * s:_TILE * (s + step)]
+            keep = slice(None) if t.keep is None else t.keep[_TILE * s:_TILE * (s + step)]
+            dst = rows[keep]
+            for j in range(0, nb, cols):
+                sums = np.matmul(t.w[s:s + step], g[:, :, j:j + cols])
+                k = min(cols, nb - j)
+                out[dst, j:j + k] = sums.reshape(len(rows), -1)[keep, :k]
 
 
 def _state_dtype(a: np.ndarray) -> np.dtype:
@@ -222,24 +329,24 @@ def _copy_in(rows: np.ndarray, vt: np.ndarray, voxels: np.ndarray) -> None:
 def _copy_back(vt: np.ndarray, rows: np.ndarray, voxels: np.ndarray) -> None:
     """rows (nb, n_voxels) = the voxel-major block vt (size, nb), whose rows
     are the voxels (sorted voxel ids), transposed, every other voxel 0, in
-    tiles of _TILE voxels. A tile is assembled voxel-major first, so its
+    strips of _STRIP voxels. A strip is assembled voxel-major first, so its
     rows move whole."""
     n = rows.shape[1]
-    tile = np.empty((_TILE, vt.shape[1]), dtype=vt.dtype)
-    # the support positions that start each tile
-    starts = np.searchsorted(voxels, np.arange(0, n + _TILE, _TILE))
-    for i, v0 in enumerate(range(0, n, _TILE)):
+    strip = np.empty((_STRIP, vt.shape[1]), dtype=vt.dtype)
+    # the support positions that start each strip
+    starts = np.searchsorted(voxels, np.arange(0, n + _STRIP, _STRIP))
+    for i, v0 in enumerate(range(0, n, _STRIP)):
         a, b = starts[i], starts[i + 1]
-        part = tile[:min(_TILE, n - v0)]
+        part = strip[:min(_STRIP, n - v0)]
         part.fill(0)
         part[voxels[a:b] - v0] = vt[a:b]
-        rows[:, v0:v0 + _TILE] = part.T
+        rows[:, v0:v0 + _STRIP] = part.T
 
 
 def _project(rows: tuple, xt: np.ndarray, m: np.ndarray, counts: np.ndarray,
              out: np.ndarray) -> None:
     """out (nb, n_rays) = A xt + n m for the voxel-major block xt (n, nb),
-    through A's buckets rows of xt's dtype that read its n voxels, with n
+    through A's tiles rows of xt's dtype that read its n voxels, with n
     the rays' sample counts: the line sums of a block whose column minima m
     the caller has subtracted into xt, or of xt itself where m is all 0
     (see the module doc). xt is never written."""
@@ -425,41 +532,42 @@ class StateLayout:
         self._entries = (op.ray, op.voxel, op.weight)
         self._cast = {}  # see _typed
 
-    def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """The support positions of the voxel ids, each on the support."""
-        pos = np.zeros(self.n_voxels, dtype=np.int64)
+    def _positions(self) -> np.ndarray:
+        """The support position of every voxel id, -1 off the support."""
+        pos = np.full(self.n_voxels, -1, dtype=np.int64)
         pos[self.voxels] = np.arange(self.size)
-        return pos[ids]
+        return pos
 
     @cached_property
     def _rows(self) -> tuple:
-        """A's buckets: the operator's entries, sorted by ray, reading
-        support positions."""
+        """A's tiles: the operator's entries, tiled by ray, reading support
+        positions."""
         ray, voxel, weight = self._entries
-        return _buckets(ray, self._positions(voxel), weight, self.n_rays)
+        return _tiles(ray, self._positions()[voxel], weight, np.arange(self.n_rays), self.size)
 
     @cached_property
     def _cols(self) -> tuple:
-        """A^T's buckets: the operator's entries sorted stably by voxel, with
-        rows at support positions."""
+        """A^T's tiles: the operator's entries tiled by voxel id, whatever
+        the support, so that every layout gets the same tiles, and writing
+        the rows at support positions."""
         ray, voxel, weight = self._entries
-        order = np.argsort(voxel, kind="stable")
-        return _buckets(self._positions(voxel[order]), ray[order], weight[order], self.size)
+        return _tiles(voxel, ray, weight, self._positions(), self.n_rays)
 
     @cached_property
     def _pattern(self) -> tuple:
-        """A^T's buckets weighted 1 on every entry and 0 on padding."""
-        return tuple(_Bucket(b.rows, b.idx, (b.w > 0).astype(np.float64)) for b in self._cols)
+        """A^T's tiles weighted 1 on every entry and 0 elsewhere."""
+        return tuple(_Tiles(t.rows, t.keep, t.idx, (t.w > 0).astype(np.float64))
+                     for t in self._cols)
 
     def _typed(self, name: str, dtype: np.dtype) -> tuple:
-        """The buckets self.<name> (_rows, _cols or _pattern) with weights of
+        """The tiles self.<name> (_rows, _cols or _pattern) with weights of
         dtype: the float64 ones as built, any other cast once and kept."""
-        buckets = getattr(self, name)
+        tiles = getattr(self, name)
         if dtype == np.float64:
-            return buckets
+            return tiles
         if (name, dtype) not in self._cast:
-            self._cast[name, dtype] = tuple(_Bucket(b.rows, b.idx, b.w.astype(dtype))
-                                            for b in buckets)
+            self._cast[name, dtype] = tuple(_Tiles(t.rows, t.keep, t.idx, t.w.astype(dtype))
+                                            for t in tiles)
         return self._cast[name, dtype]
 
     def state_blocks(self, nz: int) -> list:
@@ -538,11 +646,11 @@ class StateLayout:
             out = self.buffer(len(r), _state_dtype(r))
         else:
             out = _out(out, (len(r) * self.size,), (np.float64, np.float32))
-        buckets = self._typed(name, out.dtype)
+        tiles = self._typed(name, out.dtype)
 
         def block(item, _):
             (z0, z1), view = item
-            _apply(buckets, np.ascontiguousarray(r[z0:z1].T, dtype=out.dtype), view)
+            _apply(tiles, np.ascontiguousarray(r[z0:z1].T, dtype=out.dtype), view)
 
         run_blocks(block, self.state_views(out), threads)
         return out

@@ -98,20 +98,23 @@ def _psnr_db(mse: float) -> float:
 def psnr(a, b, *, mask=None) -> float:
     """10*log10(1 / MSE) in dB, the peak being 1, the top of the normalized
     density range; capped at 99.0 (identical inputs). The MSE is volume_mse's,
-    taken over the voxels a mask selects when one is given.
+    taken over the voxels a mask selects when one is given: each slice
+    pair's selected squared differences are summed on their own, so an
+    all-True mask gives the unmasked value bit for bit.
 
     Raises ValueError when a scored value is NaN or infinite, or when its
     squared differences overflow."""
     a, b = _pair(a, b)
+    size = a.size
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != a.shape:
             raise DimsError(f"mask dims {mask.shape} differ from volume dims {a.shape}")
-        if not mask.any():
+        size = np.count_nonzero(mask)
+        if not size:
             raise ValueError("psnr mask selects no voxels")
-        a, b = a[mask], b[mask]
-    _, sq_sums, _ = _slice_walk(a, b, DICE_THRESHOLD, 1)
-    return _psnr_db(_slice_mean(sq_sums, a.size))
+    _, sq_sums, _ = _slice_walk(a, b, DICE_THRESHOLD, 1, mask=mask)
+    return _psnr_db(_slice_mean(sq_sums, size))
 
 
 def dice(a, b, threshold: float = DICE_THRESHOLD) -> float:
@@ -204,24 +207,28 @@ def _slice_ssim(x, y, prod, rows, means, num, den) -> float:
     return _no_overflow(np.mean(valid))
 
 
-def _slice_walk(a, b, threshold, threads, with_ssim=False):
+def _slice_walk(a, b, threshold, threads, with_ssim=False, mask=None):
     """The one read of a's and b's values: one pass on up to `threads`
     workers over their axial slice pairs (any other shape than 3D, such as a
-    masked selection or a 2D image, is one pair), each read as float64.
-    Returns Dice's voxel counts (above threshold in a, in b, in both) summed
-    over the pairs, which as integers equal whole-volume counts; the pairs'
-    sums of squared differences in order; and, with_ssim, the slices' SSIM
-    means in order (else Nones).
+    2D image, is one pair), each read as float64. Returns Dice's voxel
+    counts (above threshold in a, in b, in both) summed over the pairs,
+    which as integers equal whole-volume counts; the pairs' sums of squared
+    differences in order, over the voxels that the bool array mask, of a's
+    shape, selects if given; and, with_ssim, the slices' SSIM means in order
+    (else Nones).
 
-    ValueError for a NaN or infinite value, before any SSIM arithmetic on
-    its pair, and for an SSIM mean that overflows; with_ssim, DimsError unless
-    a is 3D with axial slices at least the SSIM window wide."""
+    ValueError for a NaN or infinite value (with a mask, a selected one),
+    before any SSIM arithmetic on its pair, and for an SSIM mean that
+    overflows; with_ssim, DimsError unless a is 3D with axial slices at
+    least the SSIM window wide."""
     w = _SSIM_WINDOW
     if with_ssim and (a.ndim != 3 or min(a.shape[1:]) < w):
         raise DimsError(f"SSIM scores 3D volumes whose axial slices hold its {w}x{w} "
                         f"window, got dims {a.shape}")
     if a.ndim != 3:
         a, b = a[np.newaxis], b[np.newaxis]
+        if mask is not None:
+            mask = mask[np.newaxis]
     shape = a.shape[1:]
 
     # buffers allocated once per worker keep a pair's working set in cache.
@@ -254,11 +261,14 @@ def _slice_walk(a, b, threshold, threads, with_ssim=False):
             y = wide_b
         np.subtract(x, y, out=prod)
         prod *= prod
-        sq_sum = float(prod.sum())
+        # the slice's selected values, in its order: a selection of every
+        # voxel sums as the whole slice does
+        sel = slice(None) if mask is None else mask[j]
+        sq_sum = float(prod[sel].sum())
         # a NaN or infinity makes the sum NaN or inf; so does an overflow,
         # which _slice_mean rejects on its own
-        if not (math.isfinite(sq_sum) or np.isfinite(x, out=above_a).all()
-                and np.isfinite(y, out=above_a).all()):
+        if not (math.isfinite(sq_sum) or np.isfinite(x[sel]).all()
+                and np.isfinite(y[sel]).all()):
             raise ValueError("metrics need finite values, got NaN or infinity")
         np.greater(x, threshold, out=above_a)
         np.greater(y, threshold, out=above_b)

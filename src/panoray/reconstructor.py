@@ -172,18 +172,20 @@ def _mip_term(lay, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
     """grad += the MIP term of one axis, on volumes of one dtype held in
     the full layout lay: each projected residual r is shared equally across
     the voxels within tie_tol of their column's maximum proj. The threshold
-    and each
-    share are rounded to that dtype, so no block is compared or added in
-    another. Returns the tie counts, shaped like proj. band is a bool
-    state-layout workspace that holds the tie band; the counts are
-    integers, so summing them over blocks is exact."""
+    and each share are rounded to that dtype, so no block is compared or
+    added in another. Returns the tie counts, shaped like proj. band is a
+    bool state-layout workspace that holds the tie band; the counts are
+    integers, so summing them over blocks is exact. A block's band is
+    counted through its uint8 view, into int32 (a column holds far fewer
+    than 2**31 voxels), which is cheaper than summing bools."""
     k = _BLOCK_AXES[axis]
     counts = np.zeros(proj.shape, dtype=np.int64)
     floor = (proj - tie_tol).astype(state.dtype)
     blocks = list(zip(_blocks3(lay, state), _blocks3(lay, band), _blocks3(lay, grad)))
     for ((z0, z1), b), (_, t), _ in blocks:
         np.greater_equal(b, np.expand_dims(_block_part(axis, floor, z0, z1), k), out=t)
-        _block_part(axis, counts, z0, z1)[...] += t.sum(axis=k)
+        _block_part(axis, counts, z0, z1)[...] += np.add.reduce(t.view(np.uint8), axis=k,
+                                                                dtype=np.int32)
     share = (r / counts).astype(grad.dtype)
     for ((z0, z1), _), (_, t), (_, g) in blocks:
         np.add(g, np.expand_dims(_block_part(axis, share, z0, z1), k), out=g, where=t)

@@ -11,11 +11,12 @@ runs the arithmetic on every pair, all-zero pairs included; the library's
 flat-row sums and its exact score for an all-zero pair must match it bit for
 bit.
 
-walk_samples, coalesced_entries and padded_buckets build the fan's sample
-arrays and the operator's entries and buckets by whole-array passes: every
-step of every ray is computed and tested, and entries are coalesced by
-integer keys. The library builds the same arrays from the samples it keeps;
-the tests require them to be bit-identical.
+walk_samples, coalesced_entries and padded_tiles build the fan's sample
+arrays and the operator's entries and tiles by whole-array passes: every
+step of every ray is computed and tested, entries are coalesced by integer
+keys, and tiles are filled class by class. The library builds the same
+arrays from the samples it keeps, and fills every class in one scatter; the
+tests require them to be bit-identical.
 """
 
 import math
@@ -157,26 +158,34 @@ def coalesced_entries(sample_xy, sample_valid, bounds, interpolation):
     return keys // n_voxels, keys % n_voxels, weight[keep]
 
 
-def padded_buckets(out_ids, in_ids, weights, n_out, classes):
-    """(rows, idx, w) of each of fan_operator._buckets' buckets, in its
-    order, for entries sorted by out_ids and `classes` length classes per
-    octave: each row's entries gathered and then masked to 0 on the
-    padding."""
-    lengths = np.bincount(out_ids, minlength=n_out)
-    starts = np.cumsum(lengths) - lengths
-    keys = np.full(n_out, -1, dtype=np.int64)
-    has = lengths > 0
-    keys[has] = np.ceil(classes * np.log2(lengths[has]))
-    order = np.argsort(keys, kind="stable")
-    edges = np.append(np.flatnonzero(np.diff(keys[order], prepend=-2)), n_out)
+def padded_tiles(out_ids, in_ids, weights, rows, n_in, height, classes):
+    """(rows, idx, w) of each class of fan_operator._tiles, in its order, for
+    entries in any order, `height` output ids per tile and `classes` length
+    classes per octave: the (tile, in_id) pairs and each entry's pair from
+    np.unique, then each class's tiles picked by a mask over every tile, pair
+    and entry and written by index."""
+    n_tiles = -(-len(rows) // height)
+    tile = out_ids // height
+    pairs, pair_of = np.unique(tile * n_in + in_ids, return_inverse=True)
+    pair_tile = pairs // n_in
+    lengths = np.bincount(pair_tile, minlength=n_tiles)
+    col = np.arange(len(pairs)) - np.searchsorted(pair_tile, pair_tile)
+    keys = np.where(lengths > 0, np.ceil(classes * np.log2(np.maximum(lengths, 1))), -1)
+    ids = np.full(n_tiles * height, -1)
+    ids[:len(rows)] = rows
     out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rows = order[a:b]
-        n = lengths[rows][:, None]
-        col = np.arange(n.max())
-        pad = col >= n
-        pos = np.where(pad, 0, starts[rows][:, None] + col)
-        out.append((rows, np.where(pad, 0, in_ids[pos]), np.where(pad, 0.0, weights[pos])))
+    for key in np.unique(keys):
+        tiles = np.flatnonzero(keys == key)
+        slot = np.full(n_tiles, -1)
+        slot[tiles] = np.arange(len(tiles))
+        n = lengths[tiles].max()
+        idx = np.zeros((len(tiles), n), dtype=np.int64)
+        on = slot[pair_tile] >= 0
+        idx[slot[pair_tile[on]], col[on]] = pairs[on] % n_in
+        w = np.zeros((len(tiles), height, n))
+        on = slot[tile] >= 0
+        w[slot[tile[on]], out_ids[on] % height, col[pair_of[on]]] = weights[on]
+        out.append((ids.reshape(n_tiles, height)[tiles].ravel(), idx, w))
     return out
 
 

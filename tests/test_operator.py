@@ -4,7 +4,11 @@ import functools
 import gc
 import math
 import mmap
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +17,9 @@ from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import coalesced_entries, padded_buckets, same_bits
+from oracles import coalesced_entries, padded_tiles, same_bits
 
+import panoray
 from panoray import _pool, fan_operator
 from panoray.backproject import BackProjectionMap, aggregate_rho, crossing_counts
 from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
@@ -176,19 +181,25 @@ def test_operator_without_entries(interpolation):
 
 
 def check_build_matches_oracle(op, sample_xy, sample_valid, interpolation):
-    """op's coalesced entries and its A and A^T buckets are bit-identical
-    to the whole-array build of oracles.py from the same samples."""
+    """op's coalesced entries and the A and A^T tiles of both its layouts
+    are bit-identical to the whole-array build of oracles.py from the same
+    samples."""
     ray, voxel, weight = coalesced_entries(sample_xy, sample_valid, op.bounds, interpolation)
     assert same_bits(op.ray, ray) and same_bits(op.voxel, voxel) and same_bits(op.weight, weight)
-    by_voxel = np.argsort(voxel, kind="stable")
-    for got, want in (
-        (op.full._rows, padded_buckets(ray, voxel, weight, op.n_rays, fan_operator._CLASSES)),
-        (op.full._cols, padded_buckets(voxel[by_voxel], ray[by_voxel], weight[by_voxel],
-                                  op.n_voxels, fan_operator._CLASSES)),
-    ):
-        assert len(got) == len(want)
-        for b, (rows, idx, w) in zip(got, want):
-            assert same_bits(b.rows, rows) and same_bits(b.idx, idx) and same_bits(b.w, w)
+    for lay in (op.full, op.crossed):
+        pos = np.full(op.n_voxels, -1)
+        pos[lay.voxels] = np.arange(lay.size)
+        for got, want in (
+            (lay._rows, padded_tiles(ray, pos[voxel], weight, np.arange(op.n_rays), lay.size,
+                                     fan_operator._TILE, fan_operator._CLASSES)),
+            (lay._cols, padded_tiles(voxel, ray, weight, pos, op.n_rays,
+                                     fan_operator._TILE, fan_operator._CLASSES)),
+        ):
+            assert len(got) == len(want)
+            for t, (rows, idx, w) in zip(got, want):
+                assert same_bits(t.rows, rows) and same_bits(t.idx, idx) and same_bits(t.w, w)
+                keep = rows >= 0
+                assert t.keep is None if keep.all() else same_bits(t.keep, keep)
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
@@ -446,20 +457,23 @@ class TestOperatorProperties:
 
 
 def test_pattern_weights_mark_the_entries(fan):
-    # the crossed layout's A^T buckets, sharing their rows and indices,
-    # weighted 1 on each entry and 0 on padding, so each support voxel's
-    # row of pattern weights sums to its entry count
+    # the crossed layout's A^T tiles, sharing their rows and indices,
+    # weighted 1 on each entry and 0 elsewhere, so each support voxel's row
+    # of pattern weights sums to its entry count
     lay = fan.operator().crossed
     assert np.array_equal(lay.counts, fan.operator().counts[fan.operator().counts > 0])
     assert len(lay._pattern) == len(lay._cols)
-    for p, b in zip(lay._pattern, lay._cols):
-        assert p.rows is b.rows and p.idx is b.idx
-        assert np.array_equal(p.w, (b.w != 0.0).astype(np.float64))
-        assert np.array_equal(p.w.sum(axis=1), lay.counts[b.rows])
+    for p, t in zip(lay._pattern, lay._cols):
+        assert p.rows is t.rows and p.keep is t.keep and p.idx is t.idx
+        assert np.array_equal(p.w, (t.w != 0.0).astype(np.float64))
+        sums = p.w.sum(axis=2).ravel()
+        keep = t.rows >= 0
+        assert np.array_equal(sums[keep], lay.counts[t.rows[keep]])
+        assert not sums[~keep].any()
 
 
 def directions(op):
-    """(buckets, dense matrix, row lengths) of A and A^T in the full layout
+    """(tiles, dense matrix, row lengths) of A and A^T in the full layout
     and of A, A^T and the pattern in the crossed one, the dense matrices
     built from the coalesced (ray, voxel, weight) entries; a crossed
     matrix keeps its support's columns or rows, in voxel order."""
@@ -474,46 +488,64 @@ def directions(op):
             (lay._pattern, (a.T[keep] > 0).astype(np.float64), per_voxel[keep])]
 
 
-def dense_from_buckets(buckets, shape):
-    """The matrix the buckets hold; padding adds 0.0 to column 0."""
+def dense_from_tiles(tiles, shape):
+    """The matrix the tiles hold: each kept row of a tile's weight block
+    added at its output row and the tile's columns; rows of ids off the
+    output are dropped."""
     d = np.zeros(shape)
-    for b in buckets:
-        np.add.at(d, (np.repeat(b.rows, b.idx.shape[1]), b.idx.ravel()), b.w.ravel())
+    for t in tiles:
+        c, n = t.idx.shape
+        keep = t.rows >= 0
+        cols = np.repeat(t.idx, fan_operator._TILE, axis=0)[keep]
+        np.add.at(d, (np.repeat(t.rows[keep], n), cols.ravel()),
+                  t.w.reshape(c * fan_operator._TILE, n)[keep].ravel())
     return d
 
 
-def check_length_classes(buckets, dense, lengths):
-    """The buckets partition the rows: one of length 0 holds every row with
-    no entries, each other holds one length class of rows with entries and is
-    padded to its longest row, under 2 ** (1 / _CLASSES) times each row's
-    length; the matrix they hold is the dense one, exactly."""
-    k = fan_operator._CLASSES
-    rows = np.concatenate([b.rows for b in buckets])
-    assert np.array_equal(np.sort(rows), np.arange(len(lengths)))
+def check_tiles(tiles, dense, lengths):
+    """The tiles' kept rows partition the rows, each written once. The
+    first class, of width 0, holds the tiles of rows with no entries; each
+    other holds one length class of tile unions and is padded to its
+    longest, under 2 ** (1 / _CLASSES) times each union. A tile's union is
+    the leading columns of its idx row, in increasing order, and each of
+    them carries a weight in some row; a row that is dropped carries none.
+    The matrix the tiles hold is the dense one, exactly."""
+    k, h = fan_operator._CLASSES, fan_operator._TILE
+    rows = np.concatenate([t.rows for t in tiles])
+    assert np.array_equal(np.sort(rows[rows >= 0]), np.arange(len(lengths)))
     classes = set()
-    for b in buckets:
-        n = lengths[b.rows]
-        width = b.idx.shape[1]
-        if width == 0:
-            assert np.array_equal(b.rows, np.flatnonzero(lengths == 0))
+    for i, t in enumerate(tiles):
+        c, n = t.idx.shape
+        assert t.rows.shape == (c * h,) and t.w.shape == (c, h, n)
+        keep = t.rows >= 0
+        assert t.keep is None if keep.all() else np.array_equal(t.keep, keep)
+        assert not t.w.reshape(c * h, n)[~keep].any()
+        per_row = lengths[np.where(keep, t.rows, 0)] * keep
+        if n == 0:
+            assert i == 0 and not per_row.any()
             continue
-        key = np.ceil(k * np.log2(n))
-        assert n.min() > 0 and np.all(key == key[0]) and key[0] not in classes
+        used = (t.w > 0).any(axis=1)
+        union = used.sum(axis=1)
+        pad = np.arange(n) >= union[:, None]
+        assert np.array_equal(used, ~pad)
+        assert union.min() > 0 and np.all(np.diff(t.idx, axis=1)[~pad[:, 1:]] > 0)
+        key = np.ceil(k * np.log2(union))
+        assert np.all(key == key[0]) and key[0] not in classes
         classes.add(key[0])
-        assert width == n.max() and np.all(width < n * 2 ** (1 / k))
-        pad = np.arange(width) >= n[:, None]
-        assert np.all(b.w[~pad] > 0) and not b.w[pad].any() and not b.idx[pad].any()
-    assert np.array_equal(dense_from_buckets(buckets, dense.shape), dense)
+        assert n == union.max() and np.all(n < union * 2 ** (1 / k))
+        assert not t.idx[pad].any() and np.all(t.w[t.w != 0] > 0)
+        assert np.array_equal((t.w > 0).sum(axis=2).ravel(), per_row)
+    assert np.array_equal(dense_from_tiles(tiles, dense.shape), dense)
 
 
 def check_apply_zeroes_empty_rows(op, nb, seed):
     """_apply into NaN-filled blocks writes exact zeros on the rows with no
     entries and the dense products on the others."""
     rng = np.random.default_rng(seed)
-    for buckets, dense, lengths in directions(op):
+    for tiles, dense, lengths in directions(op):
         src = rng.uniform(-1.0, 1.0, (dense.shape[1], nb))
         out = np.full((dense.shape[0], nb), np.nan)
-        fan_operator._apply(buckets, src, out)
+        fan_operator._apply(tiles, src, out)
         assert np.all(out[lengths == 0] == 0.0)
         assert np.allclose(out, dense @ src, rtol=1e-12, atol=1e-12)
 
@@ -522,22 +554,22 @@ class TestLengthClasses:
     @settings(max_examples=60, deadline=None)
     @given(fans(), modes, st.integers(1, 6), st.sampled_from([8, 256, 512 << 10]),
            st.integers(0, 2**32 - 1))
-    def test_buckets_and_apply(self, fan, interpolation, nb, chunk, seed):
-        # chunk bytes from one row per chunk to the default
+    def test_tiles_and_apply(self, fan, interpolation, nb, chunk, seed):
+        # chunk bytes from one tile per chunk to the default
         op = fan.operator(interpolation)
-        for buckets, dense, lengths in directions(op):
-            check_length_classes(buckets, dense, lengths)
+        for tiles, dense, lengths in directions(op):
+            check_tiles(tiles, dense, lengths)
         with mock.patch.object(fan_operator, "_CHUNK_BYTES", chunk):
             check_apply_zeroes_empty_rows(op, nb, seed)
 
     @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
     def test_fixture_fans(self, fan, interpolation):
         # rows of up to a few hundred entries, so most of these fans have
-        # classes of several lengths and buckets with padding; the random
+        # classes of several lengths and tiles with padding; the random
         # fans' short rows rarely do
         op = fan.operator(interpolation)
-        for buckets, dense, lengths in directions(op):
-            check_length_classes(buckets, dense, lengths)
+        for tiles, dense, lengths in directions(op):
+            check_tiles(tiles, dense, lengths)
         check_apply_zeroes_empty_rows(op, 5, 0)
 
     @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
@@ -548,23 +580,29 @@ class TestLengthClasses:
         op = fan.operator(interpolation)
         assert 0 < np.count_nonzero(fan.sample_counts == 0) < fan.n_rays
         assert 0 < op.crossed.size < op.n_voxels
-        for buckets, dense, lengths in directions(op):
-            # A and the full A^T have rows of length 0; the crossed A^T and
-            # pattern do not
-            assert (buckets[0].idx.shape[1] == 0) == (lengths == 0).any()
-            check_length_classes(buckets, dense, lengths)
+        for tiles, dense, lengths in directions(op):
+            check_tiles(tiles, dense, lengths)
+        # A and the full A^T have rows of length 0, some in tiles of their
+        # own; the crossed A^T has none, but its tiles drop the rows of the
+        # voxels no ray crosses, and so does its class of tiles of no entries
+        crossed = op.crossed._cols
+        assert crossed[0].idx.shape[1] == 0 and crossed[0].keep is not None
+        assert any(t.keep is not None and t.idx.shape[1] for t in crossed)
         check_apply_zeroes_empty_rows(op, 5, 0)
 
-    @pytest.mark.parametrize("cfg, bounds", [
-        (GeometryConfig(width=512, angle_scale=0.5), (64, 64)),
-        (GeometryConfig(), (256, 256)),
+    @pytest.mark.parametrize("cfg, bounds, gathers, madds", [
+        (GeometryConfig(width=512, angle_scale=0.5), (64, 64), (0.31, 0.52), (1.23, 2.08)),
+        (GeometryConfig(), (256, 256), (0.53, 0.51), (2.11, 2.01)),
     ], ids=["acceptance-64", "default-256"])
-    def test_padding_stays_low(self, cfg, bounds):
-        # power-of-two buckets padded A and A^T by 1.22x and 1.39x on the
-        # acceptance fan and by 1.04x and 1.29x on the default fan
+    def test_padding_stays_low(self, cfg, bounds, gathers, madds):
+        # the voxels a tile gathers and the multiply-adds of its weight block,
+        # padding included, per entry of A and of A^T: _TILE adjacent rays
+        # or voxels share most of their unions on the dense acceptance fan's
+        # A, and about half of them elsewhere
         op = build_fan(cfg, bounds=bounds).operator()
-        for buckets in (op.full._rows, op.full._cols):
-            assert sum(b.idx.size for b in buckets) <= 1.10 * len(op.weight)
+        for tiles, g, m in zip((op.full._rows, op.full._cols), gathers, madds):
+            assert sum(t.idx.size for t in tiles) <= g * len(op.weight)
+            assert sum(t.w.size for t in tiles) <= m * len(op.weight)
 
 
 @functools.cache
@@ -774,33 +812,106 @@ class TestCrossedLayout:
 
 
 @st.composite
-def random_buckets(draw):
-    """Buckets of a random sparse matrix whose rows hold 0 to 200 entries,
-    some of them long enough for BLAS to regroup a product's columns."""
-    lengths = draw(st.lists(st.integers(0, 200), min_size=1, max_size=8))
+def random_tiles(draw):
+    """Tiles of a random sparse matrix whose rows hold 0 to 200 distinct
+    columns, some of them long enough for BLAS to regroup a product's
+    columns, built from its entries in random order, with some rows
+    dropped; and the oracle's build of the same entries."""
+    lengths = draw(st.lists(st.integers(0, 200), min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    out_ids = np.repeat(np.arange(len(lengths)), lengths)
     n_in = 250
-    in_ids = rng.integers(0, n_in, len(out_ids))
-    weights = rng.uniform(0.0, 1.0, len(out_ids))
-    return fan_operator._buckets(out_ids, in_ids, weights, len(lengths)), n_in, rng
+    out_ids = np.repeat(np.arange(len(lengths)), lengths)
+    in_ids = np.concatenate([rng.choice(n_in, n, replace=False) for n in lengths])
+    weights = rng.uniform(0.0, 1.0, len(out_ids)) + 0.5
+    shuffle = rng.permutation(len(out_ids))
+    out_ids, in_ids, weights = out_ids[shuffle], in_ids[shuffle], weights[shuffle]
+    rows = np.arange(len(lengths))
+    if draw(st.booleans()):  # rows of no entries dropped, the rest renumbered
+        kept = np.array(lengths) > 0
+        rows = np.where(kept, np.cumsum(kept) - 1, -1)
+    h, k = fan_operator._TILE, fan_operator._CLASSES
+    return (fan_operator._tiles(out_ids, in_ids, weights, rows, n_in),
+            padded_tiles(out_ids, in_ids, weights, rows, n_in, h, k),
+            int(rows.max()) + 1, n_in, rng)
 
 
 class TestApply:
     @settings(max_examples=40, deadline=None)
-    @given(random_buckets(), st.sampled_from([np.float64, np.float32]),
+    @given(random_tiles(), st.sampled_from([np.float64, np.float32]),
            st.lists(st.integers(1, 63), min_size=1, max_size=6))
     def test_column_bits_do_not_depend_on_block_width(self, drawn, dtype, widths):
         # padding each block to its dtype's lane count gives every column the
-        # bits it gets in the widest block; float32 needs 16 lanes for that
-        buckets, n_in, rng = drawn
-        buckets = tuple(fan_operator._Bucket(b.rows, b.idx, b.w.astype(dtype))
-                        for b in buckets)
-        n_out = sum(len(b.rows) for b in buckets)
+        # bits it gets in the widest block; float64 needs 8 lanes for that and
+        # float32 16. The tiles of entries in any order are the oracle's
+        tiles, want, n_out, n_in, rng = drawn
+        assert len(tiles) == len(want)
+        for t, (rows, idx, w) in zip(tiles, want):
+            assert same_bits(t.rows, rows) and same_bits(t.idx, idx) and same_bits(t.w, w)
+        tiles = tuple(fan_operator._Tiles(t.rows, t.keep, t.idx, t.w.astype(dtype))
+                      for t in tiles)
         src = rng.uniform(-1.0, 1.0, (n_in, 64)).astype(dtype)
         wide = np.empty((n_out, 64), dtype)
-        fan_operator._apply(buckets, src, wide)
+        fan_operator._apply(tiles, src, wide)
         for nb in widths:
             out = np.full((n_out, nb), np.nan, dtype)
-            fan_operator._apply(buckets, np.ascontiguousarray(src[:, :nb]), out)
+            fan_operator._apply(tiles, np.ascontiguousarray(src[:, :nb]), out)
             assert out.tobytes() == np.ascontiguousarray(wide[:, :nb]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_wide_blocks_of_long_tiles(self, dtype):
+        # a tile of thousands of columns in blocks of up to 512 slices: one
+        # matmul over a whole wide block would leave OpenBLAS's small-matrix
+        # kernel (or reach its threads) and change a column's bits, so
+        # _apply splits such blocks into column groups of at most _GEMM
+        # multiply-adds per tile
+        rng = np.random.default_rng(13)
+        n_in, k = 4000, 1500
+        out_ids = np.repeat(np.arange(8), k)
+        in_ids = np.concatenate([rng.choice(n_in, k, replace=False) for _ in range(8)])
+        tiles = fan_operator._tiles(out_ids, in_ids, rng.uniform(0.5, 1.5, len(out_ids)),
+                                    np.arange(8), n_in)
+        assert max(t.idx.shape[1] for t in tiles) > 3000
+        tiles = tuple(fan_operator._Tiles(t.rows, t.keep, t.idx, t.w.astype(dtype))
+                      for t in tiles)
+        src = rng.uniform(-1.0, 1.0, (n_in, 512)).astype(dtype)
+        want = np.empty((8, 16), dtype)
+        fan_operator._apply(tiles, np.ascontiguousarray(src[:, :16]), want)
+        for nb in (40, 160, 512):
+            out = np.empty((8, nb), dtype)
+            fan_operator._apply(tiles, np.ascontiguousarray(src[:, :nb]), out)
+            assert out[:, :16].tobytes() == want.tobytes()
+
+# hashes every output of the state cores on a 128-slice float32 block of the
+# default fan, in both layouts, and of a 16-slice float64 public forward
+_CORE_HASHES = """
+import hashlib
+import numpy as np
+from panoray.ray_geometry import GeometryConfig, build_fan
+op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
+rng = np.random.default_rng(0)
+x = rng.uniform(0.0, 1.0, (128, 256, 256)).astype(np.float32)
+r = rng.uniform(-1.0, 1.0, (128, op.n_rays)).astype(np.float32)
+for lay in (op.crossed, op.full):
+    assert len(lay.state_blocks(128)) == 1
+    state = lay.to_state(x)
+    for out in (lay.forward_state(state), lay.adjoint_state(r), lay.ray_mean_state(r)):
+        print(hashlib.sha256(out.tobytes()).hexdigest())
+print(hashlib.sha256(op.forward(x[:16].astype(np.float64)).tobytes()).hexdigest())
+"""
+
+
+def test_openblas_threads_do_not_change_bits():
+    # each tile's matmul is small enough that OpenBLAS runs it on the calling
+    # thread, so its own thread count changes no output bit; tiles of 8 rays
+    # made OpenBLAS split the jaw block's long A tiles over its threads, and
+    # the bytes changed with OPENBLAS_NUM_THREADS
+    src = str(Path(panoray.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", _CORE_HASHES], capture_output=True,
+                              text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.split())
+    assert len(outs[0]) == 7 and outs[0] == outs[1]

@@ -617,6 +617,33 @@ class TestStateLayout:
                 assert np.array_equal(counts, brute_mip_term(est, want, ax, r, tie_tol))
                 assert np.array_equal(lay.from_state(grad), want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mip_counts_with_planted_ties(self, dtype):
+        # every column holds exact ties to its maximum and near-ties within
+        # tie_tol; one axial column ties over all 300 slices, more than a
+        # uint8 count could hold. The counts equal a whole-volume count of
+        # the voxels at or above each column's rounded threshold
+        n, nz, tie_tol = 8, 300, 1e-3
+        lay = square_fan(n).operator().full
+        rng = np.random.default_rng(12)
+        est = rng.integers(0, 3, (nz, n, n)) / 2.0
+        est -= 5e-4 * rng.integers(0, 2, est.shape)
+        est[:, 0, 0] = 1.0
+        est = est.astype(dtype)
+        state = lay.to_state(est)
+        grad, band = lay.buffer(nz, dtype), np.empty(len(state), dtype=bool)
+        projs = _projections(lay, state, MIP_AXES)
+        for axis in MIP_AXES:
+            ax = _MIP_AXES[axis]
+            proj = projs[axis]
+            floor = np.expand_dims((proj - tie_tol).astype(dtype), ax)
+            want = np.count_nonzero(est >= floor, axis=ax)
+            counts = _mip_term(lay, state, grad, axis, proj, np.ones(proj.shape), tie_tol, band)
+            assert counts.dtype == np.int64 and np.array_equal(counts, want)
+            assert np.mean(want > 1) > 0.5
+            if axis == "axial":
+                assert counts[0, 0] == nz
+
     @pytest.mark.parametrize("init", ["rho", "zeros"])
     def test_voxels_no_ray_crosses_end_at_zero(self, fan8, init):
         # without MIP targets no voxel off the crossed support gets a
