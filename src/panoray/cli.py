@@ -64,9 +64,11 @@ def _parse_grid(text) -> tuple[int, int]:
 
 
 def load_geometry(path) -> dict:
-    """Parse a key=value geometry file; unknown keys, and theta_<i> keys
-    whose i is not a segment index, are rejected."""
+    """Parse a key=value geometry file; unknown keys, theta_<i> keys whose
+    i is not a segment index, and keys that repeat one of an earlier line
+    (theta keys compared by segment index) are rejected."""
     raw = {}
+    seen = {}  # (line, key) of each key so far, theta keys by segment index
     # undecodable bytes become lone surrogates, which fail isascii
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, 1):
@@ -79,6 +81,7 @@ def load_geometry(path) -> dict:
                 raise FormatError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            name = key
             if key.startswith("theta_"):
                 index = key[len("theta_"):]
                 if not (index.isascii() and index.isdigit()
@@ -87,8 +90,14 @@ def load_geometry(path) -> dict:
                         f"{path}:{ln}: geometry key {key!r} names no segment; "
                         f"use theta_0 .. theta_{ray_geometry.N_SEGMENTS - 1}"
                     )
+                name = f"theta_{int(index)}"
             elif key not in _GEOMETRY_KEYS:
                 raise FormatError(f"{path}:{ln}: unknown geometry key {key!r}")
+            if name in seen:
+                first, given = seen[name]
+                raise FormatError(f"{path}:{ln}: geometry key {key!r} repeats "
+                                  f"{given!r} of line {first}")
+            seen[name] = ln, key
             raw[key] = val
     return raw
 

@@ -33,8 +33,9 @@ per octave, and zero-padded to the longest union of their class, under
 2 ** (1 / _CLASSES) times each; classes, unlike fixed-size groups of
 length-sorted tiles, keep _apply's chunks sized in bytes, which scale with
 the block width. Tiles with no entries form a class of L = 0. ray_mean's
-pattern tiles share A^T's rows and indices, with weights (w > 0): 1 on
-every entry, since coalesced weights are > 0, and 0 elsewhere.
+pattern tiles share the rows and indices of A^T's tiles of their dtype,
+with weights (w > 0): 1 on every entry, since coalesced weights are > 0,
+and 0 elsewhere.
 
 _apply overwrites an output block, a view of the result, from a
 voxel-major input block: it zeroes the rows of the L = 0 class and computes
@@ -104,9 +105,10 @@ Blocks come in two kinds:
   support's voxel count. The *_state methods gather straight from such a
   buffer and write straight into one, and compute in its dtype: the rows
   of coefficients that A^T reads are cast to it one block at a time, and
-  the weights once per layout. Line sums are float64 in any case. to_state
-  gathers the support and from_state writes it and zero-fills the rest,
-  once at each end. New state buffers are mapped on their own
+  the tiles are built in it (StateLayout._table), so a float32 solve builds
+  no float64 table. Line sums are float64 in any case. to_state gathers
+  the support and from_state writes it and zero-fills the rest, once at
+  each end. New state buffers are mapped on their own
   (StateLayout.buffer). No copy bounds a state block and wider blocks make
   the gathers and matmuls cheaper, so each holds _STATE_BYTES // (4 * size)
   slices, _STATE_BYTES being the size of a float32 block (the solver's
@@ -175,7 +177,7 @@ def _tiles(out_ids, in_ids, weights, rows, n_in: int) -> tuple:
     2 ** (1 / _CLASSES) times L; tiles with no entries form a first class
     of L = 0. One sort of the (tile, in_id) keys gives every union, and one
     scatter each fills the idx and w arrays of all classes, which are views
-    of two flat arrays."""
+    of two flat arrays; w has the weights' dtype."""
     n_tiles = -(-len(rows) // _TILE)
     keys = out_ids // _TILE
     keys *= n_in
@@ -232,7 +234,7 @@ def _tiles(out_ids, in_ids, weights, rows, n_in: int) -> tuple:
     at *= _TILE
     at += row
     del row
-    w = np.zeros(_TILE * total)
+    w = np.zeros(_TILE * total, dtype=weights.dtype)
     w[at] = weights.take(order)
     del at, order
     ids = np.full(n_tiles * _TILE, -1, dtype=np.int64)
@@ -373,9 +375,9 @@ def _entries(sample_xy, sample_valid, bounds, interpolation):
     order: each sample's ray (n,) and the voxels (n, m) and weights (n, m)
     of its m entries. Those are its four clamped bilinear corners for
     "trilinear", zero weights included, or for "nearest" the voxel that
-    contains it, whose weight 1.0 is left implicit: weights are None. Each
-    pass runs over one contiguous coordinate column of the kept samples,
-    and the corners are written straight into their (n, 4) arrays."""
+    contains it, of weight 1.0. Each pass runs over one contiguous
+    coordinate column of the kept samples, and the corners are written
+    straight into their (n, 4) arrays."""
     nx, ny = bounds
     kept = np.flatnonzero(sample_valid)
     ray = kept // sample_valid.shape[1]
@@ -386,7 +388,7 @@ def _entries(sample_xy, sample_valid, bounds, interpolation):
         y = np.clip(np.floor(py).astype(np.int64), 0, ny - 1)
         y *= nx
         y += x
-        return ray, y[:, None], None
+        return ray, y[:, None], np.ones((len(kept), 1))
     x0, x1, gx, fx = _corners(px, nx)
     y0, y1, gy, fy = _corners(py, ny)
     y0 *= nx
@@ -432,18 +434,15 @@ class FanOperator:
         # (the entries arrive ray-major, which it exploits) makes each pair
         # one run of entries in their original order, whose weights are
         # summed in that order and whose ray and voxel are gathered from the
-        # run's first entry. Each array over all entries is dropped once
-        # used, which keeps the build's peak memory low.
+        # run's first entry (nearest's sums of 1.0 are exact in any order).
+        # Each array over all entries is dropped once used, which keeps the
+        # build's peak memory low.
         keys = ((ray * self.n_voxels)[:, None] + voxel).ravel()
         order = np.argsort(keys, kind="stable")
         starts = _run_starts(keys.take(order))
         del keys
         first = order.take(starts)
-        if w is None:
-            # every entry weighs 1.0, so each sum is its run's length
-            weight = np.diff(starts, append=len(order)).astype(np.float64)
-        else:
-            weight = np.add.reduceat(w.ravel().take(order), starts) if len(order) else w.ravel()
+        weight = np.add.reduceat(w.ravel().take(order), starts) if len(order) else w.ravel()
         del order, w
         keep = weight > 0
         if not keep.all():  # bilinear corners of zero weight
@@ -486,7 +485,7 @@ class FanOperator:
         nz = len(flat)
         out = np.empty((nz, self.n_rays), dtype=np.float64)
         lay = self.crossed
-        rows = lay._rows
+        rows = lay._table("rows", np.float64)
 
         def block(z0, work):
             z1 = min(nz, z0 + self.block)
@@ -519,8 +518,10 @@ class FanOperator:
 class StateLayout:
     """The state layout of a FanOperator's volumes over one support (see the
     module doc): voxels holds the support's voxel ids in increasing order,
-    size (at least 1) counts them and counts holds their entry counts. An
-    operator's full and crossed properties build its two."""
+    size (at least 1) counts them and counts holds their entry counts. Its
+    tiles of A, A^T and the pattern are built on first use, one table per
+    dtype that a core reads them in (see _table). An operator's full and
+    crossed properties build its two layouts."""
 
     def __init__(self, op: FanOperator, voxels: np.ndarray):
         # op's arrays, not op, which holds its layouts: a cycle would keep
@@ -530,45 +531,30 @@ class StateLayout:
         self.voxels, self.size = voxels, len(voxels)
         self.counts = op.counts.ravel()[voxels]
         self._entries = (op.ray, op.voxel, op.weight)
-        self._cast = {}  # see _typed
+        self._tables = {}  # see _table
 
-    def _positions(self) -> np.ndarray:
-        """The support position of every voxel id, -1 off the support."""
-        pos = np.full(self.n_voxels, -1, dtype=np.int64)
-        pos[self.voxels] = np.arange(self.size)
-        return pos
-
-    @cached_property
-    def _rows(self) -> tuple:
-        """A's tiles: the operator's entries, tiled by ray, reading support
-        positions."""
-        ray, voxel, weight = self._entries
-        return _tiles(ray, self._positions()[voxel], weight, np.arange(self.n_rays), self.size)
-
-    @cached_property
-    def _cols(self) -> tuple:
-        """A^T's tiles: the operator's entries tiled by voxel id, whatever
-        the support, so that every layout gets the same tiles, and writing
-        the rows at support positions."""
-        ray, voxel, weight = self._entries
-        return _tiles(voxel, ray, weight, self._positions(), self.n_rays)
-
-    @cached_property
-    def _pattern(self) -> tuple:
-        """A^T's tiles weighted 1 on every entry and 0 elsewhere."""
-        return tuple(_Tiles(t.rows, t.keep, t.idx, (t.w > 0).astype(np.float64))
-                     for t in self._cols)
-
-    def _typed(self, name: str, dtype: np.dtype) -> tuple:
-        """The tiles self.<name> (_rows, _cols or _pattern) with weights of
-        dtype: the float64 ones as built, any other cast once and kept."""
-        tiles = getattr(self, name)
-        if dtype == np.float64:
-            return tiles
-        if (name, dtype) not in self._cast:
-            self._cast[name, dtype] = tuple(_Tiles(t.rows, t.keep, t.idx, t.w.astype(dtype))
-                                            for t in tiles)
-        return self._cast[name, dtype]
+    def _table(self, kind: str, dtype) -> tuple:
+        """The tiles of one kind with weights of dtype, built on first use
+        straight in dtype and kept. "rows" are A's: the operator's entries
+        tiled by ray, reading support positions. "cols" are A^T's: tiled by
+        voxel id whatever the support, so that every layout gets the same
+        tiles, and writing the rows at support positions. "pattern" is the
+        cols of dtype weighted 1 on every entry, sharing their rows, keep
+        and idx."""
+        dtype = np.dtype(dtype)
+        if (kind, dtype) not in self._tables:
+            if kind == "pattern":
+                tiles = tuple(_Tiles(t.rows, t.keep, t.idx, (t.w > 0).astype(dtype))
+                              for t in self._table("cols", dtype))
+            else:
+                ray, voxel, weight = self._entries
+                weight = weight.astype(dtype, copy=False)
+                pos = np.full(self.n_voxels, -1, dtype=np.int64)
+                pos[self.voxels] = np.arange(self.size)
+                tiles = (_tiles(ray, pos[voxel], weight, np.arange(self.n_rays), self.size)
+                         if kind == "rows" else _tiles(voxel, ray, weight, pos, self.n_rays))
+            self._tables[kind, dtype] = tiles
+        return self._tables[kind, dtype]
 
     def state_blocks(self, nz: int) -> list:
         """The (z0, z1) slice ranges of the state blocks of nz slices, the
@@ -628,7 +614,7 @@ class StateLayout:
         computed in the state's dtype; the line sums are float64 and state
         is never written. threads as for forward."""
         out = np.empty((len(state) // self.size, self.n_rays), dtype=np.float64)
-        rows = self._typed("_rows", state.dtype)
+        rows = self._table("rows", state.dtype)
 
         def block(item, _):
             (z0, z1), view = item
@@ -640,13 +626,13 @@ class StateLayout:
         run_blocks(block, self.state_views(state), threads)
         return out
 
-    def _transpose_state(self, r: np.ndarray, name: str, out, threads: int) -> np.ndarray:
+    def _transpose_state(self, r: np.ndarray, kind: str, out, threads: int) -> np.ndarray:
         r = np.asarray(r)
         if out is None:
             out = self.buffer(len(r), _state_dtype(r))
         else:
             out = _out(out, (len(r) * self.size,), (np.float64, np.float32))
-        tiles = self._typed(name, out.dtype)
+        tiles = self._table(kind, out.dtype)
 
         def block(item, _):
             (z0, z1), view = item
@@ -661,7 +647,7 @@ class StateLayout:
         C-contiguous float64 or float32 array of nz * size values;
         ValueError otherwise), else a new one of r's state dtype (see
         to_state). threads as for forward."""
-        return self._transpose_state(r, "_cols", out, threads)
+        return self._transpose_state(r, "cols", out, threads)
 
     def ray_mean_state(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """ray_mean of the (nz, n_rays) rows c on the support, as a new
@@ -669,7 +655,7 @@ class StateLayout:
         it. Each pattern sum is divided by its voxel's count raised to 1, so
         a voxel no ray crosses, whose sum is 0, gets 0. threads as for
         forward."""
-        sums = self._transpose_state(c, "_pattern", None, threads)
+        sums = self._transpose_state(c, "pattern", None, threads)
         per_voxel = np.maximum(self.counts, 1).astype(sums.dtype).reshape(self.size, 1)
         for _, view in self.state_views(sums):
             np.divide(view, per_voxel, out=view)

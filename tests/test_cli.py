@@ -587,6 +587,22 @@ class TestGeometryExtras:
         assert run("raymap", "--geometry", geom, "--out", tmp_path / "x") == 1
         assert "error: malformed format:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, second", [
+        ("grid=64,64", "grid=32,32"), ("theta_5=0.4", "theta_05=0.6"),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, first, second):
+        # the last value used to win silently; theta keys name segments, so
+        # theta_05 repeats theta_5
+        geom = tmp_path / "g.txt"
+        geom.write_text(f"{first}\nwidth=64\n{second}\n")
+        out = tmp_path / "fan.txt"
+        assert run("raymap", "--geometry", geom, "--out", out) == 1
+        key, again = first.split("=")[0], second.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: malformed format: {geom}:3: geometry key {again!r} repeats "
+            f"{key!r} of line 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "coefficient=nan", "span=nan", "scale=nan", "offset=nan,0", "initial_angle=nan",
         "angle_scale=nan", "theta_3=nan", "delta=nan", "step=nan", "x_range=nan,40",

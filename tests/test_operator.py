@@ -183,23 +183,40 @@ def test_operator_without_entries(interpolation):
 def check_build_matches_oracle(op, sample_xy, sample_valid, interpolation):
     """op's coalesced entries and the A and A^T tiles of both its layouts
     are bit-identical to the whole-array build of oracles.py from the same
-    samples."""
+    samples; the float32 tables, built from float32 weights, are the
+    float64 ones cast, bit for bit; and each dtype's pattern is 1 exactly
+    where its A^T weights are nonzero."""
     ray, voxel, weight = coalesced_entries(sample_xy, sample_valid, op.bounds, interpolation)
     assert same_bits(op.ray, ray) and same_bits(op.voxel, voxel) and same_bits(op.weight, weight)
     for lay in (op.full, op.crossed):
         pos = np.full(op.n_voxels, -1)
         pos[lay.voxels] = np.arange(lay.size)
-        for got, want in (
-            (lay._rows, padded_tiles(ray, pos[voxel], weight, np.arange(op.n_rays), lay.size,
-                                     fan_operator._TILE, fan_operator._CLASSES)),
-            (lay._cols, padded_tiles(voxel, ray, weight, pos, op.n_rays,
-                                     fan_operator._TILE, fan_operator._CLASSES)),
+        for kind, want in (
+            ("rows", padded_tiles(ray, pos[voxel], weight, np.arange(op.n_rays), lay.size,
+                                  fan_operator._TILE, fan_operator._CLASSES)),
+            ("cols", padded_tiles(voxel, ray, weight, pos, op.n_rays,
+                                  fan_operator._TILE, fan_operator._CLASSES)),
         ):
+            got = lay._table(kind, np.float64)
             assert len(got) == len(want)
             for t, (rows, idx, w) in zip(got, want):
                 assert same_bits(t.rows, rows) and same_bits(t.idx, idx) and same_bits(t.w, w)
                 keep = rows >= 0
                 assert t.keep is None if keep.all() else same_bits(t.keep, keep)
+            single = lay._table(kind, np.float32)
+            assert len(single) == len(got)
+            for t32, t in zip(single, got):
+                assert t32.w.dtype == np.float32
+                assert same_bits(t32.rows, t.rows) and same_bits(t32.idx, t.idx)
+                assert (t32.keep is None) == (t.keep is None)
+                assert t.keep is None or same_bits(t32.keep, t.keep)
+                assert same_bits(t32.w, t.w.astype(np.float32))
+        for dtype in (np.float64, np.float32):
+            cols = lay._table("cols", dtype)
+            for p, t in zip(lay._table("pattern", dtype), cols, strict=True):
+                assert p.w.dtype == dtype
+                assert p.rows is t.rows and p.keep is t.keep and p.idx is t.idx
+                assert same_bits(p.w, (t.w != 0).astype(dtype))
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
@@ -462,8 +479,9 @@ def test_pattern_weights_mark_the_entries(fan):
     # of pattern weights sums to its entry count
     lay = fan.operator().crossed
     assert np.array_equal(lay.counts, fan.operator().counts[fan.operator().counts > 0])
-    assert len(lay._pattern) == len(lay._cols)
-    for p, t in zip(lay._pattern, lay._cols):
+    pattern, cols = lay._table("pattern", np.float64), lay._table("cols", np.float64)
+    assert len(pattern) == len(cols)
+    for p, t in zip(pattern, cols):
         assert p.rows is t.rows and p.keep is t.keep and p.idx is t.idx
         assert np.array_equal(p.w, (t.w != 0.0).astype(np.float64))
         sums = p.w.sum(axis=2).ravel()
@@ -483,9 +501,12 @@ def directions(op):
     per_voxel = op.counts.ravel()
     lay = op.crossed
     keep = lay.voxels
-    return [(op.full._rows, a, per_ray), (op.full._cols, a.T, per_voxel),
-            (lay._rows, a[:, keep], per_ray), (lay._cols, a.T[keep], per_voxel[keep]),
-            (lay._pattern, (a.T[keep] > 0).astype(np.float64), per_voxel[keep])]
+    return [(op.full._table("rows", np.float64), a, per_ray),
+            (op.full._table("cols", np.float64), a.T, per_voxel),
+            (lay._table("rows", np.float64), a[:, keep], per_ray),
+            (lay._table("cols", np.float64), a.T[keep], per_voxel[keep]),
+            (lay._table("pattern", np.float64), (a.T[keep] > 0).astype(np.float64),
+             per_voxel[keep])]
 
 
 def dense_from_tiles(tiles, shape):
@@ -585,7 +606,7 @@ class TestLengthClasses:
         # A and the full A^T have rows of length 0, some in tiles of their
         # own; the crossed A^T has none, but its tiles drop the rows of the
         # voxels no ray crosses, and so does its class of tiles of no entries
-        crossed = op.crossed._cols
+        crossed = op.crossed._table("cols", np.float64)
         assert crossed[0].idx.shape[1] == 0 and crossed[0].keep is not None
         assert any(t.keep is not None and t.idx.shape[1] for t in crossed)
         check_apply_zeroes_empty_rows(op, 5, 0)
@@ -600,7 +621,8 @@ class TestLengthClasses:
         # or voxels share most of their unions on the dense acceptance fan's
         # A, and about half of them elsewhere
         op = build_fan(cfg, bounds=bounds).operator()
-        for tiles, g, m in zip((op.full._rows, op.full._cols), gathers, madds):
+        for kind, g, m in zip(("rows", "cols"), gathers, madds):
+            tiles = op.full._table(kind, np.float64)
             assert sum(t.idx.size for t in tiles) <= g * len(op.weight)
             assert sum(t.w.size for t in tiles) <= m * len(op.weight)
 

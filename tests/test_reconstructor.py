@@ -413,6 +413,19 @@ class TestStopReason:
 
 
 class TestStateDtype:
+    def test_float32_mip_solve_builds_no_float64_table(self):
+        # a fresh fan, whose tables no other test has built, and the target
+        # rendered through another: a MIP solve runs in the full layout and
+        # builds each of its tables straight in float32
+        cfg = GeometryConfig(width=64)
+        fan = build_fan(cfg, bounds=(8, 8))
+        truth = make_phantom("sphere-set", (4, 8, 8), seed=0)
+        y = render_for(build_fan(cfg, bounds=(8, 8)), truth, 0.3).pixels
+        mips = {ax: mip(truth, ax) for ax in MIP_AXES}
+        reconstruct(y, fan, ReconConfig(beta=0.3, max_iters=3), target_mips=mips)
+        assert set(fan.operator().full._tables) == {
+            (kind, np.dtype(np.float32)) for kind in ("rows", "cols", "pattern")}
+
     def test_solver_state_is_float32_and_public_path_float64(self, fan8):
         # the solver's volumes are float32 state-layout buffers; the public
         # loss and gradient run the same cores on float64 ones
@@ -462,7 +475,9 @@ class TestMemory:
         fan = build_fan(GeometryConfig(width=128), bounds=(128, 128))
         truth = make_phantom("jaw-arch", dims, seed=1)
         img = render_for(fan, truth, beta=0.02)
-        fan.operator().crossed._pattern  # built once per fan with _cols, outside the solver
+        lay = fan.operator().crossed
+        for kind in ("rows", "cols", "pattern"):
+            lay._table(kind, np.float32)  # the solver's tables, built once per fan, outside it
         cfg = ReconConfig(beta=0.02, max_iters=5)
         tracemalloc.start()
         try:
