@@ -201,14 +201,13 @@ def _cmd_backproject(args):
 
 
 def _load_truth(path, dims):
-    """The --truth volume's float32 values, checked as load_volume checks
-    them and against the reconstruction dims, and the file's identity:
-    (device, inode, size, mtime) for a regular file, None for anything else
-    (a pipe, which can be read only once)."""
-    truth = volume.load_volume_f32(path)
-    if truth.shape != dims:
+    """The --truth volume, checked against the reconstruction dims, and the
+    file's identity: (device, inode, size, mtime) for a regular file, None
+    for anything else (a pipe, which can be read only once)."""
+    truth = volume.load_volume(path)
+    if truth.dims != dims:
         raise DimsError(
-            f"truth volume dims {truth.shape} do not match the reconstruction "
+            f"truth volume dims {truth.dims} do not match the reconstruction "
             f"dims {dims}; set grid=<nx>,<ny> in the geometry file"
         )
     st = os.stat(path)
@@ -247,8 +246,8 @@ def _cmd_reconstruct(args):
 
 def _cmd_metrics(args):
     # float32 as stored: evaluate widens one slice pair at a time
-    a = volume.load_volume_f32(args.a)
-    b = volume.load_volume_f32(args.b)
+    a = volume.load_volume(args.a)
+    b = volume.load_volume(args.b)
     report = metrics.evaluate(a, b, threshold=args.threshold, threads=args.threads)
     print(report.format_line())
     return 0

@@ -95,10 +95,14 @@ it.
 Blocks come in two kinds:
 - Public blocks serve forward, which takes slice-major (nz, ny, nx)
   volumes: each block's crossed voxels are gathered, transposed, into one
-  workspace per worker. They hold _BLOCK_BYTES of slices, so a render's
-  peak memory stays low. The voxels no ray crosses reach the line sums
-  only through the slice minima, which are taken over every voxel of the
-  slice-major rows, so the shift and every line sum are the full grid's.
+  float64 workspace per worker. They hold _BLOCK_BYTES of float64 slices,
+  so a render's peak memory stays low. float32 volumes, as phantoms and
+  loaded PVOL1 volumes are, are widened by that gather one block at a
+  time, never as a whole; the widening is exact, so their line sums are
+  those of the float64 volume. The voxels no ray crosses reach the line sums only
+  through the slice minima, which are taken over every voxel of the
+  slice-major rows in the input's dtype (minima are exact in it), so the
+  shift and every line sum are the full grid's.
 - State blocks serve the *_state methods and the solver. A state-layout
   volume is one flat float32 or float64 buffer in which slices z0..z1 of
   each block are stored voxel-major as (size, z1 - z0), size being the
@@ -478,10 +482,13 @@ class FanOperator:
         """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays).
 
         Public blocks of slices run on up to `threads` workers (see _pool),
-        each block's crossed voxels copied into a workspace of its worker's
-        own and shifted by its slices' minima over every voxel; the result
-        is the same at any thread count."""
-        flat = np.asarray(x, dtype=np.float64).reshape(len(x), self.n_voxels)
+        each block's crossed voxels copied into a float64 workspace of its
+        worker's own and shifted by its slices' minima over every voxel; the
+        result is the same at any thread count. float32 slices are read as
+        they are, widened one block at a time by that copy; x of any other
+        dtype is converted to float64 first."""
+        x = np.asarray(x)
+        flat = np.asarray(x, dtype=_state_dtype(x)).reshape(len(x), self.n_voxels)
         nz = len(flat)
         out = np.empty((nz, self.n_rays), dtype=np.float64)
         lay = self.crossed
@@ -491,7 +498,7 @@ class FanOperator:
             z1 = min(nz, z0 + self.block)
             xt = work[:lay.size * (z1 - z0)].reshape(lay.size, z1 - z0)
             _copy_in(flat[z0:z1], xt, lay.voxels)
-            m = flat[z0:z1].min(axis=1)
+            m = flat[z0:z1].min(axis=1).astype(np.float64)  # exact for float32
             if m.any():  # -0.0 counts as 0; the workspace is forward's own
                 xt -= m
             _project(rows, xt, m, self.sample_counts, out[z0:z1])

@@ -222,9 +222,10 @@ def _loss_terms(lay, state, y, mips, fan, beta, lambda1, threads=1):
 
 
 def _prepare(est, target_img, target_mips, fan):
-    """The estimate in the full state layout, the target's pixels and the
-    MIP targets, checked against each other and the fan."""
-    est_data = est.data if isinstance(est, DensityVolume) else np.asarray(est, np.float64)
+    """The estimate in the full state layout, widened to float64 whatever
+    its dtype, the target's pixels and the MIP targets, checked against each
+    other and the fan."""
+    est_data = np.asarray(est.data if isinstance(est, DensityVolume) else est, np.float64)
     nz, ny, nx = est_data.shape
     fan.check_grid(nx, ny)
     y = as_pixels(target_img, fan.n_rays, nz)
@@ -295,12 +296,13 @@ def reconstruct(
     layouts, block by block as the projections read and write them: the
     crossed voxels only, unless MIP targets are given (see _state_layout).
     Without MIP targets no other voxel gets a gradient, so every voxel no
-    ray crosses ends at exactly 0. The result is widened slice-major into
-    float64 once, at the end; the step's two dots are summed per state
-    block (_block_dot). Densities lie in [0, 1] and results are stored as
-    float32, so the state holds them at the precision they are stored
-    with; the loss, the line sums and the step are float64, and the public
-    loss and gradient stay float64 throughout.
+    ray crosses ends at exactly 0. The result is turned slice-major once,
+    at the end, and stays float32, as every volume the package makes; the
+    step's two dots are summed per state block (_block_dot). Densities lie
+    in [0, 1] and results are stored as float32, so the state holds them
+    at the precision they are stored with; the loss, the line sums and the
+    step are float64, and the public loss and gradient stay float64
+    throughout.
     """
     check_int("threads", threads)
     y = as_pixels(target_img, fan.n_rays)
@@ -402,9 +404,8 @@ def reconstruct(
     del s, grad, older, band
 
     del trial
-    # back to slice-major once, widened exactly; every iterate is clipped
-    # to [0, 1]
-    result = DensityVolume._unchecked(lay.from_state(x, out=np.empty(dims)))
+    # back to slice-major once; every iterate is clipped to [0, 1]
+    result = DensityVolume._unchecked(lay.from_state(x))
     del x
     if ground_truth is not None:
         report.final_metrics = metrics.evaluate(result, ground_truth, threads=threads)

@@ -110,11 +110,12 @@ _MIP_AXES = {"axial": 0, "coronal": 1, "sagittal": 2}
 def mip(vol: DensityVolume, axis: str) -> np.ndarray:
     """Maximum intensity projection along one anatomical axis.
 
-    axial -> (ny, nx), coronal -> (nz, nx), sagittal -> (nz, ny).
+    axial -> (ny, nx), coronal -> (nz, nx), sagittal -> (nz, ny), float64
+    whatever the volume's dtype (a maximum is exact in it).
     """
     if axis not in _MIP_AXES:
         raise ValueError(f"axis must be one of {sorted(_MIP_AXES)}, got {axis!r}")
-    return vol.data.max(axis=_MIP_AXES[axis])
+    return vol.data.max(axis=_MIP_AXES[axis]).astype(np.float64, copy=False)
 
 
 # ----------------------------------------------------------------------

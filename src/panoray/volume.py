@@ -6,6 +6,10 @@ voxel (i, j, k) spanning the unit cube [i, i+1) x [j, j+1) x [k, k+1), so
 voxel centers sit at half-integer coordinates and the volume occupies the
 box [0, nz] x [0, ny] x [0, nx].
 
+Densities are held as float32, the precision a PVOL1 file stores: every
+phantom is built in it and load_volume reads straight into it. A volume of
+any other dtype is widened to float64, which holds float32 values exactly.
+
 PVOL1 files (and the PIMG1 images that share their layout) are streamed:
 values go to and from the file through one reused float32 buffer of about
 _READ_CHUNK bytes, never through a whole-volume temporary.
@@ -51,14 +55,15 @@ def _check_densities(data: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DensityVolume:
-    """Immutable 3D scalar field of normalized densities."""
+    """Immutable 3D scalar field of normalized densities. float32 data is
+    kept as float32; any other data is widened to float64."""
 
-    data: np.ndarray  # shape (nz, ny, nx), float64, values in [0, 1]
+    data: np.ndarray  # shape (nz, ny, nx), float32 or float64, values in [0, 1]
 
     @classmethod
     def _unchecked(cls, data: np.ndarray) -> DensityVolume:
-        """A volume of data, which must be a C-contiguous float64 3D array
-        of dims >= 1 with values in [0, 1] by construction: skips
+        """A volume of data, which must be a C-contiguous float32 or float64
+        3D array of dims >= 1 with values in [0, 1] by construction: skips
         __post_init__'s checks and its whole-volume range passes."""
         vol = object.__new__(cls)
         data.flags.writeable = False
@@ -66,7 +71,9 @@ class DensityVolume:
         return vol
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
+        data = np.asarray(self.data)
+        data = np.ascontiguousarray(data, dtype=np.float32 if data.dtype == np.float32
+                                    else np.float64)
         if data.ndim != 3:
             raise DimsError(f"volume data must be 3D, got shape {data.shape}")
         if min(data.shape) < 1:
@@ -152,7 +159,7 @@ def _jaw_arch(dims, seed):
     built one axial slice at a time."""
     nz, ny, nx = dims
     rng = np.random.default_rng(seed)
-    data = np.zeros(dims, dtype=np.float64)
+    data = np.zeros(dims, dtype=np.float32)
     shell, interior = _quantize(0.55), _quantize(0.15)
 
     # outer shell standing in for cortical bone, around a soft interior;
@@ -212,8 +219,7 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
     own bounding box (a jaw slice by slice), so building one costs about the
     voxels it covers; the zero background outside every shape is never
     written. Values are quantized to float32 precision as constants, once
-    per shape, so every voxel is float32-representable and a PVOL1 round
-    trip is exact.
+    per shape, and the volume is float32, so a PVOL1 round trip is exact.
     """
     dims = check_sizes("phantom dims", dims, 3)
     nz, ny, nx = dims
@@ -223,7 +229,7 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
         c = float(arg) if arg else 0.0
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"uniform value must be in [0, 1], got {c}")
-        data = np.full(dims, _quantize(c), dtype=np.float64)
+        data = np.full(dims, _quantize(c), dtype=np.float32)
     elif name == "single-voxel":
         z, y, x, v = _parse_floats(arg, 4)
         # compared as floats first, so NaN and inf are rejected too
@@ -231,7 +237,7 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
             raise ValueError(f"single-voxel position ({z:g},{y:g},{x:g}) outside dims {dims}")
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"single-voxel value must be in [0, 1], got {v}")
-        data = np.zeros(dims, dtype=np.float64)
+        data = np.zeros(dims, dtype=np.float32)
         data[int(z), int(y), int(x)] = _quantize(v)
     elif name == "sphere-set":
         if arg == "":
@@ -252,7 +258,7 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"sphere value must be in [0, 1], got {v}")
                 spheres.append((cz, cy, cx, r, v))
-        data = np.zeros(dims, dtype=np.float64)
+        data = np.zeros(dims, dtype=np.float32)
         for cz, cy, cx, r, v in spheres:  # later spheres overwrite earlier ones
             _fill_sphere(data, (cz, cy, cx), r, _quantize(v))
     elif name == "jaw-arch":
@@ -372,15 +378,7 @@ def load_raw_volume(path) -> np.ndarray:
     return _read_f32_file(path, _PVOL_MAGIC, 3, np.float64)
 
 
-def load_volume_f32(path) -> np.ndarray:
-    """A PVOL1 density volume's float32 values, checked as load_volume checks
-    them. Widening them to float64 gives load_volume(path).data exactly; until
-    then they take half the memory."""
-    data = _read_f32_file(path, _PVOL_MAGIC, 3, np.float32)
-    _check_densities(data)
-    return data
-
-
 def load_volume(path) -> DensityVolume:
-    """Read a density volume from a PVOL1 file (values must lie in [0, 1])."""
-    return DensityVolume(load_raw_volume(path))
+    """Read a density volume from a PVOL1 file (values must lie in [0, 1]),
+    as the float32 values the file stores."""
+    return DensityVolume(_read_f32_file(path, _PVOL_MAGIC, 3, np.float32))

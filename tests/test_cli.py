@@ -227,7 +227,7 @@ class TestReconstruct:
         vol, img, out = tmp_path / "v.pvol", tmp_path / "v.pimg", tmp_path / "r.pvol"
         run("phantom", "--kind", "jaw-arch", "--dims", "4,16,16", "--seed", 3, "--out", vol)
         run("render", "--vol", vol, "--geometry", geom, "--height", 4, "--out", img)
-        loaded, load = [], cli.volume.load_volume_f32
+        loaded, load = [], cli.volume.load_volume
         solve = cli.reconstructor.reconstruct
 
         def tracked_load(path):
@@ -239,7 +239,7 @@ class TestReconstruct:
             assert len(loaded) == 1 and loaded[0]() is None
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(cli.volume, "load_volume_f32", tracked_load)
+        monkeypatch.setattr(cli.volume, "load_volume", tracked_load)
         monkeypatch.setattr(cli.reconstructor, "reconstruct", checked_solve)
         assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 5,
                    "--truth", vol, "--out", out) == 0

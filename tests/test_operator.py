@@ -7,6 +7,7 @@ import mmap
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -95,6 +96,24 @@ def test_forward_matches_per_sample_reference(fan, interpolation):
     for j in range(3):
         want = ref_line_sums(x[j], fan, interpolation)
         assert np.allclose(got[j], want, rtol=1e-12, atol=1e-12)
+
+
+def test_float32_forward_widens_one_block_at_a_time():
+    # a float32 volume, as every phantom is, is widened into the float64
+    # workspace one public block at a time and never copied whole: the
+    # peak stays under the volume's own size, half a whole float64 copy
+    op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
+    x32 = make_phantom("jaw-arch", (64, 256, 256), seed=1).data
+    assert x32.dtype == np.float32
+    op.forward(x32[:1])  # the tables and numpy's lazy set-up, outside the trace
+    tracemalloc.start()
+    try:
+        got = op.forward(x32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (64, op.n_rays)
+    assert peak < x32.nbytes
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])

@@ -456,7 +456,7 @@ class TestStateDtype:
             assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
             # the result skips the range check; the checking constructor
             # takes its data as it is
-            assert vol.data.dtype == np.float64 and not vol.data.flags.writeable
+            assert vol.data.dtype == np.float32 and not vol.data.flags.writeable
             assert DensityVolume(vol.data).data is vol.data
             seen.clear()
             total, parts = loss(truth, y, mips, fan8, cfg)
@@ -465,12 +465,31 @@ class TestStateDtype:
         assert all(type(v) is float for v in (total, *parts))
         assert g.dtype == np.float64
 
+    def test_public_path_widens_a_float32_estimate(self, fan8):
+        # a float32 phantom, as a volume or as its array, is widened before
+        # the float64 cores: the same loss and gradient bits as its float64
+        # widening
+        truth = make_phantom("sphere-set", (4, 8, 8), seed=0)
+        wide = DensityVolume(truth.data.astype(np.float64))
+        assert truth.data.dtype == np.float32
+        mips = {ax: mip(truth, ax) for ax in MIP_AXES}
+        cfg = ReconConfig(beta=0.3)
+        y = render_for(fan8, truth, cfg.beta).pixels
+        est = 0.5 * truth.data  # a float32 estimate off the truth
+        for narrow, widened in ((truth, wide), (est, est.astype(np.float64))):
+            assert loss(narrow, y, mips, fan8, cfg) == loss(widened, y, mips, fan8, cfg)
+            g = gradient(narrow, y, mips, fan8, cfg)
+            assert g.dtype == np.float64
+            assert np.array_equal(g.view(np.uint64),
+                                  gradient(widened, y, mips, fan8, cfg).view(np.uint64))
+
 
 class TestMemory:
     def test_peak_below_six_volumes(self):
-        # in float64 volumes: the solver's workspace is four float32 volumes,
-        # the size of two; the operator's block buffers and the float64
-        # result stay within one more
+        # in volumes of the float32 truth: the solver's four float32
+        # workspace volumes are anonymous mappings, which tracemalloc does
+        # not trace; the operator's block buffers, the float32 result and
+        # its scoring stay within three
         dims = (64, 128, 128)
         fan = build_fan(GeometryConfig(width=128), bounds=(128, 128))
         truth = make_phantom("jaw-arch", dims, seed=1)

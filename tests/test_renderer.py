@@ -1,13 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sample_trilinear, transmittance
+from oracles import same_bits, sample_trilinear, transmittance
 from test_operator import fans, modes
 
+from panoray import _pool, fan_operator
 from panoray.errors import DimsError, FormatError
 from panoray.fan_operator import INTERPOLATIONS
 from panoray.ray_geometry import GeometryConfig, build_fan
@@ -197,6 +199,15 @@ class TestMip:
         with pytest.raises(ValueError, match="axis"):
             mip(vol, "oblique")
 
+    def test_float64_whatever_the_volume_dtype(self):
+        # a float32 phantom's projections are widened, exactly: the float64
+        # volume's, bit for bit
+        vol = make_phantom("jaw-arch", (6, 10, 12), seed=2)
+        wide = DensityVolume(vol.data.astype(np.float64))
+        assert vol.data.dtype == np.float32 and wide.data.dtype == np.float64
+        for axis in ("axial", "coronal", "sagittal"):
+            assert same_bits(mip(vol, axis), mip(wide, axis))
+
 
 class TestImageIO:
     def test_round_trip(self, tmp_path):
@@ -360,3 +371,46 @@ class TestRenderConfigModes:
         # sample count and spacing are read from the fan, not copied here
         names = [f.name for f in dataclasses.fields(RenderConfig)]
         assert names == ["beta", "width", "height", "interpolation", "threads"]
+
+
+class TestFloat32Volumes:
+    """forward reads float32 slices as they are and widens them one block at
+    a time; the widening is exact, so a float32 volume gives its float64
+    widening's line sums and image, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fans(), modes,
+           st.lists(st.sampled_from(["negative", "zero", "-zero", "positive"]),
+                    min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_forward_and_render_match_the_float64_widening(self, fan, interpolation,
+                                                           kinds, seed):
+        # slices whose minimum is negative, 0.0, -0.0 or positive (shifted,
+        # unshifted and shifted again); one slice per forward block, so two
+        # workers split them
+        nx, ny = fan.bounds
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (len(kinds), ny, nx)).astype(np.float32)
+        for j, kind in enumerate(kinds):
+            k = rng.integers(nx * ny)
+            if kind == "positive":
+                x[j] = 0.05 + 0.95 * x[j]
+            else:
+                x[j].flat[k] = {"negative": -x[j].flat[k], "zero": 0.0, "-zero": -0.0}[kind]
+        x.flags.writeable = False  # the input is never written
+        with mock.patch.object(fan_operator, "_BLOCK_BYTES", 8 * nx * ny):
+            op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
+                                          fan.sample_counts, fan.bounds, interpolation)
+        assert op.block == 1
+        # densities: the negative values mirrored, -0.0 kept
+        vol = DensityVolume(np.where(x < 0, -x, x))
+        wide = DensityVolume(vol.data.astype(np.float64))
+        assert vol.data.dtype == np.float32
+        with mock.patch.object(_pool.os, "cpu_count", return_value=2):
+            for threads in (1, 2):
+                assert same_bits(op.forward(x, threads=threads),
+                                 op.forward(x.astype(np.float64), threads=threads))
+                cfg = RenderConfig(width=fan.n_rays, height=len(kinds),
+                                   interpolation=interpolation, threads=threads)
+                assert same_bits(render_simpx(vol, fan, cfg).pixels,
+                                 render_simpx(wide, fan, cfg).pixels)

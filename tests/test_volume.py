@@ -167,7 +167,9 @@ def _reference_phantom(kind, dims, seed=0):
 
 
 def _bits_equal(got, want):
-    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    """got is float32 and, widened, holds the float64 reference's bits."""
+    return (got.dtype == np.float32 and got.shape == want.shape
+            and np.array_equal(got.astype(np.float64).view(np.uint64), want.view(np.uint64)))
 
 
 def _descriptor(spheres):
@@ -260,9 +262,9 @@ class TestDensityVolume:
         "uniform:1", "single-voxel:1,2,3,0.7", "sphere-set:8", "jaw-arch"])
     def test_phantoms_pass_the_checks(self, kind):
         # make_phantom skips the range check; the checking constructor takes
-        # its data as it is: C-contiguous float64 in [0, 1], frozen
+        # its data as it is: C-contiguous float32 in [0, 1], frozen
         vol = make_phantom(kind, (6, 20, 22), seed=3)
-        assert not vol.data.flags.writeable
+        assert vol.data.dtype == np.float32 and not vol.data.flags.writeable
         assert DensityVolume(vol.data).data is vol.data
 
     def test_immutable(self):
