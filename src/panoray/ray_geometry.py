@@ -30,6 +30,7 @@ import numpy as np
 from ._pool import check_int, check_real, check_sizes
 from .errors import DimsError
 from .fan_operator import FanOperator
+from .volume import _open_output
 
 _RAYFAN_MAGIC = "RAYFAN1"
 
@@ -381,5 +382,5 @@ def save_rayfan(fan: RayFan, path) -> None:
         zip(fan.origins, fan.directions, fan.sample_counts)
     ):
         lines.append(f"{i} {ox:.9g} {oy:.9g} {dx:.17g} {dy:.17g} {k}")
-    with open(path, "w", encoding="ascii") as fh:
+    with _open_output(path, text=True) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -37,7 +37,7 @@ from .errors import DimsError
 from .fan_operator import FanOperator, StateLayout
 from .ray_geometry import RayFan
 from .renderer import _MIP_AXES, RenderConfig, as_pixels
-from .volume import DensityVolume
+from .volume import DensityVolume, _open_output
 
 
 # the line search and MIP band of the module docstring; read at call time,
@@ -87,7 +87,7 @@ class ReconReport:
 
 
 def save_report(report: ReconReport, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _open_output(path, text=True) as fh:
         fh.write("\n".join(report.format_lines()) + "\n")
 
 

@@ -13,12 +13,21 @@ any other dtype is widened to float64, which holds float32 values exactly.
 PVOL1 files (and the PIMG1 images that share their layout) are streamed:
 values go to and from the file through one reused float32 buffer of about
 _READ_CHUNK bytes, never through a whole-volume temporary.
+
+Every writer in the package opens its output through _open_output, which
+overwrites a regular file in place: the file keeps its inode and is cut to
+the new bytes when the writer is done, whether it finished or raised. A
+truncating open frees the old file's blocks and cached pages first; on
+ext4 that costs more than writing the new bytes over them. A write that
+fails part way leaves a short file, which the loaders reject.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +51,36 @@ def _f32_slabs(data: np.ndarray):
         f32 = buf[:len(part)]
         np.copyto(f32, part, casting="unsafe")  # the same cast as astype("<f4")
         yield part, f32
+
+
+@contextlib.contextmanager
+def _open_output(path, text=False):
+    """path opened for writing, as open(path, "w", encoding="ascii") if text
+    else open(path, "wb") opens it, but not truncated: a new file gets mode
+    0o666 & ~umask, and on leaving the block a regular file is cut to the
+    bytes that reached it, so it ends with exactly the bytes written. FIFOs
+    and devices are never cut. If the block raised, that exception
+    propagates even if the cut fails."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        fh = open(fd, "w", encoding="ascii") if text else open(fd, "wb")
+    except BaseException:
+        os.close(fd)
+        raise
+    with fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            yield fh
+            fh.flush()
+        except BaseException:
+            if regular:
+                # at the file offset, not fh's: a failed flush must not
+                # leave the old file's tail behind the new bytes
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            raise
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _check_densities(data: np.ndarray) -> None:
@@ -278,7 +317,9 @@ def _write_f32_file(path, magic: str, data: np.ndarray) -> None:
     """Write '<magic> d1 .. dn\\n' + data's values as row-major little-endian
     float32, through one reused slab buffer. PVOL1 volumes and PIMG1 images
     share this layout (read back by _read_f32_file)."""
-    with open(path, "wb") as fh:
+    if min(data.shape) < 1:  # the loaders reject such a file
+        raise DimsError(f"{path}: invalid dims {data.shape}, all must be >= 1")
+    with _open_output(path) as fh:
         fh.write(f"{magic} {' '.join(map(str, data.shape))}\n".encode("ascii"))
         for _, f32 in _f32_slabs(data):
             fh.write(f32)

@@ -1,8 +1,10 @@
 """Property tests of the PVOL1 and PIMG1 file formats: random dims and values
 round-trip exactly, and truncated payloads, overlong payloads and bad
-headers raise FormatError or DimsError, never anything else."""
+headers raise FormatError or DimsError, never anything else. Every writer
+overwrites its output in place and leaves exactly the new bytes."""
 
 import os
+import stat
 import string
 import threading
 import time
@@ -16,7 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 from panoray import volume
 from panoray.errors import DimsError, FormatError
-from panoray.renderer import SimPXImage, load_image, save_image
+from panoray.ray_geometry import GeometryConfig, build_fan, save_rayfan
+from panoray.reconstructor import ReconReport, save_report
+from panoray.renderer import SimPXImage, load_image, save_image, save_pgm16
 from panoray.volume import (
     DensityVolume,
     load_raw_volume,
@@ -301,3 +305,136 @@ class TestStreaming:
         assert (tmp_path / "f.pvol").read_bytes() == (
             b"PVOL1 8 300 300\n" + np.ascontiguousarray(field, dtype="<f4").tobytes())
         assert peak < 2 * volume._READ_CHUNK
+
+
+# every writer of the package, each with a small fixed output
+WRITERS = {
+    "save_volume": lambda p: save_volume(DensityVolume(np.full((2, 3, 4), 0.5, np.float32)), p),
+    "save_raw_volume": lambda p: save_raw_volume(np.arange(-12.0, 12.0).reshape(2, 3, 4), p),
+    "save_image": lambda p: save_image(SimPXImage(np.full((3, 5), 0.25)), p),
+    "save_pgm16": lambda p: save_pgm16(np.linspace(0.0, 1.0, 15).reshape(3, 5), p),
+    "save_report": lambda p: save_report(
+        ReconReport(loss_history=[(0, 1.5, 1.0, 0.5, 1.0), (1, 0.75, 0.5, 0.25, 0.5)]), p),
+    "save_rayfan": lambda p: save_rayfan(build_fan(GeometryConfig(width=20), bounds=(16, 16)), p),
+}
+writers = pytest.mark.parametrize("write", list(WRITERS.values()), ids=list(WRITERS))
+
+
+def _fresh_bytes(tmp_path, write):
+    write(tmp_path / "fresh.out")
+    return (tmp_path / "fresh.out").read_bytes()
+
+
+def _failing_slabs(monkeypatch, exc):
+    """Make every PVOL1/PIMG1 write raise exc after its first slab."""
+    real = volume._f32_slabs
+
+    def slabs(data):
+        for i, pair in enumerate(real(data)):
+            if i:
+                raise exc
+            yield pair
+
+    monkeypatch.setattr(volume, "_f32_slabs", slabs)
+
+
+class TestInPlaceWrites:
+    """Outputs are overwritten in place, never truncated when opened."""
+
+    @writers
+    def test_longer_file_is_cut_to_the_new_bytes(self, tmp_path, write):
+        fresh = _fresh_bytes(tmp_path, write)
+        path = tmp_path / "old.out"
+        path.write_bytes(b"\xab" * (len(fresh) + 4096))
+        write(path)
+        assert path.read_bytes() == fresh
+
+    @writers
+    def test_inode_kept_and_hard_link_sees_the_new_bytes(self, tmp_path, write):
+        fresh = _fresh_bytes(tmp_path, write)
+        path, link = tmp_path / "old.out", tmp_path / "link.out"
+        path.write_bytes(b"\xab" * (2 * len(fresh)))
+        os.link(path, link)
+        inode = path.stat().st_ino
+        write(path)
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == fresh
+
+    @writers
+    def test_new_file_mode_follows_the_umask(self, tmp_path, write):
+        old = os.umask(0o027)
+        try:
+            write(tmp_path / "new.out")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "new.out").stat().st_mode) == 0o640
+
+    def test_error_after_the_first_slab_propagates_and_the_file_is_rejected(
+            self, tmp_path, monkeypatch):
+        # the old file has the new one's dims, so any of its tail left behind
+        # the new bytes would make a file that loads
+        monkeypatch.setattr(volume, "_READ_CHUNK", 64)
+        path = tmp_path / "vol.pvol"
+        save_volume(DensityVolume(np.full((4, 5, 7), 0.75, np.float32)), path)
+        _failing_slabs(monkeypatch, RuntimeError("disk gone"))
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_volume(DensityVolume(np.full((4, 5, 7), 0.25, np.float32)), path)
+        assert path.stat().st_size == len(b"PVOL1 4 5 7\n") + 4 * 5 * 7
+        for load in (load_volume, load_raw_volume):
+            with pytest.raises(FormatError, match="payload"):
+                load(path)
+
+    def test_error_propagates_when_the_cut_fails_too(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(volume, "_READ_CHUNK", 64)
+        path = tmp_path / "vol.pvol"
+        path.write_bytes(b"\xab" * 4096)
+        _failing_slabs(monkeypatch, RuntimeError("disk gone"))
+
+        def ftruncate(fd, length):
+            raise OSError("cannot cut")
+
+        monkeypatch.setattr(volume.os, "ftruncate", ftruncate)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_raw_volume(np.zeros((4, 5, 7)), path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @writers
+    def test_fifo_gets_the_bytes_uncut(self, tmp_path, write):
+        fresh = _fresh_bytes(tmp_path, write)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write(fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [fresh]
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    @writers
+    def test_null_device_is_not_cut(self, write):
+        write(os.devnull)  # ftruncate of a character device fails with EINVAL
+
+
+class TestEmptyDims:
+    def test_zero_dim_rejected_with_the_loaders_message(self, tmp_path):
+        path = tmp_path / "empty.pvol"
+        path.write_bytes(b"PVOL1 0 4 4\n")
+        with pytest.raises(DimsError) as loaded:
+            load_raw_volume(path)
+        with pytest.raises(DimsError) as saved:
+            save_raw_volume(np.zeros((0, 4, 4)), path)
+        assert str(saved.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (4, 0, 4), (4, 4, 0)])
+    def test_existing_file_left_untouched_and_none_created(self, tmp_path, dims):
+        path = tmp_path / "vol.pvol"
+        save_raw_volume(np.ones((2, 3, 4)), path)
+        before = path.read_bytes()
+        with pytest.raises(DimsError):
+            save_raw_volume(np.zeros(dims), path)
+        assert path.read_bytes() == before
+        with pytest.raises(DimsError):
+            save_raw_volume(np.zeros(dims), tmp_path / "new.pvol")
+        assert not (tmp_path / "new.pvol").exists()
