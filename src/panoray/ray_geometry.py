@@ -30,7 +30,7 @@ import numpy as np
 from ._pool import check_int, check_real, check_sizes
 from .errors import DimsError
 from .fan_operator import FanOperator
-from .volume import _open_output
+from .volume import _write_output
 
 _RAYFAN_MAGIC = "RAYFAN1"
 
@@ -377,10 +377,11 @@ def build_fan(config: GeometryConfig | None = None, bounds=DEFAULT_GRID) -> RayF
 
 def save_rayfan(fan: RayFan, path) -> None:
     """Plain-text fan dump: header + one 'i ox oy dx dy n' line per ray."""
-    lines = [f"{_RAYFAN_MAGIC} {fan.n_rays} {fan.n_samples} {fan.delta:.9g}"]
-    for i, ((ox, oy), (dx, dy), k) in enumerate(
-        zip(fan.origins, fan.directions, fan.sample_counts)
-    ):
-        lines.append(f"{i} {ox:.9g} {oy:.9g} {dx:.17g} {dy:.17g} {k}")
-    with _open_output(path, text=True) as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"{_RAYFAN_MAGIC} {fan.n_rays} {fan.n_samples} {fan.delta:.9g}\n"
+    rows = "".join(
+        f"{i} {ox:.9g} {oy:.9g} {dx:.17g} {dy:.17g} {k}\n"
+        for i, ((ox, oy), (dx, dy), k) in enumerate(
+            zip(fan.origins, fan.directions, fan.sample_counts)
+        )
+    )
+    _write_output(path, header.encode("ascii"), [rows.encode("ascii")])

@@ -37,7 +37,7 @@ from .errors import DimsError
 from .fan_operator import FanOperator, StateLayout
 from .ray_geometry import RayFan
 from .renderer import _MIP_AXES, RenderConfig, as_pixels
-from .volume import DensityVolume, _open_output
+from .volume import DensityVolume, _write_output
 
 
 # the line search and MIP band of the module docstring; read at call time,
@@ -87,8 +87,9 @@ class ReconReport:
 
 
 def save_report(report: ReconReport, path) -> None:
-    with _open_output(path, text=True) as fh:
-        fh.write("\n".join(report.format_lines()) + "\n")
+    # the first line stands in for a header: it is written last
+    first, _, rest = ("\n".join(report.format_lines()) + "\n").partition("\n")
+    _write_output(path, (first + "\n").encode("ascii"), [rest.encode("ascii")])
 
 
 def _check_mips(target_mips, dims) -> dict:

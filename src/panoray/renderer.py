@@ -18,7 +18,7 @@ from ._pool import check_int, check_real
 from .errors import DimsError
 from .fan_operator import INTERPOLATIONS
 from .ray_geometry import RayFan
-from .volume import DensityVolume, _open_output, _read_f32_file, _write_f32_file
+from .volume import DensityVolume, _read_f32_file, _write_f32_file, _write_output
 
 _PIMG_MAGIC = "PIMG1"
 # largest float32 strictly below 1, used to keep stored opacities in [0, 1)
@@ -145,6 +145,4 @@ def save_pgm16(pixels: np.ndarray, path) -> None:
         raise ValueError("PGM export needs finite pixels")
     h, w = px.shape
     scaled = np.round(np.clip(px, 0.0, 1.0) * 65535.0).astype(">u2", order="C")
-    with _open_output(path) as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(scaled)
+    _write_output(path, f"P5\n{w} {h}\n65535\n".encode("ascii"), [scaled])

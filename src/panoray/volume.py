@@ -14,12 +14,14 @@ PVOL1 files (and the PIMG1 images that share their layout) are streamed:
 values go to and from the file through one reused float32 buffer of about
 _READ_CHUNK bytes, never through a whole-volume temporary.
 
-Every writer in the package opens its output through _open_output, which
-overwrites a regular file in place: the file keeps its inode and is cut to
-the new bytes when the writer is done, whether it finished or raised. A
-truncating open frees the old file's blocks and cached pages first; on
-ext4 that costs more than writing the new bytes over them. A write that
-fails part way leaves a short file, which the loaders reject.
+Every writer in the package goes through _write_output, which overwrites
+a regular file in place: the file keeps its inode and is cut to the new
+bytes. A truncating open frees the old file's blocks and cached pages
+first; on ext4 that costs more than writing the new bytes over them when
+the output already exists. The header goes in last, after the cut, over a
+line of NUL bytes that no loader accepts: a write that raises or is killed
+part way leaves either the old file, if no byte reached it, or a file the
+loaders reject, never a valid header over a mix of new and old values.
 """
 
 from __future__ import annotations
@@ -53,34 +55,47 @@ def _f32_slabs(data: np.ndarray):
         yield part, f32
 
 
-@contextlib.contextmanager
-def _open_output(path, text=False):
-    """path opened for writing, as open(path, "w", encoding="ascii") if text
-    else open(path, "wb") opens it, but not truncated: a new file gets mode
-    0o666 & ~umask, and on leaving the block a regular file is cut to the
-    bytes that reached it, so it ends with exactly the bytes written. FIFOs
-    and devices are never cut. If the block raised, that exception
-    propagates even if the cut fails."""
+def _write_output(path, header: bytes, chunks) -> None:
+    """Write header (ending in a newline) and then each bytes-like chunk to
+    path, as open(path, "wb") would but without truncating it on open: a
+    new file gets mode 0o666 & ~umask, and an existing regular file is
+    overwritten in place (it keeps its inode) and cut to the new length.
+
+    A regular file's header is written last, after the cut: until then the
+    file begins with a line of NUL bytes in its place, which no loader
+    accepts. So a writer that raises, or whose process is killed, leaves
+    either the old file untouched (if no byte reached it) or a file that
+    the loaders reject, never the new header over a mix of new and old
+    values. After an exception the file is still cut at the bytes that
+    reached it, and that exception propagates even if the cut fails. FIFOs
+    and devices get the header first and are never cut."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        fh = open(fd, "w", encoding="ascii") if text else open(fd, "wb")
+        fh = open(fd, "wb")
     except BaseException:
         os.close(fd)
         raise
     with fh:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
+
+        def cut():
+            # at the file offset, not fh's: a failed flush must not leave
+            # the old file's tail behind the new bytes
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
         try:
-            yield fh
+            fh.write(bytes(len(header) - 1) + b"\n" if regular else header)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
         except BaseException:
             if regular:
-                # at the file offset, not fh's: a failed flush must not
-                # leave the old file's tail behind the new bytes
                 with contextlib.suppress(OSError):
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                    cut()
             raise
         if regular:
-            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            cut()
+            os.pwrite(fd, header, 0)
 
 
 def _check_densities(data: np.ndarray) -> None:
@@ -319,10 +334,8 @@ def _write_f32_file(path, magic: str, data: np.ndarray) -> None:
     share this layout (read back by _read_f32_file)."""
     if min(data.shape) < 1:  # the loaders reject such a file
         raise DimsError(f"{path}: invalid dims {data.shape}, all must be >= 1")
-    with _open_output(path) as fh:
-        fh.write(f"{magic} {' '.join(map(str, data.shape))}\n".encode("ascii"))
-        for _, f32 in _f32_slabs(data):
-            fh.write(f32)
+    header = f"{magic} {' '.join(map(str, data.shape))}\n".encode("ascii")
+    _write_output(path, header, (f32 for _, f32 in _f32_slabs(data)))
 
 
 def save_raw_volume(data: np.ndarray, path) -> None:

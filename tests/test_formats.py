@@ -1,14 +1,19 @@
 """Property tests of the PVOL1 and PIMG1 file formats: random dims and values
 round-trip exactly, and truncated payloads, overlong payloads and bad
 headers raise FormatError or DimsError, never anything else. Every writer
-overwrites its output in place and leaves exactly the new bytes."""
+overwrites its output in place and leaves exactly the new bytes, and a
+writer killed part way never leaves a file that loads."""
 
 import os
+import signal
 import stat
 import string
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,7 +386,7 @@ class TestInPlaceWrites:
             save_volume(DensityVolume(np.full((4, 5, 7), 0.25, np.float32)), path)
         assert path.stat().st_size == len(b"PVOL1 4 5 7\n") + 4 * 5 * 7
         for load in (load_volume, load_raw_volume):
-            with pytest.raises(FormatError, match="payload"):
+            with pytest.raises(FormatError, match="bad header"):
                 load(path)
 
     def test_error_propagates_when_the_cut_fails_too(self, tmp_path, monkeypatch):
@@ -415,6 +420,88 @@ class TestInPlaceWrites:
     @writers
     def test_null_device_is_not_cut(self, write):
         write(os.devnull)  # ftruncate of a character device fails with EINVAL
+
+
+# writers with a loader, each writing 4 slabs of 64 KiB (at the chunk the
+# child below sets) in which every value is v
+SLAB_WRITERS = {
+    "save_volume": (lambda p, v: save_volume(
+        DensityVolume(np.full((4, 64, 256), v, np.float32)), p), load_volume),
+    "save_raw_volume": (lambda p, v: save_raw_volume(np.full((4, 64, 256), v), p),
+                        load_raw_volume),
+    "save_image": (lambda p, v: save_image(SimPXImage(np.full((256, 256), v)), p),
+                   load_image),
+}
+
+# the child runs one writer of this module (a SLAB_WRITERS one with v=0.25)
+# and SIGKILLs itself at one point of the write, so that no except branch,
+# finally clause or exit handler runs
+_KILLED_WRITE = """
+import os, signal, sys
+tests, table, name, path, point = sys.argv[1:]
+sys.path.insert(0, tests)
+import test_formats
+from panoray import volume
+
+die = lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+write = getattr(test_formats, table)[name]
+if table == "SLAB_WRITERS":
+    write = lambda p, write=write[0]: write(p, 0.25)
+    volume._READ_CHUNK = 1 << 16
+if point == "slab":  # once the first slab reached the file
+    real = volume._f32_slabs
+
+    def slabs(data):
+        for i, pair in enumerate(real(data)):
+            if i:
+                die()
+            yield pair
+
+    volume._f32_slabs = slabs
+else:  # at the cut or at the header, once every other byte was written
+    setattr(os, {"cut": "ftruncate", "header": "pwrite"}[point], die)
+write(path)
+"""
+
+
+def _killed_write(table, name, path, point):
+    src = str(Path(volume.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_WRITE, str(Path(__file__).parent), table, name,
+         str(path), point], capture_output=True, text=True, env=env)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+
+
+class TestKilledWrites:
+    """A writer killed part way through rewriting a file leaves one that no
+    loader accepts, also where the old file has the new one's dims and
+    length, so that the new header over the old tail would load."""
+
+    @pytest.mark.parametrize("point", ["slab", "header"])
+    @pytest.mark.parametrize("name", list(SLAB_WRITERS))
+    def test_same_dims_rewrite_is_rejected(self, tmp_path, name, point):
+        write, load = SLAB_WRITERS[name]
+        path = tmp_path / "old.out"
+        write(path, 0.75)
+        size = path.stat().st_size
+        _killed_write("SLAB_WRITERS", name, path, point)
+        assert path.stat().st_size == size
+        with pytest.raises(FormatError, match="bad header"):
+            load(path)
+
+    @pytest.mark.parametrize("name", list(WRITERS))
+    def test_file_killed_at_the_cut_begins_with_nul(self, tmp_path, name):
+        fresh = _fresh_bytes(tmp_path, WRITERS[name])
+        path = tmp_path / "old.out"
+        path.write_bytes(b"\xab" * (len(fresh) + 4096))
+        _killed_write("WRITERS", name, path, "cut")
+        got = path.read_bytes()
+        assert got[:1] == b"\0" and got != fresh
+        if name in SLAB_WRITERS:
+            with pytest.raises(FormatError, match="bad header"):
+                SLAB_WRITERS[name][1](path)
 
 
 class TestEmptyDims:
