@@ -1,11 +1,14 @@
 """Independent blocks of work on a few threads.
 
-The operators and SSIM split their work into blocks (slice blocks, single
-slices) that read shared inputs, write disjoint outputs and carry no state
-from one block to the next. So a block's result does not depend on which
-worker runs it or when, and the output is bit-identical at any thread
-count. numpy releases the interpreter lock inside its gathers, matmuls and
-ufunc loops, which is where the blocks spend their time.
+The public forward projection and SSIM split their work into blocks
+(blocks of slices, single slices) that read shared inputs, write disjoint
+outputs and carry no state from one block to the next. So a block's result
+does not depend on which worker runs it or when, and the output is
+bit-identical at any thread count. numpy releases the interpreter lock
+inside its gathers, matmuls and ufunc loops, which is where the blocks
+spend their time. The solver's projections and back-projection run on the
+calling thread, each core in one pass over its whole state volume (see
+fan_operator).
 """
 
 from __future__ import annotations

@@ -61,13 +61,12 @@ def crossing_counts(fan: RayFan, dims) -> np.ndarray:
     return np.broadcast_to(fan.operator().counts, (nz, ny, nx)).copy()
 
 
-def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims, *,
-                  threads: int = 1) -> BackProjectionMap:
+def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMap:
     """Mean of per-pixel candidate densities over each voxel's crossing set.
 
     candidates has one value per image pixel, shape (nz, n_rays): row j holds
     the candidates of slice j's pixels, each in [0, 1] as image_candidates
-    returns them. threads as for FanOperator.ray_mean.
+    returns them.
     """
     nz, ny, nx = check_sizes("dims", dims, 3)
     fan.check_grid(nx, ny)
@@ -85,7 +84,7 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims, *,
     # map's invariants hold by construction. counts is a read-only view,
     # since the pattern is the same in every slice
     return BackProjectionMap._unchecked(np.broadcast_to(op.counts, (nz, ny, nx)),
-                                        op.ray_mean(candidates, threads=threads))
+                                        op.ray_mean(candidates))
 
 
 def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.ndarray:

@@ -7,14 +7,17 @@ same beta (the file's beta=, else 0.02), so an image is inverted through
 the fan and attenuation that rendered it. render's --height sets the
 image's own height; its --beta must equal the geometry's beta.
 
---threads N (default: the CPU count) caps the worker threads of render,
-backproject, reconstruct and metrics: the fan's system matrix projects
-blocks of slices on them, and SSIM scores slices on them. Every block is
-computed the same way whichever worker runs it, so outputs are
-bit-identical at any thread count. --seed sets phantom's RNG seed.
+--threads N (default: the CPU count) caps the worker threads of render's
+projection and of the SSIM that metrics and reconstruct --truth score:
+render projects blocks of slices on them, and SSIM scores slices on them.
+backproject and the solve of reconstruct project on the calling thread.
+Every block is computed the same way whichever worker runs it, so outputs
+are bit-identical at any thread count. --seed sets phantom's RNG seed.
 
-No command writes a file it reads or writes one file twice: an output
-path that names an input or another output is refused before any work.
+No command writes a file it reads or writes one file twice, and none
+writes into a directory that is missing or over one: an output path that
+names an input or another output, is a directory, or lies in a directory
+that does not exist is refused before any work.
 """
 
 from __future__ import annotations
@@ -146,14 +149,21 @@ def _same_file(a, b) -> bool:
 
 def _check_outputs(args) -> None:
     """ValueError if an output path of the command names one of its inputs
-    or an earlier output."""
+    or an earlier output, is a directory, or lies in a directory that does
+    not exist."""
     inputs, outputs = _PATHS[args.command]
     seen = [(dest, getattr(args, dest)) for dest in inputs if getattr(args, dest)]
     for dest, path in ((d, getattr(args, d)) for d in outputs if getattr(args, d)):
+        flag = f"--{dest.replace('_', '-')}"
         for other, prior in seen:
             if _same_file(path, prior):
-                raise ValueError(f"--{dest.replace('_', '-')} {path} names the same file "
+                raise ValueError(f"{flag} {path} names the same file "
                                  f"as --{other.replace('_', '-')}")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"{flag} {path}: no directory {parent}")
         seen.append((dest, path))
 
 
@@ -194,7 +204,7 @@ def _cmd_backproject(args):
     fan, beta = _geometry_setup(args)
     nx, ny = fan.bounds
     cands = backproject.image_candidates(img, fan, beta)
-    bmap = backproject.aggregate_rho(fan, cands, (img.dims[0], ny, nx), threads=args.threads)
+    bmap = backproject.aggregate_rho(fan, cands, (img.dims[0], ny, nx))
     volume.save_raw_volume(bmap.counts, args.out_counts)
     volume.save_raw_volume(bmap.rho, args.out_rho)
     return 0
@@ -274,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads", type=int, default=max(1, os.cpu_count() or 1),
-        help="most worker threads for projections and SSIM (default: the CPU count); "
-             "outputs are identical at any count",
+        help="most worker threads for render's projection and SSIM (default: the CPU "
+             "count); outputs are identical at any count",
     )
 
     p = argparse.ArgumentParser(prog="panoray", description=__doc__)

@@ -14,8 +14,8 @@ the half-voxel band inside the boundary read the edge voxels and clamped
 corners that coincide coalesce. Each sample's weights sum to 1, so in exact
 arithmetic A @ 1 = n, the per-ray retained sample count. Slices are
 applied as A(x - m) + n * m with m the slice minimum, which keeps constant
-slices exact: x - m is exactly zero there. A block of slices whose minima
-are all 0 (zero backgrounds, clipped iterates) skips the shift: x - 0 = x
+slices exact: x - m is exactly zero there. Slices whose minima are all 0
+(zero backgrounds, clipped iterates) skip the shift: x - 0 = x
 and n * 0 = 0, so both passes would leave every value unchanged.
 
 Storage is numpy only, in dense tiles. Tile t of a direction holds the
@@ -51,8 +51,8 @@ input reaches every row of its tile (0 * NaN is NaN); densities and pixels
 are checked finite where they enter the package.
 
 Each column of a block must get the same bits whatever the block's width,
-so that a slice's results do not depend on its block, its layout or the
-thread count:
+so that a slice's results do not depend on its block, on how many slices
+its volume has, on its layout or on the thread count:
 - BLAS computes a product's columns in groups and rounds a leftover column
   differently, so a block is padded with zero columns to a multiple of its
   dtype's _LANES: 8 for float64 and 16 for float32 (OpenBLAS 0.3.31's
@@ -64,14 +64,14 @@ thread count:
   changes the bits with the width or with OPENBLAS_NUM_THREADS. So _apply
   runs a wide block in column groups, a multiple of _LANES wide, that keep
   each tile's matmul within _GEMM = 2^18 multiply-adds where a group of
-  _LANES columns can: the 128-slice float32 block of the default fan runs
+  _LANES columns can: a 128-slice float32 state of the default fan runs
   A's longest tiles, about 1,500 columns, 32 slices at a time.
 Tiles are 4 rows high; tiles of 2 to 16 rows give the same bytes as each
 other. Taller tiles gather less but multiply more zeros: on a 2-vCPU Xeon,
 8-row tiles ran the default 256-ray fan's A slower (a 16-slice public
-forward took 5.0 against 2.8 ms, the 128-slice float32 state block 6.5
+forward took 5.0 against 2.8 ms, the 128-slice float32 state 6.5
 against 5.0 ms) and its A^T faster (7.2 against 8.1 ms). With no bound on
-a matmul's size, OpenBLAS threaded 8-row tiles of that 128-slice block and
+a matmul's size, OpenBLAS threaded 8-row tiles of that 128-slice state and
 their bytes changed under OPENBLAS_NUM_THREADS=1.
 
 A state layout (StateLayout) holds one array of voxel ids, its support,
@@ -92,43 +92,39 @@ are zero, so the crossed layout gives the full one's values wherever a
 volume is 0 off the support, and forward, adjoint and ray_mean all run in
 it.
 
-Blocks come in two kinds:
-- Public blocks serve forward, which takes slice-major (nz, ny, nx)
-  volumes: each block's crossed voxels are gathered, transposed, into one
-  float64 workspace per worker. They hold _BLOCK_BYTES of float64 slices,
-  so a render's peak memory stays low. float32 volumes, as phantoms and
-  loaded PVOL1 volumes are, are widened by that gather one block at a
-  time, never as a whole; the widening is exact, so their line sums are
-  those of the float64 volume. The voxels no ray crosses reach the line sums only
-  through the slice minima, which are taken over every voxel of the
-  slice-major rows in the input's dtype (minima are exact in it), so the
-  shift and every line sum are the full grid's.
-- State blocks serve the *_state methods and the solver. A state-layout
-  volume is one flat float32 or float64 buffer in which slices z0..z1 of
-  each block are stored voxel-major as (size, z1 - z0), size being the
-  support's voxel count. The *_state methods gather straight from such a
-  buffer and write straight into one, and compute in its dtype: the rows
-  of coefficients that A^T reads are cast to it one block at a time, and
-  the tiles are built in it (StateLayout._table), so a float32 solve builds
-  no float64 table. Line sums are float64 in any case. to_state gathers
-  the support and from_state writes it and zero-fills the rest, once at
-  each end. New state buffers are mapped on their own
-  (StateLayout.buffer). No copy bounds a state block and wider blocks make
-  the gathers and matmuls cheaper, so each holds _STATE_BYTES // (4 * size)
-  slices, _STATE_BYTES being the size of a float32 block (the solver's
-  dtype), whatever its buffer's dtype: float64 buffers and a bool
-  workspace split into the same blocks. A state volume is 0 off its
-  support, so forward_state on a support smaller than the grid takes each
-  minimum as min(0, min over the support), and the shift is again the full
-  grid's. ray_mean_state divides by the counts raised to 1, so it gives 0
-  wherever no ray crosses and the same values in either layout. The public
-  adjoint and ray_mean are adjoint_state and ray_mean_state of float64 rows
-  in the crossed layout, turned slice-major by from_state.
+Public blocks serve forward, which takes slice-major (nz, ny, nx) volumes:
+each block's crossed voxels are gathered, transposed, into one float64
+workspace per worker. They hold _BLOCK_BYTES of float64 slices, so a
+render's peak memory stays low. float32 volumes, as phantoms and loaded
+PVOL1 volumes are, are widened by that gather one block at a time, never
+as a whole; the widening is exact, so their line sums are those of the
+float64 volume. The voxels no ray crosses reach the line sums only through
+the slice minima, which are taken over every voxel of the slice-major rows
+in the input's dtype (minima are exact in it), so the shift and every line
+sum are the full grid's.
 
-Blocks write disjoint output rows, so every apply runs them on up to
-`threads` workers (see _pool). The block sizes do not depend on the thread
-count, and padded blocks give every slice the same bits, so the outputs are
-bit-identical at any thread count and in either layout.
+A state-layout volume serves the *_state methods and the solver: one
+C-contiguous float32 or float64 array of shape (size, nz), voxel-major,
+size being the support's voxel count. The *_state methods gather straight
+from such a volume and write straight into one, each in one pass over all
+its slices, and compute in its dtype: the rows of coefficients that A^T
+reads are cast to it, and the tiles are built in it (StateLayout._table),
+so a float32 solve builds no float64 table. Line sums are float64 in any
+case. to_state gathers the support and from_state writes it and
+zero-fills the rest, once at each end. New state volumes are mapped on
+their own (StateLayout.buffer). A state volume is 0 off its support, so
+forward_state on a support smaller than the grid takes each minimum as
+min(0, min over the support), and the shift is again the full grid's.
+ray_mean_state divides by the counts raised to 1, so it gives 0 wherever no
+ray crosses and the same values in either layout. The public adjoint and
+ray_mean are adjoint_state and ray_mean_state of float64 rows in the
+crossed layout, turned slice-major by from_state.
+
+Public blocks write disjoint output rows, so forward runs them on up to
+`threads` workers (see _pool); the state methods run on the calling
+thread. The block sizes do not depend on the thread count, and padded
+blocks give every slice the same bits, so the outputs are bit-identical at
+any thread count, in either layout and for any number of slices.
 """
 
 from __future__ import annotations
@@ -142,11 +138,9 @@ import numpy as np
 from ._pool import run_blocks
 
 INTERPOLATIONS = ("trilinear", "nearest")
-# bytes of a public block of slices, of a float32 state block and of one
-# gathered chunk; a chunk stays in a core's L2 cache beside the block it
-# reads
+# bytes of a public block of slices and of one gathered chunk; a chunk stays
+# in a core's L2 cache beside the block it reads
 _BLOCK_BYTES = 8 << 20
-_STATE_BYTES = 32 << 20
 _CHUNK_BYTES = 512 << 10
 # output ids per tile and length classes per octave of tile width (see
 # _tiles and the module doc)
@@ -266,6 +260,8 @@ def _apply(tiles, src: np.ndarray, out: np.ndarray) -> None:
     on nb (see the module doc); the rows of ids off the output are computed
     and dropped."""
     n_in, nb = src.shape
+    if not nb:  # no slices: out has nothing to write
+        return
     lanes = _LANES[src.dtype]
     if nb % lanes:
         padded = np.zeros((n_in, nb + lanes - nb % lanes), dtype=src.dtype)
@@ -296,20 +292,6 @@ def _state_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype(np.float32 if a.dtype == np.float32 else np.float64)
 
 
-def _out(out, shape: tuple, dtypes: tuple) -> np.ndarray:
-    """out, or a new array of this shape and of dtypes[0] if out is None;
-    ValueError unless out is a C-contiguous array of this shape and of one
-    of dtypes."""
-    if out is None:
-        return np.empty(shape, dtype=dtypes[0])
-    if not (isinstance(out, np.ndarray) and out.shape == shape
-            and out.dtype in dtypes and out.flags.c_contiguous):
-        names = " or ".join(dict.fromkeys(np.dtype(d).name for d in dtypes))
-        raise ValueError(f"out must be a C-contiguous {names} array of shape {shape}, "
-                         f"got {np.asarray(out).dtype} {np.shape(out)}")
-    return out
-
-
 def _minima(xt: np.ndarray) -> np.ndarray:
     """Per-column minima of the voxel-major block xt (n, nb). The wide
     reshape reduces whole rows of 64 * nb values at a time, several times
@@ -318,7 +300,7 @@ def _minima(xt: np.ndarray) -> np.ndarray:
     n, nb = xt.shape
     k = n - n % 64
     m = xt[k:].min(axis=0, initial=np.inf)
-    if k:
+    if k and nb:
         np.minimum(m, xt[:k].reshape(-1, 64 * nb).min(axis=0).reshape(64, nb).min(axis=0),
                    out=m)
     return m
@@ -507,19 +489,19 @@ class FanOperator:
                    lambda: np.empty(lay.size * min(nz, self.block), dtype=np.float64))
         return out
 
-    def adjoint(self, r: np.ndarray, *, threads: int = 1) -> np.ndarray:
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
         """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx), float64
         whatever r's dtype; the crossed adjoint_state's result, turned
-        slice-major. threads as for forward."""
+        slice-major."""
         r = np.asarray(r, dtype=np.float64)
-        return self.crossed.from_state(self.crossed.adjoint_state(r, threads=threads))
+        return self.crossed.from_state(self.crossed.adjoint_state(r))
 
-    def ray_mean(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
+    def ray_mean(self, c: np.ndarray) -> np.ndarray:
         """Mean of c_j over the rays crossing each voxel, 0 where none does:
         (nz, n_rays) -> (nz, ny, nx), float64 whatever c's dtype; the crossed
-        ray_mean_state's result, turned slice-major. threads as for forward."""
+        ray_mean_state's result, turned slice-major."""
         c = np.asarray(c, dtype=np.float64)
-        return self.crossed.from_state(self.crossed.ray_mean_state(c, threads=threads))
+        return self.crossed.from_state(self.crossed.ray_mean_state(c))
 
 
 class StateLayout:
@@ -563,107 +545,74 @@ class StateLayout:
             self._tables[kind, dtype] = tiles
         return self._tables[kind, dtype]
 
-    def state_blocks(self, nz: int) -> list:
-        """The (z0, z1) slice ranges of the state blocks of nz slices, the
-        same for every dtype."""
-        step = max(1, _STATE_BYTES // (4 * self.size))
-        return [(z0, min(nz, z0 + step)) for z0 in range(0, nz, step)]
-
-    def state_views(self, state: np.ndarray) -> list:
-        """((z0, z1), view) for each state block of the flat buffer state,
-        which holds len(state) // size slices: view is its (size, z1 - z0)
-        voxel-major block."""
-        n = self.size
-        return [((z0, z1), state[z0 * n:z1 * n].reshape(n, z1 - z0))
-                for z0, z1 in self.state_blocks(len(state) // n)]
-
     def buffer(self, nz: int, dtype) -> np.ndarray:
-        """A new state-layout buffer of nz slices of dtype, all 0, in an
+        """A new state-layout volume of nz slices of dtype, all 0, in an
         anonymous memory mapping of its own, which goes back to the system
-        when the buffer is freed. malloc would serve a buffer under 32 MiB
+        when the volume is freed. malloc would serve a volume under 32 MiB
         from its heap once a freed one of about that size had raised its
         mmap threshold, and keep it resident after it is freed, so each
-        solve or transpose in a process would leave its buffers behind."""
+        solve or transpose in a process would leave its volumes behind."""
         dtype = np.dtype(dtype)
         n = nz * self.size
-        return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
+        buf = mmap.mmap(-1, max(1, n * dtype.itemsize))
+        return np.frombuffer(buf, dtype=dtype, count=n).reshape(self.size, nz)
 
     def to_state(self, x: np.ndarray) -> np.ndarray:
         """The support of the (nz, ny, nx) volume x in state layout: a new
-        buffer (see buffer), float32 if x is and float64 otherwise."""
+        volume (see buffer), float32 if x is and float64 otherwise."""
         x = np.asarray(x)
         dtype = _state_dtype(x)
         flat = np.asarray(x, dtype=dtype).reshape(len(x), self.n_voxels)
         out = self.buffer(len(flat), dtype)
-        for (z0, z1), view in self.state_views(out):
-            _copy_in(flat[z0:z1], view, self.voxels)
+        _copy_in(flat, out, self.voxels)
         return out
 
-    def from_state(self, state: np.ndarray, out=None) -> np.ndarray:
-        """The volume held in state layout as (nz, ny, nx) of the state's
-        dtype, 0 off the support, or written into out if given: a
-        C-contiguous array of that shape, of the state's dtype or float64
-        (which holds float32 values exactly), that does not overlap state;
-        ValueError otherwise."""
+    def from_state(self, state: np.ndarray) -> np.ndarray:
+        """The volume held in state layout as a new (nz, ny, nx) array of
+        the state's dtype, 0 off the support."""
         nx, ny = self.bounds
-        nz = len(state) // self.size
-        out = _out(out, (nz, ny, nx), (state.dtype, np.float64))
-        # both are contiguous, so sharing memory means overlapping
-        if np.may_share_memory(out, state):
-            raise ValueError("out must not overlap state")
-        flat = out.reshape(nz, self.n_voxels)
-        for (z0, z1), view in self.state_views(state):
-            _copy_back(view, flat[z0:z1], self.voxels)
+        nz = state.shape[1]
+        out = np.empty((nz, ny, nx), dtype=state.dtype)
+        _copy_back(state, out.reshape(nz, self.n_voxels), self.voxels)
         return out
 
-    def forward_state(self, state: np.ndarray, *, threads: int = 1) -> np.ndarray:
+    def forward_state(self, state: np.ndarray) -> np.ndarray:
         """forward of the volume held in state layout, 0 off the support,
         computed in the state's dtype; the line sums are float64 and state
-        is never written. threads as for forward."""
-        out = np.empty((len(state) // self.size, self.n_rays), dtype=np.float64)
-        rows = self._table("rows", state.dtype)
-
-        def block(item, _):
-            (z0, z1), view = item
-            m = _minima(view)
-            if self.size < self.n_voxels:
-                np.minimum(m, 0, out=m)  # the zeros off the support
-            _project(rows, view - m if m.any() else view, m, self.sample_counts, out[z0:z1])
-
-        run_blocks(block, self.state_views(state), threads)
+        is never written."""
+        out = np.empty((state.shape[1], self.n_rays), dtype=np.float64)
+        m = _minima(state)
+        if self.size < self.n_voxels:
+            np.minimum(m, 0, out=m)  # the zeros off the support
+        _project(self._table("rows", state.dtype), state - m if m.any() else state, m,
+                 self.sample_counts, out)
         return out
 
-    def _transpose_state(self, r: np.ndarray, kind: str, out, threads: int) -> np.ndarray:
+    def _transpose_state(self, r: np.ndarray, kind: str, out) -> np.ndarray:
         r = np.asarray(r)
+        shape = (self.size, len(r))
         if out is None:
             out = self.buffer(len(r), _state_dtype(r))
-        else:
-            out = _out(out, (len(r) * self.size,), (np.float64, np.float32))
-        tiles = self._table(kind, out.dtype)
-
-        def block(item, _):
-            (z0, z1), view = item
-            _apply(tiles, np.ascontiguousarray(r[z0:z1].T, dtype=out.dtype), view)
-
-        run_blocks(block, self.state_views(out), threads)
+        elif not (isinstance(out, np.ndarray) and out.shape == shape
+                  and out.dtype in (np.float64, np.float32) and out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 or float32 array of shape "
+                             f"{shape}, got {np.asarray(out).dtype} {np.shape(out)}")
+        _apply(self._table(kind, out.dtype), np.ascontiguousarray(r.T, dtype=out.dtype), out)
         return out
 
-    def adjoint_state(self, r: np.ndarray, out=None, *, threads: int = 1) -> np.ndarray:
-        """adjoint of the (nz, n_rays) rows r on the support, into a
-        state-layout buffer, computed in its dtype: out if given (a
-        C-contiguous float64 or float32 array of nz * size values;
+    def adjoint_state(self, r: np.ndarray, out=None) -> np.ndarray:
+        """adjoint of the (nz, n_rays) rows r on the support, as a
+        state-layout volume computed in its dtype: out if given (a
+        C-contiguous float64 or float32 array of shape (size, nz);
         ValueError otherwise), else a new one of r's state dtype (see
-        to_state). threads as for forward."""
-        return self._transpose_state(r, "cols", out, threads)
+        to_state)."""
+        return self._transpose_state(r, "cols", out)
 
-    def ray_mean_state(self, c: np.ndarray, *, threads: int = 1) -> np.ndarray:
+    def ray_mean_state(self, c: np.ndarray) -> np.ndarray:
         """ray_mean of the (nz, n_rays) rows c on the support, as a new
-        state-layout buffer of c's state dtype (see to_state), computed in
+        state-layout volume of c's state dtype (see to_state), computed in
         it. Each pattern sum is divided by its voxel's count raised to 1, so
-        a voxel no ray crosses, whose sum is 0, gets 0. threads as for
-        forward."""
-        sums = self._transpose_state(c, "pattern", None, threads)
+        a voxel no ray crosses, whose sum is 0, gets 0."""
+        sums = self._transpose_state(c, "pattern", None)
         per_voxel = np.maximum(self.counts, 1).astype(sums.dtype).reshape(self.size, 1)
-        for _, view in self.state_views(sums):
-            np.divide(view, per_voxel, out=view)
-        return sums
+        return np.divide(sums, per_voxel, out=sums)

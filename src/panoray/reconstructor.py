@@ -112,21 +112,14 @@ def _check_mips(target_mips, dims) -> dict:
     return out
 
 
-# elements per BLAS dot in _block_dot: OpenBLAS runs a longer dot on its
-# own thread pool, whose wake-up cost several ms per dot on a 2-vCPU host,
-# and rounds it by that pool's size
+# elements per BLAS dot in _dot: OpenBLAS runs a longer dot on its own
+# thread pool, whose wake-up cost several ms per dot on a 2-vCPU host, and
+# rounds it by that pool's size
 _DOT_CHUNK = 8192
 # the solver's state dtype (see reconstruct)
 _STATE_DTYPE = np.float32
-# where each MIP axis lies in a state block viewed as (ny, nx, nb)
-_BLOCK_AXES = {"axial": 2, "coronal": 0, "sagittal": 1}
-
-
-def _block_part(axis: str, arr: np.ndarray, z0: int, z1: int) -> np.ndarray:
-    """The part of a projection-shaped array that state block z0..z1 meets,
-    in the block's axis order: axial (ny, nx) whole, coronal (nx, nb) and
-    sagittal (ny, nb) as slices z0..z1, transposed."""
-    return arr if axis == "axial" else arr[z0:z1].T
+# where each MIP axis lies in a state volume viewed as (ny, nx, nz)
+_STATE_AXES = {"axial": 2, "coronal": 0, "sagittal": 1}
 
 
 def _state_layout(op: FanOperator, mips: dict) -> StateLayout:
@@ -136,11 +129,11 @@ def _state_layout(op: FanOperator, mips: dict) -> StateLayout:
     return op.full if mips else op.crossed
 
 
-def _blocks3(lay: StateLayout, state: np.ndarray) -> list:
-    """((z0, z1), block) for each state block of the full layout lay,
-    viewed as (ny, nx, nb)."""
-    nx, ny = lay.bounds
-    return [(zs, view.reshape(ny, nx, zs[1] - zs[0])) for zs, view in lay.state_views(state)]
+def _in_state_order(axis: str, arr: np.ndarray) -> np.ndarray:
+    """A projection-shaped array in the axis order of a state volume viewed
+    as (ny, nx, nz): axial (ny, nx) as it is, coronal (nx, nz) and sagittal
+    (ny, nz) transposed."""
+    return arr if axis == "axial" else arr.T
 
 
 def _projections(lay: StateLayout, state: np.ndarray, axes) -> dict:
@@ -152,68 +145,49 @@ def _projections(lay: StateLayout, state: np.ndarray, axes) -> dict:
     if not axes:
         return {}
     nx, ny = lay.bounds
-    blocks = _blocks3(lay, state)
-    nz = blocks[-1][0][1]
-    projs = {}
-    for axis in axes:
-        k = _BLOCK_AXES[axis]
-        if axis == "axial":
-            proj = blocks[0][1].max(axis=k)
-            for _, b in blocks[1:]:
-                np.maximum(proj, b.max(axis=k), out=proj)
-        else:
-            proj = np.empty((nz, nx if axis == "coronal" else ny), dtype=state.dtype)
-            for (z0, z1), b in blocks:
-                _block_part(axis, proj, z0, z1)[...] = b.max(axis=k)
-        projs[axis] = proj
-    return projs
+    view = state.reshape(ny, nx, state.shape[1])
+    return {axis: np.ascontiguousarray(
+        _in_state_order(axis, view.max(axis=_STATE_AXES[axis]))) for axis in axes}
 
 
 def _mip_term(lay, state, grad, axis, proj, r, tie_tol, band) -> np.ndarray:
     """grad += the MIP term of one axis, on volumes of one dtype held in
     the full layout lay: each projected residual r is shared equally across
     the voxels within tie_tol of their column's maximum proj. The threshold
-    and each share are rounded to that dtype, so no block is compared or
-    added in another. Returns the tie counts, shaped like proj. band is a
-    bool state-layout workspace that holds the tie band; the counts are
-    integers, so summing them over blocks is exact. A block's band is
-    counted through its uint8 view, into int32 (a column holds far fewer
-    than 2**31 voxels), which is cheaper than summing bools."""
-    k = _BLOCK_AXES[axis]
-    counts = np.zeros(proj.shape, dtype=np.int64)
+    and each share are rounded to that dtype, so nothing is compared or
+    added in another. Returns the int64 tie counts, shaped like proj. band
+    is a bool state-layout workspace that holds the tie band, counted
+    through its uint8 view, into int32 (a column holds far fewer than 2**31
+    voxels), which is cheaper than summing bools."""
+    k = _STATE_AXES[axis]
+    nx, ny = lay.bounds
+    b, t, g = (a.reshape(ny, nx, state.shape[1]) for a in (state, band, grad))
     floor = (proj - tie_tol).astype(state.dtype)
-    blocks = list(zip(_blocks3(lay, state), _blocks3(lay, band), _blocks3(lay, grad)))
-    for ((z0, z1), b), (_, t), _ in blocks:
-        np.greater_equal(b, np.expand_dims(_block_part(axis, floor, z0, z1), k), out=t)
-        _block_part(axis, counts, z0, z1)[...] += np.add.reduce(t.view(np.uint8), axis=k,
-                                                                dtype=np.int32)
+    np.greater_equal(b, np.expand_dims(_in_state_order(axis, floor), k), out=t)
+    counts = np.add.reduce(t.view(np.uint8), axis=k, dtype=np.int32).astype(np.int64)
+    counts = _in_state_order(axis, counts)
     share = (r / counts).astype(grad.dtype)
-    for ((z0, z1), _), (_, t), (_, g) in blocks:
-        np.add(g, np.expand_dims(_block_part(axis, share, z0, z1), k), out=g, where=t)
+    np.add(g, np.expand_dims(_in_state_order(axis, share), k), out=g, where=t)
     return counts
 
 
-def _block_dot(lay: StateLayout, a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two buffers of one dtype in the state layout lay: partial
-    dots per state block, summed in block order. A block's partial dot sums
-    the dots of its consecutive _DOT_CHUNK-element chunks, and of the rest
-    last; each of these is a BLAS dot in the buffers' dtype, and their sums
-    are float64."""
-    total = 0.0
-    for (_, u), (_, v) in zip(lay.state_views(a), lay.state_views(b)):
-        x, y = u.reshape(-1), v.reshape(-1)
-        n = len(x) - len(x) % _DOT_CHUNK
-        # one BLAS dot per chunk, in one batched call
-        parts = np.matmul(x[:n].reshape(-1, 1, _DOT_CHUNK), y[:n].reshape(-1, _DOT_CHUNK, 1))
-        total += float(np.sum(parts, dtype=np.float64)) + float(x[n:] @ y[n:])
-    return total
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two arrays of one dtype and shape: the sum of the dots of
+    their consecutive _DOT_CHUNK-element chunks, and of the rest last; each
+    of these is a BLAS dot in the arrays' dtype, and their sums are
+    float64."""
+    x, y = a.reshape(-1), b.reshape(-1)
+    n = len(x) - len(x) % _DOT_CHUNK
+    # one BLAS dot per chunk, in one batched call
+    parts = np.matmul(x[:n].reshape(-1, 1, _DOT_CHUNK), y[:n].reshape(-1, _DOT_CHUNK, 1))
+    return float(np.sum(parts, dtype=np.float64)) + float(x[n:] @ y[n:])
 
 
-def _loss_terms(lay, state, y, mips, fan, beta, lambda1, threads=1):
+def _loss_terms(lay, state, y, mips, fan, beta, lambda1):
     """total, mse_img, mse_mip, and the predicted image and MIP projections
     of the estimate held in the state layout lay, which _gradient can reuse
     at the same estimate."""
-    pred = -np.expm1(-beta * fan.delta * lay.forward_state(state, threads=threads))
+    pred = -np.expm1(-beta * fan.delta * lay.forward_state(state))
     mse_img = float(np.sum((pred - y) ** 2))
     mse_mip = 0.0
     projs = _projections(lay, state, mips)
@@ -248,7 +222,7 @@ def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
 
 
 def _gradient(lay, state, y, mips, fan, beta, lambda1, pred, projs,
-              out=None, threads: int = 1, band=None):
+              out=None, band=None):
     """Gradient at the estimate held in the state layout lay, in that
     layout and the state's dtype (into out if given); pred and projs are
     the predicted image and the MIP projections of this same estimate, as
@@ -257,10 +231,9 @@ def _gradient(lay, state, y, mips, fan, beta, lambda1, pred, projs,
     resid = pred - y
     transmit = 1.0 - pred
     coeff = 2.0 * beta * fan.delta * resid * transmit
-    grad = lay.adjoint_state(coeff, lay.buffer(len(y), state.dtype) if out is None else out,
-                             threads=threads)
+    grad = lay.adjoint_state(coeff, lay.buffer(len(y), state.dtype) if out is None else out)
     if mips and band is None:
-        band = np.empty(len(state), dtype=bool)
+        band = np.empty(state.shape, dtype=bool)
     for axis, tgt in mips.items():
         r = 2.0 * lambda1 * (projs[axis] - tgt)
         _mip_term(lay, state, grad, axis, projs[axis], r, _MIP_TIE_TOL, band)
@@ -289,17 +262,17 @@ def reconstruct(
 
     Returns the recovered volume (dims: target height x fan grid) and a
     report with one loss row per accepted iterate, monotone by construction.
-    threads, an integer >= 1, caps the workers that run the forward and
-    adjoint projections, the back-projection and the final SSIM (see
-    fan_operator and metrics.ssim); the result is the same at any thread
-    count. The solver's whole-volume arithmetic runs on the calling thread.
-    The solver holds its volumes as float32 in one of the operator's state
-    layouts, block by block as the projections read and write them: the
-    crossed voxels only, unless MIP targets are given (see _state_layout).
-    Without MIP targets no other voxel gets a gradient, so every voxel no
-    ray crosses ends at exactly 0. The result is turned slice-major once,
-    at the end, and stays float32, as every volume the package makes; the
-    step's two dots are summed per state block (_block_dot). Densities lie
+    threads, an integer >= 1, caps the workers of the final SSIM (see
+    metrics.ssim); the result is the same at any thread count. The
+    projections, the back-projection and the solver's whole-volume
+    arithmetic run on the calling thread. The solver holds its volumes as
+    float32 in one of the operator's state layouts, each one (size, nz)
+    array that the projections read and write whole: the crossed voxels
+    only, unless MIP targets are given (see _state_layout). Without MIP
+    targets no other voxel gets a gradient, so every voxel no ray crosses
+    ends at exactly 0. The result is turned slice-major once, at the end,
+    and stays float32, as every volume the package makes; the step's two
+    dots are summed in fixed chunks (_dot). Densities lie
     in [0, 1] and results are stored as float32, so the state holds them
     at the precision they are stored with; the loss, the line sums and the
     step are float64, and the public loss and gradient stay float64
@@ -339,13 +312,13 @@ def reconstruct(
         # candidates rounded to float32: a mean over crossing rays, taken
         # straight in the layout lay, 0 wherever no ray crosses
         cands = backproject.image_candidates(y, fan, cfg.beta)
-        x = lay.ray_mean_state(cands.astype(_STATE_DTYPE), threads=threads)
+        x = lay.ray_mean_state(cands.astype(_STATE_DTYPE))
         np.clip(x, 0.0, 1.0, out=x)
-    band = np.empty(len(x), dtype=bool) if mips else None
+    band = np.empty(x.shape, dtype=bool) if mips else None
 
     report = ReconReport()
     total, mse_img, mse_mip, pred, projs = _loss_terms(
-        lay, x, y, mips, fan, cfg.beta, cfg.lambda1, threads
+        lay, x, y, mips, fan, cfg.beta, cfg.lambda1
     )
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss at initialization: {total}")
@@ -361,14 +334,14 @@ def reconstruct(
             break
         older, grad = grad, _gradient(
             lay, x, y, mips, fan, cfg.beta, cfg.lambda1, pred=pred, projs=projs,
-            out=older, threads=threads, band=band,
+            out=older, band=band,
         )
         if s is not None:
             # spectral step guess from the last accepted move, safeguarded;
             # the backtracking below keeps the iteration monotone regardless
-            curv = _block_dot(lay, s, np.subtract(grad, older, out=older))
+            curv = _dot(s, np.subtract(grad, older, out=older))
             if curv > 1e-30:
-                step = min(1e6, max(1e-12, _block_dot(lay, s, s) / curv))
+                step = min(1e6, max(1e-12, _dot(s, s) / curv))
             else:
                 step = min(1e6, 2.0 * step)
         accepted = False
@@ -378,7 +351,7 @@ def reconstruct(
             np.subtract(x, trial, out=trial)
             np.clip(trial, 0.0, 1.0, out=trial)
             t_total, t_img, t_mip, t_pred, t_projs = _loss_terms(
-                lay, trial, y, mips, fan, cfg.beta, cfg.lambda1, threads
+                lay, trial, y, mips, fan, cfg.beta, cfg.lambda1
             )
             if not np.isfinite(t_total):
                 raise RuntimeError(f"non-finite loss during line search: {t_total}")

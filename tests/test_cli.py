@@ -12,7 +12,6 @@ import pytest
 import panoray
 from panoray import cli, fan_operator
 from panoray.errors import FormatError
-from panoray.ray_geometry import GeometryConfig, build_fan
 from panoray.reconstructor import ReconConfig
 from panoray.renderer import RenderConfig, load_image
 from panoray.volume import load_raw_volume, load_volume
@@ -310,8 +309,9 @@ class TestReconstruct:
 
 
 class TestOutputPaths:
-    # an output that names an input or another output is refused before
-    # any work, and every input keeps its bytes
+    # an output that names an input or another output, is a directory or
+    # lies in a missing directory is refused before any work, and every
+    # input keeps its bytes
 
     @pytest.fixture
     def pipeline(self, tmp_path):
@@ -357,6 +357,37 @@ class TestOutputPaths:
         assert capsys.readouterr().err.startswith("error: invalid value: --out-rho ")
         assert img.read_bytes() == before
         assert not out.exists()
+
+    def test_reconstruct_report_is_a_directory(self, tmp_path, capsys, pipeline):
+        # the result used to be written before the report failed to open
+        geom, _, img = pipeline
+        out, report = tmp_path / "r.pvol", tmp_path / "adir"
+        report.mkdir()
+        assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 1,
+                   "--out", out, "--report", report) == 1
+        assert capsys.readouterr().err == (f"error: invalid value: --report {report} "
+                                           "is a directory\n")
+        assert not out.exists() and not any(report.iterdir())
+
+    def test_reconstruct_report_in_a_missing_directory(self, tmp_path, capsys, pipeline):
+        geom, _, img = pipeline
+        out, report = tmp_path / "r.pvol", tmp_path / "nodir" / "rep.txt"
+        assert run("reconstruct", "--img", img, "--geometry", geom, "--iters", 1,
+                   "--out", out, "--report", report) == 1
+        assert capsys.readouterr().err == (f"error: invalid value: --report {report}: "
+                                           f"no directory {report.parent}\n")
+        assert not out.exists() and not report.parent.exists()
+
+    def test_backproject_rho_is_a_directory(self, tmp_path, capsys, pipeline):
+        # the counts used to be written before the rho failed to open
+        geom, _, img = pipeline
+        counts, rho = tmp_path / "c.pvol", tmp_path / "adir"
+        rho.mkdir()
+        assert run("backproject", "--img", img, "--geometry", geom, "--out-counts", counts,
+                   "--out-rho", rho) == 1
+        assert capsys.readouterr().err == (f"error: invalid value: --out-rho {rho} "
+                                           "is a directory\n")
+        assert not counts.exists() and not any(rho.iterdir())
 
     def test_render_out_is_a_link_to_the_volume(self, tmp_path, capsys, pipeline):
         # a hard link is another path to the same file
@@ -454,16 +485,12 @@ class TestThreads:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_multi_block_pipeline_identical(self, tmp_path, capsys, monkeypatch):
+    def test_multi_block_pipeline_identical(self, tmp_path, capsys):
         # 40 slices of the default 256x256 grid make three public operator
-        # blocks and, at 16 slices per state block of the crossed voxels
-        # that backproject and reconstruct hold, three state blocks; SSIM
-        # scores 40 slices, so two workers really split the work
+        # blocks, and SSIM scores 40 slices, so two workers really split the
+        # work
         nz = 40
         assert fan_operator._BLOCK_BYTES // (8 * 256 * 256) < nz / 2
-        lay = build_fan(GeometryConfig(), bounds=(256, 256)).operator().crossed
-        monkeypatch.setattr(fan_operator, "_STATE_BYTES", 16 * 4 * lay.size)
-        assert len(lay.state_blocks(nz)) >= 2
         outputs = {}
         for threads in (1, 2):
             d = tmp_path / f"t{threads}"
@@ -519,11 +546,12 @@ class TestDiagnostics:
             "nz,ny,nx, got 'a,b,c'\n")
 
     def test_export_to_directory(self, tmp_path, capsys):
+        # refused before any work, as every output path that is a directory
         vol = tmp_path / "v.pvol"
         run("phantom", "--kind", "uniform:0", "--dims", "2,4,4", "--out", vol)
         assert run("export", "--vol", vol, "--format", "float", "--out", tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot read or write:") and str(tmp_path) in err
+        assert err.startswith("error: invalid value:") and str(tmp_path) in err
         assert err.count("\n") == 1
 
     def test_render_from_directory(self, tmp_path, capsys):

@@ -147,15 +147,11 @@ def _entry_points():
     fan = build_fan(GeometryConfig(width=32), bounds=(8, 8))
     op = fan.operator()
     vol = np.full((2, 8, 8), 0.25)
-    coeffs = np.full((2, fan.n_rays), 0.25)
     img = np.full((2, fan.n_rays), 0.1)
     return {
         "forward": lambda t: op.forward(vol, threads=t),
-        "adjoint": lambda t: op.adjoint(coeffs, threads=t),
-        "ray_mean": lambda t: op.ray_mean(coeffs, threads=t),
         "ssim": lambda t: ssim(vol, vol, threads=t),
         "evaluate": lambda t: evaluate(vol, vol, threads=t),
-        "aggregate_rho": lambda t: aggregate_rho(fan, coeffs, vol.shape, threads=t),
         "reconstruct": lambda t: reconstruct(img, fan, ReconConfig(max_iters=1), threads=t),
         "RenderConfig": lambda t: RenderConfig(threads=t),
     }

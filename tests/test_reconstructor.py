@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panoray import _pool, fan_operator, reconstructor
+from panoray import _pool, reconstructor
 from panoray.backproject import crossing_counts, image_candidates
 from panoray.errors import DimsError
 from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
 from panoray.reconstructor import (
     ReconConfig,
-    _block_dot,
+    _dot,
     _mip_term,
     _projections,
     gradient,
@@ -81,12 +81,12 @@ def allocating_reconstruct(y, fan, cfg, mips):
         if prev_x is None:
             step = cfg.step_size
         else:
-            # the solver's dots: partial dots per state block, in block order
+            # the solver's dots: chunked, over the whole state
             dx = lay.to_state(x - prev_x)
             dg = lay.to_state(grad - prev_grad)
-            curv = _block_dot(lay, dx, dg)
+            curv = _dot(dx, dg)
             if curv > 1e-30:
-                step = min(1e6, max(1e-12, _block_dot(lay, dx, dx) / curv))
+                step = min(1e6, max(1e-12, _dot(dx, dx) / curv))
             else:
                 step = min(1e6, 2.0 * step)
                 events["doubling"] += 1
@@ -594,19 +594,6 @@ def square_fan(n):
     return build_fan(GeometryConfig(width=64), bounds=(n, n))
 
 
-@st.composite
-def split_volumes(draw):
-    """(nz, per_block): 2 to 9 slices and a state-block width that splits
-    them into 2 to 4 blocks, the last one ragged or not."""
-    nz = draw(st.integers(2, 9))
-    return nz, draw(st.integers(-(-nz // 4), nz - 1))
-
-
-def state_budget(per_block, size):
-    # _STATE_BYTES is the size of a float32 state block of size voxels
-    return mock.patch.object(fan_operator, "_STATE_BYTES", per_block * 4 * size)
-
-
 def brute_mip_term(est, grad, ax, r, tie_tol):
     """The MIP term of one axis column by column: grad (slice-major) gets
     r / count on each of a column's count voxels within tie_tol of its
@@ -625,31 +612,28 @@ def brute_mip_term(est, grad, ax, r, tie_tol):
 
 class TestStateLayout:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([8, 16]), split_volumes(), st.sampled_from([0.0, 1e-3, 0.1]),
+    @given(st.sampled_from([8, 16]), st.integers(2, 9), st.sampled_from([0.0, 1e-3, 0.1]),
            st.booleans(), st.integers(0, 2**32 - 1))
-    def test_mip_term_matches_brute_force(self, n, split, tie_tol, coarse, seed):
+    def test_mip_term_matches_brute_force(self, n, nz, tie_tol, coarse, seed):
         # coarse volumes hold few distinct values, so columns have exact ties
-        nz, per_block = split
         op = square_fan(n).operator()
         rng = np.random.default_rng(seed)
         est = (rng.integers(0, 4, (nz, n, n)) / 4.0 if coarse
                else rng.uniform(0.0, 1.0, (nz, n, n)))
         want = rng.uniform(-1.0, 1.0, (nz, n, n))
         lay = op.full
-        with state_budget(per_block, n * n):
-            assert len(lay.state_blocks(nz)) >= 2
-            state, grad = lay.to_state(est), lay.to_state(want)
-            band = np.empty(len(state), dtype=bool)
-            projs = _projections(lay, state, MIP_AXES)
-            for axis in MIP_AXES:
-                ax = _MIP_AXES[axis]
-                proj = projs[axis]
-                assert proj.flags.c_contiguous
-                assert np.array_equal(proj, est.max(axis=ax))
-                r = 20.0 * (proj - rng.uniform(0.0, 1.0, proj.shape))
-                counts = _mip_term(lay, state, grad, axis, proj, r, tie_tol, band)
-                assert np.array_equal(counts, brute_mip_term(est, want, ax, r, tie_tol))
-                assert np.array_equal(lay.from_state(grad), want)
+        state, grad = lay.to_state(est), lay.to_state(want)
+        band = np.empty(state.shape, dtype=bool)
+        projs = _projections(lay, state, MIP_AXES)
+        for axis in MIP_AXES:
+            ax = _MIP_AXES[axis]
+            proj = projs[axis]
+            assert proj.flags.c_contiguous
+            assert np.array_equal(proj, est.max(axis=ax))
+            r = 20.0 * (proj - rng.uniform(0.0, 1.0, proj.shape))
+            counts = _mip_term(lay, state, grad, axis, proj, r, tie_tol, band)
+            assert np.array_equal(counts, brute_mip_term(est, want, ax, r, tie_tol))
+            assert np.array_equal(lay.from_state(grad), want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mip_counts_with_planted_ties(self, dtype):
@@ -665,7 +649,7 @@ class TestStateLayout:
         est[:, 0, 0] = 1.0
         est = est.astype(dtype)
         state = lay.to_state(est)
-        grad, band = lay.buffer(nz, dtype), np.empty(len(state), dtype=bool)
+        grad, band = lay.buffer(nz, dtype), np.empty(state.shape, dtype=bool)
         projs = _projections(lay, state, MIP_AXES)
         for axis in MIP_AXES:
             ax = _MIP_AXES[axis]
@@ -710,21 +694,16 @@ class TestStateLayout:
             assert report.stop_reason == "line_search"
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([8, 16]), split_volumes(), st.sampled_from(["rho", "zeros"]),
+    @given(st.sampled_from([8, 16]), st.integers(2, 9), st.sampled_from(["rho", "zeros"]),
            st.booleans(), st.integers(0, 2**16))
-    def test_reconstruct_bit_identical_at_any_thread_count(self, n, split, init, with_mips,
+    def test_reconstruct_bit_identical_at_any_thread_count(self, n, nz, init, with_mips,
                                                            seed):
-        nz, per_block = split
         fan = square_fan(n)
         truth = DensityVolume(np.random.default_rng(seed).uniform(0.0, 0.6, (nz, n, n)))
         cfg = ReconConfig(beta=0.3, lambda1=10.0, init=init, max_iters=8)
         y = render_for(fan, truth, cfg.beta).pixels
         mips = {ax: mip(truth, ax) for ax in MIP_AXES} if with_mips else None
-        # the budget splits the layout the solver runs in
-        lay = reconstructor._state_layout(fan.operator(), mips)
-        with state_budget(per_block, lay.size), mock.patch.object(_pool.os, "cpu_count",
-                                                                  return_value=3):
-            assert len(lay.state_blocks(nz)) >= 2
+        with mock.patch.object(_pool.os, "cpu_count", return_value=3):
             runs = [reconstruct(y, fan, cfg, target_mips=mips, threads=threads)
                     for threads in (1, 2, 3)]
         (want_vol, want_report), *others = runs
@@ -734,13 +713,12 @@ class TestStateLayout:
             assert report.loss_history == want_report.loss_history
 
     @settings(max_examples=20, deadline=None)
-    @given(st.sampled_from([8, 16]), split_volumes(), st.floats(0.05, 1.0),
+    @given(st.sampled_from([8, 16]), st.integers(2, 9), st.floats(0.05, 1.0),
            st.sampled_from([0.0, 10.0]), st.integers(0, 2**32 - 1))
-    def test_gradient_matches_central_differences(self, n, split, beta, lambda1, seed):
+    def test_gradient_matches_central_differences(self, n, nz, beta, lambda1, seed):
         # a tie band of 0 routes each MIP residual to its column's maximum; picks
         # keep every column's maximizer unchanged under a +-h step, where
         # the objective is smooth
-        nz, per_block = split
         fan = square_fan(n)
         rng = np.random.default_rng(seed)
         est = rng.uniform(0.1, 0.9, (nz, n, n))
@@ -749,9 +727,7 @@ class TestStateLayout:
                  for axis in MIP_AXES} if lambda1 else None)
         cfg = ReconConfig(beta=beta, lambda1=lambda1)
         h = 1e-4
-        with state_budget(per_block, n * n), mock.patch.object(reconstructor, "_MIP_TIE_TOL",
-                                                               0.0):
-            assert len(fan.operator().full.state_blocks(nz)) >= 2
+        with mock.patch.object(reconstructor, "_MIP_TIE_TOL", 0.0):
             g = gradient(est, target, mips, fan, cfg)
             stable = np.abs(g) > 1e-3 * np.abs(g).max()
             for ax in _MIP_AXES.values() if mips else ():
