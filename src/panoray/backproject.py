@@ -12,9 +12,9 @@ Because the fan is shared by all axial slices, the crossing structure is a
 slice j. That pattern is the nonzero pattern of the fan's trilinear system
 matrix: |B(x)| is its per-voxel entry count, and rho is its pattern applied
 transposed to the candidates, divided by the counts raised to 1.
-FanOperator.ray_mean computes rho in the operator's crossed state layout,
-over the voxels some ray crosses only, and writes 0 at every voxel no ray
-crosses (see fan_operator).
+aggregate_rho takes those means in float64 in the operator's crossed
+state layout, over the voxels some ray crosses only (see fan_operator),
+rounds them to float32 once and writes 0 at every voxel no ray crosses.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .renderer import as_pixels
 @dataclass(frozen=True)
 class BackProjectionMap:
     counts: np.ndarray  # (nz, ny, nx) int64, |B(x)| per voxel
-    rho: np.ndarray     # (nz, ny, nx) float64, 0 where counts == 0
+    rho: np.ndarray     # (nz, ny, nx) float32, 0 where counts == 0
 
     @classmethod
     def _unchecked(cls, counts, rho) -> BackProjectionMap:
@@ -66,7 +66,7 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
 
     candidates has one value per image pixel, shape (nz, n_rays): row j holds
     the candidates of slice j's pixels, each in [0, 1] as image_candidates
-    returns them.
+    returns them. rho is float32: the float64 means, rounded once.
     """
     nz, ny, nx = check_sizes("dims", dims, 3)
     fan.check_grid(nx, ny)
@@ -81,10 +81,11 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
 
     op = fan.operator()
     # means of [0, 1] values over the pattern, 0 where no ray crosses: the
-    # map's invariants hold by construction. counts is a read-only view,
+    # map's invariants hold by construction. The float64 state is rounded
+    # and freed before from_state allocates rho. counts is a read-only view,
     # since the pattern is the same in every slice
-    return BackProjectionMap._unchecked(np.broadcast_to(op.counts, (nz, ny, nx)),
-                                        op.ray_mean(candidates))
+    rho = op.crossed.from_state(op.crossed.ray_mean_state(candidates).astype(np.float32))
+    return BackProjectionMap._unchecked(np.broadcast_to(op.counts, (nz, ny, nx)), rho)
 
 
 def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.ndarray:

@@ -32,10 +32,10 @@ default 256^2 fan). Tiles are grouped into length classes of L, _CLASSES
 per octave, and zero-padded to the longest union of their class, under
 2 ** (1 / _CLASSES) times each; classes, unlike fixed-size groups of
 length-sorted tiles, keep _apply's chunks sized in bytes, which scale with
-the block width. Tiles with no entries form a class of L = 0. ray_mean's
-pattern tiles share the rows and indices of A^T's tiles of their dtype,
-with weights (w > 0): 1 on every entry, since coalesced weights are > 0,
-and 0 elsewhere.
+the block width. Tiles with no entries form a class of L = 0. The pattern
+tiles of ray_mean_state share the rows and indices of A^T's tiles of
+their dtype, with weights (w > 0): 1 on every entry, since coalesced
+weights are > 0, and 0 elsewhere.
 
 _apply overwrites an output block, a view of the result, from a
 voxel-major input block: it zeroes the rows of the L = 0 class and computes
@@ -89,8 +89,8 @@ tiles, unions and padding, and a tile's sums get the same bits in each;
 only the full layout's A^T writes rows of no entries (the voxels no ray
 crosses), as zeros. A's columns and A^T's rows of the voxels no ray crosses
 are zero, so the crossed layout gives the full one's values wherever a
-volume is 0 off the support, and forward, adjoint and ray_mean all run in
-it.
+volume is 0 off the support, and the public forward, the solver and
+back-projection all run in it.
 
 Public blocks serve forward, which takes slice-major (nz, ny, nx) volumes:
 each block's crossed voxels are gathered, transposed, into one float64
@@ -116,9 +116,7 @@ their own (StateLayout.buffer). A state volume is 0 off its support, so
 forward_state on a support smaller than the grid takes each minimum as
 min(0, min over the support), and the shift is again the full grid's.
 ray_mean_state divides by the counts raised to 1, so it gives 0 wherever no
-ray crosses and the same values in either layout. The public adjoint and
-ray_mean are adjoint_state and ray_mean_state of float64 rows in the
-crossed layout, turned slice-major by from_state.
+ray crosses and the same values in either layout.
 
 Public blocks write disjoint output rows, so forward runs them on up to
 `threads` workers (see _pool); the state methods run on the calling
@@ -248,25 +246,38 @@ def _tiles(out_ids, in_ids, weights, rows, n_in: int) -> tuple:
     return tuple(out)
 
 
+def _padded(src: np.ndarray, m=None) -> np.ndarray:
+    """The (n, nb) block src less the column values m, if given, in one new
+    array zero-padded to a multiple of its dtype's _LANES columns; src
+    itself when there is nothing to subtract or pad."""
+    n, nb = src.shape
+    lanes = _LANES[src.dtype]
+    if m is None and not nb % lanes:
+        return src
+    out = np.zeros((n, -(-nb // lanes) * lanes), dtype=src.dtype)
+    if m is None:
+        out[:, :nb] = src
+    else:
+        np.subtract(src, m, out=out[:, :nb])
+    return out
+
+
 def _apply(tiles, src: np.ndarray, out: np.ndarray) -> None:
     """out[r] = sum over a row's entries of w * src[idx] for every row r of
     the (n_rows, nb) block out, which is overwritten (rows with no entries
     get zeros); the tiles' weights have src's dtype, in which the sums are
-    computed. src is (n_in, nb) and is padded with zero columns to a
-    multiple of its dtype's _LANES first. Each chunk of a class's tiles is
-    gathered once and contracted by batched matmuls, _TILE rows at a time,
-    over groups of columns a multiple of _LANES wide that keep a tile's
-    matmul within _GEMM multiply-adds, so each column's sums do not depend
-    on nb (see the module doc); the rows of ids off the output are computed
-    and dropped."""
-    n_in, nb = src.shape
+    computed. src is (n_in, nb), or that block already _padded, and is
+    _padded first; its padding columns are computed and dropped. Each chunk
+    of a class's tiles is gathered once and contracted by batched matmuls,
+    _TILE rows at a time, over groups of columns a multiple of _LANES wide
+    that keep a tile's matmul within _GEMM multiply-adds, so each column's
+    sums do not depend on nb (see the module doc); the rows of ids off the
+    output are computed and dropped."""
+    nb = out.shape[1]
     if not nb:  # no slices: out has nothing to write
         return
+    src = _padded(src)
     lanes = _LANES[src.dtype]
-    if nb % lanes:
-        padded = np.zeros((n_in, nb + lanes - nb % lanes), dtype=src.dtype)
-        padded[:, :nb] = src
-        src = padded
     width, itemsize = src.shape[1], src.itemsize
     for t in tiles:
         c, n = t.idx.shape
@@ -334,10 +345,10 @@ def _copy_back(vt: np.ndarray, rows: np.ndarray, voxels: np.ndarray) -> None:
 def _project(rows: tuple, xt: np.ndarray, m: np.ndarray, counts: np.ndarray,
              out: np.ndarray) -> None:
     """out (nb, n_rays) = A xt + n m for the voxel-major block xt (n, nb),
-    through A's tiles rows of xt's dtype that read its n voxels, with n
-    the rays' sample counts: the line sums of a block whose column minima m
-    the caller has subtracted into xt, or of xt itself where m is all 0
-    (see the module doc). xt is never written."""
+    or xt _padded, through A's tiles rows of xt's dtype that read its n
+    voxels, with n the rays' sample counts: the line sums of a block whose
+    column minima m the caller has subtracted into xt, or of xt itself
+    where m is all 0 (see the module doc). xt is never written."""
     _apply(rows, xt, out.T)
     if m.any():  # else n m adds only zeros
         out += m[:, None] * counts
@@ -399,11 +410,10 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 class FanOperator:
     """Sparse system matrix A of a fan for one interpolation mode.
 
-    forward maps (nz, ny, nx) volumes to (nz, n_rays) line sums, adjoint
-    maps (nz, n_rays) coefficients back to (nz, ny, nx), and ray_mean
-    averages per-pixel values over each voxel's crossing rays. The *_state
-    methods of its two StateLayouts, full and crossed, do the same on
-    volumes in state layout (see the module doc).
+    forward maps (nz, ny, nx) volumes to (nz, n_rays) line sums. The
+    *_state methods of its two StateLayouts, full and crossed, apply A, A^T
+    and the mean over each voxel's crossing rays to volumes in state layout
+    (see the module doc).
     """
 
     def __init__(self, sample_xy, sample_valid, sample_counts, bounds,
@@ -489,20 +499,6 @@ class FanOperator:
                    lambda: np.empty(lay.size * min(nz, self.block), dtype=np.float64))
         return out
 
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
-        """A^T r_j of every row j: (nz, n_rays) -> (nz, ny, nx), float64
-        whatever r's dtype; the crossed adjoint_state's result, turned
-        slice-major."""
-        r = np.asarray(r, dtype=np.float64)
-        return self.crossed.from_state(self.crossed.adjoint_state(r))
-
-    def ray_mean(self, c: np.ndarray) -> np.ndarray:
-        """Mean of c_j over the rays crossing each voxel, 0 where none does:
-        (nz, n_rays) -> (nz, ny, nx), float64 whatever c's dtype; the crossed
-        ray_mean_state's result, turned slice-major."""
-        c = np.asarray(c, dtype=np.float64)
-        return self.crossed.from_state(self.crossed.ray_mean_state(c))
-
 
 class StateLayout:
     """The state layout of a FanOperator's volumes over one support (see the
@@ -579,12 +575,13 @@ class StateLayout:
     def forward_state(self, state: np.ndarray) -> np.ndarray:
         """forward of the volume held in state layout, 0 off the support,
         computed in the state's dtype; the line sums are float64 and state
-        is never written."""
+        is never written. A shifted state is copied once, straight into the
+        array _apply reads (see _padded)."""
         out = np.empty((state.shape[1], self.n_rays), dtype=np.float64)
         m = _minima(state)
         if self.size < self.n_voxels:
             np.minimum(m, 0, out=m)  # the zeros off the support
-        _project(self._table("rows", state.dtype), state - m if m.any() else state, m,
+        _project(self._table("rows", state.dtype), _padded(state, m) if m.any() else state, m,
                  self.sample_counts, out)
         return out
 
@@ -601,18 +598,19 @@ class StateLayout:
         return out
 
     def adjoint_state(self, r: np.ndarray, out=None) -> np.ndarray:
-        """adjoint of the (nz, n_rays) rows r on the support, as a
-        state-layout volume computed in its dtype: out if given (a
+        """A^T r_j of every row j of the (nz, n_rays) rows r on the support,
+        as a state-layout volume computed in its dtype: out if given (a
         C-contiguous float64 or float32 array of shape (size, nz);
         ValueError otherwise), else a new one of r's state dtype (see
         to_state)."""
         return self._transpose_state(r, "cols", out)
 
     def ray_mean_state(self, c: np.ndarray) -> np.ndarray:
-        """ray_mean of the (nz, n_rays) rows c on the support, as a new
-        state-layout volume of c's state dtype (see to_state), computed in
-        it. Each pattern sum is divided by its voxel's count raised to 1, so
-        a voxel no ray crosses, whose sum is 0, gets 0."""
+        """Mean of c_j over the rays crossing each voxel, for every row j of
+        the (nz, n_rays) rows c, on the support, as a new state-layout volume
+        of c's state dtype (see to_state), computed in it. Each pattern sum
+        is divided by its voxel's count raised to 1, so a voxel no ray
+        crosses, whose sum is 0, gets 0."""
         sums = self._transpose_state(c, "pattern", None)
         per_voxel = np.maximum(self.counts, 1).astype(sums.dtype).reshape(self.size, 1)
         return np.divide(sums, per_voxel, out=sums)

@@ -308,9 +308,9 @@ def reconstruct(
     if cfg.init == "zeros":
         x = lay.buffer(dims[0], _STATE_DTYPE)
     else:
-        # the back-projection rho (backproject.aggregate_rho) of the
-        # candidates rounded to float32: a mean over crossing rays, taken
-        # straight in the layout lay, 0 wherever no ray crosses
+        # a rho taken straight in the layout lay, 0 where no ray crosses:
+        # float32 means over crossing rays of float32-rounded candidates, so
+        # not bit-equal to aggregate_rho's rounded float64 means
         cands = backproject.image_candidates(y, fan, cfg.beta)
         x = lay.ray_mean_state(cands.astype(_STATE_DTYPE))
         np.clip(x, 0.0, 1.0, out=x)

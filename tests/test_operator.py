@@ -78,6 +78,17 @@ def ref_line_sums(slice2d, fan, interpolation):
     return out
 
 
+def adjoint(op, r):
+    """A^T r through the crossed state layout, as an (nz, ny, nx) volume."""
+    return op.crossed.from_state(op.crossed.adjoint_state(r))
+
+
+def ray_mean(op, c):
+    """The mean over crossing rays through the crossed state layout, as an
+    (nz, ny, nx) volume."""
+    return op.crossed.from_state(op.crossed.ray_mean_state(c))
+
+
 def ref_footprints(fan):
     """Per ray, the set of distinct voxels given nonzero bilinear weight."""
     nx, ny = fan.bounds
@@ -125,7 +136,7 @@ def test_adjoint_identity(fan, interpolation):
         x = rng.uniform(0.0, 1.0, (5, ny, nx))
         r = rng.uniform(0.0, 1.0, (5, fan.n_rays))
         lhs = float(np.sum(op.forward(x) * r))
-        rhs = float(np.sum(x * op.adjoint(r)))
+        rhs = float(np.sum(x * adjoint(op, r)))
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
@@ -140,7 +151,8 @@ def test_crossing_counts_match_distinct_voxels(fan):
     assert np.array_equal(counts[1], counts[0])
 
 
-def test_rho_is_mean_over_crossing_rays(fan):
+def test_ray_mean_state_is_mean_over_crossing_rays(fan):
+    # the crossed layout's float64 means, against the per-ray loop
     nx, ny = fan.bounds
     cands = np.random.default_rng(5).uniform(0.0, 1.0, (2, fan.n_rays))
     sums = np.zeros((2, ny * nx))
@@ -150,9 +162,21 @@ def test_rho_is_mean_over_crossing_rays(fan):
             sums[:, v] += cands[:, i]
             hits[v] += 1
     want = np.where(hits > 0, sums / np.maximum(hits, 1), 0.0)
+    got = ray_mean(fan.operator(), cands)
+    assert got.dtype == np.float64
+    assert np.allclose(got.reshape(2, -1), want, rtol=1e-12, atol=0.0)
+    assert np.all(got.reshape(2, -1)[:, hits == 0] == 0.0)
+
+
+def test_rho_is_mean_over_crossing_rays(fan):
+    # rho is float32: the crossed layout's float64 means rounded once, bit
+    # for bit, and 0 off the crossed voxels
+    nx, ny = fan.bounds
+    cands = np.random.default_rng(5).uniform(0.0, 1.0, (2, fan.n_rays))
+    op = fan.operator()
     rho = aggregate_rho(fan, cands, (2, ny, nx)).rho
-    assert np.allclose(rho.reshape(2, -1), want, rtol=1e-12, atol=0.0)
-    assert np.all(rho.reshape(2, -1)[:, hits == 0] == 0.0)
+    assert same(rho, ray_mean(op, cands).astype(np.float32))
+    assert not rho[:, op.counts == 0].any()
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
@@ -195,7 +219,7 @@ def test_operator_without_entries(interpolation):
                                   np.zeros_like(fan.sample_counts), fan.bounds, interpolation)
     assert len(op.ray) == len(op.voxel) == len(op.weight) == 0
     assert not op.forward(np.ones((2, 8, 8))).any()
-    assert not op.adjoint(np.ones((2, fan.n_rays))).any()
+    assert not adjoint(op, np.ones((2, fan.n_rays))).any()
     check_build_matches_oracle(op, fan.sample_xy, np.zeros_like(fan.sample_valid), interpolation)
 
 
@@ -259,7 +283,7 @@ def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
     x = rng.uniform(0.0, 1.0, (3, ny, nx))
     r = rng.uniform(0.0, 1.0, (3, fan.n_rays))
     x_before = x.copy()
-    want_fwd, want_adj = fan.operator().forward(x), fan.operator().adjoint(r)
+    want_fwd, want_adj = fan.operator().forward(x), adjoint(fan.operator(), r)
     monkeypatch.setattr(fan_operator, "_BLOCK_BYTES", 8)
     monkeypatch.setattr(fan_operator, "_CHUNK_BYTES", 8)
     op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
@@ -267,19 +291,22 @@ def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
     assert op.block == 1
     assert np.allclose(op.forward(x), want_fwd, rtol=1e-12, atol=0.0)
     assert np.array_equal(x, x_before)  # the input is never written
-    assert np.allclose(op.adjoint(r), want_adj, rtol=1e-12, atol=0.0)
+    assert np.allclose(adjoint(op, r), want_adj, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 def test_public_transpose_of_float32_rows_is_float64(fan, interpolation):
-    # the public adjoint and ray_mean widen float32 rows before applying
-    # A^T: float64 volumes with the bits of the widened rows' volumes
+    # the transposes that compute in float64 widen float32 rows first:
+    # adjoint_state into a float64 volume, and aggregate_rho's means of
+    # float32 candidates, give the bits of the widened rows
     r = np.random.default_rng(8).uniform(-1.0, 1.0, (3, fan.n_rays)).astype(np.float32)
-    op = fan.operator(interpolation)
-    for apply in (op.adjoint, op.ray_mean):
-        got, want = apply(r), apply(r.astype(np.float64))
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+    lay = fan.operator(interpolation).crossed
+    got = lay.adjoint_state(r, np.empty((lay.size, 3)))
+    assert same(got, lay.adjoint_state(r.astype(np.float64)))
+    nx, ny = fan.bounds
+    c = np.abs(r)
+    assert same(aggregate_rho(fan, c, (3, ny, nx)).rho,
+                aggregate_rho(fan, c.astype(np.float64), (3, ny, nx)).rho)
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
@@ -292,7 +319,7 @@ def test_adjoint_out_buffer(fan, interpolation):
     n = nx * ny
     r = np.random.default_rng(7).uniform(-1.0, 1.0, (3, fan.n_rays))
     op = fan.operator(interpolation)
-    want = op.adjoint(r)
+    want = adjoint(op, r)
     lay = op.full
     buf = np.full((n, 3), np.nan)
     assert lay.adjoint_state(r, buf) is buf
@@ -373,7 +400,7 @@ class TestOperatorProperties:
         r = rng.uniform(0.0, 1.0, (nz, fan.n_rays))
         op = fan.operator(interpolation)
         lhs = float(np.sum(op.forward(x) * r))
-        rhs = float(np.sum(x * op.adjoint(r)))
+        rhs = float(np.sum(x * adjoint(op, r)))
         assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -473,7 +500,8 @@ class TestOperatorProperties:
     @given(fans(), st.integers(1, 4), st.data())
     def test_aggregate_rho_map_passes_the_checks(self, fan, nz, data):
         # aggregate_rho skips the map's checks; for candidates in [0, 1]
-        # (endpoints included) the checking constructor must accept its map
+        # (endpoints included) the checking constructor, which requires rho
+        # to be 0 off the crossed voxels, must accept its map
         nx, ny = fan.bounds
         cands = data.draw(hnp.arrays(np.float64, (nz, fan.n_rays),
                                      elements=st.floats(0.0, 1.0)))
@@ -482,6 +510,8 @@ class TestOperatorProperties:
         assert checked.counts.shape == checked.rho.shape == (nz, ny, nx)
         assert np.array_equal(checked.counts, crossing_counts(fan, (nz, ny, nx)))
         assert m.rho.min() >= 0.0 and m.rho.max() <= 1.0
+        # rho is the crossed layout's float64 means rounded to float32 once
+        assert same(m.rho, ray_mean(fan.operator(), cands).astype(np.float32))
 
 
 def test_pattern_weights_mark_the_entries(fan):
@@ -658,8 +688,10 @@ class TestStateLayout:
         x = rng.uniform(0.0, 1.0, (nz, n, n)) + 0.25 * rng.integers(0, 2, (nz, 1, 1))
         r = rng.uniform(-1.0, 1.0, (nz, op.n_rays))
         c = rng.uniform(0.0, 1.0, (nz, op.n_rays))
-        want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
-        lay, crossed = op.full, op.crossed
+        # the full layout's cores against the public forward and the crossed
+        # layout's transposes
+        want_fwd, want_adj, want_mean = op.forward(x), adjoint(op, r), ray_mean(op, c)
+        lay = op.full
         # a state volume is one C-contiguous voxel-major (size, nz) array
         state = lay.to_state(x)
         assert state.shape == (n * n, nz) and state.flags.c_contiguous
@@ -670,7 +702,7 @@ class TestStateLayout:
         buf = np.full(state.shape, np.nan)
         assert lay.adjoint_state(r, buf) is buf
         assert np.array_equal(lay.from_state(buf), want_adj)
-        assert np.array_equal(crossed.from_state(crossed.ray_mean_state(c)), want_mean)
+        assert np.array_equal(lay.from_state(lay.ray_mean_state(c)), want_mean)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([8, 16]), modes, st.integers(1, 9), st.integers(0, 2**32 - 1))
@@ -683,7 +715,8 @@ class TestStateLayout:
              + 0.25 * rng.integers(0, 2, (nz, 1, 1))).astype(np.float32)
         r = rng.uniform(-1.0, 1.0, (nz, op.n_rays))
         c = rng.uniform(0.0, 1.0, (nz, op.n_rays)).astype(np.float32)
-        want_fwd, want_adj, want_mean = op.forward(x), op.adjoint(r), op.ray_mean(c)
+        want_fwd, want_adj = op.forward(x), adjoint(op, r)
+        want_mean = ray_mean(op, c.astype(np.float64))
         lay, crossed = op.full, op.crossed
         state = lay.to_state(x)
         assert state.dtype == np.float32
@@ -696,6 +729,26 @@ class TestStateLayout:
         assert np.allclose(lay.from_state(adj), want_adj, rtol=1e-5, atol=1e-5)
         assert np.allclose(crossed.from_state(mean), want_mean, rtol=1e-5, atol=1e-6)
 
+    def test_shifted_forward_copies_the_state_once(self):
+        # a state of positive slice minima and a slice count that is not a
+        # multiple of _LANES is shifted straight into the zero-padded array
+        # that _apply reads: one padded copy beside the line sums, where
+        # state - m and then its padded copy made two
+        lay = square_fan(128).operator().full
+        nz = 20
+        state = lay.to_state(np.random.default_rng(11).uniform(0.5, 1.0, (nz, 128, 128)))
+        want = lay.forward_state(state)  # the tables, outside the trace
+        padded = lay.size * 24 * 8  # 20 float64 slices padded to 3 * 8 lanes
+        tracemalloc.start()
+        try:
+            got = lay.forward_state(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same(got, want)
+        # beside them, at most one gathered chunk of tiles and its sums
+        assert peak <= got.nbytes + padded + 2 * fan_operator._CHUNK_BYTES
+
     def test_volumes_of_no_slices(self):
         # every core takes a volume of no slices, as the public ones do
         op = square_fan(16).operator()
@@ -704,8 +757,8 @@ class TestStateLayout:
             assert state.shape == (lay.size, 0)
             assert lay.forward_state(state).shape == (0, op.n_rays)
             assert lay.from_state(state).shape == (0, 16, 16)
-        for apply in (op.adjoint, op.ray_mean):
-            assert apply(np.zeros((0, op.n_rays))).shape == (0, 16, 16)
+        for apply in (adjoint, ray_mean):
+            assert apply(op, np.zeros((0, op.n_rays))).shape == (0, 16, 16)
 
     @settings(max_examples=60, deadline=None)
     @given(fans(), modes, st.sampled_from([np.float64, np.float32]), st.data())
@@ -753,8 +806,8 @@ class TestCrossedLayout:
                           n_samples=5).operator()
         assert op.n_rays == 4 and not op.counts.any() and op.crossed is op.full
         assert not op.forward(np.ones((2, 8, 8))).any()
-        for apply in (op.adjoint, op.ray_mean):
-            got = apply(np.ones((2, 4)))
+        for apply in (adjoint, ray_mean):
+            got = apply(op, np.ones((2, 4)))
             assert got.dtype == np.float64 and got.shape == (2, 8, 8) and not got.any()
 
     def test_state_buffers_are_mapped_zeros(self):
@@ -782,7 +835,7 @@ class TestCrossedLayout:
                                       fan.bounds)
         assert 0 < op.crossed.size < op.n_voxels
         c = np.ones((2, op.n_rays))
-        op.ray_mean(c)
+        op.crossed.ray_mean_state(c)
         op.crossed.forward_state(op.crossed.to_state(np.ones((2, 16, 16), np.float32)))
         refs = [weakref.ref(o) for o in (op, op.full, op.crossed)]
         gc.disable()
