@@ -70,31 +70,24 @@ def run_blocks(task, items, threads, scratch=lambda: None) -> list:
     """[task(item, buffers) for item in items] on worker_count(threads,
     len(items)) threads; one worker runs serially and starts no pool.
 
-    Each worker calls scratch() once for buffers of its own and passes them
-    to every task it runs. Workers take the next item as they free up; the
-    results are in item order whichever worker ran each."""
+    Each worker calls scratch() once, at its first item, for buffers of its
+    own and passes them to every task it runs. Workers take the next item
+    as they free up; the results are in item order whichever worker ran
+    each."""
     n = worker_count(threads, len(items))
     if n == 1:
         buffers = scratch()
         return [task(item, buffers) for item in items]
-    results = [None] * len(items)
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
+    local = threading.local()
 
-    def work():
-        buffers = scratch()
-        while True:
-            with lock:
-                k = next(pending, None)
-            if k is None:
-                return
-            results[k] = task(items[k], buffers)
+    def work(item):
+        if not hasattr(local, "buffers"):
+            local.buffers = scratch()
+        return task(item, local.buffers)
 
     # imported here: it adds about 10 ms to the package's import time,
     # which callers that never start a pool need not pay
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(n) as pool:
-        for future in [pool.submit(work) for _ in range(n)]:
-            future.result()
-    return results
+        return list(pool.map(work, items))

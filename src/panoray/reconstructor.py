@@ -310,10 +310,10 @@ def reconstruct(
     else:
         # a rho taken straight in the layout lay, 0 where no ray crosses:
         # float32 means over crossing rays of float32-rounded candidates, so
-        # not bit-equal to aggregate_rho's rounded float64 means
+        # not bit-equal to aggregate_rho's rounded float64 means; in [0, 1]
+        # unclipped, as rounding keeps a sum of [0, 1] values <= its count
         cands = backproject.image_candidates(y, fan, cfg.beta)
         x = lay.ray_mean_state(cands.astype(_STATE_DTYPE))
-        np.clip(x, 0.0, 1.0, out=x)
     band = np.empty(x.shape, dtype=bool) if mips else None
 
     report = ReconReport()

@@ -132,8 +132,8 @@ def save_image(img: SimPXImage, path) -> None:
 
 
 def load_image(path) -> SimPXImage:
-    """Read a PIMG1 file (pixels must lie in [0, 1))."""
-    return SimPXImage(_read_f32_file(path, _PIMG_MAGIC, 2, np.float64))
+    """Read a PIMG1 file (pixels must lie in [0, 1)), widening it exactly."""
+    return SimPXImage(_read_f32_file(path, _PIMG_MAGIC, 2))
 
 
 def save_pgm16(pixels: np.ndarray, path) -> None:

@@ -10,9 +10,10 @@ Densities are held as float32, the precision a PVOL1 file stores: every
 phantom is built in it and load_volume reads straight into it. A volume of
 any other dtype is widened to float64, which holds float32 values exactly.
 
-PVOL1 files (and the PIMG1 images that share their layout) are streamed:
-values go to and from the file through one reused float32 buffer of about
-_READ_CHUNK bytes, never through a whole-volume temporary.
+PVOL1 files (and the PIMG1 images that share their layout) go straight
+between file and float32 array, with no staging copy, each way. Data of any
+other dtype or layout is written one cast slab of about _READ_CHUNK bytes
+at a time, never through a whole-volume temporary.
 
 Every writer in the package goes through _write_output, which overwrites
 a regular file in place: the file keeps its inode and is cut to the new
@@ -38,21 +39,17 @@ from ._pool import check_sizes
 from .errors import DimsError, FormatError
 
 _PVOL_MAGIC = "PVOL1"
-_READ_CHUNK = 1 << 20  # bytes per payload read, and per float32 slab
+_READ_CHUNK = 1 << 20  # bytes per written slab, and a pipe's first read room
 
 
 def _f32_slabs(data: np.ndarray):
-    """Pairs (slab of data along its first axis, the slab's values cast to
-    little-endian float32) of about _READ_CHUNK bytes of float32 each. The
-    slabs are views, whatever data's memory layout (a broadcast view too),
-    and the float32 values live in one buffer that the next pair reuses."""
+    """data's values as little-endian float32, in slabs along its first axis
+    of about _READ_CHUNK bytes each. A slab is a view of data when data holds
+    contiguous float32; otherwise (another dtype, a strided or broadcast
+    view) it is that slab alone, cast as astype("<f4") would cast it."""
     rows = max(1, min(len(data), _READ_CHUNK // max(1, 4 * math.prod(data.shape[1:]))))
-    buf = np.empty((rows, *data.shape[1:]), dtype="<f4")
     for start in range(0, len(data), rows):
-        part = data[start:start + rows]
-        f32 = buf[:len(part)]
-        np.copyto(f32, part, casting="unsafe")  # the same cast as astype("<f4")
-        yield part, f32
+        yield np.ascontiguousarray(data[start:start + rows], dtype="<f4")
 
 
 def _write_output(path, header: bytes, chunks) -> None:
@@ -330,12 +327,12 @@ def make_phantom(kind: str, dims, seed: int = 0) -> DensityVolume:
 
 def _write_f32_file(path, magic: str, data: np.ndarray) -> None:
     """Write '<magic> d1 .. dn\\n' + data's values as row-major little-endian
-    float32, through one reused slab buffer. PVOL1 volumes and PIMG1 images
+    float32, slab by slab (see _f32_slabs). PVOL1 volumes and PIMG1 images
     share this layout (read back by _read_f32_file)."""
     if min(data.shape) < 1:  # the loaders reject such a file
         raise DimsError(f"{path}: invalid dims {data.shape}, all must be >= 1")
     header = f"{magic} {' '.join(map(str, data.shape))}\n".encode("ascii")
-    _write_output(path, header, (f32 for _, f32 in _f32_slabs(data)))
+    _write_output(path, header, _f32_slabs(data))
 
 
 def save_raw_volume(data: np.ndarray, path) -> None:
@@ -361,54 +358,47 @@ def _read_header_line(fh, path) -> str:
         raise FormatError(f"{path}: header is not ASCII") from exc
 
 
-def _read_payload(fh, path, dims, dtype, size_hint: int) -> np.ndarray:
+def _read_payload(fh, path, dims, size_hint: int) -> np.ndarray:
     """The 4 * prod(dims) payload bytes that follow the header, as a flat
-    array of dtype, or FormatError if the file holds any other number of
-    bytes.
+    little-endian float32 array, or FormatError if the file holds any other
+    number of bytes.
 
-    Reads go through one reused float32 chunk and each chunk's values are
-    widened into place. A read may end inside a value (pipes return what
-    has arrived); its bytes are carried to the next read. The output starts
-    at size_hint bytes (the rest of a regular file, 0 for a pipe) and at
-    least one chunk, so a right-sized file is read into one allocation.
-    Dims may claim more bytes than can be allocated, so it grows only with
-    the bytes that arrive, and reading stops one byte past the claim."""
+    Reads go straight into the array's bytes, and one that ends inside a
+    value (pipes return what has arrived) is continued at that byte. The
+    array starts at size_hint bytes (the rest of a regular file) or
+    _READ_CHUNK, whichever is more, plus one value, so a right-sized file is
+    read into one allocation that sees one byte past the claim. Dims may
+    claim more bytes than can be allocated, so the array doubles only once
+    the bytes that arrived fill it, and reading stops one byte past the
+    claim."""
     n = math.prod(dims)
     expected = 4 * n
-    out = np.empty(min(n, max(_READ_CHUNK, size_hint) // 4), dtype=dtype)
-    chunk = np.empty(min(n + 1, _READ_CHUNK // 4), dtype="<f4")
-    raw = memoryview(chunk).cast("B")
-    done = held = 0  # values in out; bytes of a partial value at raw[:held]
-    while (room := min(len(raw), expected + 1 - 4 * done) - held) > 0:
-        got = fh.readinto(raw[held:held + room])
+    out = np.empty(min(n, max(_READ_CHUNK, size_hint) // 4) + 1, dtype="<f4")
+    raw = memoryview(out).cast("B")
+    total = 0  # bytes read into out
+    while total <= expected:
+        if total == len(raw):
+            grown = np.empty(min(n + 1, 2 * out.size), dtype="<f4")
+            grown[:out.size] = out
+            out, raw = grown, memoryview(grown).cast("B")
+        got = fh.readinto(raw[total:expected + 1])
         if not got:
             break
-        held += got
-        m = held // 4
-        if done + m > out.size:
-            grown = np.empty(min(n, max(2 * out.size, done + m)), dtype=dtype)
-            grown[:done] = out[:done]
-            out = grown
-        out[done:done + m] = chunk[:m]
-        done += m
-        held -= 4 * m
-        raw[:held] = raw[4 * m:4 * m + held]
-    total = 4 * done + held
+        total += got
     if total != expected:
         holds = total if total < expected else f"more than {expected}"
         raise FormatError(
             f"{path}: payload holds {holds} bytes, "
             f"expected exactly {expected} for dims {dims}"
         )
-    return out
+    return out[:n]
 
 
-def _read_f32_file(path, magic: str, n_dims: int, dtype) -> np.ndarray:
+def _read_f32_file(path, magic: str, n_dims: int) -> np.ndarray:
     """Read '<magic> d1 .. dn\\n' + row-major little-endian float32 values
-    into an array of dtype (float32 or float64, which holds them exactly);
-    the payload must hold exactly d1 * .. * dn values. PVOL1 volumes and
-    PIMG1 images share this layout."""
-    # unbuffered: the payload goes straight from each read into the chunk
+    into a native float32 array; the payload must hold exactly d1 * .. * dn
+    values. PVOL1 volumes and PIMG1 images share this layout."""
+    # unbuffered: the payload goes straight from each read into the array
     with open(path, "rb", buffering=0) as fh:
         header = _read_header_line(fh, path)
         parts = header.split(" ")
@@ -424,15 +414,16 @@ def _read_f32_file(path, magic: str, n_dims: int, dtype) -> np.ndarray:
             raise DimsError(f"{path}: invalid dims {dims}, all must be >= 1")
         # the ASCII header line took len(header) + 1 bytes
         size_hint = os.fstat(fh.fileno()).st_size - len(header) - 1
-        return _read_payload(fh, path, dims, dtype, size_hint).reshape(dims)
+        payload = _read_payload(fh, path, dims, size_hint)
+    return payload.astype(np.float32, copy=False).reshape(dims)  # no copy on little-endian
 
 
 def load_raw_volume(path) -> np.ndarray:
-    """Read a PVOL1 file without the [0, 1] density restriction."""
-    return _read_f32_file(path, _PVOL_MAGIC, 3, np.float64)
+    """Read a PVOL1 file as stored, float32, without the [0, 1] restriction."""
+    return _read_f32_file(path, _PVOL_MAGIC, 3)
 
 
 def load_volume(path) -> DensityVolume:
     """Read a density volume from a PVOL1 file (values must lie in [0, 1]),
     as the float32 values the file stores."""
-    return DensityVolume(_read_f32_file(path, _PVOL_MAGIC, 3, np.float32))
+    return DensityVolume(_read_f32_file(path, _PVOL_MAGIC, 3))

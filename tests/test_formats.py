@@ -104,7 +104,7 @@ class TestRoundTrip:
     def test_raw_volume(self, path, data):
         save_raw_volume(data.astype(np.float64), path)
         back = load_raw_volume(path)
-        assert back.dtype == np.float64 and np.array_equal(back, data)
+        assert back.dtype == np.float32 and np.array_equal(back, data)
 
     @settings(max_examples=50, deadline=None)
     @given(st.tuples(small_dims, small_dims).flatmap(
@@ -229,13 +229,17 @@ def _traced_peak(fn):
 
 
 class TestStreaming:
-    """Payloads stream through one float32 chunk of _READ_CHUNK bytes."""
+    """Payloads are read straight into the float32 array that is returned,
+    which starts at the file's size or _READ_CHUNK bytes and doubles only as
+    bytes arrive; float32 data is written from views of its own memory, and
+    any other data one cast slab of about _READ_CHUNK bytes at a time."""
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     @pytest.mark.parametrize("load", FORMATS["PVOL1"][2])
     def test_fifo_in_three_byte_pieces(self, tmp_path, monkeypatch, load):
-        # with 16-byte chunks the 120-byte payload spans eight of them, and
-        # a read of what has arrived through the pipe ends inside a value
+        # a pipe gives no size, so the 120-byte payload starts in 20 bytes
+        # of room that doubles three times, and a read of what has arrived
+        # through the pipe ends inside a value
         monkeypatch.setattr(volume, "_READ_CHUNK", 16)
         data = np.random.default_rng(7).uniform(0.0, 1.0, (2, 3, 5)).astype("<f4")
         save_raw_volume(data, tmp_path / "vol.pvol")
@@ -248,8 +252,8 @@ class TestStreaming:
     @pytest.mark.parametrize("delta", [-3, -2, -1, 1, 2, 3])
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_payload_a_few_bytes_off(self, tmp_path, monkeypatch, fmt, delta):
-        # the payload spans several 64-byte reads; the message gives the
-        # exact count of a short payload and the claim a long one exceeds
+        # the message gives the exact count of a short payload and the
+        # claim a long one exceeds
         monkeypatch.setattr(volume, "_READ_CHUNK", 64)
         magic, n, _ = FORMATS[fmt]
         header, payload = _valid_blob(magic, (4, 5, 7)[:n], np.random.default_rng(8))
@@ -264,17 +268,16 @@ class TestStreaming:
 
     @pytest.mark.parametrize("load", [load_volume, load_raw_volume])
     def test_multi_chunk_file_in_one_allocation(self, tmp_path, load):
-        # 1.44 MB of payload, two reads of the 1 MB chunk; the output is
-        # sized from the file, so the peak is it and one chunk, no regrowth:
-        # load_volume reads straight into float32, load_raw_volume widens
-        # each chunk into float64
+        # 1.44 MB of payload, more than _READ_CHUNK; the array is sized from
+        # the file and read into directly, so the peak is it alone: no
+        # staging chunk and no regrowth
         data = np.random.default_rng(9).uniform(0.0, 1.0, (4, 300, 300)).astype("<f4")
         save_raw_volume(data, tmp_path / "vol.pvol")
         back, peak = _traced_peak(lambda: load(tmp_path / "vol.pvol"))
         values = _values(back)
         assert np.array_equal(values, data)
-        assert values.dtype == (np.float64 if load is load_raw_volume else np.float32)
-        assert peak < values.nbytes + volume._READ_CHUNK + (1 << 16)
+        assert values.dtype == np.float32
+        assert peak < values.nbytes + (1 << 16)
 
     @pytest.mark.parametrize("through", ["file", "fifo"])
     @pytest.mark.parametrize("header,load", HUGE_CLAIMS)
@@ -311,6 +314,15 @@ class TestStreaming:
             b"PVOL1 8 300 300\n" + np.ascontiguousarray(field, dtype="<f4").tobytes())
         assert peak < 2 * volume._READ_CHUNK
 
+    def test_float32_volume_is_written_from_views(self, tmp_path):
+        # 2.9 MB of contiguous float32: every slab is a view of the volume,
+        # so the write allocates nothing near a slab's size
+        vol = DensityVolume(
+            np.random.default_rng(11).uniform(0.0, 1.0, (8, 300, 300)).astype(np.float32))
+        _, peak = _traced_peak(lambda: save_volume(vol, tmp_path / "v.pvol"))
+        assert (tmp_path / "v.pvol").read_bytes() == b"PVOL1 8 300 300\n" + vol.data.tobytes()
+        assert peak < 1 << 16
+
 
 # every writer of the package, each with a small fixed output
 WRITERS = {
@@ -335,10 +347,10 @@ def _failing_slabs(monkeypatch, exc):
     real = volume._f32_slabs
 
     def slabs(data):
-        for i, pair in enumerate(real(data)):
+        for i, slab in enumerate(real(data)):
             if i:
                 raise exc
-            yield pair
+            yield slab
 
     monkeypatch.setattr(volume, "_f32_slabs", slabs)
 
@@ -452,10 +464,10 @@ if point == "slab":  # once the first slab reached the file
     real = volume._f32_slabs
 
     def slabs(data):
-        for i, pair in enumerate(real(data)):
+        for i, slab in enumerate(real(data)):
             if i:
                 die()
-            yield pair
+            yield slab
 
     volume._f32_slabs = slabs
 else:  # at the cut or at the header, once every other byte was written

@@ -512,6 +512,15 @@ class TestOperatorProperties:
         assert m.rho.min() >= 0.0 and m.rho.max() <= 1.0
         # rho is the crossed layout's float64 means rounded to float32 once
         assert same(m.rho, ray_mean(fan.operator(), cands).astype(np.float32))
+        # every layout's means lie in [0, 1] in either dtype, so the solver's
+        # rho init needs no clip: a pattern sum of [0, 1] values is at most
+        # its count under monotone rounding
+        op = fan.operator()
+        for lay in (op.full, op.crossed):
+            for dtype in (np.float64, np.float32):
+                means = lay.ray_mean_state(cands.astype(dtype))
+                assert means.dtype == dtype
+                assert not means.size or (means.min() >= 0.0 and means.max() <= 1.0)
 
 
 def test_pattern_weights_mark_the_entries(fan):
