@@ -12,11 +12,10 @@ column.
 Bilinear interpolation clamps neighbor indices to the grid, so points in
 the half-voxel band inside the boundary read the edge voxels and clamped
 corners that coincide coalesce. Each sample's weights sum to 1, so in exact
-arithmetic A @ 1 = n, the per-ray retained sample count. Slices are
-applied as A(x - m) + n * m with m the slice minimum, which keeps constant
-slices exact: x - m is exactly zero there. Slices whose minima are all 0
-(zero backgrounds, clipped iterates) skip the shift: x - 0 = x
-and n * 0 = 0, so both passes would leave every value unchanged.
+arithmetic A @ 1 = n, the per-ray retained sample count, and a constant
+slice c gets c * n to rounding. Every forward is A x and nothing more: a
+voxel no ray crosses has an empty column of A, so its value never reaches
+a line sum.
 
 Storage is numpy only, in dense tiles. Tile t of a direction holds the
 _TILE output ids t * _TILE ... t * _TILE + _TILE - 1 (rays for A, voxel ids
@@ -88,9 +87,10 @@ support positions, dropping the ids off it. So every layout has the same
 tiles, unions and padding, and a tile's sums get the same bits in each;
 only the full layout's A^T writes rows of no entries (the voxels no ray
 crosses), as zeros. A's columns and A^T's rows of the voxels no ray crosses
-are zero, so the crossed layout gives the full one's values wherever a
-volume is 0 off the support, and the public forward, the solver and
-back-projection all run in it.
+are empty, so the crossed layout gives the full one's line sums whatever a
+volume holds off the support, and the full one's A^T once from_state has
+zero-filled the rest; the public forward, the solver and back-projection
+all run in it.
 
 Public blocks serve forward, which takes slice-major (nz, ny, nx) volumes:
 each block's crossed voxels are gathered, transposed, into one float64
@@ -98,10 +98,7 @@ workspace per worker. They hold _BLOCK_BYTES of float64 slices, so a
 render's peak memory stays low. float32 volumes, as phantoms and loaded
 PVOL1 volumes are, are widened by that gather one block at a time, never
 as a whole; the widening is exact, so their line sums are those of the
-float64 volume. The voxels no ray crosses reach the line sums only through
-the slice minima, which are taken over every voxel of the slice-major rows
-in the input's dtype (minima are exact in it), so the shift and every line
-sum are the full grid's.
+float64 volume.
 
 A state-layout volume serves the *_state methods and the solver: one
 C-contiguous float32 or float64 array of shape (size, nz), voxel-major,
@@ -112,11 +109,9 @@ reads are cast to it, and the tiles are built in it (StateLayout._table),
 so a float32 solve builds no float64 table. Line sums are float64 in any
 case. to_state gathers the support and from_state writes it and
 zero-fills the rest, once at each end. New state volumes are mapped on
-their own (StateLayout.buffer). A state volume is 0 off its support, so
-forward_state on a support smaller than the grid takes each minimum as
-min(0, min over the support), and the shift is again the full grid's.
-ray_mean_state divides by the counts raised to 1, so it gives 0 wherever no
-ray crosses and the same values in either layout.
+their own (StateLayout.buffer). ray_mean_state divides by the counts
+raised to 1, so it gives 0 wherever no ray crosses and the same values in
+either layout.
 
 Public blocks write disjoint output rows, so forward runs them on up to
 `threads` workers (see _pool); the state methods run on the calling
@@ -246,38 +241,26 @@ def _tiles(out_ids, in_ids, weights, rows, n_in: int) -> tuple:
     return tuple(out)
 
 
-def _padded(src: np.ndarray, m=None) -> np.ndarray:
-    """The (n, nb) block src less the column values m, if given, in one new
-    array zero-padded to a multiple of its dtype's _LANES columns; src
-    itself when there is nothing to subtract or pad."""
-    n, nb = src.shape
-    lanes = _LANES[src.dtype]
-    if m is None and not nb % lanes:
-        return src
-    out = np.zeros((n, -(-nb // lanes) * lanes), dtype=src.dtype)
-    if m is None:
-        out[:, :nb] = src
-    else:
-        np.subtract(src, m, out=out[:, :nb])
-    return out
-
-
 def _apply(tiles, src: np.ndarray, out: np.ndarray) -> None:
     """out[r] = sum over a row's entries of w * src[idx] for every row r of
     the (n_rows, nb) block out, which is overwritten (rows with no entries
     get zeros); the tiles' weights have src's dtype, in which the sums are
-    computed. src is (n_in, nb), or that block already _padded, and is
-    _padded first; its padding columns are computed and dropped. Each chunk
-    of a class's tiles is gathered once and contracted by batched matmuls,
-    _TILE rows at a time, over groups of columns a multiple of _LANES wide
-    that keep a tile's matmul within _GEMM multiply-adds, so each column's
-    sums do not depend on nb (see the module doc); the rows of ids off the
-    output are computed and dropped."""
+    computed. src is (n_in, nb) and is never written; unless nb is a
+    multiple of its dtype's _LANES, it is copied once into a block
+    zero-padded to one, whose padding columns are computed and dropped.
+    Each chunk of a class's tiles is gathered once and contracted by batched
+    matmuls, _TILE rows at a time, over groups of columns a multiple of
+    _LANES wide that keep a tile's matmul within _GEMM multiply-adds, so
+    each column's sums do not depend on nb (see the module doc); the rows of
+    ids off the output are computed and dropped."""
     nb = out.shape[1]
     if not nb:  # no slices: out has nothing to write
         return
-    src = _padded(src)
     lanes = _LANES[src.dtype]
+    if nb % lanes:
+        padded = np.zeros((len(src), -(-nb // lanes) * lanes), dtype=src.dtype)
+        padded[:, :nb] = src
+        src = padded
     width, itemsize = src.shape[1], src.itemsize
     for t in tiles:
         c, n = t.idx.shape
@@ -303,20 +286,6 @@ def _state_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype(np.float32 if a.dtype == np.float32 else np.float64)
 
 
-def _minima(xt: np.ndarray) -> np.ndarray:
-    """Per-column minima of the voxel-major block xt (n, nb). The wide
-    reshape reduces whole rows of 64 * nb values at a time, several times
-    faster than xt.min(axis=0), which reduces only the last n % 64 rows;
-    minima are exact in any order."""
-    n, nb = xt.shape
-    k = n - n % 64
-    m = xt[k:].min(axis=0, initial=np.inf)
-    if k and nb:
-        np.minimum(m, xt[:k].reshape(-1, 64 * nb).min(axis=0).reshape(64, nb).min(axis=0),
-                   out=m)
-    return m
-
-
 def _copy_in(rows: np.ndarray, vt: np.ndarray, voxels: np.ndarray) -> None:
     """vt (size, nb) = the columns voxels (sorted voxel ids) of the
     slice-major rows (nb, n_voxels), transposed, in pieces of _PIECE
@@ -340,18 +309,6 @@ def _copy_back(vt: np.ndarray, rows: np.ndarray, voxels: np.ndarray) -> None:
         part.fill(0)
         part[voxels[a:b] - v0] = vt[a:b]
         rows[:, v0:v0 + _STRIP] = part.T
-
-
-def _project(rows: tuple, xt: np.ndarray, m: np.ndarray, counts: np.ndarray,
-             out: np.ndarray) -> None:
-    """out (nb, n_rays) = A xt + n m for the voxel-major block xt (n, nb),
-    or xt _padded, through A's tiles rows of xt's dtype that read its n
-    voxels, with n the rays' sample counts: the line sums of a block whose
-    column minima m the caller has subtracted into xt, or of xt itself
-    where m is all 0 (see the module doc). xt is never written."""
-    _apply(rows, xt, out.T)
-    if m.any():  # else n m adds only zeros
-        out += m[:, None] * counts
 
 
 def _corners(p: np.ndarray, size: int) -> tuple:
@@ -424,7 +381,6 @@ class FanOperator:
         nx, ny = self.bounds
         self.n_voxels = nx * ny
         self.n_rays = len(sample_counts)
-        self.sample_counts = np.asarray(sample_counts, dtype=np.float64)
         ray, voxel, w = _entries(sample_xy, sample_valid, self.bounds, interpolation)
         # coalesce repeated (ray, voxel) pairs: a stable sort of the keys
         # (the entries arrive ray-major, which it exploits) makes each pair
@@ -475,10 +431,10 @@ class FanOperator:
 
         Public blocks of slices run on up to `threads` workers (see _pool),
         each block's crossed voxels copied into a float64 workspace of its
-        worker's own and shifted by its slices' minima over every voxel; the
-        result is the same at any thread count. float32 slices are read as
-        they are, widened one block at a time by that copy; x of any other
-        dtype is converted to float64 first."""
+        worker's own; no other voxel is read, as none reaches a line sum.
+        The result is the same at any thread count. float32 slices are read
+        as they are, widened one block at a time by that copy; x of any
+        other dtype is converted to float64 first."""
         x = np.asarray(x)
         flat = np.asarray(x, dtype=_state_dtype(x)).reshape(len(x), self.n_voxels)
         nz = len(flat)
@@ -490,10 +446,7 @@ class FanOperator:
             z1 = min(nz, z0 + self.block)
             xt = work[:lay.size * (z1 - z0)].reshape(lay.size, z1 - z0)
             _copy_in(flat[z0:z1], xt, lay.voxels)
-            m = flat[z0:z1].min(axis=1).astype(np.float64)  # exact for float32
-            if m.any():  # -0.0 counts as 0; the workspace is forward's own
-                xt -= m
-            _project(rows, xt, m, self.sample_counts, out[z0:z1])
+            _apply(rows, xt, out[z0:z1].T)
 
         run_blocks(block, range(0, nz, self.block), threads,
                    lambda: np.empty(lay.size * min(nz, self.block), dtype=np.float64))
@@ -512,7 +465,6 @@ class StateLayout:
         # op's arrays, not op, which holds its layouts: a cycle would keep
         # them all alive until the garbage collector ran
         self.bounds, self.n_voxels, self.n_rays = op.bounds, op.n_voxels, op.n_rays
-        self.sample_counts = op.sample_counts
         self.voxels, self.size = voxels, len(voxels)
         self.counts = op.counts.ravel()[voxels]
         self._entries = (op.ray, op.voxel, op.weight)
@@ -573,16 +525,12 @@ class StateLayout:
         return out
 
     def forward_state(self, state: np.ndarray) -> np.ndarray:
-        """forward of the volume held in state layout, 0 off the support,
-        computed in the state's dtype; the line sums are float64 and state
-        is never written. A shifted state is copied once, straight into the
-        array _apply reads (see _padded)."""
+        """forward of the volume held in state layout, computed in the
+        state's dtype: (nz, n_rays) float64 line sums, the full grid's
+        whatever the volume holds off the support (see the module doc).
+        state is never written, and copied only to pad it (see _apply)."""
         out = np.empty((state.shape[1], self.n_rays), dtype=np.float64)
-        m = _minima(state)
-        if self.size < self.n_voxels:
-            np.minimum(m, 0, out=m)  # the zeros off the support
-        _project(self._table("rows", state.dtype), _padded(state, m) if m.any() else state, m,
-                 self.sample_counts, out)
+        _apply(self._table("rows", state.dtype), state, out.T)
         return out
 
     def _transpose_state(self, r: np.ndarray, kind: str, out) -> np.ndarray:

@@ -123,9 +123,11 @@ _STATE_AXES = {"axial": 2, "coronal": 0, "sagittal": 1}
 
 
 def _state_layout(op: FanOperator, mips: dict) -> StateLayout:
-    """The state layout a solve runs in: the crossed voxels, the only ones
-    the data term moves, or every voxel when MIP targets are given, since
-    their tie band can move any voxel."""
+    """The state layout a solve and the public loss and gradient run in: the
+    crossed voxels, the only ones the data term reads or moves (A's columns
+    of the others are empty), or every voxel when MIP targets are given,
+    since their projections read any voxel and their tie band can move
+    it."""
     return op.full if mips else op.crossed
 
 
@@ -197,27 +199,28 @@ def _loss_terms(lay, state, y, mips, fan, beta, lambda1):
 
 
 def _prepare(est, target_img, target_mips, fan):
-    """The estimate in the full state layout, widened to float64 whatever
-    its dtype, the target's pixels and the MIP targets, checked against each
-    other and the fan."""
+    """The state layout of a solve with these MIP targets (see
+    _state_layout), the estimate in it, widened to float64 whatever its
+    dtype, the target's pixels and the MIP targets, checked against each
+    other and the fan. ValueError for a NaN or infinite density; any finite
+    one is taken."""
     est_data = np.asarray(est.data if isinstance(est, DensityVolume) else est, np.float64)
     nz, ny, nx = est_data.shape
     fan.check_grid(nx, ny)
     y = as_pixels(target_img, fan.n_rays, nz)
     mips = _check_mips(target_mips, est_data.shape)
-    return fan.operator().full.to_state(est_data), y, mips
+    if not np.all(np.isfinite(est_data)):
+        raise ValueError("estimate densities must be finite")
+    lay = _state_layout(fan.operator(), mips)
+    return lay, lay.to_state(est_data), y, mips
 
 
 def loss(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig):
-    """Total objective and its (mse_img, mse_mip) components.
-
-    loss and gradient run in the full state layout, not the crossed one the
-    solver uses without MIP targets: they take any volume, including one
-    with values off the crossed voxels, and keep the forward's exact
-    constant-slice shift, whose slice minima read every voxel."""
-    state, y, mips = _prepare(est, target_img, target_mips, fan)
-    total, mse_img, mse_mip, _, _ = _loss_terms(fan.operator().full, state, y, mips, fan,
-                                                cfg.beta, cfg.lambda1)
+    """Total objective and its (mse_img, mse_mip) components, in float64 and
+    in the state layout a solve with these MIP targets runs in."""
+    lay, state, y, mips = _prepare(est, target_img, target_mips, fan)
+    total, mse_img, mse_mip, _, _ = _loss_terms(lay, state, y, mips, fan, cfg.beta,
+                                                cfg.lambda1)
     return total, (mse_img, mse_mip)
 
 
@@ -241,13 +244,12 @@ def _gradient(lay, state, y, mips, fan, beta, lambda1, pred, projs,
 
 
 def gradient(est, target_img, target_mips, fan: RayFan, cfg: ReconConfig) -> np.ndarray:
-    """d(total)/d(sigma) at every voxel, computed in the full state layout
-    (see loss)."""
-    state, y, mips = _prepare(est, target_img, target_mips, fan)
-    full = fan.operator().full
-    _, _, _, pred, projs = _loss_terms(full, state, y, mips, fan, cfg.beta, cfg.lambda1)
-    grad = _gradient(full, state, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs)
-    return full.from_state(grad)
+    """d(total)/d(sigma) at every voxel, computed as loss is: 0 off the
+    support of its state layout, where no term moves a voxel."""
+    lay, state, y, mips = _prepare(est, target_img, target_mips, fan)
+    _, _, _, pred, projs = _loss_terms(lay, state, y, mips, fan, cfg.beta, cfg.lambda1)
+    grad = _gradient(lay, state, y, mips, fan, cfg.beta, cfg.lambda1, pred, projs)
+    return lay.from_state(grad)
 
 
 def reconstruct(
@@ -282,6 +284,13 @@ def reconstruct(
     y = as_pixels(target_img, fan.n_rays)
     nx, ny = fan.bounds
     dims = (y.shape[0], ny, nx)
+    if ground_truth is not None:
+        # before any work: metrics.evaluate would check it after the solve
+        truth_dims = (ground_truth.dims if isinstance(ground_truth, DensityVolume)
+                      else np.shape(ground_truth))
+        if truth_dims != dims:
+            raise DimsError(f"truth volume dims {truth_dims} do not match the "
+                            f"reconstruction dims {dims}")
     mips = _check_mips(target_mips, dims)
     lay = _state_layout(fan.operator(), mips)
 

@@ -190,6 +190,19 @@ class TestLoss:
         assert y.flags.writeable and np.array_equal(y, y_before, equal_nan=True)
 
     @pytest.mark.parametrize("fn", [loss, gradient])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_estimate(self, fan8, fn, bad):
+        # loss returned NaN with a matmul RuntimeWarning; any finite value,
+        # inside [0, 1] or not, is taken, since finite differences step freely
+        est = np.full((4, 8, 8), 0.2)
+        y = np.full((4, 64), 0.2)
+        est[1, 3, 4] = -1e3
+        assert np.all(np.isfinite(fn(est, y, None, fan8, ReconConfig())[0]))
+        est[1, 3, 4] = bad
+        with pytest.raises(ValueError, match="estimate densities must be finite"):
+            fn(est, y, None, fan8, ReconConfig())
+
+    @pytest.mark.parametrize("fn", [loss, gradient])
     def test_rejects_empty_target(self, fan8, fn):
         with pytest.raises(DimsError):
             fn(np.zeros((0, 8, 8)), np.zeros((0, 64)), None, fan8, ReconConfig())
@@ -573,6 +586,19 @@ class TestReconstruct:
         with pytest.raises(DimsError):
             reconstruct(np.zeros((0, fan32.n_rays)), fan32, ReconConfig())
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_truth_dims_checked_before_the_solve(self, fan32, raw):
+        # a truth of other dims was found only when the result was scored,
+        # after every iteration had run
+        img = np.full((4, fan32.n_rays), 0.2)
+        truth = make_phantom("sphere-set", (5, 32, 32), seed=2)
+        terms = mock.patch.object(reconstructor, "_loss_terms",
+                                  wraps=reconstructor._loss_terms)
+        with terms as spy, pytest.raises(DimsError, match="truth volume dims"):
+            reconstruct(img, fan32, ReconConfig(beta=0.3, max_iters=50),
+                        ground_truth=truth.data if raw else truth)
+        assert spy.call_count == 0
+
     def test_report_file(self, fan32, tmp_path):
         truth = make_phantom("sphere-set", (4, 32, 32), seed=9)
         img = render_for(fan32, truth, beta=0.3)
@@ -678,6 +704,28 @@ class TestStateLayout:
         assert not np.signbit(vol.data).any() and np.all(vol.data[:, ~crossed] == 0.0)
         mips = {ax: mip(truth, ax) for ax in MIP_AXES}
         assert reconstruct(y, fan8, cfg, target_mips=mips)[0].data[:, ~crossed].any()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_public_loss_and_gradient_equal_the_full_layout(self, seed):
+        # without MIP targets the public loss and gradient run in the
+        # crossed layout; a voxel no ray crosses reaches no line sum, so any
+        # volume, with values off the crossed voxels and outside [0, 1],
+        # gets the full layout's bits
+        fan = square_fan(32)
+        full = fan.operator().full
+        assert reconstructor._state_layout(fan.operator(), {}).size < full.size
+        rng = np.random.default_rng(seed)
+        est = rng.uniform(-0.5, 1.5, (5, 32, 32))
+        y = rng.uniform(0.0, 0.9, (5, fan.n_rays))
+        cfg = ReconConfig(beta=0.3)
+        state = full.to_state(est)
+        total, mse_img, mse_mip, pred, projs = reconstructor._loss_terms(
+            full, state, y, {}, fan, cfg.beta, cfg.lambda1)
+        assert loss(est, y, None, fan, cfg) == (total, (mse_img, mse_mip))
+        want = full.from_state(reconstructor._gradient(full, state, y, {}, fan, cfg.beta,
+                                                       cfg.lambda1, pred, projs))
+        assert gradient(est, y, None, fan, cfg).tobytes() == want.tobytes()
 
     def test_fan_that_crosses_no_voxel(self):
         # every ray ends before the grid: the crossed layout is the full one,

@@ -111,8 +111,6 @@ class TestRenderSimPX:
         expected = 1.0 - math.exp(-cfg.beta * 0.5 * 200 * fan256.delta)
         px = img.pixels[:, full]
         assert np.abs(px - expected).max() < 1e-9
-        # all full-length rays agree exactly
-        assert np.unique(px).size == 1
 
     def test_beta_sigma_scaling(self, fan256):
         vol = make_phantom("jaw-arch", (16, 256, 256), seed=0)
@@ -385,9 +383,8 @@ class TestFloat32Volumes:
            st.integers(0, 2**32 - 1))
     def test_forward_and_render_match_the_float64_widening(self, fan, interpolation,
                                                            kinds, seed):
-        # slices whose minimum is negative, 0.0, -0.0 or positive (shifted,
-        # unshifted and shifted again); one slice per forward block, so two
-        # workers split them
+        # slices whose minimum is negative, 0.0, -0.0 or positive; one slice
+        # per forward block, so two workers split them
         nx, ny = fan.bounds
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.0, 1.0, (len(kinds), ny, nx)).astype(np.float32)
