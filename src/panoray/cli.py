@@ -28,7 +28,7 @@ import stat
 import sys
 
 from . import backproject, metrics, ray_geometry, reconstructor, renderer, volume
-from ._pool import check_int
+from ._pool import check_int, check_real
 from .errors import DimsError, FormatError
 
 # geometry-file keys and their parsers by the config that owns their defaults;
@@ -126,9 +126,11 @@ def build_geometry(raw: dict, grid: tuple[int, int]):
 
 def _geometry_setup(args, grid=None):
     """Load the geometry file (if any) and return the fan for `grid` (nx, ny),
-    else for the file's grid= or 256x256, with the file's beta or the
+    else for the file's grid= or 256x256, and beta (> 0), the file's or the
     default; a file grid= that differs from `grid` raises DimsError."""
     raw = load_geometry(args.geometry) if args.geometry else {}
+    beta = float(raw.get("beta", renderer.RenderConfig.beta))
+    check_real("beta", beta, "> 0")
     if "grid" in raw:
         file_grid = _parse_grid(raw["grid"])
         if grid is not None and file_grid != grid:
@@ -136,7 +138,7 @@ def _geometry_setup(args, grid=None):
         grid = file_grid
     grid = grid or ray_geometry.DEFAULT_GRID
     fan = ray_geometry.build_fan(build_geometry(raw, grid), bounds=grid)
-    return fan, float(raw.get("beta", renderer.RenderConfig.beta))
+    return fan, beta
 
 
 def _same_file(a, b) -> bool:
@@ -241,7 +243,7 @@ def _cmd_reconstruct(args):
             truth = None
     flags = {"max_iters": args.iters, "step_size": args.step, "init": args.init}
     cfg = reconstructor.ReconConfig(beta=beta, **{k: v for k, v in flags.items() if v is not None})
-    result, report = reconstructor.reconstruct(img, fan, cfg, threads=args.threads)
+    result, report = reconstructor.reconstruct(img, fan, cfg)
     volume.save_volume(result, args.out)
     if args.report:
         reconstructor.save_report(report, args.report)

@@ -18,8 +18,8 @@ voxel no ray crosses has an empty column of A, so its value never reaches
 a line sum.
 
 Storage is numpy only, in dense tiles. Tile t of a direction holds the
-_TILE output ids t * _TILE ... t * _TILE + _TILE - 1 (rays for A, voxel ids
-for A^T), and its columns are the sorted union of their entries' input ids;
+_TILE output ids t * _TILE ... t * _TILE + _TILE - 1 (rays for A, support
+positions for A^T), its columns the sorted union of their entries' input ids;
 its weights are one dense (_TILE, L) block, 0 where a row has no entry
 (register-blocked storage with explicit zero fill: Im, Yelick and Vuduc,
 "SPARSITY", IJHPCA 18(1), 2004). Adjacent rays of a fan are nearly parallel
@@ -44,10 +44,9 @@ cache, and one batched `matmul` contracting each (_TILE, L) block with it.
 That is one small GEMM per tile, where one GEMV per row gathered a shared
 input once for each row that reads it and paid a BLAS call per row. A row
 with no entries, in a tile that has some, gets 0 from its zero weights, as
-does a row off the output (an id past the last ray, or a voxel off the
-layout's support), which is computed and dropped. So a NaN or infinite
-input reaches every row of its tile (0 * NaN is NaN); densities and pixels
-are checked finite where they enter the package.
+does a row of an id past the last output, which is computed and dropped.
+So a NaN or infinite input reaches every row of its tile (0 * NaN is NaN);
+densities and pixels are checked finite where they enter the package.
 
 Each column of a block must get the same bits whatever the block's width,
 so that a slice's results do not depend on its block, on how many slices
@@ -68,10 +67,9 @@ its volume has, on its layout or on the thread count:
 Tiles are 4 rows high; tiles of 2 to 16 rows give the same bytes as each
 other. Taller tiles gather less but multiply more zeros: on a 2-vCPU Xeon,
 8-row tiles ran the default 256-ray fan's A slower (a 16-slice public
-forward took 5.0 against 2.8 ms, the 128-slice float32 state 6.5
-against 5.0 ms) and its A^T faster (7.2 against 8.1 ms). With no bound on
-a matmul's size, OpenBLAS threaded 8-row tiles of that 128-slice state and
-their bytes changed under OPENBLAS_NUM_THREADS=1.
+forward took 5.0 against 2.8 ms, the 128-slice float32 state 6.5 against
+5.0 ms), and with no bound on a matmul's size OpenBLAS threaded them on
+that state and their bytes changed under OPENBLAS_NUM_THREADS=1.
 
 A state layout (StateLayout) holds one array of voxel ids, its support,
 in increasing order, and each operator builds two, once each:
@@ -80,25 +78,26 @@ in increasing order, and each operator builds two, once each:
   256^2 grid, 45.6% of the 512-ray 256^2 fan's and 85.5% of the 64^2
   acceptance fan's; it is full when every voxel is crossed or none is, so
   no support is empty.
-Each layout builds A and A^T from the operator's coalesced entries in one
-way: A's tiles group them by ray and read support positions, and A^T's
-group them by voxel id, whatever the support, and write their rows at
-support positions, dropping the ids off it. So every layout has the same
-tiles, unions and padding, and a tile's sums get the same bits in each;
-only the full layout's A^T writes rows of no entries (the voxels no ray
-crosses), as zeros. A's columns and A^T's rows of the voxels no ray crosses
-are empty, so the crossed layout gives the full one's line sums whatever a
-volume holds off the support, and the full one's A^T once from_state has
-zero-filled the rest; the public forward, the solver and back-projection
-all run in it.
+Each layout builds A and A^T from the operator's coalesced entries,
+relabelled by support position, by one rule: a table tiles its own output
+ids, A the rays, reading support positions, and A^T the support positions,
+reading rays. A row's bits do not depend on its tile mates, as they do not
+on the tile height: each output is one accumulator summed in increasing
+input order from +0, a column off the row's entries adds an exact 0 * x,
+and inputs are finite. The crossed A^T has no tile of L = 0 and drops ids
+only past its last row. A's columns and A^T's rows of the voxels no ray
+crosses are empty, so the crossed layout gives the full one's line sums
+whatever a volume holds off the support, and the full one's A^T once
+from_state has zero-filled the rest; the public forward, the solver and
+back-projection all run in it.
 
-Public blocks serve forward, which takes slice-major (nz, ny, nx) volumes:
-each block's crossed voxels are gathered, transposed, into one float64
-workspace per worker. They hold _BLOCK_BYTES of float64 slices, so a
-render's peak memory stays low. float32 volumes, as phantoms and loaded
-PVOL1 volumes are, are widened by that gather one block at a time, never
-as a whole; the widening is exact, so their line sums are those of the
-float64 volume.
+Public blocks serve forward, which takes slice-major (nz, ny, nx) volumes: a
+block is _BLOCK_BYTES of float64 full-grid slices (16 of 256^2), and its
+crossed voxels are gathered, transposed, into a float64 workspace per worker
+that holds only those (3.4 MB on the default fan), so a render's peak memory
+stays low. float32 volumes, as phantoms and loaded PVOL1 volumes are, are
+widened by that gather one block at a time, never as a whole; the widening
+is exact, so their line sums are those of the float64 volume.
 
 A state-layout volume serves the *_state methods and the solver: one
 C-contiguous float32 or float64 array of shape (size, nz), voxel-major,
@@ -152,24 +151,24 @@ _STRIP = 512
 
 @dataclass(frozen=True)
 class _Tiles:
-    rows: np.ndarray          # (c * _TILE,) each tile id's output row, -1 if none
+    rows: np.ndarray          # (c * _TILE,) each tile id's output row, -1 past n_out
     keep: np.ndarray | None   # rows >= 0, None when every id has a row
     idx: np.ndarray           # (c, L) input rows, 0 on padding
     w: np.ndarray             # (c, _TILE, L) weights, 0 off the entries
 
 
-def _tiles(out_ids, in_ids, weights, rows, n_in: int) -> tuple:
+def _tiles(out_ids, in_ids, weights, n_out: int, n_in: int) -> tuple:
     """Group entries, one per (out_id, in_id) pair and in any order, into
     dense tiles, one padded _Tiles per length class. Tile t holds the output
-    ids t * _TILE ... t * _TILE + _TILE - 1, whose rows are rows[id] (-1 for
-    none, as for ids past len(rows)); its columns are the sorted union of
-    their in_ids (< n_in). A tile whose union has L > 0 columns has class
-    ceil(_CLASSES * log2(L)), so its class's longest union is under
-    2 ** (1 / _CLASSES) times L; tiles with no entries form a first class
-    of L = 0. One sort of the (tile, in_id) keys gives every union, and one
-    scatter each fills the idx and w arrays of all classes, which are views
-    of two flat arrays; w has the weights' dtype."""
-    n_tiles = -(-len(rows) // _TILE)
+    ids t * _TILE ... t * _TILE + _TILE - 1 as its rows, -1 for those at or
+    past n_out; its columns are the sorted union of their in_ids (< n_in).
+    A tile whose union has L > 0 columns has class ceil(_CLASSES * log2(L)),
+    so its class's longest union is under 2 ** (1 / _CLASSES) times L;
+    tiles with no entries form a first class of L = 0. One sort of the
+    (tile, in_id) keys gives every union, and one scatter each fills the idx
+    and w arrays of all classes, which are views of two flat arrays; w has
+    the weights' dtype."""
+    n_tiles = -(-n_out // _TILE)
     keys = out_ids // _TILE
     keys *= n_in
     keys += in_ids
@@ -228,9 +227,8 @@ def _tiles(out_ids, in_ids, weights, rows, n_in: int) -> tuple:
     w = np.zeros(_TILE * total, dtype=weights.dtype)
     w[at] = weights.take(order)
     del at, order
-    ids = np.full(n_tiles * _TILE, -1, dtype=np.int64)
-    ids[:len(rows)] = rows
-    ids = ids.reshape(n_tiles, _TILE)
+    ids = np.arange(n_tiles * _TILE).reshape(n_tiles, _TILE)
+    ids[ids >= n_out] = -1
     out = []
     for t, at, n in spans:
         r = ids[t].ravel()
@@ -472,12 +470,10 @@ class StateLayout:
 
     def _table(self, kind: str, dtype) -> tuple:
         """The tiles of one kind with weights of dtype, built on first use
-        straight in dtype and kept. "rows" are A's: the operator's entries
-        tiled by ray, reading support positions. "cols" are A^T's: tiled by
-        voxel id whatever the support, so that every layout gets the same
-        tiles, and writing the rows at support positions. "pattern" is the
-        cols of dtype weighted 1 on every entry, sharing their rows, keep
-        and idx."""
+        straight in dtype and kept, from the entries relabelled by support
+        position: "rows" are A's, tiling the rays, and "cols" A^T's, tiling
+        the support positions; "pattern" is the cols of dtype weighted 1 on
+        every entry, sharing their rows, keep and idx."""
         dtype = np.dtype(dtype)
         if (kind, dtype) not in self._tables:
             if kind == "pattern":
@@ -486,10 +482,11 @@ class StateLayout:
             else:
                 ray, voxel, weight = self._entries
                 weight = weight.astype(dtype, copy=False)
-                pos = np.full(self.n_voxels, -1, dtype=np.int64)
+                pos = np.empty(self.n_voxels, dtype=np.int64)
                 pos[self.voxels] = np.arange(self.size)
-                tiles = (_tiles(ray, pos[voxel], weight, np.arange(self.n_rays), self.size)
-                         if kind == "rows" else _tiles(voxel, ray, weight, pos, self.n_rays))
+                p = pos[voxel]  # every entry's voxel is on the support
+                tiles = (_tiles(ray, p, weight, self.n_rays, self.size) if kind == "rows"
+                         else _tiles(p, ray, weight, self.size, self.n_rays))
             self._tables[kind, dtype] = tiles
         return self._tables[kind, dtype]
 

@@ -724,6 +724,26 @@ class TestGeometryExtras:
                    "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-5", "0"])
+    def test_geometry_beta_is_checked_before_any_output(self, tmp_path, capsys, beta):
+        # every geometry command reads the file's beta through one check, so
+        # raymap, which does not use it, rejects it as backproject does
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("grid=32,32\n")
+        bad.write_text(f"grid=32,32\nbeta={beta}\n")
+        vol, img = tmp_path / "v.pvol", tmp_path / "v.pimg"
+        run("phantom", "--kind", "uniform:0.4", "--dims", "2,32,32", "--out", vol)
+        run("render", "--vol", vol, "--geometry", good, "--height", 2, "--out", img)
+        capsys.readouterr()
+        outs = [tmp_path / "fan.txt", tmp_path / "c.pvol", tmp_path / "rho.pvol"]
+        for argv in (("raymap", "--geometry", bad, "--out", outs[0]),
+                     ("backproject", "--img", img, "--geometry", bad,
+                      "--out-counts", outs[1], "--out-rho", outs[2])):
+            assert run(*argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: invalid value: beta must be finite and > 0, got {float(beta)}\n")
+        assert not any(p.exists() for p in outs)
+
     def test_truth_grid_mismatch_fails_fast(self, tmp_path, capsys):
         vol, img = tmp_path / "v.pvol", tmp_path / "v.pimg"
         run("phantom", "--kind", "uniform:0.4", "--dims", "4,64,64", "--out", vol)

@@ -238,7 +238,7 @@ def check_build_matches_oracle(op, sample_xy, sample_valid, interpolation):
         for kind, want in (
             ("rows", padded_tiles(ray, pos[voxel], weight, np.arange(op.n_rays), lay.size,
                                   fan_operator._TILE, fan_operator._CLASSES)),
-            ("cols", padded_tiles(voxel, ray, weight, pos, op.n_rays,
+            ("cols", padded_tiles(pos[voxel], ray, weight, np.arange(lay.size), op.n_rays,
                                   fan_operator._TILE, fan_operator._CLASSES)),
         ):
             got = lay._table(kind, np.float64)
@@ -565,16 +565,18 @@ def dense_from_tiles(tiles, shape):
 
 
 def check_tiles(tiles, dense, lengths):
-    """The tiles' kept rows partition the rows, each written once. The
-    first class, of width 0, holds the tiles of rows with no entries; each
-    other holds one length class of tile unions and is padded to its
-    longest, under 2 ** (1 / _CLASSES) times each union. A tile's union is
+    """The tiles' kept rows partition the rows, each written once, and
+    only the last tile's ids past the last row are dropped. The first
+    class, of width 0, holds the tiles of rows with no entries; each other
+    holds one length class of tile unions and is padded to its longest,
+    under 2 ** (1 / _CLASSES) times each union. A tile's union is
     the leading columns of its idx row, in increasing order, and each of
     them carries a weight in some row; a row that is dropped carries none.
     The matrix the tiles hold is the dense one, exactly."""
     k, h = fan_operator._CLASSES, fan_operator._TILE
     rows = np.concatenate([t.rows for t in tiles])
     assert np.array_equal(np.sort(rows[rows >= 0]), np.arange(len(lengths)))
+    assert np.count_nonzero(rows < 0) == -len(lengths) % h
     classes = set()
     for i, t in enumerate(tiles):
         c, n = t.idx.shape
@@ -612,6 +614,33 @@ def check_apply_zeroes_empty_rows(op, nb, seed):
         assert np.allclose(out, dense @ src, rtol=1e-12, atol=1e-12)
 
 
+def check_crossed_transpose(op):
+    """The crossed layout's A^T tiles its own rows, the support positions:
+    one tile per _TILE of them, none of no entries, and ids dropped only in
+    the last tile, past the last position."""
+    lay, h = op.crossed, fan_operator._TILE
+    tiles = lay._table("cols", np.float64)
+    n_tiles = -(-lay.size // h)
+    assert sum(len(t.idx) for t in tiles) == n_tiles
+    assert all(t.idx.shape[1] for t in tiles)
+    partial = [t for t in tiles if t.keep is not None]
+    assert len(partial) == (lay.size % h > 0)
+    for t in partial:
+        rows = t.rows.reshape(-1, h)
+        dropped = (rows < 0).any(axis=1)
+        last = np.arange((n_tiles - 1) * h, n_tiles * h)
+        assert np.count_nonzero(dropped) == 1
+        assert np.array_equal(rows[dropped][0], np.where(last < lay.size, last, -1))
+
+
+def test_crossed_transpose_tiles_the_support():
+    # the default fan crosses 26,790 voxels: its crossed A^T has 6,698 tiles
+    # where tiling every voxel id gave 16,384, of which 8,871 held no entry
+    op = build_fan(GeometryConfig(), bounds=(256, 256)).operator()
+    assert op.crossed.size == 26_790
+    check_crossed_transpose(op)
+
+
 class TestLengthClasses:
     @settings(max_examples=60, deadline=None)
     @given(fans(), modes, st.integers(1, 6), st.sampled_from([8, 256, 512 << 10]),
@@ -645,11 +674,8 @@ class TestLengthClasses:
         for tiles, dense, lengths in directions(op):
             check_tiles(tiles, dense, lengths)
         # A and the full A^T have rows of length 0, some in tiles of their
-        # own; the crossed A^T has none, but its tiles drop the rows of the
-        # voxels no ray crosses, and so does its class of tiles of no entries
-        crossed = op.crossed._table("cols", np.float64)
-        assert crossed[0].idx.shape[1] == 0 and crossed[0].keep is not None
-        assert any(t.keep is not None and t.idx.shape[1] for t in crossed)
+        # own; the crossed A^T, tiled by support position, has none
+        check_crossed_transpose(op)
         check_apply_zeroes_empty_rows(op, 5, 0)
 
     @pytest.mark.parametrize("cfg, bounds, gathers, madds", [
@@ -875,24 +901,21 @@ class TestCrossedLayout:
 def random_tiles(draw):
     """Tiles of a random sparse matrix whose rows hold 0 to 200 distinct
     columns, some of them long enough for BLAS to regroup a product's
-    columns, built from its entries in random order, with some rows
-    dropped; and the oracle's build of the same entries."""
+    columns, built from its entries in random order, its rows in a drawn
+    permutation; the oracle's build of the same entries; and the entries."""
     lengths = draw(st.lists(st.integers(0, 200), min_size=1, max_size=12))
+    order = np.array(draw(st.permutations(range(len(lengths)))), dtype=np.int64)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_in = 250
-    out_ids = np.repeat(np.arange(len(lengths)), lengths)
+    n_out, n_in = len(lengths), 250
+    out_ids = np.repeat(order, lengths)
     in_ids = np.concatenate([rng.choice(n_in, n, replace=False) for n in lengths])
     weights = rng.uniform(0.0, 1.0, len(out_ids)) + 0.5
     shuffle = rng.permutation(len(out_ids))
     out_ids, in_ids, weights = out_ids[shuffle], in_ids[shuffle], weights[shuffle]
-    rows = np.arange(len(lengths))
-    if draw(st.booleans()):  # rows of no entries dropped, the rest renumbered
-        kept = np.array(lengths) > 0
-        rows = np.where(kept, np.cumsum(kept) - 1, -1)
     h, k = fan_operator._TILE, fan_operator._CLASSES
-    return (fan_operator._tiles(out_ids, in_ids, weights, rows, n_in),
-            padded_tiles(out_ids, in_ids, weights, rows, n_in, h, k),
-            int(rows.max()) + 1, n_in, rng)
+    return (fan_operator._tiles(out_ids, in_ids, weights, n_out, n_in),
+            padded_tiles(out_ids, in_ids, weights, np.arange(n_out), n_in, h, k),
+            (out_ids, in_ids, weights), n_out, n_in, rng)
 
 
 class TestApply:
@@ -903,7 +926,7 @@ class TestApply:
         # padding each block to its dtype's lane count gives every column the
         # bits it gets in the widest block; float64 needs 8 lanes for that and
         # float32 16. The tiles of entries in any order are the oracle's
-        tiles, want, n_out, n_in, rng = drawn
+        tiles, want, _, n_out, n_in, rng = drawn
         assert len(tiles) == len(want)
         for t, (rows, idx, w) in zip(tiles, want):
             assert same_bits(t.rows, rows) and same_bits(t.idx, idx) and same_bits(t.w, w)
@@ -917,6 +940,28 @@ class TestApply:
             fan_operator._apply(tiles, np.ascontiguousarray(src[:, :nb]), out)
             assert out.tobytes() == np.ascontiguousarray(wide[:, :nb]).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_tiles(), st.permutations(range(12)), st.sampled_from([np.float64, np.float32]),
+           st.integers(1, 63).filter(lambda nb: nb % 8))
+    def test_row_bits_do_not_depend_on_tile_mates(self, drawn, moved, dtype, nb):
+        # the same entries tiled again under another permutation of their
+        # output ids, so that rows share tiles with other rows: every row gets
+        # the same bytes, in a block whose width is no multiple of _LANES and
+        # whose input holds signed zeros, since each sum runs over its inputs
+        # in increasing order from +0 and a column off the row adds 0 * x
+        tiles, _, (out_ids, in_ids, weights), n_out, n_in, rng = drawn
+        moved = np.array([i for i in moved if i < n_out], dtype=np.int64)
+        again = fan_operator._tiles(moved[out_ids], in_ids, weights, n_out, n_in)
+        src = rng.uniform(-1.0, 1.0, (n_in, nb))
+        src[rng.random(src.shape) < 0.3] = 0.0
+        src[rng.random(src.shape) < 0.3] = -0.0
+        src = src.astype(dtype)
+        out, out_moved = np.empty((n_out, nb), dtype), np.empty((n_out, nb), dtype)
+        for t, o in ((tiles, out), (again, out_moved)):
+            t = tuple(fan_operator._Tiles(x.rows, x.keep, x.idx, x.w.astype(dtype)) for x in t)
+            fan_operator._apply(t, src, o)
+        assert out_moved[moved].tobytes() == out.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_wide_blocks_of_long_tiles(self, dtype):
         # a tile of thousands of columns in blocks of up to 512 slices: one
@@ -929,7 +974,7 @@ class TestApply:
         out_ids = np.repeat(np.arange(8), k)
         in_ids = np.concatenate([rng.choice(n_in, k, replace=False) for _ in range(8)])
         tiles = fan_operator._tiles(out_ids, in_ids, rng.uniform(0.5, 1.5, len(out_ids)),
-                                    np.arange(8), n_in)
+                                    8, n_in)
         assert max(t.idx.shape[1] for t in tiles) > 3000
         tiles = tuple(fan_operator._Tiles(t.rows, t.keep, t.idx, t.w.astype(dtype))
                       for t in tiles)
