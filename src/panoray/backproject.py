@@ -11,10 +11,10 @@ Because the fan is shared by all axial slices, the crossing structure is a
 2D pattern replicated along z, and pixel (j, i) only touches voxels of
 slice j. That pattern is the nonzero pattern of the fan's trilinear system
 matrix: |B(x)| is its per-voxel entry count, and rho is its pattern applied
-transposed to the candidates, divided by the counts raised to 1.
-aggregate_rho takes those means in float64 in the operator's crossed
-state layout, over the voxels some ray crosses only (see fan_operator),
-rounds them to float32 once and writes 0 at every voxel no ray crosses.
+transposed to the candidates, divided by the counts raised to 1. That is
+one rule, _rho_state, shared by aggregate_rho and the solver's rho start:
+float32 means of float32-rounded candidates, by ray_mean_state in a state
+layout (the same bits in either; see fan_operator), in [0, 1] unclipped.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
 
     candidates has one value per image pixel, shape (nz, n_rays): row j holds
     the candidates of slice j's pixels, each in [0, 1] as image_candidates
-    returns them. rho is float32: the float64 means, rounded once.
+    returns them, and checked before they are rounded to float32. rho is
+    float32, taken over the crossed voxels (see the module doc).
     """
     nz, ny, nx = check_sizes("dims", dims, 3)
     fan.check_grid(nx, ny)
@@ -80,12 +81,15 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
         raise ValueError("candidates must be finite and lie in [0, 1]")
 
     op = fan.operator()
-    # means of [0, 1] values over the pattern, 0 where no ray crosses: the
-    # map's invariants hold by construction. The float64 state is rounded
-    # and freed before from_state allocates rho. counts is a read-only view,
-    # since the pattern is the same in every slice
-    rho = op.crossed.from_state(op.crossed.ray_mean_state(candidates).astype(np.float32))
+    # rho is 0 where no ray crosses: the map's invariants hold by
+    # construction. counts is a read-only view, the same in every slice
+    rho = op.crossed.from_state(_rho_state(op.crossed, candidates))
     return BackProjectionMap._unchecked(np.broadcast_to(op.counts, (nz, ny, nx)), rho)
+
+
+def _rho_state(lay, candidates: np.ndarray) -> np.ndarray:
+    """rho as a new float32 volume in the state layout lay (module doc)."""
+    return lay.ray_mean_state(candidates.astype(np.float32))
 
 
 def image_candidates(image_pixels: np.ndarray, fan: RayFan, beta: float) -> np.ndarray:

@@ -317,12 +317,7 @@ def reconstruct(
     if cfg.init == "zeros":
         x = lay.buffer(dims[0], _STATE_DTYPE)
     else:
-        # a rho taken straight in the layout lay, 0 where no ray crosses:
-        # float32 means over crossing rays of float32-rounded candidates, so
-        # not bit-equal to aggregate_rho's rounded float64 means; in [0, 1]
-        # unclipped, as rounding keeps a sum of [0, 1] values <= its count
-        cands = backproject.image_candidates(y, fan, cfg.beta)
-        x = lay.ray_mean_state(cands.astype(_STATE_DTYPE))
+        x = backproject._rho_state(lay, backproject.image_candidates(y, fan, cfg.beta))
     band = np.empty(x.shape, dtype=bool) if mips else None
 
     report = ReconReport()

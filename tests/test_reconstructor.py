@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panoray import _pool, reconstructor
-from panoray.backproject import crossing_counts, image_candidates
+from panoray.backproject import aggregate_rho, crossing_counts, image_candidates
 from panoray.errors import DimsError
 from panoray.ray_geometry import GeometryConfig, build_fan, extract_rays
 from panoray.reconstructor import (
@@ -37,6 +37,23 @@ def fan8():
 @pytest.fixture(scope="module")
 def fan32():
     return build_fan(GeometryConfig(width=128), bounds=(32, 32))
+
+
+@st.composite
+def small_problems(draw):
+    """A default-geometry fan of drawn width and sampling over a small drawn
+    grid, a volume on it with densities in [0, 1], and MIP targets of
+    another such volume or None."""
+    nx, ny, nz = draw(st.integers(2, 16)), draw(st.integers(2, 16)), draw(st.integers(1, 6))
+    fan = build_fan(GeometryConfig(width=draw(st.integers(20, 48)),
+                                   n_samples=draw(st.integers(4, 60)),
+                                   angle_scale=draw(st.sampled_from([0.5, 1.0, 2.0]))),
+                    bounds=(nx, ny))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = DensityVolume(rng.uniform(0.0, draw(st.sampled_from([0.3, 1.0])), (nz, ny, nx)))
+    other = DensityVolume(rng.uniform(0.0, 1.0, (nz, ny, nx)))
+    mips = {ax: mip(other, ax) for ax in MIP_AXES} if draw(st.booleans()) else None
+    return fan, truth, mips
 
 
 def allocating_reconstruct(y, fan, cfg, mips):
@@ -439,6 +456,43 @@ class TestStateDtype:
         assert set(fan.operator().full._tables) == {
             (kind, np.dtype(np.float32)) for kind in ("rows", "cols", "pattern")}
 
+    def test_back_projection_builds_no_float64_table(self):
+        # a fresh fan, whose tables no other test has built: aggregate_rho
+        # builds the crossed layout's A^T tiles and pattern straight in
+        # float32, and no others
+        fan = build_fan(GeometryConfig(width=64), bounds=(8, 8))
+        y = np.random.default_rng(0).uniform(0.0, 0.9, (4, fan.n_rays))
+        aggregate_rho(fan, image_candidates(y, fan, 0.3), (4, 8, 8))
+        op = fan.operator()
+        assert op.crossed is not op.full and not op.full._tables
+        assert set(op.crossed._tables) == {
+            (kind, np.dtype(np.float32)) for kind in ("cols", "pattern")}
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_problems())
+    def test_first_iterate_is_aggregate_rho(self, problem):
+        # the solver starts from aggregate_rho's rho, bit for bit, in the
+        # crossed layout without MIP targets and in the full one with them
+        fan, truth, mips = problem
+        cfg = ReconConfig(beta=0.3, max_iters=1)
+        y = render_for(fan, truth, cfg.beta).pixels
+        want = aggregate_rho(fan, image_candidates(y, fan, cfg.beta), truth.dims).rho
+        op = fan.operator()
+        lay = reconstructor._state_layout(op, mips or {})
+        starts = []
+        real = lay.ray_mean_state
+
+        def spy(c):
+            # a copy: the solver writes over its iterate's buffer
+            result = real(c)
+            starts.append(result.copy())
+            return result
+        with mock.patch.object(lay, "ray_mean_state", spy):
+            reconstruct(y, fan, cfg, target_mips=mips)
+        assert len(starts) == 1
+        got = lay.from_state(starts[0])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_solver_state_is_float32_and_public_path_float64(self, fan8):
         # the solver's volumes are float32 state-layout buffers; the public
         # loss and gradient run the same cores on float64 ones
@@ -548,6 +602,30 @@ class TestReconstruct:
         totals = [row[1] for row in report.loss_history]
         assert all(b <= a for a, b in zip(totals, totals[1:]))
         assert len(totals) >= 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_problems(), st.sampled_from(["rho", "zeros"]))
+    def test_monotone_loss_in_the_box(self, problem, init):
+        # from either start, with or without MIP targets: the totals never
+        # increase, every state the loss is taken at (the start and each
+        # trial) lies in [0, 1], and the report is consistent
+        fan, truth, mips = problem
+        cfg = ReconConfig(beta=0.3, init=init, max_iters=8)
+        y = render_for(fan, truth, cfg.beta).pixels
+        bounds = []
+        real = reconstructor._loss_terms
+
+        def spy(lay, state, *args):
+            bounds.append((state.min(), state.max()))
+            return real(lay, state, *args)
+        with mock.patch.object(reconstructor, "_loss_terms", spy):
+            vol, report = reconstruct(y, fan, cfg, target_mips=mips)
+        totals = [row[1] for row in report.loss_history]
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        assert bounds and all(0.0 <= lo and hi <= 1.0 for lo, hi in bounds)
+        assert vol.data.min() >= 0.0 and vol.data.max() <= 1.0
+        assert report.stop_reason in ("zero_loss", "line_search", "tol", "max_iters")
+        assert len(report.loss_history) == report.iterations_run + 1
 
     def test_iterates_stay_in_box(self, fan32):
         truth = make_phantom("sphere-set", (8, 32, 32), seed=6)
