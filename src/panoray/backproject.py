@@ -15,6 +15,8 @@ transposed to the candidates, divided by the counts raised to 1. That is
 one rule, _rho_state, shared by aggregate_rho and the solver's rho start:
 float32 means of float32-rounded candidates, by ray_mean_state in a state
 layout (the same bits in either; see fan_operator), in [0, 1] unclipped.
+Each mean lies within |B(x)| float32 ulp of the float64 mean, as float32
+sums of [0, 1] values round, so a constant image comes back to a few ulp.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def aggregate_rho(fan: RayFan, candidates: np.ndarray, dims) -> BackProjectionMa
     candidates has one value per image pixel, shape (nz, n_rays): row j holds
     the candidates of slice j's pixels, each in [0, 1] as image_candidates
     returns them, and checked before they are rounded to float32. rho is
-    float32, taken over the crossed voxels (see the module doc).
+    float32, within |B(x)| ulp of the float64 mean (see the module doc).
     """
     nz, ny, nx = check_sizes("dims", dims, 3)
     fan.check_grid(nx, ny)

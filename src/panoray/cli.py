@@ -51,11 +51,18 @@ _PATHS = {
 }
 
 
-def _parse_pair(text, name):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{name} expects two comma-separated values, got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _parse_number(text, key, kind=float):
+    """A geometry value as kind (float, int, or tuple: two floats); errors name key."""
+    if kind is tuple:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{key} expects two comma-separated values, got {text!r}")
+        return tuple(_parse_number(part, key) for part in parts)
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} expects {what}, got {text!r}") from None
 
 
 def _parse_grid(text) -> tuple[int, int]:
@@ -108,7 +115,7 @@ def load_geometry(path) -> dict:
 def _given(raw: dict, table: dict) -> dict:
     """The keys of `table` that `raw` sets, other than to "auto", parsed."""
     return {
-        key: _parse_pair(raw[key], key) if kind is tuple else kind(raw[key])
+        key: _parse_number(raw[key], key, kind)
         for key, kind in table.items()
         if key in raw and not (key in _AUTO_KEYS and raw[key] == "auto")
     }
@@ -118,7 +125,7 @@ def build_geometry(raw: dict, grid: tuple[int, int]):
     """Turn a raw geometry dict into a GeometryConfig for an (nx, ny) grid;
     keys it does not set keep CenterCurve's and GeometryConfig's defaults."""
     curve = ray_geometry.default_curve_for_grid(*grid, **_given(raw, _CURVE_KEYS))
-    overrides = {int(key[len("theta_"):]): float(val)
+    overrides = {int(key[len("theta_"):]): _parse_number(val, key)
                  for key, val in raw.items() if key.startswith("theta_")}
     return ray_geometry.GeometryConfig(curve=curve, theta_overrides=overrides,
                                        **_given(raw, _FAN_KEYS))
@@ -129,7 +136,7 @@ def _geometry_setup(args, grid=None):
     else for the file's grid= or 256x256, and beta (> 0), the file's or the
     default; a file grid= that differs from `grid` raises DimsError."""
     raw = load_geometry(args.geometry) if args.geometry else {}
-    beta = float(raw.get("beta", renderer.RenderConfig.beta))
+    beta = _parse_number(raw.get("beta", renderer.RenderConfig.beta), "beta")
     check_real("beta", beta, "> 0")
     if "grid" in raw:
         file_grid = _parse_grid(raw["grid"])

@@ -91,13 +91,12 @@ whatever a volume holds off the support, and the full one's A^T once
 from_state has zero-filled the rest; the public forward, the solver and
 back-projection all run in it.
 
-Public blocks serve forward, which takes slice-major (nz, ny, nx) volumes: a
-block is _BLOCK_BYTES of float64 full-grid slices (16 of 256^2), and its
-crossed voxels are gathered, transposed, into a float64 workspace per worker
-that holds only those (3.4 MB on the default fan), so a render's peak memory
-stays low. float32 volumes, as phantoms and loaded PVOL1 volumes are, are
-widened by that gather one block at a time, never as a whole; the widening
-is exact, so their line sums are those of the float64 volume.
+forward takes slice-major (nz, ny, nx) volumes in blocks of _PIECE slices and
+gathers each block's crossed voxels, transposed, into a float64 workspace
+per worker that holds only those (3.4 MB on the default fan), so a render's
+peak memory stays low. float32 volumes, as phantoms and loaded PVOL1 volumes
+are, are widened by that gather one block at a time, never as a whole; the
+widening is exact, so their line sums are those of the float64 volume.
 
 A state-layout volume serves the *_state methods and the solver: one
 C-contiguous float32 or float64 array of shape (size, nz), voxel-major,
@@ -112,9 +111,9 @@ their own (StateLayout.buffer). ray_mean_state divides by the counts
 raised to 1, so it gives 0 wherever no ray crosses and the same values in
 either layout.
 
-Public blocks write disjoint output rows, so forward runs them on up to
+forward's blocks write disjoint output rows, so it runs them on up to
 `threads` workers (see _pool); the state methods run on the calling
-thread. The block sizes do not depend on the thread count, and padded
+thread. The blocks do not depend on the thread count, and padded
 blocks give every slice the same bits, so the outputs are bit-identical at
 any thread count, in either layout and for any number of slices.
 """
@@ -130,9 +129,8 @@ import numpy as np
 from ._pool import run_blocks
 
 INTERPOLATIONS = ("trilinear", "nearest")
-# bytes of a public block of slices and of one gathered chunk; a chunk stays
-# in a core's L2 cache beside the block it reads
-_BLOCK_BYTES = 8 << 20
+# bytes of one gathered chunk, which stays in a core's L2 cache beside the
+# block it reads
 _CHUNK_BYTES = 512 << 10
 # output ids per tile and length classes per octave of tile width (see
 # _tiles and the module doc)
@@ -142,7 +140,7 @@ _CLASSES = 8
 # most multiply-adds one tile's matmul may hold (see the module doc)
 _LANES = {np.dtype(np.float64): 8, np.dtype(np.float32): 16}
 _GEMM = 1 << 18
-# slices per piece when slices are copied into a voxel-major block, and
+# slices per block copied into voxel-major order (forward, to_state), and
 # voxels per strip when a voxel-major block is copied back to slices: a
 # whole-block strided copy of a wide block runs several times slower
 _PIECE = 16
@@ -284,14 +282,6 @@ def _state_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype(np.float32 if a.dtype == np.float32 else np.float64)
 
 
-def _copy_in(rows: np.ndarray, vt: np.ndarray, voxels: np.ndarray) -> None:
-    """vt (size, nb) = the columns voxels (sorted voxel ids) of the
-    slice-major rows (nb, n_voxels), transposed, in pieces of _PIECE
-    slices."""
-    for j in range(0, vt.shape[1], _PIECE):
-        np.copyto(vt[:, j:j + _PIECE], rows[j:j + _PIECE, voxels].T)
-
-
 def _copy_back(vt: np.ndarray, rows: np.ndarray, voxels: np.ndarray) -> None:
     """rows (nb, n_voxels) = the voxel-major block vt (size, nb), whose rows
     are the voxels (sorted voxel ids), transposed, every other voxel 0, in
@@ -322,17 +312,17 @@ def _corners(p: np.ndarray, size: int) -> tuple:
     return lo, np.clip(i, 0, size - 1, out=i), 1.0 - f, f
 
 
-def _entries(sample_xy, sample_valid, bounds, interpolation):
-    """The uncoalesced entries of every retained sample, in ray-major
-    order: each sample's ray (n,) and the voxels (n, m) and weights (n, m)
-    of its m entries. Those are its four clamped bilinear corners for
-    "trilinear", zero weights included, or for "nearest" the voxel that
-    contains it, of weight 1.0. Each pass runs over one contiguous
-    coordinate column of the kept samples, and the corners are written
-    straight into their (n, 4) arrays."""
+def _entries(sample_xy, sample_counts, bounds, interpolation):
+    """The uncoalesced entries of every retained sample, sample_xy[i, j] for
+    j < sample_counts[i], in ray-major order: each sample's ray (n,) and the
+    voxels (n, m) and weights (n, m) of its m entries. Those are its four
+    clamped bilinear corners for "trilinear", zero weights included, or for
+    "nearest" the voxel that contains it, of weight 1.0. Each pass runs over
+    one contiguous coordinate column of the kept samples, and the corners
+    are written straight into their (n, 4) arrays."""
     nx, ny = bounds
-    kept = np.flatnonzero(sample_valid)
-    ray = kept // sample_valid.shape[1]
+    kept = np.flatnonzero(np.arange(sample_xy.shape[1]) < sample_counts[:, None])
+    ray = kept // sample_xy.shape[1]
     flat = sample_xy.reshape(-1, 2)
     px, py = flat[:, 0].take(kept), flat[:, 1].take(kept)
     if interpolation == "nearest":
@@ -371,15 +361,14 @@ class FanOperator:
     (see the module doc).
     """
 
-    def __init__(self, sample_xy, sample_valid, sample_counts, bounds,
-                 interpolation: str = "trilinear"):
+    def __init__(self, sample_xy, sample_counts, bounds, interpolation: str = "trilinear"):
         if interpolation not in INTERPOLATIONS:
             raise ValueError(f"unknown interpolation mode: {interpolation!r}")
         self.bounds = (int(bounds[0]), int(bounds[1]))
         nx, ny = self.bounds
         self.n_voxels = nx * ny
         self.n_rays = len(sample_counts)
-        ray, voxel, w = _entries(sample_xy, sample_valid, self.bounds, interpolation)
+        ray, voxel, w = _entries(sample_xy, sample_counts, self.bounds, interpolation)
         # coalesce repeated (ray, voxel) pairs: a stable sort of the keys
         # (the entries arrive ray-major, which it exploits) makes each pair
         # one run of entries in their original order, whose weights are
@@ -401,8 +390,6 @@ class FanOperator:
         self.ray = ray[first // voxel.shape[1]]
         self.voxel = voxel.ravel()[first]
         self.weight = weight
-        # slices per public block
-        self.block = max(1, _BLOCK_BYTES // (8 * self.n_voxels))
 
     @cached_property
     def full(self) -> StateLayout:
@@ -427,7 +414,7 @@ class FanOperator:
     def forward(self, x: np.ndarray, *, threads: int = 1) -> np.ndarray:
         """Line sums A x_j of every slice j: (nz, ny, nx) -> (nz, n_rays).
 
-        Public blocks of slices run on up to `threads` workers (see _pool),
+        Blocks of _PIECE slices run on up to `threads` workers (see _pool),
         each block's crossed voxels copied into a float64 workspace of its
         worker's own; no other voxel is read, as none reaches a line sum.
         The result is the same at any thread count. float32 slices are read
@@ -441,13 +428,13 @@ class FanOperator:
         rows = lay._table("rows", np.float64)
 
         def block(z0, work):
-            z1 = min(nz, z0 + self.block)
+            z1 = min(nz, z0 + _PIECE)
             xt = work[:lay.size * (z1 - z0)].reshape(lay.size, z1 - z0)
-            _copy_in(flat[z0:z1], xt, lay.voxels)
+            np.copyto(xt, flat[z0:z1, lay.voxels].T)
             _apply(rows, xt, out[z0:z1].T)
 
-        run_blocks(block, range(0, nz, self.block), threads,
-                   lambda: np.empty(lay.size * min(nz, self.block), dtype=np.float64))
+        run_blocks(block, range(0, nz, _PIECE), threads,
+                   lambda: np.empty(lay.size * min(nz, _PIECE), dtype=np.float64))
         return out
 
 
@@ -506,10 +493,10 @@ class StateLayout:
         """The support of the (nz, ny, nx) volume x in state layout: a new
         volume (see buffer), float32 if x is and float64 otherwise."""
         x = np.asarray(x)
-        dtype = _state_dtype(x)
-        flat = np.asarray(x, dtype=dtype).reshape(len(x), self.n_voxels)
-        out = self.buffer(len(flat), dtype)
-        _copy_in(flat, out, self.voxels)
+        flat = np.asarray(x, dtype=_state_dtype(x)).reshape(len(x), self.n_voxels)
+        out = self.buffer(len(flat), flat.dtype)
+        for z0 in range(0, len(flat), _PIECE):
+            np.copyto(out[:, z0:z0 + _PIECE], flat[z0:z0 + _PIECE, self.voxels].T)
         return out
 
     def from_state(self, state: np.ndarray) -> np.ndarray:

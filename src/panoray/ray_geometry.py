@@ -121,7 +121,7 @@ def make_centers(curve: CenterCurve) -> np.ndarray:
 class RayFan:
     """The fan as read-only arrays, one row per ray: origin, direction and
     retained samples, zero-padded past each ray's in-bounds count. Ray i's
-    samples are sample_xy[i, :sample_counts[i]]."""
+    samples are sample_xy[i, :sample_counts[i]], the one record of them."""
 
     origins: np.ndarray = field(repr=False)       # (n_rays, 2)
     directions: np.ndarray = field(repr=False)    # (n_rays, 2) unit vectors
@@ -135,7 +135,6 @@ class RayFan:
     segment_turns: tuple          # swept degrees per segment (raw construction)
     segment_ray_counts: tuple     # rays emitted per segment (raw construction)
     sample_xy: np.ndarray = field(repr=False)   # (n_rays, max_k, 2)
-    sample_valid: np.ndarray = field(repr=False)  # (n_rays, max_k) bool
     sample_counts: np.ndarray = field(repr=False)  # (n_rays,) int
     # system matrices by interpolation mode, built on first use
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -143,13 +142,19 @@ class RayFan:
     def __post_init__(self):
         # fans are shared by every caller and cache operators built from
         # these arrays; freeze them
-        for arr in (self.origins, self.directions, self.sample_xy,
-                    self.sample_valid, self.sample_counts):
+        for arr in (self.origins, self.directions, self.sample_xy, self.sample_counts):
             arr.flags.writeable = False
 
     @property
     def n_rays(self) -> int:
         return len(self.origins)
+
+    @property
+    def sample_valid(self) -> np.ndarray:
+        """(n_rays, max_k) bool, read-only: True where j < sample_counts[i]."""
+        valid = np.arange(self.sample_xy.shape[1]) < self.sample_counts[:, None]
+        valid.flags.writeable = False
+        return valid
 
     def check_grid(self, nx: int, ny: int) -> None:
         """Raise DimsError unless the fan was built for an (nx, ny) axial grid."""
@@ -160,8 +165,7 @@ class RayFan:
         """The fan's system matrix for one interpolation mode (cached)."""
         op = self._operators.get(interpolation)
         if op is None:
-            op = FanOperator(self.sample_xy, self.sample_valid, self.sample_counts,
-                             self.bounds, interpolation)
+            op = FanOperator(self.sample_xy, self.sample_counts, self.bounds, interpolation)
             self._operators[interpolation] = op
         return op
 
@@ -275,7 +279,7 @@ def extract_rays(
     angles = np.radians([angle for _, angle in rays])
     directions = np.stack((np.cos(angles), np.sin(angles)), axis=1)
     origins = centers[[c for c, _ in rays]] - math.hypot(bounds[0], bounds[1]) * directions
-    xy, valid, counts = _sample(origins, directions, n_samples, delta, bounds)
+    xy, _, counts = _sample(origins, directions, n_samples, delta, bounds)
     return RayFan(
         origins=origins,
         directions=directions,
@@ -289,7 +293,6 @@ def extract_rays(
         segment_turns=tuple(seg_turns),
         segment_ray_counts=tuple(seg_counts),
         sample_xy=xy,
-        sample_valid=valid,
         sample_counts=counts,
     )
 

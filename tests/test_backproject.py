@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,14 @@ def fan_from_rays(rays, bounds, n_samples=200, delta=1.0):
     fixtures, sampled as extract_rays samples a fan."""
     origins = np.array([o for o, _ in rays], dtype=np.float64).reshape(-1, 2)
     directions = np.array([d for _, d in rays], dtype=np.float64).reshape(-1, 2)
-    xy, valid, counts = _sample(origins, directions, n_samples, delta, bounds)
+    xy, _, counts = _sample(origins, directions, n_samples, delta, bounds)
     return RayFan(
         origins=origins, directions=directions,
         centers=np.zeros((0, 2)), angle_schedule=(),
         bounds=bounds, n_samples=n_samples, delta=delta,
         raw_count=len(rays), adjusted=None,
         segment_turns=(), segment_ray_counts=(),
-        sample_xy=xy, sample_valid=valid, sample_counts=counts,
+        sample_xy=xy, sample_counts=counts,
     )
 
 
@@ -118,9 +120,11 @@ class TestAggregateRho:
         cands = rng.uniform(0.1, 0.9, (4, 64))
         bmap = aggregate_rho(fan, cands, (4, 32, 32))
         covered = bmap.counts > 0
-        # rho is a float32 mean of the float32-rounded candidates; its float32
-        # sums can put a mean a few ulp above the largest candidate (a
-        # constant row does), which these varied candidates do not reach
+        # rho is a float32 mean of the float32-rounded candidates, within
+        # |B(x)| ulp of their float64 mean, so it can lie a few ulp above
+        # the largest candidate (a constant row does; see test_operator's
+        # test_constant_rows_within_count_ulps); these varied candidates
+        # keep it inside
         assert bmap.rho[covered].min() >= np.float32(cands.min()) - 1e-12
         assert bmap.rho[covered].max() <= np.float32(cands.max()) + 1e-12
 
@@ -180,6 +184,30 @@ class TestAggregateRho:
                 counts=np.zeros((2, 2, 2), dtype=np.int64),
                 rho=np.ones((2, 2, 2)),
             )
+
+
+class TestOneSampleRecord:
+    def test_counts_alone_say_which_samples_a_ray_keeps(self):
+        # sample_xy holds 3 more points per ray than sample_counts keeps:
+        # sample_valid is derived from the counts, and rendering and
+        # back-projection both use the counts' samples, so a uniform volume
+        # renders to the closed form of the counts and back-projects to
+        # its density
+        full = build_fan(GeometryConfig(width=64), bounds=(32, 32))
+        fan = dataclasses.replace(full, sample_counts=np.maximum(full.sample_counts - 3, 0))
+        n = fan.sample_counts
+        assert np.array_equal(fan.sample_valid, np.arange(fan.sample_xy.shape[1]) < n[:, None])
+        assert not fan.sample_valid.flags.writeable
+        assert (fan.sample_xy[~fan.sample_valid] != 0).any()
+        cfg = RenderConfig(width=64, height=2)
+        vol = make_phantom("uniform:0.4", (2, 32, 32))
+        px = render_simpx(vol, fan, cfg).pixels
+        want = -np.expm1(-cfg.beta * float(vol.data[0, 0, 0]) * n * fan.delta)
+        assert np.allclose(px, want, rtol=1e-12, atol=0.0)
+        bmap = aggregate_rho(fan, image_candidates(px, fan, cfg.beta), (2, 32, 32))
+        crossed = bmap.counts > 0
+        assert np.abs(bmap.rho[crossed] - 0.4).max() < 1e-5
+        assert not np.array_equal(bmap.counts, crossing_counts(full, (2, 32, 32)))
 
 
 class TestInvertPixel:

@@ -490,7 +490,7 @@ class TestThreads:
         # blocks, and SSIM scores 40 slices, so two workers really split the
         # work
         nz = 40
-        assert fan_operator._BLOCK_BYTES // (8 * 256 * 256) < nz / 2
+        assert fan_operator._PIECE < nz / 2
         outputs = {}
         for threads in (1, 2):
             d = tmp_path / f"t{threads}"
@@ -644,6 +644,23 @@ class TestGeometryExtras:
         out = tmp_path / "fan.txt"
         assert run("raymap", "--geometry", geom, "--out", out) == 1
         assert capsys.readouterr().err.startswith("error: invalid value:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "scale=abc", "coefficient=abc", "span=1,2", "step=", "x_range=a,40", "x_range=-40,b",
+        "offset=a,2", "offset=2,b", "initial_angle=abc", "width=1.5", "n_samples=1e3",
+        "delta=abc", "angle_scale=abc", "theta_3=abc", "beta=abc",
+    ])
+    def test_unparseable_number_names_its_key(self, tmp_path, capsys, line):
+        # these used to print a bare Python conversion message, such as
+        # "invalid literal for int() with base 10: '1.5'", naming no key
+        key = line.split("=")[0]
+        geom = tmp_path / "g.txt"
+        geom.write_text(f"grid=32,32\n{line}\n")
+        out = tmp_path / "fan.txt"
+        assert run("raymap", "--geometry", geom, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid value:") and key in err
         assert not out.exists()
 
     def test_theta_keys_at_segment_bounds(self, tmp_path):

@@ -195,6 +195,24 @@ def test_rho_is_mean_over_crossing_rays(fan):
     assert not rho[:, op.counts == 0].any()
 
 
+@pytest.mark.parametrize("name", [*sorted(FANS), "default"])
+def test_constant_rows_within_count_ulps(name):
+    # a float32 mean of k float32 values lies within k ulp of their float64
+    # mean, so a constant row c back-projects to within |B(x)| ulp of
+    # float32(c) on every crossed voxel, above it as well as below, and rho
+    # stays in [0, 1]; binade edges included
+    cfg, bounds = FANS.get(name, (GeometryConfig(), (256, 256)))
+    fan = build_fan(cfg, bounds=bounds)
+    nx, ny = bounds
+    c = np.concatenate([[1.0, 0.5, 0.25, 0.1, np.nextafter(0.5, 0.0)],
+                        np.random.default_rng(9).uniform(0.0, 1.0, 11)])
+    rho = aggregate_rho(fan, np.repeat(c[:, None], fan.n_rays, axis=1), (len(c), ny, nx)).rho
+    counts = fan.operator().counts
+    crossed = counts > 0
+    assert (ulps_apart(rho[:, crossed], c.astype(np.float32)[:, None]) <= counts[crossed]).all()
+    assert rho.min() >= 0.0 and rho.max() <= 1.0
+
+
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 def test_constant_slices_are_exact(fan, interpolation):
     # each slice constant: line sums are c_j * n_i to rounding, since each
@@ -232,8 +250,8 @@ def test_operator_coalesces_entries(fan):
 def test_operator_without_entries(interpolation):
     # no retained sample: nothing to coalesce, and A and A^T are zero maps
     fan = build_fan(GeometryConfig(width=32), bounds=(8, 8))
-    op = fan_operator.FanOperator(fan.sample_xy, np.zeros_like(fan.sample_valid),
-                                  np.zeros_like(fan.sample_counts), fan.bounds, interpolation)
+    op = fan_operator.FanOperator(fan.sample_xy, np.zeros_like(fan.sample_counts), fan.bounds,
+                                  interpolation)
     assert len(op.ray) == len(op.voxel) == len(op.weight) == 0
     assert not op.forward(np.ones((2, 8, 8))).any()
     assert not adjoint(op, np.ones((2, fan.n_rays))).any()
@@ -294,21 +312,20 @@ def test_sweep_build_matches_oracle(angle_scale, width, interpolation):
 
 
 def test_blocks_and_chunks_do_not_change_results(fan, monkeypatch):
-    # one slice per block and one row per chunk against the default sizes
+    # one slice per block and one row per chunk give the bytes of the
+    # default sizes
     nx, ny = fan.bounds
     rng = np.random.default_rng(6)
     x = rng.uniform(0.0, 1.0, (3, ny, nx))
     r = rng.uniform(0.0, 1.0, (3, fan.n_rays))
     x_before = x.copy()
     want_fwd, want_adj = fan.operator().forward(x), adjoint(fan.operator(), r)
-    monkeypatch.setattr(fan_operator, "_BLOCK_BYTES", 8)
+    monkeypatch.setattr(fan_operator, "_PIECE", 1)
     monkeypatch.setattr(fan_operator, "_CHUNK_BYTES", 8)
-    op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
-                                  fan.sample_counts, fan.bounds)
-    assert op.block == 1
-    assert np.allclose(op.forward(x), want_fwd, rtol=1e-12, atol=0.0)
+    op = fan_operator.FanOperator(fan.sample_xy, fan.sample_counts, fan.bounds)
+    assert same_bits(op.forward(x), want_fwd)
     assert np.array_equal(x, x_before)  # the input is never written
-    assert np.allclose(adjoint(op, r), want_adj, rtol=1e-12, atol=0.0)
+    assert same_bits(adjoint(op, r), want_adj)
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
@@ -443,22 +460,16 @@ class TestOperatorProperties:
                 x[j].flat[rng.integers(nx * ny)] = zero
         x.flags.writeable = False  # the input is never written
         x_before = x.copy()
-        with mock.patch.object(fan_operator, "_BLOCK_BYTES", 2 * 8 * nx * ny):
-            op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
-                                          fan.sample_counts, fan.bounds,
-                                          interpolation)
-        assert op.block == 2
-        got = op.forward(x)
+        op = fan.operator(interpolation)
+        with mock.patch.object(fan_operator, "_PIECE", 2):
+            got = op.forward(x)
         for j in range(len(kinds)):
             want = ref_line_sums(x[j], fan, interpolation)
             assert np.allclose(got[j], want, rtol=1e-12, atol=1e-12)
         assert np.array_equal(x, x_before)
-        # one-slice blocks on a strided view give the same sums
-        with mock.patch.object(fan_operator, "_BLOCK_BYTES", 8):
-            op1 = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
-                                           fan.sample_counts, fan.bounds,
-                                           interpolation)
-        assert np.allclose(op1.forward(x[::-1])[::-1], got, rtol=1e-12, atol=1e-12)
+        # one-slice blocks on a strided view give the same bytes
+        with mock.patch.object(fan_operator, "_PIECE", 1):
+            assert same_bits(op.forward(x[::-1])[::-1], got)
         assert np.array_equal(x, x_before)
 
     @settings(max_examples=60, deadline=None)
@@ -487,7 +498,7 @@ class TestOperatorProperties:
     @given(fans(), modes, st.integers(1, 6), st.integers(1, 2), st.integers(0, 2**32 - 1))
     def test_bit_identical_at_any_thread_count(self, fan, interpolation, nz, per_block,
                                                seed):
-        # one or two slices per public block, so up to six blocks for the
+        # one or two slices per forward block, so up to six blocks for the
         # workers to split; three CPUs are reported so that threads=3 gets
         # three workers
         nx, ny = fan.bounds
@@ -495,14 +506,25 @@ class TestOperatorProperties:
         # slices with zero and with positive minima
         x = rng.uniform(0.0, 1.0, (nz, ny, nx)) + 0.25 * rng.integers(0, 2, (nz, 1, 1))
         x.flags.writeable = False  # the input is never written
-        with mock.patch.object(fan_operator, "_BLOCK_BYTES", per_block * 8 * nx * ny):
-            op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
-                                          fan.sample_counts, fan.bounds, interpolation)
-        assert op.block == per_block
-        want = op.forward(x)
+        op = fan.operator(interpolation)
+        with mock.patch.object(fan_operator, "_PIECE", per_block):
+            want = op.forward(x)
+            with mock.patch.object(_pool.os, "cpu_count", return_value=3):
+                for threads in (1, 2, 3):
+                    assert np.array_equal(op.forward(x, threads=threads), want)
+
+    @pytest.mark.parametrize("nz, n", [(40, 64), (20, 512)])
+    def test_forward_blocks_give_the_state_path_bits(self, nz, n):
+        # grids where _PIECE-slice blocks differ from 8 MB ones: 40 slices of
+        # 64^2 (16 + 16 + 8) and 20 of 512^2 (16 + 4); each gives the bits of
+        # the crossed layout's one-block forward_state at any thread count
+        fan = build_fan(GeometryConfig(), bounds=(n, n))
+        op = fan.operator()
+        x = np.random.default_rng(n).uniform(0.0, 1.0, (nz, n, n))
+        want = op.crossed.forward_state(op.crossed.to_state(x))
         with mock.patch.object(_pool.os, "cpu_count", return_value=3):
             for threads in (1, 2, 3):
-                assert np.array_equal(op.forward(x, threads=threads), want)
+                assert same_bits(op.forward(x, threads=threads), want)
 
     @settings(max_examples=60, deadline=None)
     @given(fans(), st.integers(1, 4), st.data())
@@ -874,8 +896,7 @@ class TestCrossedLayout:
         # the layouts hold the operator's arrays, not the operator, so no
         # cycle keeps them alive
         fan = square_fan(16)
-        op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid, fan.sample_counts,
-                                      fan.bounds)
+        op = fan_operator.FanOperator(fan.sample_xy, fan.sample_counts, fan.bounds)
         assert 0 < op.crossed.size < op.n_voxels
         c = np.ones((2, op.n_rays))
         op.crossed.ray_mean_state(c)

@@ -395,15 +395,13 @@ class TestFloat32Volumes:
             else:
                 x[j].flat[k] = {"negative": -x[j].flat[k], "zero": 0.0, "-zero": -0.0}[kind]
         x.flags.writeable = False  # the input is never written
-        with mock.patch.object(fan_operator, "_BLOCK_BYTES", 8 * nx * ny):
-            op = fan_operator.FanOperator(fan.sample_xy, fan.sample_valid,
-                                          fan.sample_counts, fan.bounds, interpolation)
-        assert op.block == 1
         # densities: the negative values mirrored, -0.0 kept
         vol = DensityVolume(np.where(x < 0, -x, x))
         wide = DensityVolume(vol.data.astype(np.float64))
         assert vol.data.dtype == np.float32
-        with mock.patch.object(_pool.os, "cpu_count", return_value=2):
+        op = fan.operator(interpolation)
+        with (mock.patch.object(fan_operator, "_PIECE", 1),
+              mock.patch.object(_pool.os, "cpu_count", return_value=2)):
             for threads in (1, 2):
                 assert same_bits(op.forward(x, threads=threads),
                                  op.forward(x.astype(np.float64), threads=threads))
